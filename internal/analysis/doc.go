@@ -15,8 +15,8 @@
 //     timers) in simulation code. Host-side measurement code annotates
 //     itself with a //nscc:wallclock directive.
 //   - globalrand: no draws from math/rand's global source and no
-//     constant-literal rand.NewSource seeds; randomness must derive
-//     from a run's seed so replays agree.
+//     constant-literal rand.NewSource or xrand.New seeds; randomness
+//     must derive from a run's seed so replays agree.
 //   - rawconc: no go statements, channels, select, or sync/atomic in
 //     the simulated-process packages, where sim.Proc coroutines are
 //     the only legal concurrency.

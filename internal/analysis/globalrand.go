@@ -21,18 +21,22 @@ func isMathRand(path string) bool {
 	return path == "math/rand" || path == "math/rand/v2"
 }
 
+// xrandPath is the repository's concrete copy of math/rand's generator,
+// whose New(seed) is rand.New(rand.NewSource(seed)).
+const xrandPath = "nscc/internal/xrand"
+
 // Globalrand reports randomness that cannot replay: draws from
-// math/rand's process-global source, and rand.NewSource seeded with a
-// compile-time constant. Every random stream in a simulation must
-// derive from the run's seed — through sim.Engine.NewRng or
-// runner.DeriveSeed — so the same seed reproduces the same run and
-// parallel sweeps stay byte-identical at any worker count. The global
-// source is shared mutable state across goroutines (replay depends on
-// host scheduling), and a constant seed silently aliases streams that
-// were meant to be independent.
+// math/rand's process-global source, and rand.NewSource or xrand.New
+// seeded with a compile-time constant. Every random stream in a
+// simulation must derive from the run's seed — through
+// sim.Engine.NewRng or runner.DeriveSeed — so the same seed reproduces
+// the same run and parallel sweeps stay byte-identical at any worker
+// count. The global source is shared mutable state across goroutines
+// (replay depends on host scheduling), and a constant seed silently
+// aliases streams that were meant to be independent.
 var Globalrand = &Analyzer{
 	Name: "globalrand",
-	Doc: "math/rand global-source draws or constant-literal NewSource seeds: " +
+	Doc: "math/rand global-source draws or constant-literal NewSource/xrand.New seeds: " +
 		"derive every stream from the run seed (sim.Engine.NewRng, runner.DeriveSeed)",
 	Run: func(p *Pass) {
 		p.Inspect(func(n ast.Node) bool {
@@ -59,7 +63,8 @@ var Globalrand = &Analyzer{
 		})
 		// Constant-literal seeds: rand.NewSource(42) — and therefore
 		// rand.New(rand.NewSource(42)) — produces one fixed stream that
-		// ignores the run's seed.
+		// ignores the run's seed. xrand.New(42) is the same stream
+		// through the concrete type, so it is the same finding.
 		p.Inspect(func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
@@ -70,13 +75,19 @@ var Globalrand = &Analyzer{
 				return true
 			}
 			obj := p.TypesInfo.Uses[sel.Sel]
-			if !isMathRand(pkgPathOf(obj)) || obj.Name() != "NewSource" {
+			var ctor string
+			switch path := pkgPathOf(obj); {
+			case isMathRand(path) && obj.Name() == "NewSource":
+				ctor = "rand.NewSource"
+			case path == xrandPath && obj.Name() == "New":
+				ctor = "xrand.New"
+			default:
 				return true
 			}
 			if tv, ok := p.TypesInfo.Types[call.Args[0]]; ok && tv.Value != nil {
 				p.Reportf(call.Pos(),
-					"rand.NewSource with constant seed %s ignores the run seed; derive it (runner.DeriveSeed, sim.Engine.NewRng)",
-					tv.Value.String())
+					"%s with constant seed %s ignores the run seed; derive it (runner.DeriveSeed, sim.Engine.NewRng)",
+					ctor, tv.Value.String())
 			}
 			return true
 		})

@@ -1,7 +1,11 @@
 // Package globalrand is the golden fixture of the globalrand analyzer.
 package globalrand
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"nscc/internal/xrand"
+)
 
 // bad draws from the process-global source and seeds from constants.
 func bad(seed int64) {
@@ -15,6 +19,8 @@ func bad(seed int64) {
 	_ = rand.New(rand.NewSource(1234))          // want `rand\.NewSource with constant seed 1234`
 	const fixed = int64(7)
 	_ = rand.NewSource(fixed) // want `rand\.NewSource with constant seed 7`
+	_ = xrand.New(42)         // want `xrand\.New with constant seed 42`
+	_ = xrand.New(fixed + 1)  // want `xrand\.New with constant seed 8`
 }
 
 // good derives every stream from a run seed: explicit sources with
@@ -23,6 +29,7 @@ func good(seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	derived := rand.New(rand.NewSource(seed ^ 0x9a27))
 	_ = derived.Intn(10)
+	_ = xrand.New(seed ^ 0x5eed).Intn(10)
 	return rng.Float64()
 }
 

@@ -1,6 +1,6 @@
 package bayes
 
-import "math/rand"
+import "nscc/internal/xrand"
 
 // lut is a flattened, read-only lookup structure over one Network plus
 // one Query, built once per inference run and shared by every partition
@@ -80,7 +80,7 @@ func (l *lut) dist(i, combo int) []float64 {
 
 // sampleInto mirrors Network.SampleInto: identical draw sequence,
 // identical results.
-func (l *lut) sampleInto(values []int, rng *rand.Rand) {
+func (l *lut) sampleInto(values []int, rng *xrand.Rand) {
 	for i := range l.cpt {
 		values[i] = drawFrom(l.dist(i, l.comboIndex(i, values)), rng.Float64())
 	}
@@ -97,7 +97,7 @@ func (l *lut) sampleNodeAt(i int, iter int64, values []int, seed int64) int {
 // sampleWeighted mirrors Network.sampleWeighted: evidence nodes are
 // clamped, free nodes drawn, and the likelihood weight accumulated in
 // the same node order.
-func (l *lut) sampleWeighted(values []int, rng *rand.Rand) float64 {
+func (l *lut) sampleWeighted(values []int, rng *xrand.Rand) float64 {
 	w := 1.0
 	for i := range l.cpt {
 		dist := l.dist(i, l.comboIndex(i, values))

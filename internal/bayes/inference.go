@@ -2,10 +2,10 @@ package bayes
 
 import (
 	"math"
-	"math/rand"
 
 	"nscc/internal/metrics"
 	"nscc/internal/sim"
+	"nscc/internal/xrand"
 )
 
 // Calibration maps sampling work to virtual CPU time on the paper's
@@ -48,27 +48,17 @@ func (c Calibration) IterCost(nodes int) sim.Duration {
 	return sim.Duration(nodes)*c.PerNodeSample + c.PerIterOverhead
 }
 
-// Jitter draws a memoryless load-skew factor (patch-free; the runners
-// all use NewJitterer so serial and parallel see the same skew
-// process).
-func (c Calibration) Jitter(rng *rand.Rand) float64 {
-	f := 1 + math.Abs(rng.NormFloat64())*c.JitterStd
-	if c.SlowProb > 0 && rng.Float64() < c.SlowProb {
-		f *= c.SlowFactor
-	}
-	return f
-}
-
 // Jitterer draws per-iteration skew factors with patch correlation; one
 // per simulated processor.
 type Jitterer struct {
 	c        Calibration
-	rng      *rand.Rand
+	rng      *xrand.Rand
 	slowLeft int
 }
 
-// NewJitterer returns a skew source for one processor.
-func (c Calibration) NewJitterer(rng *rand.Rand) *Jitterer {
+// NewJitterer returns a skew source for one processor. The serial and
+// parallel runners all use it, so they see the same skew process.
+func (c Calibration) NewJitterer(rng *xrand.Rand) *Jitterer {
 	return &Jitterer{c: c, rng: rng}
 }
 
@@ -107,7 +97,7 @@ const checkEvery = 200
 // the 90 % confidence interval's half-width reaches prec (the paper
 // stops at ±0.01), or maxIters raw samples. Deterministic in seed.
 func InferSerial(bn *Network, q Query, prec float64, seed int64, calib Calibration, maxIters int64) SerialResult {
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	jit := calib.NewJitterer(rng)
 	l := newLUT(bn, q)
 	values := make([]int, bn.N())

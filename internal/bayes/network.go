@@ -12,9 +12,9 @@ package bayes
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nscc/internal/partition"
+	"nscc/internal/xrand"
 )
 
 // Node is one event variable of a belief network.
@@ -131,7 +131,7 @@ func drawFrom(dist []float64, u float64) int {
 
 // SampleInto forward-samples every node into values (len >= N) using
 // rng, in topological order.
-func (bn *Network) SampleInto(values []int, rng *rand.Rand) {
+func (bn *Network) SampleInto(values []int, rng *xrand.Rand) {
 	for i := range bn.Nodes {
 		dist := bn.Nodes[i].CPT[bn.comboIndex(i, values)]
 		values[i] = drawFrom(dist, rng.Float64())
@@ -169,7 +169,7 @@ func hashUniform(seed, node, iter, combo int64) float64 {
 // defaults "on the basis of the conditional probability distribution of
 // the nodes"). Deterministic in seed.
 func (bn *Network) Defaults(nSamples int, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	l := newLUT(bn, Query{})
 	counts := make([][]int, bn.N())
 	for i := range counts {

@@ -2,9 +2,10 @@ package bayes
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nscc/internal/xrand"
 )
 
 func TestFigure1Structure(t *testing.T) {
@@ -70,7 +71,7 @@ func TestComboIndex(t *testing.T) {
 
 func TestSampleMarginals(t *testing.T) {
 	bn := Figure1()
-	rng := rand.New(rand.NewSource(1))
+	rng := xrand.New(1)
 	values := make([]int, bn.N())
 	const n = 50000
 	countA := 0
@@ -251,7 +252,7 @@ func TestRootMarginalProperty(t *testing.T) {
 	f := func(pRaw uint8, seed int64) bool {
 		p := 0.05 + 0.9*float64(pRaw)/255
 		bn := &Network{Nodes: []Node{{Name: "r", States: 2, CPT: [][]float64{{1 - p, p}}}}}
-		rng := rand.New(rand.NewSource(seed))
+		rng := xrand.New(seed)
 		vals := make([]int, 1)
 		hits := 0
 		const n = 4000

@@ -2,10 +2,10 @@ package bayes
 
 import (
 	"math"
-	"math/rand"
 
 	"nscc/internal/metrics"
 	"nscc/internal/sim"
+	"nscc/internal/xrand"
 )
 
 // Likelihood weighting is the other classical approximate-inference
@@ -33,7 +33,7 @@ type LWResult struct {
 // until the 90% CI half-width (computed on the Kish effective sample
 // size) reaches prec, or maxIters samples. Deterministic in seed.
 func InferSerialLW(bn *Network, q Query, prec float64, seed int64, calib Calibration, maxIters int64) LWResult {
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	jit := calib.NewJitterer(rng)
 	l := newLUT(bn, q)
 	values := make([]int, bn.N())
@@ -71,7 +71,7 @@ func InferSerialLW(bn *Network, q Query, prec float64, seed int64, calib Calibra
 // sampleWeighted draws one sample with the evidence nodes clamped,
 // returning the likelihood weight (the product of the evidence values'
 // conditional probabilities given their sampled parents).
-func (bn *Network) sampleWeighted(values []int, evidence map[int]int, rng *rand.Rand) float64 {
+func (bn *Network) sampleWeighted(values []int, evidence map[int]int, rng *xrand.Rand) float64 {
 	w := 1.0
 	for i := range bn.Nodes {
 		dist := bn.Nodes[i].CPT[bn.comboIndex(i, values)]

@@ -1,10 +1,9 @@
 package ga
 
 import (
-	"math/rand"
-
 	"nscc/internal/ga/functions"
 	"nscc/internal/sim"
+	"nscc/internal/xrand"
 )
 
 // Calibration maps GA work to virtual CPU time on an RS/6000-591-class
@@ -50,12 +49,12 @@ func DefaultCalibration() Calibration {
 // correlation. One Jitterer per node, fed by that node's rng.
 type Jitterer struct {
 	c        Calibration
-	rng      *rand.Rand
+	rng      *xrand.Rand
 	slowLeft int
 }
 
 // NewJitterer returns a skew source for one node.
-func NewJitterer(c Calibration, rng *rand.Rand) *Jitterer {
+func NewJitterer(c Calibration, rng *xrand.Rand) *Jitterer {
 	return &Jitterer{c: c, rng: rng}
 }
 

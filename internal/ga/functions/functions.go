@@ -7,9 +7,11 @@
 package functions
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
+
+	"nscc/internal/xrand"
 )
 
 // Function is one entry of Table 1, with its standard encoding.
@@ -27,7 +29,7 @@ type Function struct {
 	// encoding's grid resolution, and for F4 it is the table's <= -2.5.
 	OptTarget float64
 
-	eval func(x []float64, rng *rand.Rand) float64
+	eval func(x []float64, rng *xrand.Rand) float64
 }
 
 // OptimumFound reports whether a best objective value reaches the
@@ -43,7 +45,7 @@ func (f *Function) Bytes() int { return (f.TotalBits() + 7) / 8 }
 
 // Eval computes the (possibly noisy) objective at x. rng supplies the
 // noise source for F4 and may be nil for deterministic functions.
-func (f *Function) Eval(x []float64, rng *rand.Rand) float64 {
+func (f *Function) Eval(x []float64, rng *xrand.Rand) float64 {
 	if len(x) != f.Vars {
 		panic(fmt.Sprintf("functions: F%d wants %d vars, got %d", f.No, f.Vars, len(x)))
 	}
@@ -85,10 +87,16 @@ func (f *Function) DecodeInto(dst []float64, bits []byte, gray bool) {
 	maxv := float64(uint64(1)<<uint(f.BitsPerVar) - 1)
 	bpv := f.BitsPerVar
 	for i := 0; i < f.Vars; i++ {
-		// Ranging over the variable's own bit segment lets the compiler
-		// drop the per-bit bounds check and index arithmetic.
+		// Eight 0/1 bit bytes pack at once: read as a big-endian word,
+		// the multiply moves byte j's bit to bit 7-j of the product's
+		// top byte without carries, so v is the same integer the
+		// bit-at-a-time shift builds. The remainder shifts in singly.
 		var v uint64
-		for _, bit := range bits[i*bpv : (i+1)*bpv] {
+		seg := bits[i*bpv : (i+1)*bpv]
+		for ; len(seg) >= 8; seg = seg[8:] {
+			v = v<<8 | binary.BigEndian.Uint64(seg)*0x0102040810204080>>56
+		}
+		for _, bit := range seg {
 			v = v<<1 | uint64(bit)
 		}
 		if gray {
@@ -110,19 +118,19 @@ func GrayToBinary(g uint64) uint64 {
 func BinaryToGray(b uint64) uint64 { return b ^ (b >> 1) }
 
 // EvalBits decodes (plain binary) and evaluates in one step.
-func (f *Function) EvalBits(bits []byte, rng *rand.Rand) float64 {
+func (f *Function) EvalBits(bits []byte, rng *xrand.Rand) float64 {
 	return f.Eval(f.Decode(bits), rng)
 }
 
 // EvalBitsGray decodes (Gray) and evaluates in one step.
-func (f *Function) EvalBitsGray(bits []byte, rng *rand.Rand) float64 {
+func (f *Function) EvalBitsGray(bits []byte, rng *xrand.Rand) float64 {
 	return f.Eval(f.DecodeGray(bits), rng)
 }
 
 // EvalBitsInto is EvalBits/EvalBitsGray with caller-owned decode
 // scratch (length f.Vars), so a tight evaluation loop allocates
 // nothing. Results are bit-identical to the allocating forms.
-func (f *Function) EvalBitsInto(scratch []float64, bits []byte, gray bool, rng *rand.Rand) float64 {
+func (f *Function) EvalBitsInto(scratch []float64, bits []byte, gray bool, rng *xrand.Rand) float64 {
 	f.DecodeInto(scratch, bits, gray)
 	return f.eval(scratch, rng)
 }
@@ -141,7 +149,7 @@ func ByNo(no int) *Function {
 // F1 is DeJong's sphere: sum x_i^2, 3 vars in [-5.12, 5.12], min 0.
 var F1 = &Function{
 	No: 1, Name: "sphere", Vars: 3, BitsPerVar: 10, Lo: -5.12, Hi: 5.12, Min: 0, OptTarget: 0.01,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		s := 0.0
 		for _, v := range x {
 			s += v * v
@@ -154,7 +162,7 @@ var F1 = &Function{
 // 2.048], min 0 at (1,1). (Table 1 prints the classical DeJong form.)
 var F2 = &Function{
 	No: 2, Name: "rosenbrock", Vars: 2, BitsPerVar: 12, Lo: -2.048, Hi: 2.048, Min: 0, OptTarget: 0.01,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		a := x[0]*x[0] - x[1]
 		b := 1 - x[0]
 		return 100*a*a + b*b
@@ -167,7 +175,7 @@ var F2 = &Function{
 // 0, matching the table's minimum column.
 var F3 = &Function{
 	No: 3, Name: "step", Vars: 5, BitsPerVar: 10, Lo: -5.12, Hi: 5.12, Min: 0, OptTarget: 0.49,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		s := 30.0
 		for _, v := range x {
 			s += math.Floor(v)
@@ -181,7 +189,7 @@ var F3 = &Function{
 // "<= -2.5" reflects the noise term's best draws over a run.
 var F4 = &Function{
 	No: 4, Name: "quartic+noise", Vars: 30, BitsPerVar: 8, Lo: -1.28, Hi: 1.28, Min: 0, OptTarget: -2.5, Noisy: true,
-	eval: func(x []float64, rng *rand.Rand) float64 {
+	eval: func(x []float64, rng *xrand.Rand) float64 {
 		s := 0.0
 		for i, v := range x {
 			s += float64(i+1) * v * v * v * v
@@ -208,7 +216,7 @@ var foxholes = func() (a [2][25]float64) {
 // 2 vars in [-65.536, 65.536], min ~0.998004 at (-32,-32).
 var F5 = &Function{
 	No: 5, Name: "foxholes", Vars: 2, BitsPerVar: 17, Lo: -65.536, Hi: 65.536, Min: 0.998004, OptTarget: 1.008,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		sum := 0.002
 		for j := 0; j < 25; j++ {
 			d0 := x[0] - foxholes[0][j]
@@ -224,7 +232,7 @@ var F5 = &Function{
 // A=10, 20 vars in [-5.12, 5.12], min 0 at the origin.
 var F6 = &Function{
 	No: 6, Name: "rastrigin", Vars: 20, BitsPerVar: 10, Lo: -5.12, Hi: 5.12, Min: 0, OptTarget: 0.5,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		const A = 10.0
 		s := A * float64(len(x))
 		for _, v := range x {
@@ -238,7 +246,7 @@ var F6 = &Function{
 // [-500, 500], min ~-4189.83 at x_i ~ 420.9687.
 var F7 = &Function{
 	No: 7, Name: "schwefel", Vars: 10, BitsPerVar: 10, Lo: -500, Hi: 500, Min: -4189.83, OptTarget: -4169,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		s := 0.0
 		for _, v := range x {
 			s += -v * math.Sin(math.Sqrt(math.Abs(v)))
@@ -251,7 +259,7 @@ var F7 = &Function{
 // 10 vars in [-600, 600], min 0 at the origin.
 var F8 = &Function{
 	No: 8, Name: "griewank", Vars: 10, BitsPerVar: 10, Lo: -600, Hi: 600, Min: 0, OptTarget: 0.5,
-	eval: func(x []float64, _ *rand.Rand) float64 {
+	eval: func(x []float64, _ *xrand.Rand) float64 {
 		s := 0.0
 		p := 1.0
 		for i, v := range x {

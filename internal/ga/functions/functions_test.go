@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nscc/internal/xrand"
 )
 
 func TestTableParameters(t *testing.T) {
@@ -100,7 +102,7 @@ func TestOptimaAreMinima(t *testing.T) {
 }
 
 func TestF4NoiseInjection(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := xrand.New(1)
 	x := make([]float64, 30)
 	a := F4.Eval(x, rng)
 	b := F4.Eval(x, rng)

@@ -10,10 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
-	"sort"
 
 	"nscc/internal/ga/functions"
+	"nscc/internal/xrand"
 )
 
 // Params are the six GA parameters of §4.2.1.
@@ -58,7 +57,12 @@ func (ind Individual) Clone() Individual {
 type Deme struct {
 	Fn  *functions.Function
 	Par Params
-	rng *rand.Rand
+	rng *xrand.Rand
+
+	// mutThr is Par.M (as of construction) as an xrand.Threshold: a bit
+	// flips when its draw is Below it, exactly when Float64() < Par.M
+	// would hold.
+	mutThr int64
 
 	pop  []Individual
 	next []Individual // write buffer for NextGeneration
@@ -77,6 +81,7 @@ type Deme struct {
 
 	ws   []float64 // selection-weight prefix sums, reused per generation
 	idx  []int     // index-sort scratch, reused per call
+	key  []float64 // sort keys of idx, reused per call
 	xbuf []float64 // objective decode scratch, reused per evaluation
 
 	evals int64 // total objective evaluations computed (cache misses)
@@ -93,12 +98,20 @@ func newPopulation(n, bits int) []Individual {
 	return pop
 }
 
-// NewDeme creates a deme of Par.N random individuals.
+// NewDeme creates a deme of Par.N random individuals. The deme draws
+// from its own stream, seeded by one rng.Int63().
 func NewDeme(fn *functions.Function, par Params, rng *rand.Rand) *Deme {
+	return newDeme(fn, par, xrand.New(rng.Int63()))
+}
+
+// newDeme creates a deme drawing from rng. The island and serial
+// runners share rng with the node's jitterer, so the two interleave on
+// one stream.
+func newDeme(fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
 	if par.N < 2 {
 		panic("ga: population must have at least 2 individuals")
 	}
-	d := &Deme{Fn: fn, Par: par, rng: rng}
+	d := &Deme{Fn: fn, Par: par, rng: rng, mutThr: xrand.Threshold(par.M)}
 	bits := fn.TotalBits()
 	d.pop = newPopulation(par.N, bits)
 	d.next = newPopulation(par.N, bits)
@@ -114,6 +127,7 @@ func NewDeme(fn *functions.Function, par Params, rng *rand.Rand) *Deme {
 	d.worstW = make([]float64, w)
 	d.ws = make([]float64, par.N)
 	d.idx = make([]int, par.N)
+	d.key = make([]float64, par.N)
 	d.xbuf = make([]float64, fn.Vars)
 	d.best.Bits = make([]byte, bits)
 	d.scratch.Bits = make([]byte, bits)
@@ -256,13 +270,23 @@ func (d *Deme) scaledCum() []float64 {
 // weights whose prefix sums are cum (uniform if all weights are zero).
 // It consumes exactly one RNG draw, like the linear subtractive scan it
 // replaced: the selected index is the first whose prefix sum reaches
-// the draw point, found by binary search.
-func rouletteIndex(cum []float64, total float64, rng *rand.Rand) int {
+// the draw point, found by sort.SearchFloat64s's binary search written
+// inline (same midpoints, same predicate).
+func rouletteIndex(cum []float64, total float64, rng *xrand.Rand) int {
 	if total <= 0 {
 		return rng.Intn(len(cum))
 	}
 	r := rng.Float64() * total
-	if i := sort.SearchFloat64s(cum, r); i < len(cum) {
+	i, j := 0, len(cum)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(cum[h] >= r) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(cum) {
 		return i
 	}
 	return len(cum) - 1
@@ -329,25 +353,18 @@ func (d *Deme) NextGeneration() {
 // sortedByFitness fills the deme's index scratch with population
 // indices ordered fittest first.
 func (d *Deme) sortedByFitness() []int {
-	idx := d.idx[:len(d.pop)]
+	idx, key := d.idx[:len(d.pop)], d.key[:len(d.pop)]
 	for i := range idx {
 		idx[i] = i
+		key[i] = d.pop[i].Fit
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		switch {
-		case d.pop[a].Fit < d.pop[b].Fit:
-			return -1
-		case d.pop[a].Fit > d.pop[b].Fit:
-			return 1
-		}
-		return 0
-	})
+	sortIdx(idx, key)
 	return idx
 }
 
 // crossover applies single-point crossover in place, invalidating both
 // children's cached fitness.
-func crossover(a, b *Individual, rng *rand.Rand) {
+func crossover(a, b *Individual, rng *xrand.Rand) {
 	if len(a.Bits) != len(b.Bits) {
 		panic("ga: crossover length mismatch")
 	}
@@ -363,13 +380,14 @@ func crossover(a, b *Individual, rng *rand.Rand) {
 }
 
 // mutate flips each bit with probability M, invalidating the cache when
-// any bit flips. The loop is the profile's hottest GA frame after the
-// RNG itself, so the per-iteration state lives in locals.
+// any bit flips. This is the GA's hottest loop: one draw per bit,
+// compared as an integer against the precomputed threshold, with the
+// generator inlined and the per-iteration state in locals.
 func (d *Deme) mutate(ind *Individual) {
-	bits, m, rng := ind.Bits, d.Par.M, d.rng
+	bits, thr, rng := ind.Bits, d.mutThr, d.rng
 	valid := ind.Valid
 	for i := range bits {
-		if rng.Float64() < m {
+		if rng.Below(thr) {
 			bits[i] ^= 1
 			valid = false
 		}
@@ -413,20 +431,15 @@ func (d *Deme) ReplaceWorst(migrants []Individual) {
 		// promises).
 		migrants = bestOfPool(migrants, len(d.pop))
 	}
-	// Worst first.
-	idx := d.idx[:len(d.pop)]
+	// Worst first: ascending negated fitness is exactly the old
+	// descending comparator (x > y iff -x < -y; ±0 stay equal and NaN
+	// unordered), so the sort makes the same decisions.
+	idx, key := d.idx[:len(d.pop)], d.key[:len(d.pop)]
 	for i := range idx {
 		idx[i] = i
+		key[i] = -d.pop[i].Fit
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		switch {
-		case d.pop[a].Fit > d.pop[b].Fit:
-			return -1
-		case d.pop[a].Fit < d.pop[b].Fit:
-			return 1
-		}
-		return 0
-	})
+	sortIdx(idx, key)
 	for i := range migrants {
 		m := &migrants[i]
 		if len(m.Bits) != d.Fn.TotalBits() {
@@ -448,14 +461,14 @@ func bestOfPool(pool []Individual, k int) []Individual {
 
 // poolSorter holds the reusable scratch of repeated top-k selections
 // over migrant pools: the index permutation the sort actually moves,
-// and the gathered top-k headers handed to ReplaceWorst. Sorting
-// indices instead of Individual headers keeps the comparator from
-// copying a 40-byte struct per comparison — the migration path's
-// hottest frame in the profile. The selected order is identical: the
-// sort's decisions depend only on the comparator's verdicts, which are
-// the same Fit comparisons either way.
+// its gathered Fit keys, and the top-k headers handed to ReplaceWorst.
+// Sorting indices by a flat key slice instead of Individual headers
+// keeps each comparison to two loads. The selected order is identical:
+// the sort's decisions depend only on the comparisons' verdicts, which
+// are the same Fit comparisons either way.
 type poolSorter struct {
 	idx []int
+	key []float64
 	top []Individual
 }
 
@@ -463,21 +476,16 @@ type poolSorter struct {
 // returned slice is the sorter's scratch, valid until the next call;
 // pool itself is never reordered.
 func (ps *poolSorter) bestK(pool []Individual, k int) []Individual {
-	idx := ps.idx[:0]
-	for i := range pool {
-		idx = append(idx, i)
+	if cap(ps.idx) < len(pool) {
+		ps.idx = make([]int, len(pool))
+		ps.key = make([]float64, len(pool))
 	}
-	ps.idx = idx
-	slices.SortFunc(idx, func(a, b int) int {
-		af, bf := pool[a].Fit, pool[b].Fit
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
-	})
+	idx, key := ps.idx[:len(pool)], ps.key[:len(pool)]
+	for i := range pool {
+		idx[i] = i
+		key[i] = pool[i].Fit
+	}
+	sortIdx(idx, key)
 	if k > len(pool) {
 		k = len(pool)
 	}

@@ -6,11 +6,34 @@ import (
 	"testing/quick"
 
 	"nscc/internal/ga/functions"
+	"nscc/internal/xrand"
 )
 
 func testDeme(t *testing.T, fn *functions.Function, seed int64) *Deme {
 	t.Helper()
-	return NewDeme(fn, DeJongParams(), rand.New(rand.NewSource(seed)))
+	return newDeme(fn, DeJongParams(), xrand.New(seed))
+}
+
+// TestNewDemeSeedsOwnStream pins the exported constructor: it draws one
+// Int63 from the caller's math/rand stream and seeds the deme's xrand
+// stream with it.
+func TestNewDemeSeedsOwnStream(t *testing.T) {
+	rng, want := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	a := NewDeme(functions.F1, DeJongParams(), rng)
+	b := newDeme(functions.F1, DeJongParams(), xrand.New(want.Int63()))
+	for _, d := range []*Deme{a, b} {
+		d.EvaluateAll()
+		for g := 0; g < 20; g++ {
+			d.NextGeneration()
+			d.EvaluateAll()
+		}
+	}
+	if a.AvgFit() != b.AvgFit() || a.Best().Fit != b.Best().Fit {
+		t.Fatalf("NewDeme diverged from newDeme(xrand.New(rng.Int63())): avg %v vs %v", a.AvgFit(), b.AvgFit())
+	}
+	if rng.Int63() != want.Int63() {
+		t.Fatal("NewDeme drew more than one value from the caller's stream")
+	}
 }
 
 func TestDeJongParams(t *testing.T) {
@@ -130,7 +153,7 @@ func TestElitismMonotone(t *testing.T) {
 func TestGenerationGapKeepsSurvivors(t *testing.T) {
 	par := DeJongParams()
 	par.G = 0.5
-	d := NewDeme(functions.F1, par, rand.New(rand.NewSource(6)))
+	d := newDeme(functions.F1, par, xrand.New(6))
 	d.EvaluateAll()
 	bestBefore := d.Best().Fit
 	d.NextGeneration()
@@ -148,7 +171,7 @@ func TestGenerationGapKeepsSurvivors(t *testing.T) {
 }
 
 func TestCrossoverSwapsTails(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := xrand.New(7)
 	a := Individual{Bits: []byte{0, 0, 0, 0, 0, 0, 0, 0}, Fit: 1, Valid: true}
 	b := Individual{Bits: []byte{1, 1, 1, 1, 1, 1, 1, 1}, Fit: 2, Valid: true}
 	crossover(&a, &b, rng)
@@ -180,7 +203,7 @@ func TestCrossoverSwapsTails(t *testing.T) {
 func TestMutationRateRoughly(t *testing.T) {
 	par := DeJongParams()
 	par.M = 0.05
-	d := NewDeme(functions.F4, par, rand.New(rand.NewSource(8)))
+	d := newDeme(functions.F4, par, xrand.New(8))
 	flips := 0
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
@@ -361,7 +384,7 @@ func TestGenerationInvariants(t *testing.T) {
 		fn := functions.ByNo(int(fnRaw%8) + 1)
 		par := DeJongParams()
 		par.N = 20
-		d := NewDeme(fn, par, rand.New(rand.NewSource(seed)))
+		d := newDeme(fn, par, xrand.New(seed))
 		d.EvaluateAll()
 		for g := 0; g < 5; g++ {
 			prev := 0.0
@@ -430,7 +453,7 @@ func TestWorstWindowSteadyMemory(t *testing.T) {
 func TestGrayDemeConverges(t *testing.T) {
 	par := DeJongParams()
 	par.Gray = true
-	d := NewDeme(functions.F1, par, rand.New(rand.NewSource(21)))
+	d := newDeme(functions.F1, par, xrand.New(21))
 	d.EvaluateAll()
 	for g := 0; g < 100; g++ {
 		d.NextGeneration()

@@ -313,7 +313,7 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 			for _, l := range locs {
 				node.Register(l)
 			}
-			deme := NewDeme(cfg.Fn, cfg.Par, task.Proc().Rng())
+			deme := newDeme(cfg.Fn, cfg.Par, task.Proc().Rng())
 			jit := NewJitterer(cfg.Calib, task.Proc().Rng())
 			age := cfg.Age
 			var lastBlocked int64

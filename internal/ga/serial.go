@@ -1,10 +1,9 @@
 package ga
 
 import (
-	"math/rand"
-
 	"nscc/internal/ga/functions"
 	"nscc/internal/sim"
+	"nscc/internal/xrand"
 )
 
 // SerialResult reports a sequential GA run.
@@ -25,8 +24,8 @@ type SerialResult struct {
 // load jitter the cluster nodes see.
 func RunSerial(fn *functions.Function, par Params, totalPop int, gens int64, seed int64, calib Calibration) SerialResult {
 	par.N = totalPop
-	rng := rand.New(rand.NewSource(seed))
-	d := NewDeme(fn, par, rng)
+	rng := xrand.New(seed)
+	d := newDeme(fn, par, rng)
 	jit := NewJitterer(calib, rng)
 
 	var elapsed sim.Duration

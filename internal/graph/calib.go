@@ -2,9 +2,9 @@ package graph
 
 import (
 	"math"
-	"math/rand"
 
 	"nscc/internal/sim"
+	"nscc/internal/xrand"
 )
 
 // Calibration maps graph-kernel work to virtual CPU time on the same
@@ -49,11 +49,11 @@ func (c Calibration) StepCost(verts, edges int) sim.Duration {
 // mirroring the GA's Jitterer.
 type jitterer struct {
 	c        Calibration
-	rng      *rand.Rand
+	rng      *xrand.Rand
 	slowLeft int
 }
 
-func newJitterer(c Calibration, rng *rand.Rand) *jitterer {
+func newJitterer(c Calibration, rng *xrand.Rand) *jitterer {
 	return &jitterer{c: c, rng: rng}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nscc/internal/sim"
+	"nscc/internal/xrand"
 )
 
 // HierConfig describes a hierarchical rack/spine interconnect: nodes
@@ -87,7 +88,7 @@ type Hier struct {
 // fault injection stays an orthogonal concern (faults.Injector).
 type lossRng struct {
 	eng *sim.Engine
-	rng interface{ Float64() float64 }
+	rng *xrand.Rand
 }
 
 func (l *lossRng) Float64() float64 {

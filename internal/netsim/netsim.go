@@ -11,12 +11,12 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nscc/internal/metrics"
 	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/tseries"
+	"nscc/internal/xrand"
 )
 
 // Config describes the physical and protocol parameters of the network.
@@ -92,7 +92,7 @@ type NodeStats struct {
 type Network struct {
 	eng      *sim.Engine
 	cfg      Config
-	rng      *rand.Rand
+	rng      *xrand.Rand
 	handlers []Handler
 	names    []string
 

@@ -3,9 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"nscc/internal/trace"
+	"nscc/internal/xrand"
 )
 
 // Engine drives a discrete-event simulation. Events fire in virtual-time
@@ -211,14 +211,15 @@ func (e *Engine) Live() int { return e.nlive }
 // the given tag. Processes use this internally (tagged by spawn index);
 // model components that need randomness outside any process (e.g. a
 // network's backoff jitter) should call it with a distinct tag.
-func (e *Engine) NewRng(tag int) *rand.Rand { return e.rngFor(tag) }
+func (e *Engine) NewRng(tag int) *xrand.Rand { return e.rngFor(tag) }
 
-// rngFor derives a per-process deterministic random stream.
-func (e *Engine) rngFor(id int) *rand.Rand {
+// rngFor derives a per-process deterministic random stream: math/rand's
+// stream for the scrambled seed, drawn through the concrete xrand type.
+func (e *Engine) rngFor(id int) *xrand.Rand {
 	// SplitMix64-style scramble so nearby ids give unrelated streams.
 	z := uint64(e.seed) + uint64(id+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return xrand.New(int64(z))
 }

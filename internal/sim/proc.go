@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nscc/internal/trace"
+	"nscc/internal/xrand"
 )
 
 // Proc is a cooperative simulated process. The function passed to Spawn
@@ -19,7 +19,7 @@ type Proc struct {
 	eng  *Engine
 	id   int
 	name string
-	rng  *rand.Rand
+	rng  *xrand.Rand
 
 	resume chan struct{}
 	yield  chan struct{}
@@ -114,7 +114,7 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Name() string { return p.name }
 
 // Rng returns the process's private deterministic random stream.
-func (p *Proc) Rng() *rand.Rand { return p.rng }
+func (p *Proc) Rng() *xrand.Rand { return p.rng }
 
 // Sleep advances the process's local progress by d of virtual time.
 // Negative durations sleep zero time.
