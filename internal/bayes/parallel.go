@@ -364,6 +364,7 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
+	defer eng.Close()
 	eng.SetTracer(cfg.Tracer)
 	var net netsim.Fabric
 	if cfg.SwitchCfg != nil {

@@ -26,7 +26,6 @@ func StandardMicros() []NamedMicro {
 	return []NamedMicro{
 		{Name: "sim.SleepLoop", Fn: microSleepLoop},
 		{Name: "sim.QueueHold100k", Fn: microQueueHoldCalendar},
-		{Name: "sim.QueueHold100kHeap", Fn: microQueueHoldHeap},
 		{Name: "pvm.PingPong", Fn: microPingPong},
 		{Name: "pvm.Bcast1000", Fn: microBcast1000},
 		{Name: "ga.IslandShortRun", Fn: microIslandRun},
@@ -50,20 +49,10 @@ func microSleepLoop(b *testing.B) {
 // microQueueHoldCalendar runs the hold model (steady-state pop-min +
 // reinsert) on the engine's calendar queue at the pending population a
 // multi-thousand-node run sustains. sim.HoldBench drives the queue
-// bare, so each op is exactly one pop + one insert — the same work its
-// heap twin below performs.
+// bare, so each op is exactly one pop + one insert.
 func microQueueHoldCalendar(b *testing.B) {
 	b.ReportAllocs()
 	hb := sim.NewHoldBench(100000, 1)
-	b.ResetTimer()
-	hb.Ops(b.N)
-}
-
-// microQueueHoldHeap is the same hold model on the pre-calendar binary
-// heap, the baseline the calendar queue is gated against.
-func microQueueHoldHeap(b *testing.B) {
-	b.ReportAllocs()
-	hb := sim.NewHoldHeapBench(100000, 1)
 	b.ResetTimer()
 	hb.Ops(b.N)
 }

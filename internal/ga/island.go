@@ -213,6 +213,7 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
+	defer eng.Close()
 	eng.SetTracer(cfg.Tracer)
 	var net netsim.Fabric
 	if cfg.Hier != nil {

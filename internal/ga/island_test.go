@@ -1,7 +1,9 @@
 package ga
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"nscc/internal/core"
 	"nscc/internal/ga/functions"
@@ -156,6 +158,47 @@ func TestIslandLoaderAddsTraffic(t *testing.T) {
 	}
 	if b.Completion < a.Completion {
 		t.Fatalf("heavy background load sped the run up: %v vs %v", b.Completion, a.Completion)
+	}
+}
+
+// TestLoadedIslandReleasesCell checks that a loaded run leaves nothing
+// live behind. The bus loader sleeps in an endless loop, so after
+// RunIsland stops the engine its goroutine, and through it the cell's
+// engine, network and demes, stays reachable unless the engine is
+// closed.
+func TestLoadedIslandReleasesCell(t *testing.T) {
+	cfg := quickCfg(core.NonStrict, 4)
+	cfg.LoaderBps = 2e6
+	heapInUse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	if _, err := RunIsland(cfg); err != nil { // warms up lazily built state
+		t.Fatal(err)
+	}
+	goroutines, heap := runtime.NumGoroutine(), heapInUse()
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		cfg.Seed = int64(i + 1)
+		if _, err := RunIsland(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close returns once every process has handed control back on its
+	// way out; let those goroutines finish exiting, which can take a
+	// while on a loaded host.
+	for end := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(end); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d loaded runs left %d goroutines running", runs, n-goroutines)
+	}
+	// One leaked cell keeps about 80 KB reachable; allow GC noise.
+	const slack = 256 << 10
+	if h := heapInUse(); h > heap+slack {
+		t.Errorf("%d loaded runs grew heap in use by %d KB", runs, (h-heap)>>10)
 	}
 }
 

@@ -163,6 +163,7 @@ func Run(cfg Config) (Result, error) {
 	quiet := cfg.quietDefault()
 
 	eng := sim.NewEngine(cfg.Seed)
+	defer eng.Close()
 	eng.SetTracer(cfg.Tracer)
 	var net netsim.Fabric
 	if cfg.Switch != nil {

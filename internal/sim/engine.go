@@ -22,9 +22,16 @@ type Engine struct {
 	procs []*Proc
 	nlive int // spawned but not yet finished processes
 
-	current *Proc // process currently executing, nil when the loop runs
-	running bool
-	stopReq bool
+	running  bool
+	stopReq  bool
+	closed   bool
+	deadline Time // the current RunUntil's deadline
+	// done hands control back to RunUntil's caller when a process
+	// goroutine ends the run, and to Close when a process has exited.
+	done chan struct{}
+	// pval is a panic raised on a process goroutine, kept for RunUntil
+	// to re-raise on its caller's goroutine.
+	pval interface{}
 
 	// tracer, when non-nil, receives process start/stop/block/wake and
 	// event-fire records. Every emission site guards with a nil check,
@@ -45,6 +52,8 @@ func (e *Engine) Tracer() trace.Tracer { return e.tracer }
 // Stop requests that the current Run/RunUntil return after the event
 // being processed. It is the clean way to end a run whose event queue
 // never drains (e.g. when a background traffic loader is active).
+// Processes parked at that point stay parked, so a later Run resumes
+// them; Close ends them instead.
 func (e *Engine) Stop() { e.stopReq = true }
 
 // NewEngine returns an engine whose clock starts at zero. All randomness
@@ -53,6 +62,7 @@ func NewEngine(seed int64) *Engine {
 	e := &Engine{
 		seed: seed,
 		free: make([]*event, 0, 128),
+		done: make(chan struct{}),
 	}
 	e.q.init()
 	return e
@@ -146,21 +156,62 @@ func (e *Engine) Run() error { return e.RunUntil(Forever) }
 // the clock advanced to the last fired event (or the deadline if any
 // later events remain pending). Deadlock is only reported when the whole
 // queue drained, i.e. when deadline is Forever.
+//
+// The loop runs on whichever goroutine holds control: this one until it
+// pops a process's step, then that process's, and so on. A panic raised
+// on a process goroutine, by the process itself or by a callback it was
+// firing, is re-raised here.
 func (e *Engine) RunUntil(deadline Time) error {
 	if e.running {
 		panic("sim: Run re-entered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.deadline = deadline
+	if !e.next(nil) {
+		<-e.done
+	}
+	if v := e.pval; v != nil {
+		e.pval = nil
+		panic(v)
+	}
+	if deadline == Forever && e.q.len() == 0 && e.nlive > 0 {
+		return fmt.Errorf("%w: %s", ErrDeadlock, e.stuckProcs())
+	}
+	return nil
+}
 
+// next runs the event loop on the goroutine that holds control: that of
+// RunUntil's caller (self == nil) or of process self, which has just
+// parked or finished. It fires callbacks inline until it pops the step
+// of a live process. If that process is self, next returns true at once
+// and no goroutine switch happens; otherwise it hands control to the
+// process with one channel send and returns false. When the run ends it
+// returns true to RunUntil's caller, and a process goroutine hands
+// control to that caller through e.done and returns false. After a
+// false return the calling goroutine must not touch the engine until
+// control is handed back to it.
+func (e *Engine) next(self *Proc) (mine bool) {
+	if self != nil {
+		// A callback panicking on a process goroutine must not unwind
+		// through the process's own frames: end the run and re-raise
+		// the value from RunUntil.
+		defer func() {
+			if r := recover(); r != nil {
+				e.pval = r
+				e.done <- struct{}{}
+				mine = false
+			}
+		}()
+	}
 	for e.q.len() > 0 {
 		if e.stopReq {
 			e.stopReq = false
-			return nil
+			break
 		}
-		if e.q.peek().at > deadline {
-			e.now = deadline
-			return nil
+		if e.q.peek().at > e.deadline {
+			e.now = e.deadline
+			break
 		}
 		ev := e.q.pop()
 		ev.inq = false
@@ -178,17 +229,49 @@ func (e *Engine) RunUntil(deadline Time) error {
 		e.recycle(ev)
 		switch {
 		case p != nil:
-			e.step(p)
+			if p.done {
+				continue
+			}
+			if p == self {
+				return true
+			}
+			p.resume <- struct{}{}
+			return false
 		case r != nil:
 			r.Run()
 		default:
 			fn()
 		}
 	}
-	if deadline == Forever && e.nlive > 0 {
-		return fmt.Errorf("%w: %s", ErrDeadlock, e.stuckProcs())
+	if self == nil {
+		return true
 	}
-	return nil
+	e.done <- struct{}{}
+	return false
+}
+
+// Close ends every unfinished process: each is resumed into
+// runtime.Goexit, so its deferred calls run, and Close returns once all
+// of them have exited. A process's deferred calls must not block on the
+// engine. It releases the goroutines, and everything they keep
+// reachable, of a run that ended with processes still parked, such as
+// one ended by Stop while a background loader sleeps. Close panics if
+// called during Run; calling it again is a no-op. The engine must not
+// be used after Close.
+func (e *Engine) Close() {
+	if e.running {
+		panic("sim: Close during Run")
+	}
+	if e.closed {
+		return
+	}
+	e.closed = true
+	for _, p := range e.procs {
+		if !p.done {
+			p.resume <- struct{}{}
+			<-e.done
+		}
+	}
 }
 
 func (e *Engine) stuckProcs() string {

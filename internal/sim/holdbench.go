@@ -1,18 +1,15 @@
 package sim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
-// This file exports the hold-model queue exercisers that back the
-// sim.QueueHold* entries in BENCH_*.json snapshots. The calendar queue
+// This file exports the hold-model queue exerciser that backs the
+// sim.QueueHold100k entry in BENCH_*.json snapshots. The calendar queue
 // is an internal engine detail, so internal/benchio cannot drive it
-// directly; routing the calendar side through the full engine while the
-// heap baseline ran bare would charge the calendar for the engine loop
-// around it and invert the comparison. Both exercisers here perform
-// exactly one pop-min + one reinsert per op on their queue and nothing
-// else, mirroring BenchmarkEventQueueHold in queue_bench_test.go.
+// directly, and routing it through the full engine would charge the
+// queue for the engine loop around it. The exerciser performs exactly
+// one pop-min + one reinsert per op and nothing else, mirroring the
+// calendar half of BenchmarkEventQueueHold in queue_bench_test.go,
+// which also measures the pre-calendar binary heap on the same model.
 
 // benchGap draws the classic hold-model inter-event gap: mostly dense
 // traffic with a heavy tail of far-out timers, mirroring what a large
@@ -54,59 +51,5 @@ func (hb *HoldBench) Ops(n int) {
 		ev.seq = hb.seq
 		hb.seq++
 		hb.q.insert(ev)
-	}
-}
-
-// holdBenchHeap replicates the binary heap the engine used before the
-// calendar queue, kept as the baseline the calendar is gated against.
-type holdBenchHeap []*event
-
-func (h holdBenchHeap) Len() int { return len(h) }
-func (h holdBenchHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h holdBenchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *holdBenchHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *holdBenchHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// HoldHeapBench is HoldBench's twin on the pre-calendar binary heap.
-type HoldHeapBench struct {
-	h   holdBenchHeap
-	rng *rand.Rand
-	seq uint64
-}
-
-// NewHoldHeapBench preloads the baseline heap exactly as NewHoldBench
-// preloads the calendar queue.
-func NewHoldHeapBench(pending int, seed int64) *HoldHeapBench {
-	hb := &HoldHeapBench{
-		h:   make(holdBenchHeap, 0, pending),
-		rng: rand.New(rand.NewSource(seed)),
-	}
-	for i := 0; i < pending; i++ {
-		heap.Push(&hb.h, &event{at: benchGap(hb.rng), seq: hb.seq})
-		hb.seq++
-	}
-	return hb
-}
-
-// Ops performs n hold-model operations on the heap baseline.
-func (hb *HoldHeapBench) Ops(n int) {
-	for i := 0; i < n; i++ {
-		ev := heap.Pop(&hb.h).(*event)
-		ev.at += benchGap(hb.rng)
-		ev.seq = hb.seq
-		hb.seq++
-		heap.Push(&hb.h, ev)
 	}
 }

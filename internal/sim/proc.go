@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"nscc/internal/trace"
 	"nscc/internal/xrand"
@@ -10,8 +11,9 @@ import (
 // Proc is a cooperative simulated process. The function passed to Spawn
 // receives the Proc and may call its blocking methods (Sleep, and the
 // Wait methods of WaitList/Future/Barrier/Semaphore); each such call
-// parks the goroutine and hands control back to the engine until the
-// process is resumed at a later virtual time.
+// parks the process, runs the event loop on its goroutine until the
+// next process step is due, and hands control straight to that process
+// (or simply carries on, when the step is this process's own).
 //
 // Proc methods must only be called from within the process's own
 // function; the engine guarantees only one process runs at a time.
@@ -22,10 +24,7 @@ type Proc struct {
 	rng  *xrand.Rand
 
 	resume chan struct{}
-	yield  chan struct{}
 	done   bool
-	pval   interface{} // value recovered from a panic inside the process
-	pstack bool        // whether pval is set
 }
 
 // Spawn creates a process named name running fn, starting at the current
@@ -37,7 +36,6 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		id:     len(e.procs),
 		name:   name,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	p.rng = e.rngFor(p.id)
 	e.procs = append(e.procs, p)
@@ -47,47 +45,51 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 			Pid: trace.PidSim, Tid: p.id, Cat: "sim", Name: "proc_start"})
 	}
 	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.pval = r
-				p.pstack = true
-			}
-			p.done = true
-			e.nlive--
-			p.yield <- struct{}{}
-		}()
+		defer p.finish()
+		p.wait()
 		fn(p)
 	}()
 	e.scheduleStep(e.now, p)
 	return p
 }
 
-// step transfers control to p until it parks or finishes, then returns
-// control to the engine loop. A panic inside the process is re-raised
-// here so it surfaces on the engine's Run call.
-func (e *Engine) step(p *Proc) {
-	if p.done {
-		return
+// finish runs on p's goroutine once its function has returned, panicked
+// or called runtime.Goexit, and passes control on: to the next process
+// due, to RunUntil's caller with the panic when p panicked, or back to
+// Close when Close ended p.
+func (p *Proc) finish() {
+	r := recover()
+	e := p.eng
+	p.done = true
+	e.nlive--
+	if !e.closed {
+		if e.tracer != nil {
+			e.tracer.Emit(trace.Event{TS: int64(e.now), Ph: trace.PhaseInstant,
+				Pid: trace.PidSim, Tid: p.id, Cat: "sim", Name: "proc_stop"})
+		}
+		if r == nil {
+			e.next(p)
+			return
+		}
+		e.pval = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 	}
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-p.yield
-	e.current = prev
-	if p.done && e.tracer != nil {
-		e.tracer.Emit(trace.Event{TS: int64(e.now), Ph: trace.PhaseInstant,
-			Pid: trace.PidSim, Tid: p.id, Cat: "sim", Name: "proc_stop"})
-	}
-	if p.pstack {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.pval))
+	e.done <- struct{}{}
+}
+
+// park suspends the process until its next scheduled step.
+func (p *Proc) park() {
+	if !p.eng.next(p) {
+		p.wait()
 	}
 }
 
-// park suspends the process until the engine resumes it.
-func (p *Proc) park() {
-	p.yield <- struct{}{}
+// wait blocks p's goroutine until control is handed to it. Close hands
+// control over only to end the process.
+func (p *Proc) wait() {
 	<-p.resume
+	if p.eng.closed {
+		runtime.Goexit()
+	}
 }
 
 // wake schedules the process to resume at the current virtual time.

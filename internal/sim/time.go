@@ -1,11 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with cooperative processes. It is the substrate on which the repository
 // emulates an IBM SP2-class multicomputer: each simulated node is a
-// process (a goroutine that runs only when the engine hands it control),
-// and all inter-process interaction is mediated by events on a single
-// virtual clock. Exactly one goroutine — the engine loop or one process —
-// executes at any instant, so the package needs no locks and every run is
-// reproducible given the same seed and parameters.
+// process (a goroutine that runs only while it holds control), and all
+// inter-process interaction is mediated by events on a single virtual
+// clock. Exactly one goroutine holds control at any instant — Run's
+// caller or one process — and it runs the event loop itself: a parking
+// process fires the callbacks due and hands control straight to the next
+// process, or carries on when that process is itself. So the package
+// needs no locks and every run is reproducible given the same seed and
+// parameters.
 package sim
 
 import "fmt"

@@ -106,8 +106,8 @@ type Tracer interface {
 
 // Recorder is the standard Tracer: an in-memory append-only event log
 // with Chrome trace_event export. The simulation is single-threaded by
-// construction (one process or the engine loop runs at a time), so the
-// Recorder needs no locking.
+// construction (only the goroutine holding the engine, Run's caller or
+// one process, runs at a time), so the Recorder needs no locking.
 type Recorder struct {
 	events []Event
 	// Filter, if set, drops events for which it returns false. Use it
