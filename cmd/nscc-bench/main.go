@@ -339,7 +339,20 @@ func main() {
 	}
 	// The scale sweep is not part of "all": its 1000+-node cells cost
 	// more than the whole paper reproduction, so it runs only on
-	// explicit request.
+	// explicit request. A -bench-out snapshot of "all" times a CI-sized
+	// one instead, so the rack/spine fabric has a throughput row: 256
+	// islands on the gossip overlays (Broadcast is O(P²)), one trial,
+	// a 40-generation budget.
+	if *exp == "all" && *benchOut != "" {
+		sopts := opts
+		sopts.Trials, sopts.SyncGens = 1, 40
+		nodes := []int{256}
+		topos := []ga.Topology{ga.GossipRing, ga.GossipRandom, ga.GossipClustered}
+		run("Scale sweep (256 nodes)", exper.ScaleSweepCells(sopts, nodes, topos), func() error {
+			_, err := exper.ScaleSweep(os.Stdout, sopts, nodes, topos)
+			return err
+		})
+	}
 	if *exp == "scale" {
 		matched = true
 		var nodes []int

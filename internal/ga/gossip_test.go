@@ -188,3 +188,34 @@ func TestGossipOnHierFabric(t *testing.T) {
 		t.Fatalf("hier gossip run not deterministic: %+v vs %+v", a, b)
 	}
 }
+
+// locCounter is a core.LocationObserver that only counts Register
+// announcements.
+type locCounter struct{ n int }
+
+func (c *locCounter) ObserveWrite(int, int, int64) {}
+func (c *locCounter) ObserveRead(core.ReadInfo)    {}
+func (c *locCounter) ObserveLocation(int, string)  { c.n++ }
+
+// TestIslandRegistersOnlyItsLocations checks each island registers its
+// own migrant block and its sources' blocks, not all P of them.
+func TestIslandRegistersOnlyItsLocations(t *testing.T) {
+	const p = 64
+	cfg := gossipRunConfig(GossipRandom, p)
+	var c locCounter
+	cfg.NodeOpts.Races = &c
+	if _, err := RunIsland(cfg); err != nil {
+		t.Fatal(err)
+	}
+	sources, _, err := topologySources(GossipRandom, p, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p
+	for _, s := range sources {
+		want += len(s)
+	}
+	if c.n != want || want >= p*p {
+		t.Fatalf("%d registrations, want %d (P + the sources of every island), below P² = %d", c.n, want, p*p)
+	}
+}

@@ -310,9 +310,13 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	for i := 0; i < cfg.P; i++ {
 		i := i
 		machine.Spawn("island", func(task *pvm.Task) {
+			// Register only the blocks this island writes or reads: a
+			// node serves and names just those, and a 1000-island cell
+			// would otherwise make a million registrations.
 			node := core.NewNode(task, nodeOpts)
-			for _, l := range locs {
-				node.Register(l)
+			node.Register(locs[i])
+			for _, j := range sources[i] {
+				node.Register(locs[j])
 			}
 			deme := newDeme(cfg.Fn, cfg.Par, task.Proc().Rng())
 			jit := NewJitterer(cfg.Calib, task.Proc().Rng())

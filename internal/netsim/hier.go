@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nscc/internal/sim"
 	"nscc/internal/xrand"
@@ -47,11 +49,13 @@ func DefaultHierConfig() HierConfig {
 // Hier is the hierarchical fabric. Every link — each rack bus, each
 // uplink, each downlink — is modeled as a FIFO queue by reservation:
 // the link's freeAt clock is advanced at send time, so a frame's whole
-// store-and-forward itinerary is priced when it is offered and exactly
-// one engine event (the final delivery) is scheduled per destination
-// rack crossing. That keeps the event population O(messages), not
-// O(messages × hops), which is what makes million-message runs
-// tractable.
+// store-and-forward itinerary is priced when it is offered. Each Unicast
+// or Multicast call then schedules one engine event per distinct
+// arrival time among its destinations, delivering every destination
+// due at that time. A cluster-wide broadcast therefore queues at most
+// one event per rack, not one per node, and the event population stays
+// O(messages), not O(messages × hops) or O(messages × receivers),
+// which is what makes million-message runs tractable.
 type Hier struct {
 	eng      *sim.Engine
 	cfg      HierConfig
@@ -73,8 +77,8 @@ type Hier struct {
 	rackStamp []uint64
 	stamp     uint64
 
-	// frames is the free list of pooled delivery callbacks, one per
-	// destination (see Network's frame type for the idiom).
+	// frames is the free list of pooled in-flight calls (see Network's
+	// frame type for the idiom).
 	frames []*hFrame
 
 	// bcast is Broadcast's reusable destination list.
@@ -100,17 +104,29 @@ func (l *lossRng) Float64() float64 {
 
 var _ Fabric = (*Hier)(nil)
 
-// hFrame is a pooled in-flight delivery: the callback scheduled for one
-// destination's arrival time.
+// hFrame is one pooled Unicast or Multicast call in flight: its
+// surviving destinations, ordered by arrival time and, among equal
+// times, by position in the call's destination list. It is scheduled
+// once per distinct arrival time. A call queues its events back to
+// back and the engine fires equal-time events in queueing order, so
+// every delivery happens exactly where a separate event per
+// destination, queued in list order, would have put it.
 type hFrame struct {
 	h       *Hier
 	src     int
-	dst     int
 	payload interface{}
 	sentAt  sim.Time
+	dels    []hDelivery
+	next    int // first undelivered entry of dels
 }
 
-func (h *Hier) getFrame(src, dst int, payload interface{}, sentAt sim.Time) *hFrame {
+// hDelivery is one destination of a call and its arrival time.
+type hDelivery struct {
+	at  sim.Time
+	dst int
+}
+
+func (h *Hier) getFrame(src int, payload interface{}, sentAt sim.Time, ndst int) *hFrame {
 	var f *hFrame
 	if ln := len(h.frames); ln > 0 {
 		f = h.frames[ln-1]
@@ -119,18 +135,67 @@ func (h *Hier) getFrame(src, dst int, payload interface{}, sentAt sim.Time) *hFr
 	} else {
 		f = &hFrame{h: h}
 	}
-	f.src, f.dst, f.payload, f.sentAt = src, dst, payload, sentAt
+	if cap(f.dels) < ndst {
+		f.dels = make([]hDelivery, 0, ndst)
+	}
+	f.src, f.payload, f.sentAt = src, payload, sentAt
 	return f
 }
 
-// Run delivers the frame and returns the object to the pool.
+func (h *Hier) putFrame(f *hFrame) {
+	f.payload = nil
+	f.dels = f.dels[:0]
+	f.next = 0
+	h.frames = append(h.frames, f)
+}
+
+// add records one destination's arrival, applying per-delivery loss.
+// Calls come in destination-list order, so the loss draws keep it.
+func (f *hFrame) add(at sim.Time, dst int) {
+	h := f.h
+	if p := h.cfg.Bus.LossProb; p > 0 && h.rng.Float64() < p {
+		h.stats.Dropped++
+		return
+	}
+	f.dels = append(f.dels, hDelivery{at, dst})
+}
+
+// post queues the frame's deliveries: one event per distinct arrival
+// time, or none (and the frame back to the pool) when every
+// destination was lost.
+func (h *Hier) post(f *hFrame) {
+	n := len(f.dels)
+	if n == 0 {
+		h.putFrame(f)
+		return
+	}
+	h.queued += n
+	if h.queued > h.stats.MaxQueueLen {
+		h.stats.MaxQueueLen = h.queued
+	}
+	slices.SortStableFunc(f.dels, func(a, b hDelivery) int { return cmp.Compare(a.at, b.at) })
+	for i, d := range f.dels {
+		if i == 0 || d.at != f.dels[i-1].at {
+			h.eng.ScheduleRunner(d.at, f)
+		}
+	}
+}
+
+// Run delivers every destination due at the earliest undelivered
+// arrival time, and returns the frame to the pool after the last one.
 func (f *hFrame) Run() {
 	h := f.h
-	h.queued--
-	h.stats.Delivered++
-	h.handlers[f.dst](f.src, f.payload, f.sentAt)
-	f.payload = nil
-	h.frames = append(h.frames, f)
+	at := f.dels[f.next].at
+	for f.next < len(f.dels) && f.dels[f.next].at == at {
+		dst := f.dels[f.next].dst
+		f.next++
+		h.queued--
+		h.stats.Delivered++
+		h.handlers[dst](f.src, f.payload, f.sentAt)
+	}
+	if f.next == len(f.dels) {
+		h.putFrame(f)
+	}
 }
 
 // NewHier creates a hierarchical fabric on eng.
@@ -229,19 +294,6 @@ func (h *Hier) remoteDeliverAt(endBus sim.Time, srcRack, dstRack, size int) sim.
 	return busEnd.Add(h.cfg.Bus.PropDelay)
 }
 
-// schedule queues one delivery, applying per-delivery loss.
-func (h *Hier) schedule(at sim.Time, src, dst, size int, payload interface{}, sentAt sim.Time) {
-	if p := h.cfg.Bus.LossProb; p > 0 && h.rng.Float64() < p {
-		h.stats.Dropped++
-		return
-	}
-	h.queued++
-	if h.queued > h.stats.MaxQueueLen {
-		h.stats.MaxQueueLen = h.queued
-	}
-	h.eng.ScheduleRunner(at, h.getFrame(src, dst, payload, sentAt))
-}
-
 // Send transmits payload from src to dst.
 func (h *Hier) Send(src, dst, size int, payload interface{}) {
 	h.Unicast(src, dst, size, payload, nil)
@@ -259,14 +311,15 @@ func (h *Hier) Unicast(src, dst, size int, payload interface{}, onWire func()) {
 	if dst < 0 || dst >= len(h.handlers) {
 		panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
 	}
-	sentAt := h.eng.Now()
+	f := h.getFrame(src, payload, h.eng.Now(), 1)
 	endBus := h.srcAdmit(src, size, onWire)
 	rs, rd := h.RackOf(src), h.RackOf(dst)
 	at := endBus.Add(h.cfg.Bus.PropDelay)
 	if rs != rd {
 		at = h.remoteDeliverAt(endBus, rs, rd, size)
 	}
-	h.schedule(at, src, dst, size, payload, sentAt)
+	f.add(at, dst)
+	h.post(f)
 }
 
 // Multicast delivers one logical message to every node in dsts. The
@@ -288,7 +341,7 @@ func (h *Hier) Multicast(src int, dsts []int, size int, payload interface{}, onW
 			panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
 		}
 	}
-	sentAt := h.eng.Now()
+	f := h.getFrame(src, payload, h.eng.Now(), len(dsts))
 	endBus := h.srcAdmit(src, size, onWire)
 	rs := h.RackOf(src)
 	localAt := endBus.Add(h.cfg.Bus.PropDelay)
@@ -308,8 +361,9 @@ func (h *Hier) Multicast(src int, dsts []int, size int, payload interface{}, onW
 			}
 			at = h.rackAt[rd]
 		}
-		h.schedule(at, src, dst, size, payload, sentAt)
+		f.add(at, dst)
 	}
+	h.post(f)
 }
 
 // Broadcast multicasts payload from src to every other attached node:
