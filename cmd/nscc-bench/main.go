@@ -352,6 +352,13 @@ func main() {
 			_, err := exper.ScaleSweep(os.Stdout, sopts, nodes, topos)
 			return err
 		})
+		// The graph sweep is nscc-graph's; the snapshot times that
+		// command's default run, the standard topology matrix at 4
+		// partitions, so the graph kernels have a throughput row too.
+		run("Graph sweep", exper.GraphSweepCells(opts, len(exper.GraphSweepSpecs)), func() error {
+			_, err := exper.GraphSweep(os.Stdout, opts, nil, 4)
+			return err
+		})
 	}
 	if *exp == "scale" {
 		matched = true

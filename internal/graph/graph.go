@@ -3,8 +3,9 @@
 // Algorithms") as the repo's third race-tolerant application family
 // beside the island GA and parallel logic sampling: PageRank and
 // Bellman-Ford SSSP partitioned across simulated cluster nodes, each
-// partition publishing its rank/distance sub-vector through a
-// core.Location write per superstep and reading neighbor state via
+// partition publishing its sub-vector (PageRank contributions,
+// rank/out-degree, or SSSP distances) through a core.Location write
+// per superstep and reading neighbor state via
 // Global_Read under the three coherence disciplines the paper compares
 // (sync barrier, fully asynchronous, age-bounded non-strict).
 //
@@ -125,14 +126,4 @@ func partBounds(n, p int) []int {
 		}
 	}
 	return lo
-}
-
-// owner returns the partition owning vertex v under bounds lo.
-func owner(lo []int, v int) int {
-	for i := 0; i+1 < len(lo); i++ {
-		if v < lo[i+1] {
-			return i
-		}
-	}
-	return len(lo) - 2
 }

@@ -67,8 +67,10 @@ func TestPageRankMassConserved(t *testing.T) {
 	// Sequential: iterate the shared kernel directly.
 	cur := initValues(PageRank, g.N)
 	next := make([]float64, g.N)
+	ops := make([]float64, g.N)
 	for it := 0; it < 50; it++ {
-		step(g, PageRank, cur, next, 0, g.N)
+		operands(g, PageRank, 0, cur, ops)
+		step(g, PageRank, ops, cur, next, 0, g.N)
 		sum := 0.0
 		for _, r := range next {
 			sum += r
@@ -118,11 +120,12 @@ func TestPageRankMassConserved(t *testing.T) {
 }
 
 // TestMergeOrderInvariant proves the contribution merge is commutative
-// at the float level: assembling a superstep's view from its source
-// sub-vectors in any delivery order yields a byte-identical kernel
-// output, because each source writes a disjoint slice of the view and
-// the kernel folds in fixed CSR order. This is why non-strict delivery
-// reordering cannot perturb a superstep given the same operand values.
+// at the float level: assembling a superstep's operand view from its
+// source sub-vectors in any delivery order yields a byte-identical
+// kernel output, because each source writes a disjoint slice of the
+// view and the kernel folds in fixed CSR order. This is why
+// non-strict delivery reordering cannot perturb a superstep given the
+// same operand values.
 func TestMergeOrderInvariant(t *testing.T) {
 	g, err := ParseTopoSpec("random:n=32,m=64,seed=9")
 	if err != nil {
@@ -141,14 +144,17 @@ func TestMergeOrderInvariant(t *testing.T) {
 	for _, algo := range Algos {
 		lo, hi := bounds[1], bounds[2] // partition 1's owned range
 		out := make([]float64, hi-lo)
+		// The blocks the sources publish: state in operand form.
+		blocks := make([]float64, g.N)
+		operands(g, algo, 0, state, blocks)
 		var want []uint64
 		for perm := 0; perm < 8; perm++ {
-			view := initValues(algo, g.N)
+			view := make([]float64, g.N)
 			order := rng.Perm(p)
 			for _, src := range order {
-				copy(view[bounds[src]:bounds[src+1]], state[bounds[src]:bounds[src+1]])
+				copy(view[bounds[src]:bounds[src+1]], blocks[bounds[src]:bounds[src+1]])
 			}
-			step(g, algo, view, out, lo, hi)
+			step(g, algo, view, state[lo:hi], out, lo, hi)
 			bits := make([]uint64, len(out))
 			for i, x := range out {
 				bits[i] = math.Float64bits(x)

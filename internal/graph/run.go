@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -142,17 +143,15 @@ func (c Config) quietDefault() int {
 // Run executes one partitioned graph-kernel configuration on a fresh
 // simulated cluster. The run is deterministic in cfg.Seed.
 func Run(cfg Config) (Result, error) {
-	if cfg.G == nil {
-		panic("graph: Run needs a graph")
-	}
-	if cfg.P < 1 {
-		panic("graph: Run needs at least 1 partition")
-	}
-	if cfg.P > cfg.G.N {
-		panic(fmt.Sprintf("graph: %d partitions for %d vertices", cfg.P, cfg.G.N))
-	}
-	if cfg.MaxSupersteps <= 0 {
-		panic("graph: Run requires MaxSupersteps")
+	switch {
+	case cfg.G == nil:
+		return Result{}, errors.New("graph: Run needs a graph")
+	case cfg.P < 1:
+		return Result{}, fmt.Errorf("graph: Run needs at least 1 partition, have %d", cfg.P)
+	case cfg.P > cfg.G.N:
+		return Result{}, fmt.Errorf("graph: %d partitions for %d vertices", cfg.P, cfg.G.N)
+	case cfg.MaxSupersteps <= 0:
+		return Result{}, fmt.Errorf("graph: Run needs MaxSupersteps > 0, have %d", cfg.MaxSupersteps)
 	}
 	g := cfg.G
 	eps := cfg.Eps
@@ -259,6 +258,8 @@ func Run(cfg Config) (Result, error) {
 	}
 	barrier := core.NewMsgBarrier(members)
 	init := initValues(cfg.Algo, g.N)
+	initOps := make([]float64, g.N)
+	operands(g, cfg.Algo, 0, init, initOps)
 
 	res := Result{
 		Values:     make([]float64, g.N),
@@ -292,19 +293,47 @@ func Run(cfg Config) (Result, error) {
 			lo, hi := bounds[p], bounds[p+1]
 			owned := append([]float64(nil), init[lo:hi]...)
 			next := make([]float64, hi-lo)
-			view := append([]float64(nil), init...)
+			// ops is the kernel's operand view: every source block as
+			// last copied, and this partition's block as last published.
+			ops := append([]float64(nil), initOps...)
 			seen := make([]int64, len(sources[p])) // freshest observed iter per source
 			for i := range seen {
 				seen[i] = core.NoValue
 			}
+			// held is the payload each source block of ops was last
+			// copied from. Payloads are never written after their
+			// publish, and holding one keeps its array from being
+			// reused, so a payload with the same backing array carries
+			// the same values and needs no copy.
+			held := make([][]float64, len(sources[p]))
+			// payload is owned in operand form as last published, nil
+			// once owned has changed since.
+			var payload []float64
+			// changed reports that owned or some source block of ops
+			// changed since the last step call (or that step never
+			// ran). While it is false, step would return owned again
+			// with residual 0 and frontier 0, so the call is skipped.
+			changed := true
 			jit := newJitterer(cfg.Calib, task.Proc().Rng())
 			stepCost := cfg.Calib.StepCost(hi-lo, int(g.InOff[hi]-g.InOff[lo])).Seconds()
 			done := false
 
+			// publish writes owned, in operand form, to this partition's
+			// location. A partition whose state has not changed since its
+			// last publish republishes the same payload.
+			publish := func(iter int64) {
+				if payload == nil {
+					payload = make([]float64, hi-lo)
+					operands(g, cfg.Algo, lo, owned, payload)
+					copy(ops[lo:hi], payload)
+				}
+				node.Write(locs[p], iter, payload)
+			}
+
 			finish := func(iter int64) {
 				// Publish the final state so no peer ever blocks on this
 				// partition again, then record results.
-				node.Write(locs[p], sentinelIter, append([]float64(nil), owned...))
+				publish(sentinelIter)
 				res.Supersteps[p] = iter
 				copy(res.Values[lo:hi], owned)
 				st := node.Stats()
@@ -394,8 +423,7 @@ func Run(cfg Config) (Result, error) {
 				// Publish this superstep's state, then read the peers
 				// under the run's coherence discipline.
 				stepStart := task.Now()
-				node.Write(locs[p], iter, append([]float64(nil), owned...))
-				copy(view[lo:hi], owned)
+				publish(iter)
 				for si, src := range sources[p] {
 					var u core.Update
 					ok := false
@@ -419,12 +447,24 @@ func Run(cfg Config) (Result, error) {
 					}
 					slo, shi := bounds[src], bounds[src+1]
 					if vs, vok := u.Value.([]float64); vok && len(vs) == shi-slo {
-						copy(view[slo:shi], vs)
+						if h := held[si]; h == nil || &h[0] != &vs[0] {
+							copy(ops[slo:shi], vs)
+							held[si] = vs
+							changed = true
+						}
 					}
 				}
 
-				residual, frontier := step(g, cfg.Algo, view, next, lo, hi)
-				copy(owned, next)
+				var residual float64
+				var frontier int64
+				if changed {
+					residual, frontier = step(g, cfg.Algo, ops, owned, next, lo, hi)
+					changed = frontier != 0
+					if changed {
+						copy(owned, next)
+						payload = nil
+					}
+				}
 				task.Compute(sim.DurationOf(stepCost * jit.next()))
 
 				if p == 0 {

@@ -169,8 +169,9 @@ func TestTelemetryAndSeries(t *testing.T) {
 	}
 }
 
-// TestRunPanics pins the constructor contract for impossible configs.
-func TestRunPanics(t *testing.T) {
+// TestRunConfigErrors pins the constructor contract for impossible
+// configs: each comes back as an error, never a panic.
+func TestRunConfigErrors(t *testing.T) {
 	g, _ := Ring(4)
 	for name, cfg := range map[string]Config{
 		"nil graph":        {P: 1, MaxSupersteps: 1},
@@ -180,11 +181,13 @@ func TestRunPanics(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
 				}
 			}()
-			Run(cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Errorf("%s: no error", name)
+			}
 		}()
 	}
 }

@@ -168,7 +168,4 @@ func TestPartBounds(t *testing.T) {
 			t.Fatalf("partBounds(10,4) = %v, want %v", lo, want)
 		}
 	}
-	if owner(lo, 0) != 0 || owner(lo, 5) != 1 || owner(lo, 9) != 3 {
-		t.Errorf("owner lookup wrong: %d %d %d", owner(lo, 0), owner(lo, 5), owner(lo, 9))
-	}
 }
