@@ -1,6 +1,8 @@
 package bayes
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -353,14 +355,17 @@ func (w *worker) newLogRow() []int8 {
 }
 
 // RunParallel executes one parallel logic-sampling configuration on a
-// fresh simulated cluster. Deterministic in cfg.Seed.
+// fresh simulated cluster. Deterministic in cfg.Seed. An impossible
+// config comes back as an error.
 func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 	bn := cfg.Net
-	if cfg.P < 1 {
-		panic("bayes: need at least one processor")
-	}
-	if cfg.MaxIters <= 0 {
-		panic("bayes: MaxIters must be positive")
+	switch {
+	case bn == nil:
+		return ParallelResult{}, errors.New("bayes: RunParallel needs a network")
+	case cfg.P < 1:
+		return ParallelResult{}, fmt.Errorf("bayes: RunParallel needs at least 1 processor, have %d", cfg.P)
+	case cfg.MaxIters <= 0:
+		return ParallelResult{}, fmt.Errorf("bayes: RunParallel needs MaxIters > 0, have %d", cfg.MaxIters)
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
@@ -768,7 +773,7 @@ func (w *worker) syncIteration(t int64) {
 		// have no remote parents by construction.
 		if ph > 0 {
 			for _, src := range w.sources {
-				//nscc:tolerates-stale loc=bundle -- age-0 phase barrier; only a -read-timeout degrade returns stale, and recountRepair fixes it
+				//nscc:tolerates-stale loc=bundle -- age-0 phase barrier; only a -read-timeout degrade returns stale, and then the phase samples on the default and the late actual counts a conflict that sync mode never repairs
 				w.node.GlobalRead(topo.bundleLocs[src][w.p], topo.syncStamp(t, ph-1), 0)
 			}
 		}

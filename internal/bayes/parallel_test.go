@@ -241,6 +241,37 @@ func TestParallelMaxItersCap(t *testing.T) {
 	}
 }
 
+// TestRunParallelConfigErrors pins the contract for impossible configs:
+// each comes back as an error, never a panic.
+func TestRunParallelConfigErrors(t *testing.T) {
+	noNet := parCfg(core.Async, 2)
+	noNet.Net = nil
+	noProcs := parCfg(core.Async, 0)
+	negProcs := parCfg(core.Sync, -1)
+	noIters := parCfg(core.NonStrict, 2)
+	noIters.MaxIters = 0
+	negIters := parCfg(core.Async, 1)
+	negIters.MaxIters = -5
+	for name, cfg := range map[string]ParallelConfig{
+		"nil network":         noNet,
+		"zero processors":     noProcs,
+		"negative processors": negProcs,
+		"zero MaxIters":       noIters,
+		"negative MaxIters":   negIters,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			if _, err := RunParallel(cfg); err == nil {
+				t.Errorf("%s: no error", name)
+			}
+		}()
+	}
+}
+
 func TestParallelRandomDefaultsIncreaseGambleFailures(t *testing.T) {
 	good := parCfg(core.Async, 2)
 	bad := good

@@ -6,22 +6,52 @@
 // dependent computation must be invalidated and recomputed, and
 // corrections (antimessage + fresh value) cascade downstream.
 //
-// The Store tracks, per (remote node, iteration): the actual values
-// received, the values the local computation consumed (and whether each
-// was a gambled default), and the set of iterations dirtied by
-// conflicting or retracted values.
+// The Store tracks, per (remote node, iteration): the actual value
+// received and the value the local computation consumed, and the set
+// of iterations dirtied by conflicting or retracted values. It keeps
+// one dense row per live iteration with one cell per remote node, so
+// the hot path is slice indexing rather than map hashing.
 package rollback
 
-import "sort"
+import "slices"
 
-type key struct {
-	node int
-	iter int64
+// cell is one (iteration, remote node) slot: the received actual and
+// the consumed value, each valid only under its presence bit.
+type cell struct {
+	actual int
+	used   int
+	flags  uint8
 }
 
-type usedRec struct {
-	state   int
-	gambled bool
+const (
+	hasActual uint8 = 1 << iota
+	hasUsed
+)
+
+// row is one iteration's cells and flags.
+type row struct {
+	iter  int64
+	cells []cell // stride cells, one per column and the rest spare
+	live  bool   // false while the row waits on the free list
+	dirty bool
+}
+
+// blockRows is how many rows share one allocation, so that a ledger
+// that is never pruned grows without copying its rows.
+const blockRows = 64
+
+// block is blockRows rows whose cells share one slab.
+type block [blockRows]row
+
+// setStride moves b's rows onto a fresh slab of stride cells per row,
+// keeping each row's cells.
+func (b *block) setStride(stride int) {
+	slab := make([]cell, blockRows*stride)
+	for i := range b {
+		cells := slab[i*stride : (i+1)*stride : (i+1)*stride]
+		copy(cells, b[i].cells)
+		b[i].cells = cells
+	}
 }
 
 // Stats counts the store's activity.
@@ -34,34 +64,130 @@ type Stats struct {
 }
 
 // Store is one processor's remote-value and gamble ledger.
+//
+// Node ids must be ≥ 0; iterations may be any int64. A node gets a
+// column the first time it is seen, through col (indexed by node id),
+// and an iteration gets a row the first time a value is stored for it.
+// Rows live in blocks and are numbered in the order they were made.
+// Lookups go through a one-row cache, so only a switch to another
+// iteration consults the iteration→row index. Prune recycles the rows
+// it drops through a free list, and dirty iterations are kept in
+// increasing order. The slice Dirty returns stays valid, and
+// unchanged, until the next call of Dirty.
 type Store struct {
-	actual map[key]int
-	used   map[int64]map[int]usedRec
-	dirty  map[int64]bool
+	col    []int32 // node id → column+1; 0 until the node is seen
+	width  int     // columns handed out
+	stride int     // cells per row, ≥ width
+	blocks []*block
+	nrows  int32           // rows ever made
+	index  map[int64]int32 // live iteration → row
+	free   []int32
+	last   *row    // row of the latest lookup, or nil
+	dirty  []int64 // dirty iterations, increasing
+	snap   []int64 // Dirty's result buffer
 	stats  Stats
 }
 
 // NewStore returns an empty ledger.
 func NewStore() *Store {
-	return &Store{
-		actual: make(map[key]int),
-		used:   make(map[int64]map[int]usedRec),
-		dirty:  make(map[int64]bool),
-	}
+	return &Store{index: make(map[int64]int32)}
 }
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats { return s.stats }
+
+// column returns node's column, or -1 if node has none yet.
+func (s *Store) column(node int) int {
+	if node < len(s.col) {
+		return int(s.col[node]) - 1
+	}
+	return -1
+}
+
+// columnFor returns node's column, handing out the next one if node
+// has none, and widens every row when the columns outgrow the stride.
+func (s *Store) columnFor(node int) int {
+	if c := s.column(node); c >= 0 {
+		return c
+	}
+	if node >= len(s.col) {
+		s.col = append(s.col, make([]int32, node+1-len(s.col))...)
+	}
+	c := s.width
+	s.width++
+	s.col[node] = int32(s.width)
+	if s.width > s.stride {
+		s.stride = max(4, 2*s.stride)
+		for _, b := range s.blocks {
+			b.setStride(s.stride)
+		}
+	}
+	return c
+}
+
+// find returns iter's row, or nil if iter has none.
+func (s *Store) find(iter int64) *row {
+	if s.last != nil && s.last.iter == iter {
+		return s.last
+	}
+	r, ok := s.index[iter]
+	if !ok {
+		return nil
+	}
+	s.last = &s.blocks[r/blockRows][r%blockRows]
+	return s.last
+}
+
+// rowFor returns iter's row, taking a recycled or new one if iter has
+// none.
+func (s *Store) rowFor(iter int64) *row {
+	if rw := s.find(iter); rw != nil {
+		return rw
+	}
+	var r int32
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = s.nrows
+		s.nrows++
+		if int(r/blockRows) == len(s.blocks) {
+			b := new(block)
+			b.setStride(s.stride)
+			s.blocks = append(s.blocks, b)
+		}
+	}
+	rw := &s.blocks[r/blockRows][r%blockRows]
+	clear(rw.cells)
+	rw.iter, rw.live, rw.dirty = iter, true, false
+	s.index[iter] = r
+	s.last = rw
+	return rw
+}
+
+// markDirty flags rw's iteration for recomputation.
+func (s *Store) markDirty(rw *row) {
+	if rw.dirty {
+		return
+	}
+	rw.dirty = true
+	i, _ := slices.BinarySearch(s.dirty, rw.iter)
+	s.dirty = slices.Insert(s.dirty, i, rw.iter)
+}
 
 // PutActual records the received actual state of node at iter. If the
 // local computation already consumed a different value for that slot
 // (default gamble or since-retracted actual), the iteration is marked
 // dirty and true is returned.
 func (s *Store) PutActual(node int, iter int64, state int) bool {
-	s.actual[key{node, iter}] = state
-	if rec, ok := s.used[iter][node]; ok && rec.state != state {
+	c := s.columnFor(node)
+	rw := s.rowFor(iter)
+	cl := &rw.cells[c]
+	cl.actual = state
+	cl.flags |= hasActual
+	if cl.flags&hasUsed != 0 && cl.used != state {
 		s.stats.Conflicts++
-		s.dirty[iter] = true
+		s.markDirty(rw)
 		return true
 	}
 	return false
@@ -71,10 +197,19 @@ func (s *Store) PutActual(node int, iter int64, state int) bool {
 // sent value of node at iter. If the local computation consumed that
 // value, the iteration is marked dirty and true is returned.
 func (s *Store) Retract(node int, iter int64) bool {
-	delete(s.actual, key{node, iter})
-	if _, ok := s.used[iter][node]; ok {
+	c := s.column(node)
+	if c < 0 {
+		return false
+	}
+	rw := s.find(iter)
+	if rw == nil {
+		return false
+	}
+	cl := &rw.cells[c]
+	cl.flags &^= hasActual
+	if cl.flags&hasUsed != 0 {
 		s.stats.Retracts++
-		s.dirty[iter] = true
+		s.markDirty(rw)
 		return true
 	}
 	return false
@@ -85,32 +220,27 @@ func (s *Store) Retract(node int, iter int64) bool {
 // (a gamble). The consumed value is recorded so later arrivals can be
 // checked against it.
 func (s *Store) Consume(node int, iter int64, def int) (state int, gambled bool) {
-	if v, ok := s.actual[key{node, iter}]; ok {
-		state, gambled = v, false
+	c := s.columnFor(node)
+	cl := &s.rowFor(iter).cells[c]
+	if cl.flags&hasActual != 0 {
+		state = cl.actual
 		s.stats.Actuals++
 	} else {
 		state, gambled = def, true
 		s.stats.Gambles++
 	}
-	m := s.used[iter]
-	if m == nil {
-		m = make(map[int]usedRec)
-		s.used[iter] = m
-	}
-	m[node] = usedRec{state, gambled}
+	cl.used = state
+	cl.flags |= hasUsed
 	return state, gambled
 }
 
 // Dirty returns the dirtied iterations in increasing order (rollbacks
-// must replay oldest-first so corrections cascade consistently).
+// must replay oldest-first so corrections cascade consistently). The
+// slice is the store's own buffer: it stays unchanged until the next
+// call of Dirty, whatever else the store is told meanwhile.
 func (s *Store) Dirty() []int64 {
-	out := make([]int64, 0, len(s.dirty))
-	//nscc:maporder -- the sort below launders the iteration order
-	for it := range s.dirty {
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s.snap = append(s.snap[:0], s.dirty...)
+	return s.snap
 }
 
 // HasDirty reports whether any iteration awaits recomputation.
@@ -121,21 +251,34 @@ func (s *Store) HasDirty() bool { return len(s.dirty) > 0 }
 // which Consume re-records what the replay uses.
 func (s *Store) BeginRollback(iter int64) {
 	s.stats.Rollbacks++
-	delete(s.dirty, iter)
-	delete(s.used, iter)
+	rw := s.find(iter)
+	if rw == nil {
+		return
+	}
+	if rw.dirty {
+		rw.dirty = false
+		i, _ := slices.BinarySearch(s.dirty, iter)
+		s.dirty = slices.Delete(s.dirty, i, i+1)
+	}
+	for i := range rw.cells {
+		rw.cells[i].flags &^= hasUsed
+	}
 }
 
 // Prune discards actual/used records older than iter (exclusive) to
 // bound memory on long runs. Dirty iterations are never pruned.
 func (s *Store) Prune(iter int64) {
-	for k := range s.actual {
-		if k.iter < iter && !s.dirty[k.iter] {
-			delete(s.actual, k)
-		}
-	}
-	for it := range s.used {
-		if it < iter && !s.dirty[it] {
-			delete(s.used, it)
+	for bi, b := range s.blocks {
+		for i := range b {
+			rw := &b[i]
+			if rw.live && rw.iter < iter && !rw.dirty {
+				rw.live = false
+				delete(s.index, rw.iter)
+				s.free = append(s.free, int32(bi*blockRows+i))
+				if s.last == rw {
+					s.last = nil
+				}
+			}
 		}
 	}
 }
