@@ -35,13 +35,14 @@ import (
 //
 //	go test ./internal/exper -run TestGoldenSweepFingerprints -v -update-goldens
 const (
-	goldenFigure2 = "168f2a205d1dab27677eecfda5084b5e979006cba8d7a7cfbd5b4f296f31fa42"
-	goldenFigure3 = "3735da61b58bd3ff72264596a735f6657e72a43db8a46194314e14cd9f7463f6"
-	goldenFigure4 = "8071eb9f0b91b5deffa709ce961437031617a50bd73e48c98de070078d2634d7"
-	goldenTable2  = "eed4d4191e467e8b40e81748373f36b1eeb6dd1aac0749385cb304c43b0dbb1b"
-	goldenAge     = "675816817a372c1fd9d0ada215d7c226269bb50b8e0cdcd8e697c717acf9d499"
-	goldenGraph   = "cfbf78218b623e1d07913e845ef7fb59038b13db03d32f36076b87c40167a377"
-	goldenScale   = "386705d3b4929ccf637927e65eda37a1894f38229824e2aa30e866c32264a2ce"
+	goldenFigure2    = "168f2a205d1dab27677eecfda5084b5e979006cba8d7a7cfbd5b4f296f31fa42"
+	goldenFigure3    = "3735da61b58bd3ff72264596a735f6657e72a43db8a46194314e14cd9f7463f6"
+	goldenFigure4    = "8071eb9f0b91b5deffa709ce961437031617a50bd73e48c98de070078d2634d7"
+	goldenTable2     = "eed4d4191e467e8b40e81748373f36b1eeb6dd1aac0749385cb304c43b0dbb1b"
+	goldenAge        = "675816817a372c1fd9d0ada215d7c226269bb50b8e0cdcd8e697c717acf9d499"
+	goldenGraph      = "cfbf78218b623e1d07913e845ef7fb59038b13db03d32f36076b87c40167a377"
+	goldenScale      = "386705d3b4929ccf637927e65eda37a1894f38229824e2aa30e866c32264a2ce"
+	goldenFigure2All = "cac65f7e1bdfac056eb2fdfc7f9fa4c7ae3e288fbe22945472e3fe20242f90e5"
 )
 
 // -update-goldens prints the computed hashes instead of asserting,
@@ -87,6 +88,28 @@ func fingerprintFigure2(t *testing.T, workers int) string {
 	res, err := Figure2(&buf, goldenOpts(workers), []*functions.Function{functions.F1, functions.F5})
 	if err != nil {
 		t.Fatalf("Figure2(workers=%d): %v", workers, err)
+	}
+	rows := append(append([]GARow{}, res.PerFunc...), res.Average...)
+	if err := WriteGARowsCSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	dumpGARows(&buf, rows)
+	dumpGARows(&buf, res.BestCase)
+	return hashOf(buf.Bytes())
+}
+
+// fingerprintFigure2All runs Figure 2 over all eight functions at a
+// shorter synchronous budget, so every objective (F2-F4 and F6-F8 have
+// no other pin) and the GA kernel under each chromosome length is
+// fingerprinted.
+func fingerprintFigure2All(t *testing.T, workers int) string {
+	t.Helper()
+	var buf bytes.Buffer
+	opts := goldenOpts(workers)
+	opts.SyncGens = 20
+	res, err := Figure2(&buf, opts, functions.All())
+	if err != nil {
+		t.Fatalf("Figure2(all functions, workers=%d): %v", workers, err)
 	}
 	rows := append(append([]GARow{}, res.PerFunc...), res.Average...)
 	if err := WriteGARowsCSV(&buf, rows); err != nil {
@@ -243,6 +266,7 @@ func TestGoldenSweepFingerprints(t *testing.T) {
 		{"AgeSweep", goldenAge, fingerprintAgeSweep},
 		{"GraphSweep", goldenGraph, fingerprintGraphSweep},
 		{"ScaleSweep", goldenScale, fingerprintScaleSweep},
+		{"Figure2All", goldenFigure2All, fingerprintFigure2All},
 	}
 	for _, sw := range sweeps {
 		sw := sw
