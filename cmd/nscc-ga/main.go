@@ -54,6 +54,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
 		os.Exit(2)
 	}
+	if err := checkRun(*fnNo, *procs, *gens); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {
@@ -187,4 +191,17 @@ func main() {
 	if *metOut != "" {
 		fmt.Printf("wrote %s\n", *metOut)
 	}
+}
+
+// checkRun rejects flag values no run can use, before anything runs.
+func checkRun(fnNo, procs int, gens int64) error {
+	switch {
+	case fnNo < 1 || fnNo > 8:
+		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
+	case procs < 1:
+		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
+	case gens < 1:
+		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
+	}
+	return nil
 }

@@ -1,0 +1,45 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself when the test binary is re-executed
+// with NSCC_RUN_MAIN set, so a test can observe its exit code.
+func TestMain(m *testing.M) {
+	if os.Getenv("NSCC_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadRunFlagsExitTwo checks that a -func, -procs or -gens value no
+// run can use is one line on stderr and exit status 2, not a panic.
+func TestBadRunFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit status 2\nstderr:\n%s", args, err, stderr.String())
+			continue
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || strings.Contains(msg, "panic") {
+			t.Errorf("%v: stderr is not one line:\n%s", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran before rejecting its flags:\n%s", args, stdout.String())
+		}
+	}
+}

@@ -47,6 +47,10 @@ func main() {
 		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
 	)
 	flag.Parse()
+	if err := checkRun(*fnNo, *procs, *gens); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {
@@ -171,4 +175,17 @@ func show(name string, r ga.IslandResult) {
 		fmt.Printf("%-11s   simrace: reads=%d synchronized=%d tolerated-stale=%d unbounded=%d\n",
 			"", rt.Reads, rt.Synchronized, rt.ToleratedStale, rt.Unbounded)
 	}
+}
+
+// checkRun rejects flag values no run can use, before anything runs.
+func checkRun(fnNo, procs int, gens int64) error {
+	switch {
+	case fnNo < 1 || fnNo > 8:
+		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
+	case procs < 1:
+		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
+	case gens < 1:
+		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
+	}
+	return nil
 }

@@ -4,6 +4,19 @@
 // parallel-GA study [13]. Each function carries its bit-string encoding
 // (variables are binary-encoded over their limit range, DeJong-style)
 // so the GA engine and the benchmarks share one definition.
+//
+// Each objective's formula is the reference: Eval(x) computes it, and
+// EvalBitsInto must return exactly its bits for the decoded chromosome.
+// F6 and F7 are sums of one term per variable, over variables that all
+// share one 10-bit encoding, so package initialization tabulates the
+// term at each of the 1024 codes with the same term function the
+// formula calls (two 8 KB tables, about 40 µs), and EvalBitsInto adds
+// table entries in the formula's order instead of calling libm per
+// variable. F7's term is wrapped in an explicit float64 conversion, the
+// Go spec's barrier against fusing a multiply into the following add:
+// a fused multiply-add (which arm64 or GOAMD64=v3 may emit) has no
+// rounded product a table could hold. On the default amd64 build Go
+// fuses nothing, so the conversion changes no bit there.
 package functions
 
 import (
@@ -30,6 +43,12 @@ type Function struct {
 	OptTarget float64
 
 	eval func(x []float64, rng *xrand.Rand) float64
+
+	// terms, if set, makes the objective base + Σ terms[code_i] over the
+	// variables' codes (after Gray decoding), in variable order: the
+	// formula's term at every code of one variable, built at init.
+	terms []float64
+	base  float64
 }
 
 // OptimumFound reports whether a best objective value reaches the
@@ -78,32 +97,64 @@ func (f *Function) decode(bits []byte, gray bool) []float64 {
 // f.Vars. The arithmetic is identical to Decode, so the two produce
 // bit-equal values.
 func (f *Function) DecodeInto(dst []float64, bits []byte, gray bool) {
+	f.checkLens(dst, bits)
+	maxv, bpv := f.maxCode(), f.BitsPerVar
+	for i := 0; i < f.Vars; i++ {
+		dst[i] = f.value(code(bits[i*bpv:(i+1)*bpv], gray), maxv)
+	}
+}
+
+// checkLens panics unless bits is one chromosome and dst holds one
+// value per variable.
+func (f *Function) checkLens(dst []float64, bits []byte) {
 	if len(bits) != f.TotalBits() {
 		panic(fmt.Sprintf("functions: F%d wants %d bits, got %d", f.No, f.TotalBits(), len(bits)))
 	}
 	if len(dst) != f.Vars {
 		panic(fmt.Sprintf("functions: F%d wants %d vars of scratch, got %d", f.No, f.Vars, len(dst)))
 	}
-	maxv := float64(uint64(1)<<uint(f.BitsPerVar) - 1)
-	bpv := f.BitsPerVar
-	for i := 0; i < f.Vars; i++ {
-		// Eight 0/1 bit bytes pack at once: read as a big-endian word,
-		// the multiply moves byte j's bit to bit 7-j of the product's
-		// top byte without carries, so v is the same integer the
-		// bit-at-a-time shift builds. The remainder shifts in singly.
-		var v uint64
-		seg := bits[i*bpv : (i+1)*bpv]
-		for ; len(seg) >= 8; seg = seg[8:] {
-			v = v<<8 | binary.BigEndian.Uint64(seg)*0x0102040810204080>>56
-		}
-		for _, bit := range seg {
-			v = v<<1 | uint64(bit)
-		}
-		if gray {
-			v = GrayToBinary(v)
-		}
-		dst[i] = f.Lo + float64(v)*(f.Hi-f.Lo)/maxv
+}
+
+// code reads one variable's bits most-significant-first as a plain
+// binary integer, Gray-decoded if gray is set.
+func code(seg []byte, gray bool) uint64 {
+	// Eight 0/1 bit bytes pack at once: read as a big-endian word, the
+	// multiply moves byte j's bit to bit 7-j of the product's top byte
+	// without carries, so v is the same integer the bit-at-a-time shift
+	// builds. The remainder shifts in singly.
+	var v uint64
+	for ; len(seg) >= 8; seg = seg[8:] {
+		v = v<<8 | binary.BigEndian.Uint64(seg)*0x0102040810204080>>56
 	}
+	for _, bit := range seg {
+		v = v<<1 | uint64(bit)
+	}
+	if gray {
+		v = GrayToBinary(v)
+	}
+	return v
+}
+
+// maxCode is the largest code of one variable, as a float64.
+func (f *Function) maxCode() float64 { return float64(uint64(1)<<uint(f.BitsPerVar) - 1) }
+
+// value scales a variable's code linearly onto [Lo, Hi]; maxv is
+// f.maxCode().
+func (f *Function) value(v uint64, maxv float64) float64 {
+	return f.Lo + float64(v)*(f.Hi-f.Lo)/maxv
+}
+
+// tabulate sets f's term table: term at the value of every code of one
+// variable. The formula's own term function goes in, so each entry is
+// the bits the formula adds for that code.
+func tabulate(f *Function, base float64, term func(float64) float64) *Function {
+	maxv := f.maxCode()
+	f.terms = make([]float64, 1<<f.BitsPerVar)
+	for c := range f.terms {
+		f.terms[c] = term(f.value(uint64(c), maxv))
+	}
+	f.base = base
+	return f
 }
 
 // GrayToBinary converts a reflected Gray code to its binary value.
@@ -129,10 +180,20 @@ func (f *Function) EvalBitsGray(bits []byte, rng *xrand.Rand) float64 {
 
 // EvalBitsInto is EvalBits/EvalBitsGray with caller-owned decode
 // scratch (length f.Vars), so a tight evaluation loop allocates
-// nothing. Results are bit-identical to the allocating forms.
+// nothing. Results are bit-identical to the allocating forms. A
+// function with a term table (F6, F7) sums table entries by code and
+// leaves scratch untouched.
 func (f *Function) EvalBitsInto(scratch []float64, bits []byte, gray bool, rng *xrand.Rand) float64 {
-	f.DecodeInto(scratch, bits, gray)
-	return f.eval(scratch, rng)
+	if f.terms == nil {
+		f.DecodeInto(scratch, bits, gray)
+		return f.eval(scratch, rng)
+	}
+	f.checkLens(scratch, bits)
+	s, bpv := f.base, f.BitsPerVar
+	for i := 0; i < f.Vars; i++ {
+		s += f.terms[code(bits[i*bpv:(i+1)*bpv], gray)]
+	}
+	return s
 }
 
 // All returns the Table 1 test bed, F1..F8 in order.
@@ -201,59 +262,68 @@ var F4 = &Function{
 	},
 }
 
-// foxholes is the 5x5 grid of Shekel wells at coordinates
+// foxholePts are the coordinates of the 5x5 grid of Shekel wells,
 // {-32,-16,0,16,32}^2.
-var foxholes = func() (a [2][25]float64) {
-	pts := []float64{-32, -16, 0, 16, 32}
-	for j := 0; j < 25; j++ {
-		a[0][j] = pts[j%5]
-		a[1][j] = pts[j/5]
-	}
-	return
-}()
+var foxholePts = [5]float64{-32, -16, 0, 16, 32}
 
 // F5 is Shekel's foxholes: [0.002 + sum_j 1/(j + sum_i (x_i-a_ij)^6)]^-1,
-// 2 vars in [-65.536, 65.536], min ~0.998004 at (-32,-32).
+// 2 vars in [-65.536, 65.536], min ~0.998004 at (-32,-32). Well j sits
+// at (foxholePts[j%5], foxholePts[j/5]), so the 50 sixth powers of a
+// point take only 10 distinct operands: each is computed once and
+// summed into the wells in the original order.
 var F5 = &Function{
 	No: 5, Name: "foxholes", Vars: 2, BitsPerVar: 17, Lo: -65.536, Hi: 65.536, Min: 0.998004, OptTarget: 1.008,
 	eval: func(x []float64, _ *xrand.Rand) float64 {
+		var p0, p1 [5]float64
+		for k, a := range foxholePts {
+			p0[k] = math.Pow(x[0]-a, 6)
+			p1[k] = math.Pow(x[1]-a, 6)
+		}
 		sum := 0.002
 		for j := 0; j < 25; j++ {
-			d0 := x[0] - foxholes[0][j]
-			d1 := x[1] - foxholes[1][j]
-			g := float64(j+1) + math.Pow(d0, 6) + math.Pow(d1, 6)
+			g := float64(j+1) + p0[j%5] + p1[j/5]
 			sum += 1 / g
 		}
 		return 1 / sum
 	},
 }
 
+// rastriginA is the Rastrigin amplitude A.
+const rastriginA = 10.0
+
+// rastrigin is one variable's Rastrigin term, x^2 - A cos(2 pi x).
+func rastrigin(v float64) float64 { return v*v - rastriginA*math.Cos(2*math.Pi*v) }
+
 // F6 is the Rastrigin function: nA + sum (x_i^2 - A cos(2 pi x_i)),
 // A=10, 20 vars in [-5.12, 5.12], min 0 at the origin.
-var F6 = &Function{
+var F6 = tabulate(&Function{
 	No: 6, Name: "rastrigin", Vars: 20, BitsPerVar: 10, Lo: -5.12, Hi: 5.12, Min: 0, OptTarget: 0.5,
 	eval: func(x []float64, _ *xrand.Rand) float64 {
-		const A = 10.0
-		s := A * float64(len(x))
+		s := rastriginA * float64(len(x))
 		for _, v := range x {
-			s += v*v - A*math.Cos(2*math.Pi*v)
+			s += rastrigin(v)
 		}
 		return s
 	},
-}
+}, rastriginA*20, rastrigin) // base nA for the 20 variables
+
+// schwefel is one variable's Schwefel term, -x sin(sqrt(|x|)). The
+// float64 conversion keeps the product rounded before the caller's
+// running sum adds it (see the package doc).
+func schwefel(v float64) float64 { return float64(-v * math.Sin(math.Sqrt(math.Abs(v)))) }
 
 // F7 is the Schwefel function: sum -x_i sin(sqrt(|x_i|)), 10 vars in
 // [-500, 500], min ~-4189.83 at x_i ~ 420.9687.
-var F7 = &Function{
+var F7 = tabulate(&Function{
 	No: 7, Name: "schwefel", Vars: 10, BitsPerVar: 10, Lo: -500, Hi: 500, Min: -4189.83, OptTarget: -4169,
 	eval: func(x []float64, _ *xrand.Rand) float64 {
 		s := 0.0
 		for _, v := range x {
-			s += -v * math.Sin(math.Sqrt(math.Abs(v)))
+			s += schwefel(v)
 		}
 		return s
 	},
-}
+}, 0, schwefel)
 
 // F8 is the Griewank function: sum x_i^2/4000 - prod cos(x_i/sqrt(i)) + 1,
 // 10 vars in [-600, 600], min 0 at the origin.

@@ -259,3 +259,82 @@ func TestGrayVsBinaryDiffer(t *testing.T) {
 		t.Fatal("EvalBitsGray inconsistent with DecodeGray")
 	}
 }
+
+// TestTermTablesMatchFormula checks every entry of the F6 and F7 term
+// tables against the formula's term at that code's decoded value, bit
+// for bit, decoding through DecodeInto as the GA does.
+func TestTermTablesMatchFormula(t *testing.T) {
+	for _, c := range []struct {
+		f    *Function
+		term func(float64) float64
+	}{{F6, rastrigin}, {F7, schwefel}} {
+		if len(c.f.terms) != 1<<c.f.BitsPerVar {
+			t.Fatalf("F%d: %d table entries, want %d", c.f.No, len(c.f.terms), 1<<c.f.BitsPerVar)
+		}
+		bits := make([]byte, c.f.TotalBits())
+		x := make([]float64, c.f.Vars)
+		for code := range c.f.terms {
+			for b := 0; b < c.f.BitsPerVar; b++ {
+				bits[b] = byte(code >> (c.f.BitsPerVar - 1 - b) & 1)
+			}
+			c.f.DecodeInto(x, bits, false)
+			if got, want := c.f.terms[code], c.term(x[0]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("F%d code %d: table %v, term(%v) = %v", c.f.No, code, got, x[0], want)
+			}
+		}
+	}
+}
+
+// TestEvalBitsIntoMatchesFormula holds every function's chromosome
+// evaluation to its formula, bit for bit: EvalBitsInto must equal
+// DecodeInto followed by Eval on 100,000 random chromosomes per
+// function and encoding. For F4 the two paths draw their noise from
+// twin generators, which must agree on the next draw afterwards.
+func TestEvalBitsIntoMatchesFormula(t *testing.T) {
+	n := 100_000
+	if testing.Short() {
+		n = 5_000
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, f := range All() {
+		bits := make([]byte, f.TotalBits())
+		x, scratch := make([]float64, f.Vars), make([]float64, f.Vars)
+		for _, gray := range []bool{false, true} {
+			ga, gb := xrand.New(int64(f.No)), xrand.New(int64(f.No))
+			for trial := 0; trial < n; trial++ {
+				var w uint64
+				for i := range bits {
+					if i%64 == 0 {
+						w = rng.Uint64()
+					}
+					bits[i] = byte(w & 1)
+					w >>= 1
+				}
+				got := f.EvalBitsInto(scratch, bits, gray, ga)
+				f.DecodeInto(x, bits, gray)
+				want := f.Eval(x, gb)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("F%d gray=%v: EvalBitsInto %v, DecodeInto+Eval %v at %v", f.No, gray, got, want, x)
+				}
+			}
+			if a, b := ga.Uint64(), gb.Uint64(); a != b {
+				t.Fatalf("F%d gray=%v: generators diverged after evaluation (%d vs %d)", f.No, gray, a, b)
+			}
+		}
+	}
+}
+
+// TestEvalBitsIntoScratchPanics keeps the scratch-length contract on
+// the table path too.
+func TestEvalBitsIntoScratchPanics(t *testing.T) {
+	for _, f := range All() {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("F%d: EvalBitsInto with short scratch did not panic", f.No)
+				}
+			}()
+			f.EvalBitsInto(make([]float64, f.Vars-1), make([]byte, f.TotalBits()), false, nil)
+		}()
+	}
+}

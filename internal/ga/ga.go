@@ -60,7 +60,7 @@ type Deme struct {
 	rng *xrand.Rand
 
 	// mutThr is Par.M (as of construction) as an xrand.Threshold: a bit
-	// flips when its draw is Below it, exactly when Float64() < Par.M
+	// flips when its draw is below it, exactly when Float64() < Par.M
 	// would hold.
 	mutThr int64
 
@@ -319,7 +319,7 @@ func (d *Deme) NextGeneration() {
 	// Survivors (generation gap < 1): keep the best of the old
 	// population beyond the replaced fraction.
 	if replace < n {
-		idx := d.sortedByFitness()
+		idx := d.sortedByFitness(n - replace)
 		for _, i := range idx[:n-replace] {
 			copyInto(&next[filled], &d.pop[i])
 			filled++
@@ -351,14 +351,14 @@ func (d *Deme) NextGeneration() {
 }
 
 // sortedByFitness fills the deme's index scratch with population
-// indices ordered fittest first.
-func (d *Deme) sortedByFitness() []int {
+// indices ordered fittest first; only the first head are sorted.
+func (d *Deme) sortedByFitness(head int) []int {
 	idx, key := d.idx[:len(d.pop)], d.key[:len(d.pop)]
 	for i := range idx {
 		idx[i] = i
 		key[i] = d.pop[i].Fit
 	}
-	sortIdx(idx, key)
+	sortIdx(idx, key, head)
 	return idx
 }
 
@@ -381,18 +381,14 @@ func crossover(a, b *Individual, rng *xrand.Rand) {
 
 // mutate flips each bit with probability M, invalidating the cache when
 // any bit flips. This is the GA's hottest loop: one draw per bit,
-// compared as an integer against the precomputed threshold, with the
-// generator inlined and the per-iteration state in locals.
+// compared as an integer against the precomputed threshold. The draws
+// are exactly those of a Float64() < M test per bit, resamples
+// included; xrand steps the generator for them in blocks that cannot
+// wrap its register.
 func (d *Deme) mutate(ind *Individual) {
-	bits, thr, rng := ind.Bits, d.mutThr, d.rng
-	valid := ind.Valid
-	for i := range bits {
-		if rng.Below(thr) {
-			bits[i] ^= 1
-			valid = false
-		}
+	if d.rng.FlipBelow(ind.Bits, d.mutThr) > 0 {
+		ind.Valid = false
 	}
-	ind.Valid = valid
 }
 
 // BestK returns copies of the k fittest current individuals, fittest
@@ -404,7 +400,7 @@ func (d *Deme) BestK(k int) []Individual {
 	if k > len(d.pop) {
 		k = len(d.pop)
 	}
-	idx := d.sortedByFitness()
+	idx := d.sortedByFitness(k)
 	bits := d.Fn.TotalBits()
 	out := newPopulation(k, bits)
 	for j, i := range idx[:k] {
@@ -433,13 +429,14 @@ func (d *Deme) ReplaceWorst(migrants []Individual) {
 	}
 	// Worst first: ascending negated fitness is exactly the old
 	// descending comparator (x > y iff -x < -y; ±0 stay equal and NaN
-	// unordered), so the sort makes the same decisions.
+	// unordered), so the sort makes the same decisions. Only the first
+	// len(migrants) slots are overwritten, so only they are sorted.
 	idx, key := d.idx[:len(d.pop)], d.key[:len(d.pop)]
 	for i := range idx {
 		idx[i] = i
 		key[i] = -d.pop[i].Fit
 	}
-	sortIdx(idx, key)
+	sortIdx(idx, key, len(migrants))
 	for i := range migrants {
 		m := &migrants[i]
 		if len(m.Bits) != d.Fn.TotalBits() {
@@ -480,15 +477,15 @@ func (ps *poolSorter) bestK(pool []Individual, k int) []Individual {
 		ps.idx = make([]int, len(pool))
 		ps.key = make([]float64, len(pool))
 	}
+	if k > len(pool) {
+		k = len(pool)
+	}
 	idx, key := ps.idx[:len(pool)], ps.key[:len(pool)]
 	for i := range pool {
 		idx[i] = i
 		key[i] = pool[i].Fit
 	}
-	sortIdx(idx, key)
-	if k > len(pool) {
-		k = len(pool)
-	}
+	sortIdx(idx, key, k)
 	top := ps.top[:0]
 	for _, i := range idx[:k] {
 		top = append(top, pool[i])

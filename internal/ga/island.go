@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"nscc/internal/core"
@@ -201,15 +203,20 @@ type IslandResult struct {
 
 // RunIsland executes one island-GA configuration on a fresh simulated
 // cluster and reports the result. The run is deterministic in cfg.Seed.
+// An impossible configuration (no function, no processors, a deme of
+// fewer than 2, or no generation budget for the mode) is an error.
 func RunIsland(cfg IslandConfig) (IslandResult, error) {
-	if cfg.P < 1 {
-		panic("ga: island run needs at least 1 processor")
-	}
-	if cfg.Mode == core.Sync && cfg.FixedGens <= 0 {
-		panic("ga: Sync mode requires FixedGens")
-	}
-	if cfg.Mode != core.Sync && cfg.MaxGens <= 0 {
-		panic("ga: Async/NonStrict modes require MaxGens")
+	switch {
+	case cfg.Fn == nil:
+		return IslandResult{}, errors.New("ga: RunIsland needs a function")
+	case cfg.P < 1:
+		return IslandResult{}, fmt.Errorf("ga: RunIsland needs at least 1 processor, have %d", cfg.P)
+	case cfg.Par.N < 2:
+		return IslandResult{}, fmt.Errorf("ga: RunIsland needs a deme of at least 2 individuals, have %d", cfg.Par.N)
+	case cfg.Mode == core.Sync && cfg.FixedGens <= 0:
+		return IslandResult{}, fmt.Errorf("ga: Sync mode needs FixedGens > 0, have %d", cfg.FixedGens)
+	case cfg.Mode != core.Sync && cfg.MaxGens <= 0:
+		return IslandResult{}, fmt.Errorf("ga: %s mode needs MaxGens > 0, have %d", cfg.Mode, cfg.MaxGens)
 	}
 
 	eng := sim.NewEngine(cfg.Seed)

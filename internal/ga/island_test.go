@@ -375,3 +375,39 @@ func TestAsyncToleratesMessageLoss(t *testing.T) {
 		t.Fatal("async must not block, with or without loss")
 	}
 }
+
+// TestRunIslandConfigErrors pins the contract for impossible configs:
+// each comes back as an error, never a panic (a deme of one used to
+// panic inside a simulated process).
+func TestRunIslandConfigErrors(t *testing.T) {
+	noFn := quickCfg(core.Async, 2)
+	noFn.Fn = nil
+	tinyDeme := quickCfg(core.NonStrict, 2)
+	tinyDeme.Par.N = 1
+	noFixed := quickCfg(core.Sync, 2)
+	noFixed.FixedGens = 0
+	noMax := quickCfg(core.Async, 2)
+	noMax.MaxGens = 0
+	negMax := quickCfg(core.NonStrict, 2)
+	negMax.MaxGens = -3
+	for name, cfg := range map[string]IslandConfig{
+		"nil function":         noFn,
+		"zero processors":      quickCfg(core.Async, 0),
+		"negative processors":  quickCfg(core.Sync, -1),
+		"deme of one":          tinyDeme,
+		"sync, zero FixedGens": noFixed,
+		"async, zero MaxGens":  noMax,
+		"GR, negative MaxGens": negMax,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			if _, err := RunIsland(cfg); err == nil {
+				t.Errorf("%s: no error", name)
+			}
+		}()
+	}
+}

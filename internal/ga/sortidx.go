@@ -10,8 +10,9 @@ package ga
 
 import "math/bits"
 
-// sortIdx sorts idx so that key[idx[i]] ascends. It makes exactly the
-// decisions slices.SortFunc makes on idx with the comparator
+// sortIdx sorts idx so that key[idx[i]] ascends, at least over its
+// first head positions. It makes exactly the decisions slices.SortFunc
+// makes on idx with the comparator
 //
 //	func(a, b int) int { switch { case key[a] < key[b]: return -1; case key[a] > key[b]: return 1 }; return 0 }
 //
@@ -20,9 +21,21 @@ import "math/bits"
 // the same (unstable) order the library sort gives them, so migrant
 // selection keeps its pinned tie order, now fixed in this file rather
 // than by the toolchain's slices internals.
-func sortIdx(idx []int, key []float64) {
+//
+// head = len(idx) is the full sort. A smaller head skips every
+// sub-range the sort would process that starts at or past head, so
+// idx[:head] ends exactly as the full sort leaves it, and idx[head:]
+// holds the remaining indices in an unspecified order. That is exact
+// because a sub-range [a, b) writes only its own positions and reads
+// only the pivot at a-1, which stays fixed while the sub-range runs:
+// partitioning leaves nothing to the right of a pivot that compares
+// less than it (NaN keys included, since every comparison with NaN is
+// false), so partialInsertionSortIdx's leftward shift stops at a.
+// The positions below head therefore see the same operations whether
+// or not the sub-ranges past head are sorted.
+func sortIdx(idx []int, key []float64, head int) {
 	n := len(idx)
-	pdqsortIdx(idx, key, 0, n, bits.Len(uint(n)))
+	pdqsortIdx(idx, key, 0, n, bits.Len(uint(n)), head)
 }
 
 // insertionSortIdx sorts data[a:b] using insertion sort.
@@ -96,8 +109,9 @@ func nextPowerOfTwo(length int) uint {
 
 // pdqsortIdx sorts data[a:b]: pattern-defeating quicksort without the
 // BlockQuicksort optimizations. limit is the number of allowed bad
-// (very unbalanced) pivots before falling back to heapsort.
-func pdqsortIdx(data []int, key []float64, a, b, limit int) {
+// (very unbalanced) pivots before falling back to heapsort. A
+// sub-range that starts at or past head is left unsorted.
+func pdqsortIdx(data []int, key []float64, a, b, limit, head int) {
 	const maxInsertion = 12
 
 	var (
@@ -106,6 +120,9 @@ func pdqsortIdx(data []int, key []float64, a, b, limit int) {
 	)
 
 	for {
+		if a >= head {
+			return
+		}
 		length := b - a
 
 		if length <= maxInsertion {
@@ -156,11 +173,11 @@ func pdqsortIdx(data []int, key []float64, a, b, limit int) {
 		balanceThreshold := length / 8
 		if leftLen < rightLen {
 			wasBalanced = leftLen >= balanceThreshold
-			pdqsortIdx(data, key, a, mid, limit)
+			pdqsortIdx(data, key, a, mid, limit, head)
 			a = mid + 1
 		} else {
 			wasBalanced = rightLen >= balanceThreshold
-			pdqsortIdx(data, key, mid+1, b, limit)
+			pdqsortIdx(data, key, mid+1, b, limit, head)
 			b = mid
 		}
 	}
@@ -252,9 +269,11 @@ func partialInsertionSortIdx(data []int, key []float64, a, b int) bool {
 
 		data[i], data[i-1] = data[i-1], data[i]
 
-		// Shift the smaller one to the left.
+		// Shift the smaller one to the left. The library sort runs this
+		// down to j >= 1, but nothing in data[a:b] compares less than the
+		// pivot at a-1 (when a > 0), so the shift always stops at a.
 		if i-a >= 2 {
-			for j := i - 1; j >= 1; j-- {
+			for j := i - 1; j > a; j-- {
 				if !(key[data[j]] < key[data[j-1]]) {
 					break
 				}

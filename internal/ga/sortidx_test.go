@@ -165,7 +165,9 @@ var keyPatterns = []struct {
 // specialised sort: for every n up to 512 and every key pattern, the
 // index permutation must equal slices.SortFunc's with the GA's old
 // comparators, ascending on the keys and descending through the
-// negated keys ReplaceWorst sorts by.
+// negated keys ReplaceWorst sorts by. A sort stopped at a head must
+// leave its first head positions exactly as the full sort does, at
+// heads 0, 1, 25 (a migrant block), n/2, n-1 and n.
 func TestSortIdxMatchesSlicesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range keyPatterns {
@@ -183,11 +185,15 @@ func TestSortIdxMatchesSlicesSortFunc(t *testing.T) {
 				{"ascending", key, ascending(key)},
 				{"descending", neg, descending(key)},
 			} {
-				got, want := identity(n), identity(n)
-				sortIdx(got, c.key)
+				want := identity(n)
 				slices.SortFunc(want, c.want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s n=%d %s: sortIdx permutation differs from slices.SortFunc", p.name, n, c.dir)
+				for _, head := range []int{n, 0, 1, 25, n / 2, n - 1} {
+					head = max(0, min(head, n))
+					got := identity(n)
+					sortIdx(got, c.key, head)
+					if !slices.Equal(got[:head], want[:head]) {
+						t.Fatalf("%s n=%d %s head=%d: sortIdx prefix differs from slices.SortFunc", p.name, n, c.dir, head)
+					}
 				}
 			}
 		}
@@ -200,4 +206,52 @@ func identity(n int) []int {
 		idx[i] = i
 	}
 	return idx
+}
+
+// FuzzSortIdxHead sorts keys decoded from arbitrary bytes, two bytes a
+// key, to an arbitrary head: the prefix must equal the full sort's. A
+// key's first byte picks one of 32 small values (so ties are common),
+// +0, -0, NaN or ±Inf; the second byte perturbs the small values so
+// that near-ties occur too.
+func FuzzSortIdxHead(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0}, 1)
+	f.Add([]byte{0, 0, 33, 0, 34, 0, 35, 0, 1, 0, 2, 0}, 3)
+	f.Add(make([]byte, 200), 50)
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"), 7)
+	f.Fuzz(func(t *testing.T, data []byte, head int) {
+		n := len(data) / 2
+		key := make([]float64, n)
+		for i := range key {
+			switch b := data[2*i]; b % 40 {
+			case 32:
+				key[i] = 0
+			case 33:
+				key[i] = math.Copysign(0, -1)
+			case 34:
+				key[i] = math.NaN()
+			case 35:
+				key[i] = math.Inf(1)
+			case 36:
+				key[i] = math.Inf(-1)
+			default:
+				key[i] = float64(b%32) + float64(data[2*i+1]%4)/1024
+			}
+		}
+		if n > 0 {
+			head = int(uint(head) % uint(n+1))
+		} else {
+			head = 0
+		}
+		full, got := identity(n), identity(n)
+		sortIdx(full, key, n)
+		sortIdx(got, key, head)
+		if !slices.Equal(got[:head], full[:head]) {
+			t.Fatalf("n=%d head=%d: prefix %v, full sort %v", n, head, got[:head], full[:head])
+		}
+		want := identity(n)
+		slices.SortFunc(want, ascending(key))
+		if !slices.Equal(full, want) {
+			t.Fatalf("n=%d: full sortIdx differs from slices.SortFunc", n)
+		}
+	})
 }

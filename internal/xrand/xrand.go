@@ -17,6 +17,12 @@
 // x[n] = x[n-273] + x[n-607] mod 2^64, seeded by a Park–Miller LCG
 // XORed with a fixed table (cooked.go) that cannot be regenerated
 // cheaply: math/rand's gen_cooked.go runs 7.8e12 steps to produce it.
+//
+// One method goes beyond math/rand's API: FlipBelow, the GA's per-bit
+// mutation, tests a whole chromosome at once. Its draw contract is
+// that of one Float64() < p test per bit, in bit order, resamples
+// included: after it, every later draw matches math/rand's stream
+// exactly as if those Float64 calls had been made.
 package xrand
 
 import "math/rand"
@@ -203,14 +209,59 @@ func Threshold(p float64) int64 {
 	return lo
 }
 
-// Below reports Float64() < p for t = Threshold(p), consuming exactly
-// the draws Float64 would, without the float conversion.
-func (r *Rand) Below(t int64) bool {
-	for {
-		if v := r.Int63(); v < Resample {
-			return v < t
+// FlipBelow flips each bits[i] (XOR 1) for which Float64() < p holds,
+// t = Threshold(p), testing the bits in order, and returns the number
+// of bits flipped. It consumes exactly the draws of len(bits) such
+// tests, resamples included, so the stream continues as if Float64
+// had been called once per bit (and again per resample), without the
+// float conversion.
+//
+// The generator steps in runs of draws that cannot wrap tap or feed:
+// a run is at most min(tap, feed) draws, so inside it both indices
+// just count down through two windows of the register and are never
+// tested for a wrap. A run also ends at the last bit still to test; a
+// resample spends a draw of the run without using up a bit. With tap
+// or feed at zero, one draw goes through Uint64, which wraps the
+// index. Since t <= Resample, one unsigned comparison classifies the
+// common draw, kept and not flipped: v in [t, Resample).
+func (r *Rand) FlipBelow(bits []byte, t int64) int {
+	s := &r.src
+	keep := uint64(Resample - t)
+	flips, i := 0, 0
+	for i < len(bits) {
+		tap, feed := s.tap, s.feed
+		n := min(tap, feed, len(bits)-i)
+		if n == 0 {
+			if v := s.Int63(); v < Resample {
+				if v < t {
+					bits[i] ^= 1
+					flips++
+				}
+				i++
+			}
+			continue
 		}
+		// The run walks both windows top down, as the per-draw steps
+		// walk feed and tap. The windows may overlap (a word written as
+		// feed is read as tap 273 draws later); the in-order loop sees
+		// that write, as the per-draw steps do.
+		fv := s.vec[feed-n : feed]
+		tv := s.vec[tap-n : tap][:len(fv)]
+		for k := len(fv) - 1; k >= 0; k-- {
+			x := fv[k] + tv[k]
+			fv[k] = x
+			v := int64(uint64(x) & rngMask)
+			if uint64(v-t) < keep {
+				i++
+			} else if v < t {
+				bits[i] ^= 1
+				flips++
+				i++
+			}
+		}
+		s.tap, s.feed = tap-n, feed-n
 	}
+	return flips
 }
 
 // NormFloat64 returns a standard normal draw (math/rand's ziggurat).

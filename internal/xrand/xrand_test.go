@@ -15,8 +15,8 @@ var bounds = []int64{
 	1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<40 + 3, math.MaxInt64 / 3, 1 << 62, math.MaxInt64,
 }
 
-// probs are the Below probabilities: the GA's mutation and crossover
-// rates, the jitterers' patch rates, and the edges of [0, 1].
+// probs are the FlipBelow probabilities: the GA's mutation and
+// crossover rates, the jitterers' patch rates, and the edges of [0, 1].
 var probs = []float64{0, 1e-300, 0.001, 0.015, 0.1, 0.5, 0.6, 1 - 1e-16, 1, 2}
 
 // numOps is the number of distinct draws step exercises.
@@ -51,8 +51,19 @@ func step(x *Rand, r *rand.Rand, op, a byte) (string, bool) {
 	case 8:
 		return "ExpFloat64", math.Float64bits(x.ExpFloat64()) == math.Float64bits(r.ExpFloat64())
 	default:
+		// 0 to 765 bits: long enough for runs that end at a wrap of the
+		// 607-word register and restart after it.
 		p := probs[int(a)%len(probs)]
-		return "Below", x.Below(Threshold(p)) == (r.Float64() < p)
+		bits := make([]byte, 3*int(a))
+		flips := x.FlipBelow(bits, Threshold(p))
+		ones := 0
+		for _, b := range bits {
+			if (b == 1) != (r.Float64() < p) {
+				return "FlipBelow", false
+			}
+			ones += int(b)
+		}
+		return "FlipBelow", flips == ones
 	}
 }
 
@@ -141,4 +152,74 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 			}
 		}
 	})
+}
+
+// flipPerDraw is the per-bit loop FlipBelow replaced: one Int63 draw
+// per bit, and another for each resample, each tested against t.
+func flipPerDraw(r *Rand, bits []byte, t int64) int {
+	flips := 0
+	for i := range bits {
+		for {
+			if v := r.Int63(); v < Resample {
+				if v < t {
+					bits[i] ^= 1
+					flips++
+				}
+				break
+			}
+		}
+	}
+	return flips
+}
+
+// TestFlipBelowResample plants register words so that chosen draws land
+// in [Resample, 2^63), where Float64 draws again: draws inside a run,
+// two in a row, the draw that wraps feed, and the draws just after it.
+// No random stream reaches this branch (it fires with probability 2^-54
+// per draw), so FlipBelow is compared with the per-draw loop on the
+// planted register: same bits, same flip count, same register after.
+func TestFlipBelowResample(t *testing.T) {
+	r := New(7)
+	for r.src.feed != 40 {
+		r.Uint64()
+	}
+	// Draw d (counted from here) adds vec[feed_d] and vec[tap_d]. Below
+	// draw 273 neither word has been written by an earlier draw, and a
+	// planted feed word is read by no earlier draw, so each plant sets
+	// exactly its own draw's sum.
+	at := func(i, d int) int { return ((i-1-d)%rngLen + rngLen) % rngLen }
+	planted := map[int]bool{3: true, 17: true, 18: true, 39: true, 40: true, 41: true, 200: true}
+	for d := range planted {
+		sum := uint64(Resample) + uint64(d)
+		if d%2 == 1 {
+			sum |= 1 << 63 // the sign bit is masked off before the test
+		}
+		f, tp := at(r.src.feed, d), at(r.src.tap, d)
+		r.src.vec[f] = int64(sum - uint64(r.src.vec[tp]))
+	}
+	probe := &Rand{src: r.src}
+	for d := 0; d < 273; d++ {
+		if v := probe.Int63(); (v >= Resample) != planted[d] {
+			t.Fatalf("draw %d: v=%d, planted=%v", d, v, planted[d])
+		}
+	}
+
+	thr := Threshold(0.5)
+	seed := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 39, 40, 41, 320} {
+		got, want := &Rand{src: r.src}, &Rand{src: r.src}
+		gb, wb := make([]byte, n), make([]byte, n)
+		for i := range gb {
+			gb[i] = byte(seed.Intn(2))
+			wb[i] = gb[i]
+		}
+		gf, wf := got.FlipBelow(gb, thr), flipPerDraw(want, wb, thr)
+		if gf != wf || string(gb) != string(wb) {
+			t.Fatalf("n=%d: FlipBelow flipped %d bits to %v, per-draw loop %d to %v", n, gf, gb, wf, wb)
+		}
+		if got.src != want.src {
+			t.Fatalf("n=%d: register differs after FlipBelow (tap %d feed %d) and the per-draw loop (tap %d feed %d)",
+				n, got.src.tap, got.src.feed, want.src.tap, want.src.feed)
+		}
+	}
 }
