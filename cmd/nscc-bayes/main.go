@@ -44,6 +44,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if *age < 0 {
+		fmt.Fprintf(os.Stderr, "-age %d: want a staleness bound of at least 0 iterations\n", *age)
+		os.Exit(2)
+	}
+
 	var srv *obs.Server
 	if *httpAddr != "" {
 		var err error

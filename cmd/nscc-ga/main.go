@@ -54,7 +54,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
 		os.Exit(2)
 	}
-	if err := checkRun(*fnNo, *procs, *gens); err != nil {
+	if err := checkRun(*fnNo, *procs, *gens, *age, *rackSize); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -194,7 +194,7 @@ func main() {
 }
 
 // checkRun rejects flag values no run can use, before anything runs.
-func checkRun(fnNo, procs int, gens int64) error {
+func checkRun(fnNo, procs int, gens, age int64, rackSize int) error {
 	switch {
 	case fnNo < 1 || fnNo > 8:
 		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
@@ -202,6 +202,10 @@ func checkRun(fnNo, procs int, gens int64) error {
 		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case gens < 1:
 		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
+	case age < 0:
+		return fmt.Errorf("-age %d: want a staleness bound of at least 0 generations", age)
+	case rackSize < 0:
+		return fmt.Errorf("-rack-size %d: want at least 1 node per rack, or 0 for the default", rackSize)
 	}
 	return nil
 }

@@ -356,7 +356,8 @@ func (w *worker) newLogRow() []int8 {
 
 // RunParallel executes one parallel logic-sampling configuration on a
 // fresh simulated cluster. Deterministic in cfg.Seed. An impossible
-// config comes back as an error.
+// config, a negative Global_Read age among them, comes back as an
+// error.
 func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 	bn := cfg.Net
 	switch {
@@ -366,6 +367,8 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 		return ParallelResult{}, fmt.Errorf("bayes: RunParallel needs at least 1 processor, have %d", cfg.P)
 	case cfg.MaxIters <= 0:
 		return ParallelResult{}, fmt.Errorf("bayes: RunParallel needs MaxIters > 0, have %d", cfg.MaxIters)
+	case cfg.Mode == core.NonStrict && cfg.Age < 0:
+		return ParallelResult{}, fmt.Errorf("bayes: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
 
 	eng := sim.NewEngine(cfg.Seed)

@@ -1,11 +1,13 @@
 package bayes
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"nscc/internal/core"
 	"nscc/internal/netsim"
+	"nscc/internal/sim"
 )
 
 func TestInferSerialConvergesToExact(t *testing.T) {
@@ -252,12 +254,15 @@ func TestRunParallelConfigErrors(t *testing.T) {
 	noIters.MaxIters = 0
 	negIters := parCfg(core.Async, 1)
 	negIters.MaxIters = -5
+	negAge := parCfg(core.NonStrict, 2)
+	negAge.Age = -5
 	for name, cfg := range map[string]ParallelConfig{
 		"nil network":         noNet,
 		"zero processors":     noProcs,
 		"negative processors": negProcs,
 		"zero MaxIters":       noIters,
 		"negative MaxIters":   negIters,
+		"GR, negative Age":    negAge,
 	} {
 		func() {
 			defer func() {
@@ -267,6 +272,8 @@ func TestRunParallelConfigErrors(t *testing.T) {
 			}()
 			if _, err := RunParallel(cfg); err == nil {
 				t.Errorf("%s: no error", name)
+			} else if errors.Is(err, sim.ErrDeadlock) {
+				t.Errorf("%s: ran until %v instead of rejecting the config", name, err)
 			}
 		}()
 	}

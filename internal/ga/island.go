@@ -204,7 +204,8 @@ type IslandResult struct {
 // RunIsland executes one island-GA configuration on a fresh simulated
 // cluster and reports the result. The run is deterministic in cfg.Seed.
 // An impossible configuration (no function, no processors, a deme of
-// fewer than 2, or no generation budget for the mode) is an error.
+// fewer than 2, no generation budget for the mode, or a negative
+// Global_Read age, which no read could ever satisfy) is an error.
 func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	switch {
 	case cfg.Fn == nil:
@@ -217,6 +218,8 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		return IslandResult{}, fmt.Errorf("ga: Sync mode needs FixedGens > 0, have %d", cfg.FixedGens)
 	case cfg.Mode != core.Sync && cfg.MaxGens <= 0:
 		return IslandResult{}, fmt.Errorf("ga: %s mode needs MaxGens > 0, have %d", cfg.Mode, cfg.MaxGens)
+	case cfg.Mode == core.NonStrict && cfg.Age < 0:
+		return IslandResult{}, fmt.Errorf("ga: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
 
 	eng := sim.NewEngine(cfg.Seed)

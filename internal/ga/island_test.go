@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"nscc/internal/core"
 	"nscc/internal/ga/functions"
 	"nscc/internal/netsim"
+	"nscc/internal/sim"
 )
 
 // quickCfg returns a small, fast island configuration for tests.
@@ -390,6 +392,8 @@ func TestRunIslandConfigErrors(t *testing.T) {
 	noMax.MaxGens = 0
 	negMax := quickCfg(core.NonStrict, 2)
 	negMax.MaxGens = -3
+	negAge := quickCfg(core.NonStrict, 2)
+	negAge.Age = -5
 	for name, cfg := range map[string]IslandConfig{
 		"nil function":         noFn,
 		"zero processors":      quickCfg(core.Async, 0),
@@ -398,6 +402,7 @@ func TestRunIslandConfigErrors(t *testing.T) {
 		"sync, zero FixedGens": noFixed,
 		"async, zero MaxGens":  noMax,
 		"GR, negative MaxGens": negMax,
+		"GR, negative Age":     negAge,
 	} {
 		func() {
 			defer func() {
@@ -407,6 +412,8 @@ func TestRunIslandConfigErrors(t *testing.T) {
 			}()
 			if _, err := RunIsland(cfg); err == nil {
 				t.Errorf("%s: no error", name)
+			} else if errors.Is(err, sim.ErrDeadlock) {
+				t.Errorf("%s: ran until %v instead of rejecting the config", name, err)
 			}
 		}()
 	}

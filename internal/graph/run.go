@@ -141,7 +141,9 @@ func (c Config) quietDefault() int {
 }
 
 // Run executes one partitioned graph-kernel configuration on a fresh
-// simulated cluster. The run is deterministic in cfg.Seed.
+// simulated cluster. The run is deterministic in cfg.Seed. An
+// impossible config, a negative Global_Read age among them, comes back
+// as an error.
 func Run(cfg Config) (Result, error) {
 	switch {
 	case cfg.G == nil:
@@ -152,6 +154,8 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("graph: %d partitions for %d vertices", cfg.P, cfg.G.N)
 	case cfg.MaxSupersteps <= 0:
 		return Result{}, fmt.Errorf("graph: Run needs MaxSupersteps > 0, have %d", cfg.MaxSupersteps)
+	case cfg.Mode == core.NonStrict && cfg.Age < 0:
+		return Result{}, fmt.Errorf("graph: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
 	g := cfg.G
 	eps := cfg.Eps

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 
 	"nscc/internal/core"
@@ -178,6 +179,7 @@ func TestRunConfigErrors(t *testing.T) {
 		"zero parts":       {G: g, P: 0, MaxSupersteps: 1},
 		"too many":         {G: g, P: 5, MaxSupersteps: 1},
 		"no superstep cap": {G: g, P: 2},
+		"GR, negative age": {G: g, P: 2, MaxSupersteps: 1, Mode: core.NonStrict, Age: -5},
 	} {
 		func() {
 			defer func() {
@@ -187,6 +189,8 @@ func TestRunConfigErrors(t *testing.T) {
 			}()
 			if _, err := Run(cfg); err == nil {
 				t.Errorf("%s: no error", name)
+			} else if errors.Is(err, sim.ErrDeadlock) {
+				t.Errorf("%s: ran until %v instead of rejecting the config", name, err)
 			}
 		}()
 	}

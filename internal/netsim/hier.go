@@ -55,7 +55,9 @@ func DefaultHierConfig() HierConfig {
 // due at that time. A cluster-wide broadcast therefore queues at most
 // one event per rack, not one per node, and the event population stays
 // O(messages), not O(messages × hops) or O(messages × receivers),
-// which is what makes million-message runs tractable.
+// which is what makes million-message runs tractable. The call's frame
+// holds its destinations as runs (see hFrame), so a broadcast's frame
+// is about one run per rack, too.
 type Hier struct {
 	eng      *sim.Engine
 	cfg      HierConfig
@@ -104,29 +106,34 @@ func (l *lossRng) Float64() float64 {
 
 var _ Fabric = (*Hier)(nil)
 
-// hFrame is one pooled Unicast or Multicast call in flight: its
-// surviving destinations, ordered by arrival time and, among equal
-// times, by position in the call's destination list. It is scheduled
-// once per distinct arrival time. A call queues its events back to
-// back and the engine fires equal-time events in queueing order, so
-// every delivery happens exactly where a separate event per
-// destination, queued in list order, would have put it.
+// hFrame is one pooled Unicast or Multicast call in flight. Its
+// surviving destinations are stored as runs: a run is consecutive node
+// ids, adjacent in the call's destination list, that share one arrival
+// time, so a cluster-wide broadcast is about one run per rack rather
+// than one entry per node. The runs are ordered by arrival time and,
+// among equal times, by position in the list. Because a run's members
+// are adjacent in the list and share their time, that is exactly the
+// destinations' own stable order by time. The frame is scheduled once
+// per distinct arrival time. A call queues its events back to back and
+// the engine fires equal-time events in queueing order, so every
+// delivery happens exactly where a separate event per destination,
+// queued in list order, would have put it.
 type hFrame struct {
 	h       *Hier
 	src     int
 	payload interface{}
 	sentAt  sim.Time
-	dels    []hDelivery
-	next    int // first undelivered entry of dels
+	runs    []hRun
+	next    int // first run with undelivered destinations
 }
 
-// hDelivery is one destination of a call and its arrival time.
-type hDelivery struct {
-	at  sim.Time
-	dst int
+// hRun is the destinations lo..hi-1 of a call, all arriving at at.
+type hRun struct {
+	at     sim.Time
+	lo, hi int32
 }
 
-func (h *Hier) getFrame(src int, payload interface{}, sentAt sim.Time, ndst int) *hFrame {
+func (h *Hier) getFrame(src int, payload interface{}, sentAt sim.Time) *hFrame {
 	var f *hFrame
 	if ln := len(h.frames); ln > 0 {
 		f = h.frames[ln-1]
@@ -135,65 +142,74 @@ func (h *Hier) getFrame(src int, payload interface{}, sentAt sim.Time, ndst int)
 	} else {
 		f = &hFrame{h: h}
 	}
-	if cap(f.dels) < ndst {
-		f.dels = make([]hDelivery, 0, ndst)
-	}
 	f.src, f.payload, f.sentAt = src, payload, sentAt
 	return f
 }
 
 func (h *Hier) putFrame(f *hFrame) {
 	f.payload = nil
-	f.dels = f.dels[:0]
+	f.runs = f.runs[:0]
 	f.next = 0
 	h.frames = append(h.frames, f)
 }
 
 // add records one destination's arrival, applying per-delivery loss.
-// Calls come in destination-list order, so the loss draws keep it.
+// Calls come in destination-list order, so the loss draws keep it. A
+// surviving destination extends the last run when it is that run's next
+// node id and arrives at the same time; a lost one is left out, so the
+// runs list exactly the survivors in list order.
 func (f *hFrame) add(at sim.Time, dst int) {
 	h := f.h
 	if p := h.cfg.Bus.LossProb; p > 0 && h.rng.Float64() < p {
 		h.stats.Dropped++
 		return
 	}
-	f.dels = append(f.dels, hDelivery{at, dst})
+	if n := len(f.runs); n > 0 {
+		if r := &f.runs[n-1]; r.at == at && int(r.hi) == dst {
+			r.hi++
+			return
+		}
+	}
+	f.runs = append(f.runs, hRun{at, int32(dst), int32(dst) + 1})
 }
 
 // post queues the frame's deliveries: one event per distinct arrival
 // time, or none (and the frame back to the pool) when every
 // destination was lost.
 func (h *Hier) post(f *hFrame) {
-	n := len(f.dels)
-	if n == 0 {
+	if len(f.runs) == 0 {
 		h.putFrame(f)
 		return
 	}
-	h.queued += n
+	slices.SortStableFunc(f.runs, func(a, b hRun) int { return cmp.Compare(a.at, b.at) })
+	for i, r := range f.runs {
+		h.queued += int(r.hi - r.lo)
+		if i == 0 || r.at != f.runs[i-1].at {
+			h.eng.ScheduleRunner(r.at, f)
+		}
+	}
 	if h.queued > h.stats.MaxQueueLen {
 		h.stats.MaxQueueLen = h.queued
-	}
-	slices.SortStableFunc(f.dels, func(a, b hDelivery) int { return cmp.Compare(a.at, b.at) })
-	for i, d := range f.dels {
-		if i == 0 || d.at != f.dels[i-1].at {
-			h.eng.ScheduleRunner(d.at, f)
-		}
 	}
 }
 
 // Run delivers every destination due at the earliest undelivered
-// arrival time, and returns the frame to the pool after the last one.
+// arrival time, run by run and id by id, and returns the frame to the
+// pool after the last one.
 func (f *hFrame) Run() {
 	h := f.h
-	at := f.dels[f.next].at
-	for f.next < len(f.dels) && f.dels[f.next].at == at {
-		dst := f.dels[f.next].dst
-		f.next++
-		h.queued--
-		h.stats.Delivered++
-		h.handlers[dst](f.src, f.payload, f.sentAt)
+	at := f.runs[f.next].at
+	for ; f.next < len(f.runs) && f.runs[f.next].at == at; f.next++ {
+		r := &f.runs[f.next]
+		for r.lo < r.hi {
+			dst := r.lo
+			r.lo++
+			h.queued--
+			h.stats.Delivered++
+			h.handlers[dst](f.src, f.payload, f.sentAt)
+		}
 	}
-	if f.next == len(f.dels) {
+	if f.next == len(f.runs) {
 		h.putFrame(f)
 	}
 }
@@ -311,7 +327,7 @@ func (h *Hier) Unicast(src, dst, size int, payload interface{}, onWire func()) {
 	if dst < 0 || dst >= len(h.handlers) {
 		panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
 	}
-	f := h.getFrame(src, payload, h.eng.Now(), 1)
+	f := h.getFrame(src, payload, h.eng.Now())
 	endBus := h.srcAdmit(src, size, onWire)
 	rs, rd := h.RackOf(src), h.RackOf(dst)
 	at := endBus.Add(h.cfg.Bus.PropDelay)
@@ -341,7 +357,7 @@ func (h *Hier) Multicast(src int, dsts []int, size int, payload interface{}, onW
 			panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
 		}
 	}
-	f := h.getFrame(src, payload, h.eng.Now(), len(dsts))
+	f := h.getFrame(src, payload, h.eng.Now())
 	endBus := h.srcAdmit(src, size, onWire)
 	rs := h.RackOf(src)
 	localAt := endBus.Add(h.cfg.Bus.PropDelay)

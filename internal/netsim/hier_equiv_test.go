@@ -233,8 +233,20 @@ func genHierTraffic(seed int64) hierTraffic {
 	sizes := []int{0, 125, 500, 1000}
 	op := func(at sim.Time) hierOp {
 		src := r.Intn(tr.nodes)
-		// A shuffled prefix of the nodes, the sender included at times.
-		dsts := r.Perm(tr.nodes)[:1+r.Intn(tr.nodes)]
+		var dsts []int
+		switch r.Intn(3) {
+		case 0:
+			// A shuffled prefix of the nodes, the sender included at times.
+			dsts = r.Perm(tr.nodes)[:1+r.Intn(tr.nodes)]
+		case 1:
+			// Ascending consecutive nodes, the sender included at times.
+			lo := r.Intn(tr.nodes)
+			for n := lo + 1 + r.Intn(tr.nodes-lo); lo < n; lo++ {
+				dsts = append(dsts, lo)
+			}
+		default:
+			dsts = allBut(tr.nodes, src)
+		}
 		return hierOp{at: at, src: src, dsts: dsts, size: sizes[r.Intn(len(sizes))]}
 	}
 	const tick = 250 * sim.Microsecond
@@ -254,6 +266,18 @@ func genHierTraffic(seed int64) hierTraffic {
 	return tr
 }
 
+// allBut lists every node below n but src, ascending: a broadcast's
+// destinations.
+func allBut(n, src int) []int {
+	var dsts []int
+	for dst := 0; dst < n; dst++ {
+		if dst != src {
+			dsts = append(dsts, dst)
+		}
+	}
+	return dsts
+}
+
 func TestHierGroupedMatchesPerDestination(t *testing.T) {
 	// Every delivery, echo and onWire callback must happen at the same
 	// instant and in the same order as with one event per destination,
@@ -268,6 +292,75 @@ func TestHierGroupedMatchesPerDestination(t *testing.T) {
 	// order, or grouping by rack instead of list order would pass.
 	if rackTies == 0 {
 		t.Fatal("no multicast delivered equal arrival times to racks listed out of rack order")
+	}
+}
+
+// TestHierAllButSenderMatchesPerDestination sends every-node-but-the-
+// sender lists, the shape of a Bcast, from the first, a middle and the
+// last node of a rack and from both nodes of a partial last rack. Each
+// is followed at the same instant by a second such call from another
+// node. The fabric is idle, or the destination racks' buses are
+// backlogged past the forwarded copies, so that all remote racks
+// receive at one time and runs join across rack boundaries. Both run
+// with and without loss.
+func TestHierAllButSenderMatchesPerDestination(t *testing.T) {
+	const nodes = 14 // racks of 4; rack 3 holds only nodes 12 and 13
+	for _, loss := range []float64{0, 0.2} {
+		for _, backlog := range []sim.Time{0, sim.Time(5 * sim.Millisecond)} {
+			for _, src := range []int{0, 4, 5, 7, 12, 13} {
+				tr := hierTraffic{
+					seed: int64(src) + 1,
+					cfg: HierConfig{
+						RackSize:           4,
+						Bus:                Config{BandwidthBps: 8e6, LossProb: loss},
+						UplinkBandwidthBps: 80e6,
+						SpineLatency:       100 * sim.Microsecond,
+					},
+					nodes: nodes,
+				}
+				for r := 0; r < 4; r++ {
+					b := backlog
+					if r == src/4 {
+						b = 0
+					}
+					tr.backlog = append(tr.backlog, [3]sim.Time{b, 0, 0})
+				}
+				other := (src + 6) % nodes
+				tr.ops = []hierOp{
+					{src: src, dsts: allBut(nodes, src), size: 1000},
+					{src: other, dsts: allBut(nodes, other), size: 125},
+				}
+				if err := tr.check(new(int)); err != nil {
+					t.Fatalf("loss %v, backlog %v, sender %d: %v", loss, backlog, src, err)
+				}
+			}
+		}
+	}
+}
+
+// TestHierAllButSenderRunsPerRack checks the frame a 1000-node
+// every-node-but-the-sender Multicast leaves in flight: at most one run
+// per rack when the sender is first or last in its rack, one more when
+// the sender splits its rack in two, and all 999 destinations in them.
+func TestHierAllButSenderRunsPerRack(t *testing.T) {
+	for _, tc := range []struct{ src, extra int }{{0, 0}, {500, 1}, {999, 0}} {
+		eng := sim.NewEngine(1)
+		h := NewHier(eng, DefaultHierConfig())
+		attachN(h, 1000, func(int, interface{}, sim.Time) {})
+		f := &hFrame{h: h}
+		h.frames = append(h.frames, f) // the call takes this frame
+		h.Multicast(tc.src, allBut(1000, tc.src), 1000, nil, nil)
+		n := 0
+		for _, r := range f.runs {
+			n += int(r.hi - r.lo)
+		}
+		if racks := h.Racks(); len(f.runs) > racks+tc.extra || n != 999 {
+			t.Fatalf("sender %d: %d runs over %d racks holding %d destinations; want at most %d runs holding 999",
+				tc.src, len(f.runs), racks, n, racks+tc.extra)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -293,11 +386,14 @@ func TestHierBroadcastQueuesOneEventPerArrivalTime(t *testing.T) {
 // FuzzHierMulticastOrder checks the grouped schedule against the
 // per-destination reference on one multicast over fuzzed link backlogs.
 // Byte 0 picks the rack size, byte 1 the node count, byte 2 the sender
-// and loss, byte 3 the frame sizes; then three bytes per rack set its
-// bus, uplink and downlink backlog, and the rest is the destination
-// list, cut at 64 entries (at most 16 nodes, so longer lists only
-// repeat them). A unicast from the last destination back to the sender
-// is offered at the same instant, after the multicast.
+// and loss, byte 3 the frame sizes and, with bit 0x10, a destination
+// list of every node but the sender in ascending order, the shape of a
+// Bcast and the fabric's longest runs. Then three bytes per rack set
+// its bus, uplink and downlink backlog, and the rest, when bit 0x10 is
+// clear, is the destination list, cut at 64 entries (at most 16 nodes,
+// so longer lists only repeat them). A unicast from the last
+// destination back to the sender is offered at the same instant, after
+// the multicast.
 func FuzzHierMulticastOrder(f *testing.F) {
 	// 6 nodes in racks of 2: racks 1 and 2 share a bus backlog that
 	// outlasts the forwarded copies, so both arrive at one time, and
@@ -308,6 +404,22 @@ func FuzzHierMulticastOrder(f *testing.F) {
 	// 5 single-node racks, the 4 remote ones tied the same way and
 	// listed in descending rack order, lossy.
 	f.Add([]byte{0, 3, 128, 9, 0, 0, 0, 7, 0, 0, 7, 0, 0, 7, 0, 0, 7, 0, 0, 4, 3, 2, 1})
+	// All but node 5 of 14 in racks of 4; racks 0, 2 and 3 share a bus
+	// backlog, so nodes 0-3 form one run and nodes 8-13 another.
+	f.Add([]byte{3, 12, 5, 0x11, 7, 0, 0, 0, 0, 0, 7, 0, 0, 7, 0, 0})
+	// The same, lossy.
+	f.Add([]byte{3, 12, 0x85, 0x11, 7, 0, 0, 0, 0, 0, 7, 0, 0, 7, 0, 0})
+	// 16 single-node racks; the odd ones' buses are backlogged, so their
+	// copies tie, and the even ones arrive earlier, one by one. A
+	// 64-entry list with repeats makes about 60 runs, more than a sort
+	// handles by insertion, so only a stable sort keeps the tied runs in
+	// list order.
+	f.Add([]byte{0, 14, 0, 1, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0,
+		6, 3, 7, 11, 1, 2, 14, 9, 2, 6, 10, 1, 15, 9, 4, 1, 2, 7, 7, 2, 4, 2,
+		9, 7, 1, 14, 10, 2, 4, 11, 11, 10, 1, 10, 10, 7, 1, 4, 1, 9, 14, 3,
+		5, 7, 3, 9, 2, 10, 5, 9, 14, 11, 3, 2, 10, 10, 11, 4, 6, 2, 9, 12, 2, 10})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 4 {
 			return
@@ -328,6 +440,7 @@ func FuzzHierMulticastOrder(f *testing.F) {
 		src := int(b[2]&0x7f) % tr.nodes
 		sizes := []int{0, 125, 500, 1000}
 		size, replySize := sizes[b[3]%4], sizes[b[3]>>2%4]
+		allButSender := b[3]&0x10 != 0
 		b = b[4:]
 		racks := (tr.nodes + tr.cfg.RackSize - 1) / tr.cfg.RackSize
 		const unit = 100 * sim.Microsecond
@@ -345,6 +458,9 @@ func FuzzHierMulticastOrder(f *testing.F) {
 		var dsts []int
 		for _, c := range b {
 			dsts = append(dsts, int(c)%tr.nodes)
+		}
+		if allButSender {
+			dsts = allBut(tr.nodes, src)
 		}
 		if len(dsts) == 0 {
 			return
@@ -373,7 +489,7 @@ func TestHierFramesRecycle(t *testing.T) {
 		t.Fatalf("%d frames pooled after two calls, want 2", len(h.frames))
 	}
 	for _, f := range h.frames {
-		if f.payload != nil || len(f.dels) != 0 || f.next != 0 {
+		if f.payload != nil || len(f.runs) != 0 || f.next != 0 {
 			t.Fatalf("pooled frame not reset: %+v", f)
 		}
 	}

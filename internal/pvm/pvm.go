@@ -22,12 +22,15 @@ const Any = -1
 
 // Message is a delivered message as seen by a receiving task.
 type Message struct {
-	Src       int         // sending task id
-	Tag       int         // message tag
-	Data      interface{} // payload (shared by reference: senders must not mutate)
-	Size      int         // payload size in bytes, as charged to the network
-	SentAt    sim.Time    // virtual time the send was issued
-	ArrivedAt sim.Time    // virtual time the frame left the network
+	Src    int         // sending task id
+	Tag    int         // message tag
+	Data   interface{} // payload (shared by reference: senders must not mutate)
+	Size   int         // payload size in bytes, as charged to the network
+	SentAt sim.Time    // virtual time the send was issued
+	// ArrivedAt is the virtual time the frame left the network. A
+	// multicast's receivers share one *Message, so it holds the latest
+	// delivery's time and is meaningful only inside ArrivalHook.
+	ArrivedAt sim.Time
 
 	// Aux carries an opaque per-message annotation attached by a
 	// SendHook observer (the simrace checker stamps its vector clock
@@ -142,6 +145,14 @@ type Machine struct {
 	// not package-global: sweeps run independent machines on parallel
 	// goroutines, and a shared pool would race.
 	msgFree []*Message
+
+	// dstBuf and nodeBuf are the send path's scratch: a broadcast's
+	// task-id destination list and the task-id→node-id translation of
+	// every multi-destination send. One pair serves every task. A send
+	// fills them only after its last yield, and nothing it calls from
+	// there on (hooks, the reliable bookkeeping, the fabric) can start
+	// another send or keeps either slice past the call.
+	dstBuf, nodeBuf []int
 }
 
 // Pooling reports whether the machine recycles Message objects (see
@@ -251,13 +262,10 @@ type Task struct {
 	// allocate a closure per send.
 	wireDone func()
 
-	// dst1 and nodeBuf are reusable scratch for the send path: the
-	// single-destination slice and the task-id→node-id translation.
-	// Safe because a task is one process — it cannot be inside two
-	// sends at once — and the fabric does not retain either slice.
-	dst1     [1]int
-	nodeBuf  []int
-	bcastBuf []int
+	// dst1 is Send's single-destination list. It is the task's own: a
+	// task is one process, so it is never inside two sends at once, and
+	// it stays valid across the sender's yields.
+	dst1 [1]int
 
 	sent, received int64
 	stalls         int64 // sends that had to wait for the window
@@ -388,37 +396,67 @@ func (t *Task) SendWithCallback(dst, tag int, size int, data interface{}, onWire
 // Multicast delivers one frame to every task in dsts — PVM's pvm_mcast
 // over a shared Ethernet: the datagram occupies the medium once however
 // many receivers there are. The sender is charged one send overhead and
-// blocks while its send window is full (transport backpressure).
-// Single-destination sends take the fabric's Unicast path, which skips
-// the destination-slice allocation — the dominant case for the
-// pipelined inference workloads.
+// blocks while its send window is full (transport backpressure). dsts
+// is read after those yields, and not kept past the call. A single
+// destination takes the fabric's Unicast path.
 func (t *Task) Multicast(dsts []int, tag int, size int, data interface{}, onWire func()) {
 	for _, dst := range dsts {
 		if dst < 0 || dst >= len(t.m.tasks) {
 			panic(fmt.Sprintf("pvm: send to unknown task %d", dst))
 		}
 	}
-	t.proc.Sleep(t.m.cfg.SendOverhead)
-	if w := t.m.cfg.SendWindow; w > 0 && t.inflight >= w {
+	t.send(dsts, 0, tag, size, data, onWire)
+}
+
+// Bcast multicasts to every other task spawned before the call; a task
+// spawned while the sender sleeps off its send overhead is not a
+// destination. The destination list is built in the machine's send
+// scratch, so a broadcast allocates no O(tasks) slice, whichever task
+// sends it.
+func (t *Task) Bcast(tag int, size int, data interface{}) {
+	if n := len(t.m.tasks); n > 1 {
+		t.send(nil, n, tag, size, data, nil)
+	}
+}
+
+// send is the one send path behind Send, Multicast and Bcast. dsts
+// names the destination tasks; nil means every task below ntasks but
+// the sender (Multicast passes 0, so a nil list of its caller stays
+// empty). The sender first pays its overhead and waits out its send
+// window; from then on it cannot yield, so the machine's scratch is
+// this send's alone until it returns.
+func (t *Task) send(dsts []int, ntasks int, tag int, size int, data interface{}, onWire func()) {
+	m := t.m
+	t.proc.Sleep(m.cfg.SendOverhead)
+	if w := m.cfg.SendWindow; w > 0 && t.inflight >= w {
 		t.stalls++
 		for t.inflight >= w {
 			t.sendWL.Wait(t.proc)
 		}
 	}
+	if dsts == nil {
+		dsts = m.dstBuf[:0]
+		for id := 0; id < ntasks; id++ {
+			if id != t.id {
+				dsts = append(dsts, id)
+			}
+		}
+		m.dstBuf = dsts
+	}
 	t.inflight++
 	var msg *Message
-	if t.m.cfg.Pooling && !t.m.cfg.Reliable {
+	if m.cfg.Pooling && !m.cfg.Reliable {
 		// Reliable-mode originals are retained by the retransmission
 		// machinery indefinitely, so only the per-delivery copies are
 		// pooled (see deliverReliable).
-		msg = t.m.getMsg()
+		msg = m.getMsg()
 		msg.refs = len(dsts)
 	} else {
 		msg = &Message{}
 	}
-	msg.Src, msg.Tag, msg.Data, msg.Size, msg.SentAt = t.id, tag, data, size, t.m.eng.Now()
+	msg.Src, msg.Tag, msg.Data, msg.Size, msg.SentAt = t.id, tag, data, size, m.eng.Now()
 	t.bytesSent += int64(size)
-	t.m.serBytes.Add(msg.SentAt, float64(size))
+	m.serBytes.Add(msg.SentAt, float64(size))
 	t.traceSend(msg)
 	wireDone := t.wireDone
 	if onWire != nil {
@@ -430,41 +468,24 @@ func (t *Task) Multicast(dsts []int, tag int, size int, data interface{}, onWire
 	}
 	var payload interface{} = msg
 	var env *envelope
-	if t.m.cfg.Reliable {
+	if m.cfg.Reliable {
 		env = t.wrapReliable(dsts, msg)
 		payload = env
 	}
 	if len(dsts) == 1 {
-		t.m.net.Unicast(t.node, t.m.tasks[dsts[0]].node, size, payload, wireDone)
+		m.net.Unicast(t.node, m.tasks[dsts[0]].node, size, payload, wireDone)
 	} else {
-		nodes := t.nodeBuf[:0]
+		nodes := m.nodeBuf[:0]
 		for _, dst := range dsts {
-			nodes = append(nodes, t.m.tasks[dst].node)
+			nodes = append(nodes, m.tasks[dst].node)
 		}
-		t.nodeBuf = nodes
-		t.m.net.Multicast(t.node, nodes, size, payload, wireDone)
+		m.nodeBuf = nodes
+		m.net.Multicast(t.node, nodes, size, payload, wireDone)
 	}
 	if env != nil {
 		t.armRetransmit(dsts, env)
 	}
 	t.sent++
-}
-
-// Bcast multicasts to every other task. The destination list lives in
-// the task's reusable scratch: Multicast (and everything below it, down
-// to the fabric frame) copies what it retains, so at 1000 tasks a
-// gossip round costs one buffer, not O(n) fresh slices per task.
-func (t *Task) Bcast(tag int, size int, data interface{}) {
-	dsts := t.bcastBuf[:0]
-	for _, other := range t.m.tasks {
-		if other.id != t.id {
-			dsts = append(dsts, other.id)
-		}
-	}
-	t.bcastBuf = dsts
-	if len(dsts) > 0 {
-		t.Multicast(dsts, tag, size, data, nil)
-	}
 }
 
 // match reports whether msg matches a (src, tag) pattern with Any

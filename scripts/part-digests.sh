@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Prints the output digest of every part of every benchmark workload,
+# one line per part: workload, seed, part and digest. The benchmark
+# itself prints only one job's digest; this covers them all. Run it
+# from the root of the repository on two checkouts and diff the two
+# outputs to show that a change keeps the same bytes:
+#
+#   bash scripts/part-digests.sh 2000 2001 > digests.txt
+#   bash scripts/part-digests.sh -tiny 2000      # every part at test size
+#
+# Each part runs as a benchmark sweep child at GOMAXPROCS=1. The binary
+# is built as benchmark/run.sh builds it, with every cache under
+# .bench_build/.
+set -euo pipefail
+
+tiny=""
+seeds=()
+for arg in "$@"; do
+  case $arg in
+    -tiny) tiny=-tiny ;;
+    -*) echo "part-digests: unknown flag $arg" >&2; exit 2 ;;
+    *) seeds+=("$arg") ;;
+  esac
+done
+if [ ${#seeds[@]} -eq 0 ]; then
+  echo "usage: bash scripts/part-digests.sh [-tiny] seed..." >&2
+  exit 2
+fi
+
+build="$PWD/.bench_build"
+mkdir -p "$build/tmp" "$build/config"
+export GOCACHE="$build/gocache" GOTMPDIR="$build/tmp" GOMODCACHE="$build/gomod"
+export XDG_CONFIG_HOME="$build/config" GOTOOLCHAIN=local GOWORK=off GOPROXY=off
+(cd benchmark && go build -o "$build/nscc-benchmark" .)
+
+# Each workload and its part count, as benchmark/workloads.go declares
+# them: 17 parts a seed.
+parts="fig2_ga:8 fig3_bayes:1 age_loaded:3 scale_1k:3 graph_20k:2"
+for s in "${seeds[@]}"; do
+  for wp in $parts; do
+    w=${wp%:*}
+    for p in $(seq 0 $((${wp#*:} - 1))); do
+      report=$(GOMAXPROCS=1 "$build/nscc-benchmark" -workload "$w" -child sweep \
+        -seed "$s" -part "$p" $tiny)
+      digest=$(printf '%s\n' "$report" | grep -o '"digest":"[0-9a-f]*"' | cut -d'"' -f4)
+      echo "$w $s $p $digest"
+    done
+  done
+done
