@@ -91,6 +91,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-loss must be in [0,1]")
 		os.Exit(2)
 	}
+	if *procsN < 1 {
+		fmt.Fprintln(os.Stderr, "-procs must be at least 1")
+		os.Exit(2)
+	}
 	opts.LossProb = *lossProb
 	opts.SimRace = *simRace
 	if *resume && *cacheDir == "" {
@@ -125,25 +129,27 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-edges: %v\n", err)
 			os.Exit(2)
 		}
+		checkProcs(*procsN, *edgesF, g)
 		if err := edgeListReport(g, *edgesF, *procsN, opts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	case *topo != "":
-		for _, s := range splitSpecs(*topo) {
-			if _, err := graph.ParseTopoSpec(s); err != nil {
-				fmt.Fprintf(os.Stderr, "-topo: %v\n", err)
-				os.Exit(2)
-			}
-			specs = append(specs, s)
+		specs = splitSpecs(*topo)
+	default:
+		specs = exper.GraphSweepSpecs
+	}
+	for _, s := range specs {
+		g, err := graph.ParseTopoSpec(s)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-topo: %v\n", err)
+			os.Exit(2)
 		}
+		checkProcs(*procsN, s, g)
 	}
 
 	cells := exper.GraphSweepCells(opts, len(specs))
-	if specs == nil {
-		cells = exper.GraphSweepCells(opts, len(exper.GraphSweepSpecs))
-	}
 	fmt.Println("== Graph sweep ==")
 	start := time.Now() //nscc:wallclock -- host-side cells/sec meter, not simulated time
 	rows, err := exper.GraphSweep(os.Stdout, opts, specs, *procsN)
@@ -176,8 +182,18 @@ func main() {
 	}
 }
 
-// edgeListReport runs every variant once on a file-loaded graph and
-// prints the per-variant comparison against the sequential oracle.
+// checkProcs exits with status 2 unless p partitions fit the graph g,
+// which the topology name describes.
+func checkProcs(p int, name string, g *graph.Graph) {
+	if p > g.N {
+		fmt.Fprintf(os.Stderr, "-procs %d exceeds the %d vertices of %s\n", p, g.N, name)
+		os.Exit(2)
+	}
+}
+
+// edgeListReport runs every variant once on a file-loaded graph, each
+// configured as the sweep configures it, and prints the per-variant
+// comparison against the sequential oracle.
 func edgeListReport(g *graph.Graph, name string, p int, opts exper.Options) error {
 	calib := graph.DefaultCalibration()
 	const maxSteps = 4000
@@ -186,18 +202,7 @@ func edgeListReport(g *graph.Graph, name string, p int, opts exper.Options) erro
 		fmt.Printf("%s %s: n=%d m=%d, sequential %d iters\n", name, algo, g.N, g.M(), seq.Iters)
 		fmt.Printf("%8s %9s %10s %9s %5s %10s\n", "variant", "speedup", "supersteps", "max_diff", "conv", "completion")
 		for _, v := range exper.Variants() {
-			cfg := graph.Config{
-				G: g, Algo: algo, P: p,
-				Mode: v.Mode, Age: v.Age,
-				MaxSupersteps: maxSteps,
-				Seed:          opts.Seed,
-				Calib:         calib,
-				Faults:        opts.Faults,
-				Reliable:      opts.Reliable,
-				ReadTimeout:   opts.ReadTimeout,
-				RaceCheck:     opts.SimRace,
-			}
-			r, err := graph.Run(cfg)
+			r, err := graph.Run(exper.GraphConfig(g, algo, p, v, opts.Seed, opts))
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", algo, v, err)
 			}

@@ -65,11 +65,33 @@ type graphTrialOut struct {
 	Unb    map[Variant]int64        `json:"unb,omitempty"`
 }
 
+// GraphConfig returns the config the graph sweep runs variant v of algo
+// on p partitions of g with: the sweep's superstep cap and calibration,
+// the given seed, and opts' network, fault and race-check settings.
+func GraphConfig(g *graph.Graph, algo graph.Algo, p int, v Variant, seed int64, opts Options) graph.Config {
+	cfg := graph.Config{
+		G: g, Algo: algo, P: p,
+		Mode: v.Mode, Age: v.Age,
+		MaxSupersteps: graphMaxSupersteps,
+		Seed:          seed,
+		Calib:         graph.DefaultCalibration(),
+		Net:           opts.netOverride(),
+		Faults:        opts.Faults,
+		Reliable:      opts.Reliable,
+		ReadTimeout:   opts.ReadTimeout,
+		RaceCheck:     opts.SimRace,
+	}
+	if opts.UseSwitch {
+		sw := netsim.DefaultSwitchConfig()
+		cfg.Switch = &sw
+	}
+	return cfg
+}
+
 // graphTrial runs the sequential oracle plus every variant for one
 // (topology, algorithm, seed).
 func graphTrial(g *graph.Graph, algo graph.Algo, p int, seed int64, opts Options) (graphTrialOut, error) {
-	calib := graph.DefaultCalibration()
-	seq := graph.RunSequential(g, algo, 0, graphMaxSupersteps, calib)
+	seq := graph.RunSequential(g, algo, 0, graphMaxSupersteps, graph.DefaultCalibration())
 	out := graphTrialOut{
 		Serial: seq.Time,
 		Times:  make(map[Variant]sim.Duration),
@@ -83,23 +105,7 @@ func graphTrial(g *graph.Graph, algo graph.Algo, p int, seed int64, opts Options
 		out.Unb = make(map[Variant]int64)
 	}
 	for _, v := range Variants() {
-		cfg := graph.Config{
-			G: g, Algo: algo, P: p,
-			Mode: v.Mode, Age: v.Age,
-			MaxSupersteps: graphMaxSupersteps,
-			Seed:          seed,
-			Calib:         calib,
-			Net:           opts.netOverride(),
-			Faults:        opts.Faults,
-			Reliable:      opts.Reliable,
-			ReadTimeout:   opts.ReadTimeout,
-			RaceCheck:     opts.SimRace,
-		}
-		if opts.UseSwitch {
-			sw := netsim.DefaultSwitchConfig()
-			cfg.Switch = &sw
-		}
-		r, err := graph.Run(cfg)
+		r, err := graph.Run(GraphConfig(g, algo, p, v, seed, opts))
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", v, err)
 		}

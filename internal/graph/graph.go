@@ -16,6 +16,15 @@
 // data-race-tolerance property non-strict coherence exploits. The
 // differential and property test harness in this package proves it
 // against a sequential oracle.
+//
+// Every superstep, partitioned or sequential, runs through one kernel
+// per vertex range, built once per run: the range's vertices ranked by
+// in-degree, their in-edges stored jagged-diagonal, and each source
+// relabelled into a compact operand array holding the range's own
+// block and then the out-of-range sources it reads. The fold is
+// branch-free per diagonal, and each vertex still folds the same
+// operands in CSR order, so the results are bit for bit those of the
+// plain pull-CSR fold.
 package graph
 
 import (

@@ -66,19 +66,17 @@ func TestPageRankMassConserved(t *testing.T) {
 
 	// Sequential: iterate the shared kernel directly.
 	cur := initValues(PageRank, g.N)
-	next := make([]float64, g.N)
-	ops := make([]float64, g.N)
+	k := newKernel(g, PageRank, 0, g.N, nil)
 	for it := 0; it < 50; it++ {
-		operands(g, PageRank, 0, cur, ops)
-		step(g, PageRank, ops, cur, next, 0, g.N)
+		operands(g, PageRank, 0, cur, k.ops)
+		k.superstep(cur)
 		sum := 0.0
-		for _, r := range next {
+		for _, r := range cur {
 			sum += r
 		}
 		if math.Abs(sum-1) > tol {
 			t.Fatalf("sequential superstep %d: total mass %v, want 1", it, sum)
 		}
-		copy(cur, next)
 	}
 
 	// Sync-mode partitioned run: assemble each superstep's global vector
@@ -120,12 +118,11 @@ func TestPageRankMassConserved(t *testing.T) {
 }
 
 // TestMergeOrderInvariant proves the contribution merge is commutative
-// at the float level: assembling a superstep's operand view from its
-// source sub-vectors in any delivery order yields a byte-identical
-// kernel output, because each source writes a disjoint slice of the
-// view and the kernel folds in fixed CSR order. This is why
-// non-strict delivery reordering cannot perturb a superstep given the
-// same operand values.
+// at the float level: gathering a superstep's ghosts from its source
+// blocks in any delivery order yields a byte-identical kernel output,
+// because each block fills a disjoint run of ghost slots and the kernel
+// folds in fixed CSR order. This is why non-strict delivery reordering
+// cannot perturb a superstep given the same operand values.
 func TestMergeOrderInvariant(t *testing.T) {
 	g, err := ParseTopoSpec("random:n=32,m=64,seed=9")
 	if err != nil {
@@ -143,30 +140,34 @@ func TestMergeOrderInvariant(t *testing.T) {
 
 	for _, algo := range Algos {
 		lo, hi := bounds[1], bounds[2] // partition 1's owned range
+		k := newKernel(g, algo, lo, hi, new(kernelScratch))
 		out := make([]float64, hi-lo)
 		// The blocks the sources publish: state in operand form.
 		blocks := make([]float64, g.N)
 		operands(g, algo, 0, state, blocks)
-		var want []uint64
+		// Every order must give the reference kernel's bits.
+		ref := make([]float64, hi-lo)
+		refStep(g, algo, state, ref, lo, hi)
+		want := make([]uint64, len(ref))
+		for i, x := range ref {
+			want[i] = math.Float64bits(x)
+		}
 		for perm := 0; perm < 8; perm++ {
-			view := make([]float64, g.N)
+			// NaN ghost slots make a gather the order skips show.
+			for i := range k.ops {
+				k.ops[i] = math.NaN()
+			}
+			copy(k.ops, blocks[lo:hi])
 			order := rng.Perm(p)
 			for _, src := range order {
-				copy(view[bounds[src]:bounds[src+1]], blocks[bounds[src]:bounds[src+1]])
+				gatherBlock(k, bounds[src], blocks[bounds[src]:bounds[src+1]])
 			}
-			step(g, algo, view, state[lo:hi], out, lo, hi)
-			bits := make([]uint64, len(out))
+			copy(out, state[lo:hi])
+			k.superstep(out)
 			for i, x := range out {
-				bits[i] = math.Float64bits(x)
-			}
-			if want == nil {
-				want = bits
-				continue
-			}
-			for i := range bits {
-				if bits[i] != want[i] {
+				if math.Float64bits(x) != want[i] {
 					t.Fatalf("%s: permutation %d (%v) changed out[%d]: %x vs %x",
-						algo, perm, order, i, bits[i], want[i])
+						algo, perm, order, i, math.Float64bits(x), want[i])
 				}
 			}
 		}

@@ -264,6 +264,14 @@ func Run(cfg Config) (Result, error) {
 	init := initValues(cfg.Algo, g.N)
 	initOps := make([]float64, g.N)
 	operands(g, cfg.Algo, 0, init, initOps)
+	// Each partition folds its in-edges through its own kernel, whose
+	// ghost slots hold the initial state until a source block arrives.
+	kernels := make([]*kernel, cfg.P)
+	var scratch kernelScratch
+	for p := range kernels {
+		kernels[p] = newKernel(g, cfg.Algo, bounds[p], bounds[p+1], &scratch)
+		kernels[p].load(initOps)
+	}
 
 	res := Result{
 		Values:     make([]float64, g.N),
@@ -296,27 +304,34 @@ func Run(cfg Config) (Result, error) {
 			}
 			lo, hi := bounds[p], bounds[p+1]
 			owned := append([]float64(nil), init[lo:hi]...)
-			next := make([]float64, hi-lo)
-			// ops is the kernel's operand view: every source block as
-			// last copied, and this partition's block as last published.
-			ops := append([]float64(nil), initOps...)
+			// kern's operands are every source block's ghosts as last
+			// gathered, and this partition's block as last published.
+			// The ghosts of source si are kern.ghosts[cut[si]:cut[si+1]],
+			// since both lists ascend.
+			kern := kernels[p]
+			cut := make([]int, len(sources[p])+1)
+			for si, src := range sources[p] {
+				cut[si] = kern.ghostIndex(bounds[src])
+			}
+			cut[len(sources[p])] = len(kern.ghosts)
 			seen := make([]int64, len(sources[p])) // freshest observed iter per source
 			for i := range seen {
 				seen[i] = core.NoValue
 			}
-			// held is the payload each source block of ops was last
-			// copied from. Payloads are never written after their
+			// held is the payload each source's ghosts were last
+			// gathered from. Payloads are never written after their
 			// publish, and holding one keeps its array from being
 			// reused, so a payload with the same backing array carries
-			// the same values and needs no copy.
+			// the same values and needs no gather.
 			held := make([][]float64, len(sources[p]))
 			// payload is owned in operand form as last published, nil
 			// once owned has changed since.
 			var payload []float64
-			// changed reports that owned or some source block of ops
-			// changed since the last step call (or that step never
-			// ran). While it is false, step would return owned again
-			// with residual 0 and frontier 0, so the call is skipped.
+			// changed reports that owned or some of kern's ghosts
+			// changed since the last superstep call (or that it never
+			// ran). While it is false, the kernel would leave owned as
+			// it is with residual 0 and frontier 0, so the call is
+			// skipped.
 			changed := true
 			jit := newJitterer(cfg.Calib, task.Proc().Rng())
 			stepCost := cfg.Calib.StepCost(hi-lo, int(g.InOff[hi]-g.InOff[lo])).Seconds()
@@ -329,7 +344,7 @@ func Run(cfg Config) (Result, error) {
 				if payload == nil {
 					payload = make([]float64, hi-lo)
 					operands(g, cfg.Algo, lo, owned, payload)
-					copy(ops[lo:hi], payload)
+					copy(kern.ops, payload) // the own block leads kern.ops
 				}
 				node.Write(locs[p], iter, payload)
 			}
@@ -452,7 +467,7 @@ func Run(cfg Config) (Result, error) {
 					slo, shi := bounds[src], bounds[src+1]
 					if vs, vok := u.Value.([]float64); vok && len(vs) == shi-slo {
 						if h := held[si]; h == nil || &h[0] != &vs[0] {
-							copy(ops[slo:shi], vs)
+							kern.gather(cut[si], cut[si+1], slo, vs)
 							held[si] = vs
 							changed = true
 						}
@@ -462,10 +477,9 @@ func Run(cfg Config) (Result, error) {
 				var residual float64
 				var frontier int64
 				if changed {
-					residual, frontier = step(g, cfg.Algo, ops, owned, next, lo, hi)
+					residual, frontier = kern.superstep(owned)
 					changed = frontier != 0
 					if changed {
-						copy(owned, next)
 						payload = nil
 					}
 				}

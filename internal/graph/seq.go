@@ -83,15 +83,15 @@ func initValues(algo Algo, n int) []float64 {
 }
 
 // operands writes the kernel's read form of the values of vertices
-// [lo, lo+len(vals)) into dst, which step folds along in-edges in place
-// of the values themselves. For PageRank it is each vertex's
+// [lo, lo+len(vals)) into dst, which the kernel folds along in-edges in
+// place of the values themselves. For PageRank it is each vertex's
 // contribution to its out-neighbors, rank / OutDeg (0 for a vertex with
-// no out-edges: step's sum starts at +0, so it is never -0 and adding
-// +0 leaves it unchanged); for SSSP it is the distance itself. Dividing
-// once per vertex here rather than once per in-edge in the fold is the
-// same IEEE division on the same operands, so step's output is bit for
-// bit what per-edge division gives. A partition publishes its owned
-// block in this form, so readers never divide.
+// no out-edges: the fold's sum starts at +0, so it is never -0 and
+// adding +0 leaves it unchanged); for SSSP it is the distance itself.
+// Dividing once per vertex here rather than once per in-edge in the
+// fold is the same IEEE division on the same operands, so the kernel's
+// output is bit for bit what per-edge division gives. A partition
+// publishes its owned block in this form, so readers never divide.
 func operands(g *Graph, algo Algo, lo int, vals, dst []float64) {
 	switch algo {
 	case PageRank:
@@ -105,58 +105,6 @@ func operands(g *Graph, algo Algo, lo int, vals, dst []float64) {
 	case SSSP:
 		copy(dst, vals)
 	}
-}
-
-// step computes one Jacobi superstep of algo over the owned vertex
-// range [lo, hi). It folds the full-length operand vector ops (see
-// operands) along each owned vertex's in-edges, compares the result
-// with own, the range's current values (own[v-lo] is vertex v's), and
-// writes out[v-lo]. It returns the range's residual — the L1 delta for
-// PageRank, the count of relaxed vertices for SSSP — and the number of
-// vertices whose value changed (the frontier). A frontier of 0 means
-// out equals own bit for bit: PageRank counts every nonzero delta, and
-// SSSP's min-relaxation starts from own and counts every decrease. So a
-// partition whose own values and operands are unchanged since a
-// frontier-0 call may skip the next one: it would return the same
-// state with residual 0 and frontier 0. Both runners and the
-// sequential oracle call this same function, so the per-vertex float
-// operation order is identical everywhere by construction; only the
-// freshness of the operands differs between coherence disciplines.
-//
-//nscc:commutative
-func step(g *Graph, algo Algo, ops, own, out []float64, lo, hi int) (residual float64, frontier int64) {
-	switch algo {
-	case PageRank:
-		base := (1 - Damping) / float64(g.N)
-		for v := lo; v < hi; v++ {
-			sum := 0.0
-			for _, src := range g.InSrc[g.InOff[v]:g.InOff[v+1]] {
-				sum += ops[src]
-			}
-			nv := base + Damping*sum
-			out[v-lo] = nv
-			if d := nv - own[v-lo]; d != 0 {
-				frontier++
-				residual += math.Abs(d)
-			}
-		}
-	case SSSP:
-		for v := lo; v < hi; v++ {
-			cur := own[v-lo]
-			nv := cur
-			for i := g.InOff[v]; i < g.InOff[v+1]; i++ {
-				if d := ops[g.InSrc[i]] + g.InW[i]; d < nv {
-					nv = d
-				}
-			}
-			out[v-lo] = nv
-			if nv < cur {
-				frontier++
-				residual++
-			}
-		}
-	}
-	return residual, frontier
 }
 
 // SeqResult is one sequential oracle run: the converged state vector,
@@ -178,13 +126,11 @@ func RunSequential(g *Graph, algo Algo, eps float64, maxIters int64, calib Calib
 		eps = DefaultEps
 	}
 	cur := initValues(algo, g.N)
-	next := make([]float64, g.N)
-	ops := make([]float64, g.N)
+	k := newKernel(g, algo, 0, g.N, nil)
 	var iters int64
 	for iters = 0; iters < maxIters; iters++ {
-		operands(g, algo, 0, cur, ops)
-		residual, _ := step(g, algo, ops, cur, next, 0, g.N)
-		cur, next = next, cur
+		operands(g, algo, 0, cur, k.ops)
+		residual, _ := k.superstep(cur)
 		if residual <= eps {
 			iters++
 			break

@@ -7,24 +7,52 @@
 #
 #   bash scripts/part-digests.sh 2000 2001 > digests.txt
 #   bash scripts/part-digests.sh -tiny 2000      # every part at test size
+#   bash scripts/part-digests.sh -workload graph_20k 2000 2001
+#
+# -workload W, which may repeat, keeps only the named workloads' parts,
+# so a change that touches one workload diffs only its parts.
 #
 # Each part runs as a benchmark sweep child at GOMAXPROCS=1. The binary
 # is built as benchmark/run.sh builds it, with every cache under
 # .bench_build/.
 set -euo pipefail
 
+usage="usage: bash scripts/part-digests.sh [-tiny] [-workload W]... seed..."
 tiny=""
 seeds=()
-for arg in "$@"; do
-  case $arg in
+only=()
+while [ $# -gt 0 ]; do
+  case $1 in
     -tiny) tiny=-tiny ;;
-    -*) echo "part-digests: unknown flag $arg" >&2; exit 2 ;;
-    *) seeds+=("$arg") ;;
+    -workload)
+      if [ $# -lt 2 ]; then echo "$usage" >&2; exit 2; fi
+      only+=("$2")
+      shift
+      ;;
+    -*) echo "part-digests: unknown flag $1" >&2; exit 2 ;;
+    *) seeds+=("$1") ;;
   esac
+  shift
 done
 if [ ${#seeds[@]} -eq 0 ]; then
-  echo "usage: bash scripts/part-digests.sh [-tiny] seed..." >&2
+  echo "$usage" >&2
   exit 2
+fi
+
+# Each workload and its part count, as benchmark/workloads.go declares
+# them: 17 parts a seed.
+parts="fig2_ga:8 fig3_bayes:1 age_loaded:3 scale_1k:3 graph_20k:2"
+if [ ${#only[@]} -gt 0 ]; then
+  kept=""
+  for w in "${only[@]}"; do
+    found=""
+    for wp in $parts; do
+      if [ "${wp%:*}" = "$w" ]; then found=$wp; fi
+    done
+    if [ -z "$found" ]; then echo "part-digests: unknown workload $w" >&2; exit 2; fi
+    kept="$kept $found"
+  done
+  parts=$kept
 fi
 
 build="$PWD/.bench_build"
@@ -33,9 +61,6 @@ export GOCACHE="$build/gocache" GOTMPDIR="$build/tmp" GOMODCACHE="$build/gomod"
 export XDG_CONFIG_HOME="$build/config" GOTOOLCHAIN=local GOWORK=off GOPROXY=off
 (cd benchmark && go build -o "$build/nscc-benchmark" .)
 
-# Each workload and its part count, as benchmark/workloads.go declares
-# them: 17 parts a seed.
-parts="fig2_ga:8 fig3_bayes:1 age_loaded:3 scale_1k:3 graph_20k:2"
 for s in "${seeds[@]}"; do
   for wp in $parts; do
     w=${wp%:*}
