@@ -44,21 +44,17 @@ func main() {
 	)
 	flag.Parse()
 
-	if *age < 0 {
-		fmt.Fprintf(os.Stderr, "-age %d: want a staleness bound of at least 0 iterations\n", *age)
+	runMode, err := checkRun(*procs, *maxIt, *age, *mode, *algo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	var faultPlan *faults.Plan
+	if *faultsF != "" {
+		if faultPlan, err = faults.LoadFile(*faultsF); err != nil {
+			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
 			os.Exit(2)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
 	}
 
 	var bn *bayes.Network
@@ -75,6 +71,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown network %q\n", *netName)
 		os.Exit(2)
 	}
+
+	var srv *obs.Server
+	if *httpAddr != "" {
+		srv, err = obs.Start(*httpAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
+	}
+
 	q := bayes.DefaultQuery(bn)
 	calib := bayes.DefaultCalibration()
 
@@ -89,43 +97,22 @@ func main() {
 			lw.Time, lw.Prob, lw.HalfWidth, lw.Iters, lw.EffN)
 		fmt.Printf("serial (logic sampling):       time=%v prob=%.4f (+-%.4f) iters=%d\n",
 			serial.Time, serial.Prob, serial.HalfWidth, serial.Iters)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algo)
-		os.Exit(2)
 	}
 
 	cfg := bayes.ParallelConfig{
-		Net: bn, Query: q, P: *procs,
+		Net: bn, Query: q, P: *procs, Mode: runMode,
 		Age: *age, Precision: *prec, MaxIters: *maxIt,
 		Seed: *seed, Calib: calib, LoaderBps: *load,
 		RandomDefaults: *randDef,
 		Batch:          *batch,
+		Faults:         faultPlan,
 		Reliable:       *reliable,
 		RaceCheck:      *simRace,
 	}
 	cfg.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
-	}
 	if *swFabric {
 		sw := netsim.DefaultSwitchConfig()
 		cfg.SwitchCfg = &sw
-	}
-	switch *mode {
-	case "sync":
-		cfg.Mode = core.Sync
-	case "async":
-		cfg.Mode = core.Async
-	case "global_read":
-		cfg.Mode = core.NonStrict
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
 
 	var rec *trace.Recorder
@@ -171,4 +158,28 @@ func main() {
 	if *metOut != "" {
 		fmt.Printf("wrote %s\n", *metOut)
 	}
+}
+
+// checkRun rejects flag values no run can use, before anything runs,
+// and returns the coherence mode -mode names.
+func checkRun(procs int, maxIters, age int64, mode, algo string) (core.Mode, error) {
+	switch {
+	case procs < 1:
+		return 0, fmt.Errorf("-procs %d: want at least 1 processor", procs)
+	case maxIters < 1:
+		return 0, fmt.Errorf("-maxiters %d: want at least 1 iteration", maxIters)
+	case age < 0:
+		return 0, fmt.Errorf("-age %d: want a staleness bound of at least 0 iterations", age)
+	case algo != "ls" && algo != "lw":
+		return 0, fmt.Errorf("-algo %q: want ls or lw", algo)
+	}
+	switch mode {
+	case "sync":
+		return core.Sync, nil
+	case "async":
+		return core.Async, nil
+	case "global_read":
+		return core.NonStrict, nil
+	}
+	return 0, fmt.Errorf("-mode %q: want sync, async or global_read", mode)
 }

@@ -19,13 +19,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadRunFlagsExitTwo checks that a negative -age is one line on
-// stderr and exit status 2, before the serial reference runs, not a
-// parallel run that deadlocks waiting for an iteration no writer
-// reaches.
+// TestBadRunFlagsExitTwo checks that a flag value no run can use is one
+// line on stderr and exit status 2, before the serial reference runs or
+// prints: a negative -age (not a parallel run that deadlocks waiting for
+// an iteration no writer reaches), a -procs or -maxiters below 1, an
+// unknown -mode or -algo, and an unreadable -faults file. An unknown
+// -algo prints nothing even when checked late, so its case also asks
+// for the live status page, whose start line on stderr shows whether
+// the flag was checked before anything started.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-age", "-5"}, {"-mode", "sync", "-age", "-1"},
+		{"-procs", "0"}, {"-procs", "-2", "-mode", "async"},
+		{"-maxiters", "0"}, {"-maxiters", "-7"},
+		{"-mode", "bogus"}, {"-algo", "bogus", "-http", "127.0.0.1:0"},
+		{"-faults", "no-such-plan.json"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

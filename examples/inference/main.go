@@ -3,9 +3,9 @@
 //
 // Estimates a posterior probability in a Table 2-style belief network
 // by logic sampling — serially, then on two simulated processors under
-// the three coherence disciplines — and prints completion times and the
-// rollback machinery's bookkeeping (the paper's Figure 3 comparison for
-// one network).
+// the three coherence disciplines, all on one bayes.Plan — and prints
+// completion times and the rollback machinery's bookkeeping (the
+// paper's Figure 3 comparison for one network).
 //
 //	go run ./examples/inference
 package main
@@ -33,6 +33,12 @@ func main() {
 	fmt.Printf("serial: time=%v prob=%.4f (+-%.4f) samples=%d\n",
 		serial.Time, serial.Prob, serial.HalfWidth, serial.Iters)
 
+	// The three disciplines run on one plan: one partition of the
+	// network and one set of default values, as in a Figure 3 cell.
+	plan, err := bayes.NewPlan(bn, q, 2, seed)
+	if err != nil {
+		panic(err)
+	}
 	for _, v := range []struct {
 		name string
 		mode core.Mode
@@ -48,7 +54,7 @@ func main() {
 			Precision: prec, MaxIters: 500000,
 			Seed: seed, Calib: calib,
 		}
-		res, err := bayes.RunParallel(cfg)
+		res, err := plan.Run(cfg)
 		if err != nil {
 			panic(err)
 		}

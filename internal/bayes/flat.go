@@ -3,9 +3,10 @@ package bayes
 import "nscc/internal/xrand"
 
 // lut is a flattened, read-only lookup structure over one Network plus
-// one Query, built once per inference run and shared by every partition
-// of that run. It replaces the hot paths' per-sample map walks and
-// [][]float64 pointer chases with contiguous slices:
+// one Query, built once per serial run or Plan and shared by every
+// partition of every run on that plan. It replaces the hot paths'
+// per-sample map walks and [][]float64 pointer chases with contiguous
+// slices:
 //
 //   - each node's CPT rows are laid out back to back in one []float64
 //     (stride = the node's state count), so selecting a distribution is

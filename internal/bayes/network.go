@@ -8,6 +8,14 @@
 // antimessages; the partially asynchronous variant throttles the
 // processors with Global_Read so nobody strays far ahead or lags far
 // behind, bounding the number of costly rollbacks.
+//
+// A parallel run's set-up depends only on its network, query,
+// processor count and seed: the partition with its interface sets, wave
+// phases and DSM locations, the flattened tables, and the default
+// values. NewPlan builds it once, and Plan.Run runs one variant on it,
+// so the variants of a paired comparison (Figure 3's sync, async and
+// gr(age) programs) share one partition and one set of defaults.
+// RunParallel is NewPlan followed by Run.
 package bayes
 
 import (

@@ -3,6 +3,7 @@ package bayes
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 
@@ -152,8 +153,8 @@ type ParallelResult struct {
 	Telemetry *metrics.Telemetry
 }
 
-// topology is the precomputed partition/communication structure shared
-// by all workers of one run.
+// topology is the precomputed partition/communication structure of one
+// Plan, shared read-only by every worker of every run on it.
 type topology struct {
 	parts       []int
 	coordinator int
@@ -354,19 +355,75 @@ func (w *worker) newLogRow() []int8 {
 	return w.logArena[off : off+n : off+n]
 }
 
+// Plan is the set-up that every run of one network, query, processor
+// count and seed shares: the partition with its interface sets,
+// synchronous wave phases and DSM locations, the flattened tables, and
+// the default values estimated from the nodes' distributions (§3.2).
+// Figure 3's variants of one network and trial differ only in mode and
+// age, so they run on one plan instead of each re-partitioning the
+// network and re-sampling its defaults.
+//
+// No run writes a plan, so concurrent runs may share one.
+type Plan struct {
+	net      *Network
+	query    Query // Evidence is the plan's own copy
+	p        int
+	seed     int64
+	topo     *topology
+	lut      *lut
+	defaults []int
+}
+
+// NewPlan partitions net into p parts for runs of query q at seed and
+// estimates the defaults those runs gamble on. A nil network or p < 1
+// is an error.
+func NewPlan(net *Network, q Query, p int, seed int64) (*Plan, error) {
+	switch {
+	case net == nil:
+		return nil, errors.New("bayes: NewPlan needs a network")
+	case p < 1:
+		return nil, fmt.Errorf("bayes: NewPlan needs at least 1 processor, have %d", p)
+	}
+	q.Evidence = maps.Clone(q.Evidence)
+	return &Plan{
+		net: net, query: q, p: p, seed: seed,
+		topo:     buildTopology(net, q, p, seed),
+		lut:      newLUT(net, q),
+		defaults: net.Defaults(2000, seed^0x5eed),
+	}, nil
+}
+
 // RunParallel executes one parallel logic-sampling configuration on a
-// fresh simulated cluster. Deterministic in cfg.Seed. An impossible
+// fresh simulated cluster: NewPlan for cfg's network, query, processor
+// count and seed, then Run. Deterministic in cfg.Seed. An impossible
 // config, a negative Global_Read age among them, comes back as an
 // error.
 func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
+	pl, err := NewPlan(cfg.Net, cfg.Query, cfg.P, cfg.Seed)
+	if err != nil {
+		return ParallelResult{}, err
+	}
+	return pl.Run(cfg)
+}
+
+// Run executes one parallel logic-sampling configuration on the plan
+// and a fresh simulated cluster, with the same result RunParallel(cfg)
+// gives. cfg's Net, Query, P and Seed must be the plan's; a mismatch,
+// like any other impossible config, comes back as an error.
+func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 	bn := cfg.Net
 	switch {
-	case bn == nil:
-		return ParallelResult{}, errors.New("bayes: RunParallel needs a network")
-	case cfg.P < 1:
-		return ParallelResult{}, fmt.Errorf("bayes: RunParallel needs at least 1 processor, have %d", cfg.P)
+	case bn != pl.net:
+		return ParallelResult{}, errors.New("bayes: Run config names another network than its plan")
+	case cfg.P != pl.p:
+		return ParallelResult{}, fmt.Errorf("bayes: Run config has P=%d, its plan %d", cfg.P, pl.p)
+	case cfg.Seed != pl.seed:
+		return ParallelResult{}, fmt.Errorf("bayes: Run config has seed %d, its plan %d", cfg.Seed, pl.seed)
+	case cfg.Query.Node != pl.query.Node || cfg.Query.State != pl.query.State ||
+		!maps.Equal(cfg.Query.Evidence, pl.query.Evidence):
+		return ParallelResult{}, errors.New("bayes: Run config asks another query than its plan")
 	case cfg.MaxIters <= 0:
-		return ParallelResult{}, fmt.Errorf("bayes: RunParallel needs MaxIters > 0, have %d", cfg.MaxIters)
+		return ParallelResult{}, fmt.Errorf("bayes: Run needs MaxIters > 0, have %d", cfg.MaxIters)
 	case cfg.Mode == core.NonStrict && cfg.Age < 0:
 		return ParallelResult{}, fmt.Errorf("bayes: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
@@ -418,11 +475,9 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 		rc.Attach(machine)
 	}
 
-	topo := buildTopology(bn, cfg.Query, cfg.P, cfg.Seed)
-	flat := newLUT(bn, cfg.Query)
-
-	defaults := bn.Defaults(2000, cfg.Seed^0x5eed)
+	topo, flat, defaults := pl.topo, pl.lut, pl.defaults
 	if cfg.RandomDefaults {
+		defaults = make([]int, bn.N())
 		for i := range defaults {
 			defaults[i] = (i * 2654435761) % bn.Nodes[i].States
 		}

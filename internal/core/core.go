@@ -259,10 +259,13 @@ type Node struct {
 	stats    Stats
 	stale    metrics.Histogram // observed Global_Read staleness, log-bucketed
 
-	// pooling mirrors the pvm machine's Config.Pooling; wireDone is the
-	// preallocated in-flight-decrement callback (one closure per node
-	// instead of one per write); updFree is the node's updateMsg free
-	// list, refilled by readers through updateMsg.release.
+	// pooling mirrors the pvm machine's Config.Pooling; updFree is the
+	// node's updateMsg free list, refilled by readers through
+	// updateMsg.release. wireDone is the preallocated in-flight-decrement
+	// callback (one closure per node instead of one per write). It is set
+	// only under a Window, the one reader of inFlight: pvm wraps any
+	// callback it is handed in a fresh closure per send, so without a
+	// Window a write hands it none.
 	pooling  bool
 	wireDone func()
 	updFree  []*updateMsg
@@ -287,7 +290,9 @@ func NewNode(task *pvm.Task, opts Options) *Node {
 		serBlocked:  opts.Series.Counter("core.blocked_us"),
 	}
 	n.pooling = task != nil && task.Pooling()
-	n.wireDone = func() { n.inFlight-- }
+	if opts.Window > 0 {
+		n.wireDone = func() { n.inFlight-- }
+	}
 	return n
 }
 
@@ -395,7 +400,9 @@ func (n *Node) sendUpdate(loc *Location, iter int64, value interface{}, wAt sim.
 	}
 	msg := n.newUpdateMsg(len(loc.Readers))
 	msg.Loc, msg.Iter, msg.Value, msg.WAt = loc.ID, iter, value, wAt
-	n.inFlight++
+	if n.wireDone != nil {
+		n.inFlight++
+	}
 	n.task.Multicast(loc.Readers, UpdateTag, size, msg, n.wireDone)
 	n.stats.UpdatesSent++
 }

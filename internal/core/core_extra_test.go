@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
 )
@@ -135,5 +136,54 @@ func TestObserverSeesStaleUpdates(t *testing.T) {
 	}
 	if n.buf[1].Iter != 5 {
 		t.Fatal("stale update overwrote the buffer")
+	}
+}
+
+// TestWriteBlockingReadAllocsZero checks that a warmed DSM update cycle,
+// one Write and the blocking Global_Read it releases, allocates nothing
+// with pooling: the update message comes from the writer's free list,
+// and a write without a Window hands pvm no wire callback to wrap. Each
+// measured run of the engine ends when the reader's read returns.
+func TestWriteBlockingReadAllocsZero(t *testing.T) {
+	eng := sim.NewEngine(1)
+	defer eng.Close()
+	cfg := pvm.DefaultConfig()
+	cfg.Pooling = true
+	m := pvm.NewMachine(eng, netsim.New(eng, netsim.DefaultConfig()), cfg)
+	loc := &Location{ID: 1, Name: "x", Writer: 1, Readers: []int{0}, Size: 64}
+	value := new(int) // boxed once, so no write boxes its value
+	reads := 0
+	m.Spawn("reader", func(task *pvm.Task) {
+		n := NewNode(task, Options{})
+		n.Register(loc)
+		for i := int64(0); ; i++ {
+			if u := n.GlobalRead(loc, i, 0); u.Iter != i {
+				t.Errorf("read %d returned iteration %d", i, u.Iter)
+			}
+			reads++
+			eng.Stop()
+		}
+	})
+	m.Spawn("writer", func(task *pvm.Task) {
+		n := NewNode(task, Options{})
+		n.Register(loc)
+		for i := int64(0); ; i++ {
+			task.Compute(sim.Millisecond)
+			n.Write(loc, i, value)
+		}
+	})
+	next := func() {
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		next()
+	}
+	if allocs := testing.AllocsPerRun(500, next); allocs != 0 {
+		t.Fatalf("a warmed write/blocking-read cycle allocates %.3f times, want 0", allocs)
+	}
+	if reads != 3501 {
+		t.Fatalf("%d reads returned, want 3501 (one per engine run)", reads)
 	}
 }

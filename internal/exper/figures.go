@@ -262,6 +262,12 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 			}
 			serial := bayes.InferSerial(bn, q, opts.Precision, seed, calib, bayesMaxIters(opts))
 			out.Serial = serial.Time
+			// Every variant runs on one partition and one set of
+			// defaults, built once for the job.
+			plan, err := bayes.NewPlan(bn, q, 2, seed)
+			if err != nil {
+				return out, err
+			}
 			for _, v := range bayesVariants() {
 				cfg := bayes.ParallelConfig{
 					Net: bn, Query: q, P: 2,
@@ -276,7 +282,7 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 					ReadTimeout: opts.ReadTimeout,
 					RaceCheck:   opts.SimRace,
 				}
-				pr, err := bayes.RunParallel(cfg)
+				pr, err := plan.Run(cfg)
 				if err != nil {
 					return out, fmt.Errorf("%s: %w", v, err)
 				}
