@@ -55,6 +55,26 @@ func main() {
 		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address; strictly observer-side")
 	)
 	flag.Parse()
+	if *lossProb < 0 || *lossProb > 1 {
+		fmt.Fprintln(os.Stderr, "-loss must be in [0,1]")
+		os.Exit(2)
+	}
+	if *procsN < 1 {
+		fmt.Fprintln(os.Stderr, "-procs must be at least 1")
+		os.Exit(2)
+	}
+	if *trials < 0 {
+		fmt.Fprintln(os.Stderr, "-trials must not be negative (0 keeps the default)")
+		os.Exit(2)
+	}
+	if *readTo < 0 {
+		fmt.Fprintln(os.Stderr, "-read-timeout must not be negative (0 waits forever)")
+		os.Exit(2)
+	}
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "-workers must not be negative (0 = GOMAXPROCS)")
+		os.Exit(2)
+	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {
@@ -87,14 +107,6 @@ func main() {
 	}
 	opts.Reliable = *reliable
 	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	if *lossProb < 0 || *lossProb > 1 {
-		fmt.Fprintln(os.Stderr, "-loss must be in [0,1]")
-		os.Exit(2)
-	}
-	if *procsN < 1 {
-		fmt.Fprintln(os.Stderr, "-procs must be at least 1")
-		os.Exit(2)
-	}
 	opts.LossProb = *lossProb
 	opts.SimRace = *simRace
 	if *resume && *cacheDir == "" {

@@ -85,6 +85,34 @@ func TestBadProcsExitTwo(t *testing.T) {
 	}
 }
 
+// TestBadRunFlagsExitTwo checks that a negative -trials, -read-timeout
+// or -workers, each of which would otherwise run a sweep with a default
+// or an unbounded setting, is one line on stderr naming the flag and
+// exit status 2, before any simulation prints. With -http the check
+// comes before the server starts, whose start line would be a second.
+func TestBadRunFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-topo", "ring:12", "-trials", "-1"},
+		{"-topo", "ring:12", "-read-timeout", "-5ms"},
+		{"-topo", "ring:12", "-workers", "-2"},
+		{"-edges", edgeFile(t), "-procs", "2", "-read-timeout", "-1ns"},
+		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-trials", "-1"},
+	} {
+		stdout, stderr, code := runMain(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2\nstderr:\n%s", args, code, stderr)
+			continue
+		}
+		flagName := args[len(args)-2]
+		if strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, flagName) {
+			t.Errorf("%v: stderr is not one %s line:\n%s", args, flagName, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v: ran before rejecting its flags:\n%s", args, stdout)
+		}
+	}
+}
+
 // TestEdgesHonorNetworkFlags checks that a file-loaded topology runs
 // on the network the flags select, as -topo does: -switch and -loss
 // each change the report.

@@ -460,11 +460,9 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 	pvmCfg.Pooling = cfg.Faults == nil
 	machine := pvm.NewMachine(eng, net, pvmCfg)
 	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter()
-	warpSeries := metrics.NewWarpSeries(100 * sim.Millisecond)
+	warp := metrics.NewWarpMeter(100 * sim.Millisecond)
 	machine.ArrivalHook = func(dst int, m *pvm.Message) {
 		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-		warpSeries.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
 	}
 	if cfg.LoaderBps > 0 {
 		netsim.StartLoader(net, cfg.LoaderBps, 1024)
@@ -615,7 +613,7 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 	res.QueueDelay = st.QueueDelay
 	res.WarpMean = warp.Mean()
 	res.WarpMax = warp.Max()
-	res.WarpWindows = warpSeries.Windows()
+	res.WarpWindows = warp.Windows()
 
 	tasks := machine.TaskTelemetry()
 	var violations int64

@@ -18,6 +18,23 @@
 // required update to arrive) rather than the request-based variant
 // (broadcast a request for a fresh copy); the latter is available behind
 // an option for the ablation benchmark.
+//
+// A written value is shared, not copied: the writer's buffer, every
+// update in flight and every reader's buffer hold the same object. A
+// value that implements Block is handed back to its writer once none of
+// them holds it, under one ownership rule. When the task's pvm machine
+// pools (pvm.Config.Pooling), the node holds one reference for each
+// place the value sits: the writer's own buffer entry, each reader's
+// undelivered update, each reader's buffer entry, an outbox entry and a
+// request-based re-send. It releases a reference when that place lets
+// go of the value: a newer value replaces a buffer entry, apply drops a
+// stale or duplicate update, or an outbox entry is coalesced away or
+// sent. A Block that Read or GlobalRead returned therefore stays valid
+// until the reader's next DSM call on that node, which is when a newer
+// value can replace it; an Observer must not keep one past its call. A
+// delivery the network loses never releases its reference, so its
+// block is left to the GC, as pvm's pooled messages are. Without
+// pooling the node never calls Retain or Release.
 package core
 
 import (
@@ -72,6 +89,19 @@ type Location struct {
 	Writer  int   // writer task id
 	Readers []int // reader task ids (excluding the writer)
 	Size    int   // bytes per update message
+}
+
+// Block is a written value whose storage its writer recycles. The DSM
+// node counts the references it holds to a Block while the value sits
+// in a buffer or travels to a reader (see the package doc for the
+// rule), and only when the task's pvm machine pools. The last Release
+// hands the block back to its writer, who may then overwrite it for a
+// later write; until then nobody writes it.
+type Block interface {
+	// Retain adds n references.
+	Retain(n int)
+	// Release drops one reference.
+	Release()
 }
 
 // Update is a received value of a location together with its age
@@ -197,7 +227,8 @@ type Options struct {
 	// application-logic hook — parallel logic sampling consumes the full
 	// per-iteration interface stream through it. Pure observability does
 	// not belong here: set a trace.Tracer on the engine instead, and the
-	// node emits an "update" instant for the same stream.
+	// node emits an "update" instant for the same stream. A Block it is
+	// handed is valid only during the call.
 	Observer func(locID int, u Update)
 	// Races, if set, observes every DSM write and read for race
 	// classification (the -simrace flag wires the simrace checker in
@@ -315,6 +346,27 @@ func (n *Node) newUpdateMsg(nreaders int) *updateMsg {
 	return u
 }
 
+// retain takes k references to v for the node's buffers and messages,
+// if v is a Block and the node pools.
+func (n *Node) retain(v interface{}, k int) {
+	if !n.pooling || k == 0 {
+		return
+	}
+	if b, ok := v.(Block); ok {
+		b.Retain(k)
+	}
+}
+
+// release drops one reference to v, if v is a Block and the node pools.
+func (n *Node) release(v interface{}) {
+	if !n.pooling {
+		return
+	}
+	if b, ok := v.(Block); ok {
+		b.Release()
+	}
+}
+
 // now returns the task's virtual time, 0 for a detached node (as in
 // buffer-level unit tests).
 func (n *Node) now() sim.Time {
@@ -375,13 +427,21 @@ func (n *Node) WriteSized(loc *Location, iter int64, size int, value interface{}
 	if n.opts.Races != nil {
 		n.opts.Races.ObserveWrite(n.task.ID(), loc.ID, iter)
 	}
-	// The writer's own buffer always sees its latest value.
+	// The writer's own buffer always sees its latest value. Its entry
+	// takes its reference before the one it replaces lets go, so a
+	// republished value never reaches zero in between.
+	n.retain(value, 1)
+	if n.pooling {
+		n.release(n.buf[loc.ID].Value)
+	}
 	n.buf[loc.ID] = Update{Value: value, Iter: iter, WrittenAt: n.task.Now()}
 
 	if n.opts.Window > 0 && n.inFlight >= n.opts.Window {
+		n.retain(value, 1) // the outbox entry's
 		if n.opts.Coalesce {
 			for i := range n.outbox {
 				if n.outbox[i].loc.ID == loc.ID {
+					n.release(n.outbox[i].val)
 					n.outbox[i] = outboxEntry{loc, iter, value, n.task.Now(), size}
 					n.stats.Coalesced++
 					return
@@ -400,6 +460,7 @@ func (n *Node) sendUpdate(loc *Location, iter int64, value interface{}, wAt sim.
 	}
 	msg := n.newUpdateMsg(len(loc.Readers))
 	msg.Loc, msg.Iter, msg.Value, msg.WAt = loc.ID, iter, value, wAt
+	n.retain(value, len(loc.Readers)) // one per reader's undelivered update
 	if n.wireDone != nil {
 		n.inFlight++
 	}
@@ -419,6 +480,7 @@ func (n *Node) Flush() {
 		copy(n.outbox, n.outbox[1:])
 		n.outbox = n.outbox[:len(n.outbox)-1]
 		n.sendUpdate(e.loc, e.iter, e.val, e.wAt, e.size)
+		n.release(e.val) // the outbox entry's, now the updates'
 	}
 }
 
@@ -439,7 +501,9 @@ func (n *Node) drain() {
 
 // apply installs an update if it is fresher than what the buffer holds.
 // Stale (out-of-order or duplicate) updates are dropped — non-strict
-// coherence only ever moves forward.
+// coherence only ever moves forward. The update's reference to its
+// value moves into the buffer entry, which releases the value it
+// replaces; a dropped update releases its own.
 func (n *Node) apply(u *updateMsg) {
 	if n.opts.Observer != nil {
 		n.opts.Observer(u.Loc, Update{Value: u.Value, Iter: u.Iter, WrittenAt: u.WAt})
@@ -452,6 +516,9 @@ func (n *Node) apply(u *updateMsg) {
 	cur, ok := n.buf[u.Loc]
 	if !ok || u.Iter > cur.Iter {
 		n.buf[u.Loc] = Update{Value: u.Value, Iter: u.Iter, WrittenAt: u.WAt}
+		n.release(cur.Value)
+	} else {
+		n.release(u.Value)
 	}
 }
 
@@ -471,6 +538,7 @@ func (n *Node) serveRequests() {
 		if cur, ok := n.buf[req.Loc]; ok {
 			msg := n.newUpdateMsg(1)
 			msg.Loc, msg.Iter, msg.Value, msg.WAt = loc.ID, cur.Iter, cur.Value, cur.WrittenAt
+			n.retain(cur.Value, 1)
 			n.task.Send(m.Src, UpdateTag, loc.Size, msg)
 			n.stats.UpdatesSent++
 		}

@@ -89,8 +89,13 @@ func GraphConfig(g *graph.Graph, algo graph.Algo, p int, v Variant, seed int64, 
 }
 
 // graphTrial runs the sequential oracle plus every variant for one
-// (topology, algorithm, seed).
+// (topology, algorithm, seed). The variants share one plan, so the
+// partitions are laid out once per cell.
 func graphTrial(g *graph.Graph, algo graph.Algo, p int, seed int64, opts Options) (graphTrialOut, error) {
+	plan, err := graph.NewPlan(g, algo, p)
+	if err != nil {
+		return graphTrialOut{}, err
+	}
 	seq := graph.RunSequential(g, algo, 0, graphMaxSupersteps, graph.DefaultCalibration())
 	out := graphTrialOut{
 		Serial: seq.Time,
@@ -105,7 +110,7 @@ func graphTrial(g *graph.Graph, algo graph.Algo, p int, seed int64, opts Options
 		out.Unb = make(map[Variant]int64)
 	}
 	for _, v := range Variants() {
-		r, err := graph.Run(GraphConfig(g, algo, p, v, seed, opts))
+		r, err := plan.Run(GraphConfig(g, algo, p, v, seed, opts))
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", v, err)
 		}

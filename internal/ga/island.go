@@ -256,12 +256,10 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	pvmCfg.Pooling = cfg.Faults == nil
 	machine := pvm.NewMachine(eng, net, pvmCfg)
 	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter()
-	warpSeries := metrics.NewWarpSeries(100 * sim.Millisecond)
+	warp := metrics.NewWarpMeter(100 * sim.Millisecond)
 	serFit := cfg.Series.Gauge("ga.avg_fitness")
 	machine.ArrivalHook = func(dst int, m *pvm.Message) {
 		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-		warpSeries.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
 	}
 	if cfg.LoaderBps > 0 {
 		netsim.StartLoader(net, cfg.LoaderBps, 1024)
@@ -471,7 +469,7 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	res.QueueDelay = st.QueueDelay
 	res.WarpMean = warp.Mean()
 	res.WarpMax = warp.Max()
-	res.WarpWindows = warpSeries.Windows()
+	res.WarpWindows = warp.Windows()
 
 	tasks := machine.TaskTelemetry()
 	var violations int64

@@ -18,13 +18,29 @@
 // against a sequential oracle.
 //
 // Every superstep, partitioned or sequential, runs through one kernel
-// per vertex range, built once per run: the range's vertices ranked by
-// in-degree, their in-edges stored jagged-diagonal, and each source
-// relabelled into a compact operand array holding the range's own
-// block and then the out-of-range sources it reads. The fold is
-// branch-free per diagonal, and each vertex still folds the same
-// operands in CSR order, so the results are bit for bit those of the
-// plain pull-CSR fold.
+// per vertex range: the range's vertices ranked by in-degree, their
+// in-edges stored jagged-diagonal, and each source relabelled into a
+// compact operand array holding the range's own block and then the
+// out-of-range sources it reads. The fold is branch-free per diagonal,
+// and each vertex still folds the same operands in CSR order, so the
+// results are bit for bit those of the plain pull-CSR fold.
+//
+// A Plan lays out one graph, algorithm and partition count once: the
+// partitions' vertex blocks, their DSM locations and source lists, and
+// each partition's kernel. Run is NewPlan followed by (*Plan).Run; a
+// graph sweep cell runs its seven coherence variants on one plan, and
+// concurrent runs may share it, since a run clones only its kernels'
+// operands and accumulators.
+//
+// A partition publishes its state as a state block, which implements
+// core.Block. When pvm pools (no fault plan attached), the DSM nodes
+// count the buffers and messages holding a block, and the last release
+// returns it to its partition's free list, so a partition cycles
+// through a few blocks instead of allocating one per changed
+// superstep. Readers tell blocks apart by the superstep stamp each
+// carries, not by array identity. The test-only nscc_poison build tag
+// fills a released block with NaN, so a use after release changes the
+// results.
 package graph
 
 import (

@@ -6,12 +6,13 @@ import (
 	"slices"
 )
 
-// kernel is one vertex range's superstep, laid out for the fold. The
-// partitioned runner builds one per partition per Run, the sequential
-// oracle one over the whole graph per RunSequential, and both then call
-// superstep once per superstep, so the per-vertex float operation order
-// is identical everywhere by construction; only the freshness of the
-// operands differs between coherence disciplines.
+// kernel is one vertex range's superstep, laid out for the fold. A
+// Plan builds one per partition, and each of its runs folds on clones;
+// the sequential oracle builds one over the whole graph per
+// RunSequential. Both then call superstep once per superstep, so the
+// per-vertex float operation order is identical everywhere by
+// construction; only the freshness of the operands differs between
+// coherence disciplines.
 //
 // The range's vertices are ranked by in-degree, descending, with a
 // stable counting sort, so equal in-degrees keep vertex order. The
@@ -132,6 +133,16 @@ func newKernel(g *Graph, algo Algo, lo, hi int, sc *kernelScratch) *kernel {
 	}
 	k.ops = make([]float64, n+len(k.ghosts))
 	return k
+}
+
+// clone returns a kernel that shares k's layout and starts from a copy
+// of k's operands, with an accumulator of its own, so it can fold while
+// other clones of k fold too.
+func (k *kernel) clone() *kernel {
+	c := *k
+	c.ops = slices.Clone(k.ops)
+	c.acc = make([]float64, len(k.acc))
+	return &c
 }
 
 // load fills every operand slot from view, the operand form of the

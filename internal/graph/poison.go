@@ -1,0 +1,7 @@
+//go:build nscc_poison
+
+package graph
+
+// poisonReleased makes a state block's last release overwrite its
+// values with NaN. It is on only in the test-only nscc_poison build.
+const poisonReleased = true

@@ -140,18 +140,134 @@ func (c Config) quietDefault() int {
 	return 4
 }
 
-// Run executes one partitioned graph-kernel configuration on a fresh
-// simulated cluster. The run is deterministic in cfg.Seed. An
-// impossible config, a negative Global_Read age among them, comes back
-// as an error.
-func Run(cfg Config) (Result, error) {
+// Plan is the layout every run of one graph, algorithm and partition
+// count shares: the partitions' contiguous vertex blocks, the DSM
+// location each publishes and the source partitions each reads, the
+// iteration-0 state, and each partition's kernel with its operands
+// loaded from that state. A graph sweep cell runs its seven coherence
+// variants on one plan instead of laying the partitions out seven
+// times.
+//
+// No run writes a plan: a run clones only its kernels' per-run state,
+// their operands and accumulators, so concurrent runs may share one.
+type Plan struct {
+	g    *Graph
+	algo Algo
+	p    int
+
+	bounds  []int            // partition q owns [bounds[q], bounds[q+1])
+	locs    []*core.Location // partition q publishes locs[q]
+	sources [][]int          // per partition: whose locations it reads
+	// cuts[q][si] is the index of kernels[q]'s first ghost in source
+	// sources[q][si]'s block, and cuts[q][len(sources[q])] the ghost
+	// count: the ghosts of source si are [cuts[q][si], cuts[q][si+1]),
+	// since both lists ascend.
+	cuts    [][]int
+	init    []float64 // the iteration-0 state vector
+	kernels []*kernel // operands loaded from init; runs fold on clones
+}
+
+// NewPlan lays out runs of algo over g on p partitions. A nil graph,
+// p < 1 and more partitions than vertices are errors.
+func NewPlan(g *Graph, algo Algo, p int) (*Plan, error) {
 	switch {
-	case cfg.G == nil:
-		return Result{}, errors.New("graph: Run needs a graph")
-	case cfg.P < 1:
-		return Result{}, fmt.Errorf("graph: Run needs at least 1 partition, have %d", cfg.P)
-	case cfg.P > cfg.G.N:
-		return Result{}, fmt.Errorf("graph: %d partitions for %d vertices", cfg.P, cfg.G.N)
+	case g == nil:
+		return nil, errors.New("graph: NewPlan needs a graph")
+	case p < 1:
+		return nil, fmt.Errorf("graph: NewPlan needs at least 1 partition, have %d", p)
+	case p > g.N:
+		return nil, fmt.Errorf("graph: %d partitions for %d vertices", p, g.N)
+	}
+	// Partitioning: contiguous vertex blocks; partition q reads the
+	// location of every partition owning a source of one of q's
+	// in-edges.
+	bounds := partBounds(g.N, p)
+	part := make([]int, g.N)
+	for q := 0; q < p; q++ {
+		for v := bounds[q]; v < bounds[q+1]; v++ {
+			part[v] = q
+		}
+	}
+	reads := make([][]bool, p)
+	for q := range reads {
+		reads[q] = make([]bool, p)
+	}
+	for v := 0; v < g.N; v++ {
+		q := part[v]
+		for i := g.InOff[v]; i < g.InOff[v+1]; i++ {
+			if r := part[g.InSrc[i]]; r != q {
+				reads[q][r] = true
+			}
+		}
+	}
+	pl := &Plan{
+		g: g, algo: algo, p: p,
+		bounds:  bounds,
+		locs:    make([]*core.Location, p),
+		sources: make([][]int, p),
+		cuts:    make([][]int, p),
+		init:    initValues(algo, g.N),
+		kernels: make([]*kernel, p),
+	}
+	for w := 0; w < p; w++ {
+		var readers []int
+		for q := 0; q < p; q++ {
+			if reads[q][w] {
+				readers = append(readers, q)
+				pl.sources[q] = append(pl.sources[q], w)
+			}
+		}
+		pl.locs[w] = &core.Location{
+			ID:      w,
+			Name:    "state",
+			Writer:  w,
+			Readers: readers,
+			Size:    StateBytes(bounds[w+1] - bounds[w]),
+		}
+	}
+	// Each partition folds its in-edges through its own kernel, whose
+	// ghost slots hold the initial state until a source block arrives.
+	initOps := make([]float64, g.N)
+	operands(g, algo, 0, pl.init, initOps)
+	var scratch kernelScratch
+	for q := range pl.kernels {
+		k := newKernel(g, algo, bounds[q], bounds[q+1], &scratch)
+		k.load(initOps)
+		cut := make([]int, len(pl.sources[q])+1)
+		for si, src := range pl.sources[q] {
+			cut[si] = k.ghostIndex(bounds[src])
+		}
+		cut[len(pl.sources[q])] = len(k.ghosts)
+		pl.kernels[q], pl.cuts[q] = k, cut
+	}
+	return pl, nil
+}
+
+// Run executes one partitioned graph-kernel configuration on a fresh
+// simulated cluster: NewPlan for cfg's graph, algorithm and partition
+// count, then Run. The run is deterministic in cfg.Seed. An impossible
+// config, a negative Global_Read age among them, comes back as an
+// error.
+func Run(cfg Config) (Result, error) {
+	pl, err := NewPlan(cfg.G, cfg.Algo, cfg.P)
+	if err != nil {
+		return Result{}, err
+	}
+	return pl.Run(cfg)
+}
+
+// Run executes one partitioned graph-kernel configuration on the plan
+// and a fresh simulated cluster, with the same result Run(cfg) gives.
+// cfg's G, Algo and P must be the plan's; a mismatch, like any other
+// impossible config, comes back as an error.
+func (pl *Plan) Run(cfg Config) (Result, error) {
+	switch {
+	case cfg.G != pl.g:
+		return Result{}, errors.New("graph: Run config names another graph than its plan")
+	case cfg.Algo != pl.algo:
+		return Result{}, fmt.Errorf("graph: Run config runs %s, its plan %s", cfg.Algo, pl.algo)
+	case cfg.P != pl.p:
+		return Result{}, fmt.Errorf("graph: Run config has P=%d, its plan %d", cfg.P, pl.p)
 	case cfg.MaxSupersteps <= 0:
 		return Result{}, fmt.Errorf("graph: Run needs MaxSupersteps > 0, have %d", cfg.MaxSupersteps)
 	case cfg.Mode == core.NonStrict && cfg.Age < 0:
@@ -164,6 +280,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	partEps := eps / float64(cfg.P)
 	quiet := cfg.quietDefault()
+	bounds, locs, sources := pl.bounds, pl.locs, pl.sources
 
 	eng := sim.NewEngine(cfg.Seed)
 	defer eng.Close()
@@ -193,18 +310,17 @@ func Run(cfg Config) (Result, error) {
 		pvmCfg.Reliable = true
 	}
 	// Pooling is safe only without fault injection (duplication
-	// re-delivers the same payload pointer).
+	// re-delivers the same payload pointer). It also switches on the
+	// recycling of state blocks and convergence reports.
 	pvmCfg.Pooling = cfg.Faults == nil
 	machine := pvm.NewMachine(eng, net, pvmCfg)
 	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter()
-	warpSeries := metrics.NewWarpSeries(100 * sim.Millisecond)
+	warp := metrics.NewWarpMeter(100 * sim.Millisecond)
 	serIters := cfg.Series.Counter("graph.iters")
 	serResid := cfg.Series.Gauge("graph.residual")
 	serFrontier := cfg.Series.Gauge("graph.frontier_size")
 	machine.ArrivalHook = func(dst int, m *pvm.Message) {
 		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-		warpSeries.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
 	}
 	nodeOpts := cfg.NodeOpts
 	if cfg.ReadTimeout > 0 {
@@ -218,60 +334,11 @@ func Run(cfg Config) (Result, error) {
 		nodeOpts.Races = rc
 	}
 
-	// Partitioning: contiguous vertex blocks; partition q reads the
-	// location of every partition owning a source of one of q's
-	// in-edges.
-	bounds := partBounds(g.N, cfg.P)
-	part := make([]int, g.N)
-	for p := 0; p < cfg.P; p++ {
-		for v := bounds[p]; v < bounds[p+1]; v++ {
-			part[v] = p
-		}
-	}
-	reads := make([][]bool, cfg.P)
-	for q := range reads {
-		reads[q] = make([]bool, cfg.P)
-	}
-	for v := 0; v < g.N; v++ {
-		q := part[v]
-		for i := g.InOff[v]; i < g.InOff[v+1]; i++ {
-			if p := part[g.InSrc[i]]; p != q {
-				reads[q][p] = true
-			}
-		}
-	}
-	locs := make([]*core.Location, cfg.P)
-	sources := make([][]int, cfg.P) // per partition: whose locations it reads
 	members := make([]int, cfg.P)
-	for p := 0; p < cfg.P; p++ {
-		members[p] = p
-		var readers []int
-		for q := 0; q < cfg.P; q++ {
-			if reads[q][p] {
-				readers = append(readers, q)
-				sources[q] = append(sources[q], p)
-			}
-		}
-		locs[p] = &core.Location{
-			ID:      p,
-			Name:    "state",
-			Writer:  p,
-			Readers: readers,
-			Size:    StateBytes(bounds[p+1] - bounds[p]),
-		}
+	for q := range members {
+		members[q] = q
 	}
 	barrier := core.NewMsgBarrier(members)
-	init := initValues(cfg.Algo, g.N)
-	initOps := make([]float64, g.N)
-	operands(g, cfg.Algo, 0, init, initOps)
-	// Each partition folds its in-edges through its own kernel, whose
-	// ghost slots hold the initial state until a source block arrives.
-	kernels := make([]*kernel, cfg.P)
-	var scratch kernelScratch
-	for p := range kernels {
-		kernels[p] = newKernel(g, cfg.Algo, bounds[p], bounds[p+1], &scratch)
-		kernels[p].load(initOps)
-	}
 
 	res := Result{
 		Values:     make([]float64, g.N),
@@ -290,6 +357,10 @@ func Run(cfg Config) (Result, error) {
 			lastSeen[q][i] = core.NoValue
 		}
 	}
+	// reports is the run's free list of convergence reports, kept only
+	// when pvm pools: the coordinator returns each report after folding
+	// it, and the other partitions send theirs from the list.
+	var reports []*ctrlMsg
 	coreStats := make([]core.Stats, cfg.P)
 	var staleHist metrics.Histogram
 	var exitTimes []sim.Time
@@ -303,30 +374,30 @@ func Run(cfg Config) (Result, error) {
 				node.Register(l)
 			}
 			lo, hi := bounds[p], bounds[p+1]
-			owned := append([]float64(nil), init[lo:hi]...)
+			owned := append([]float64(nil), pl.init[lo:hi]...)
 			// kern's operands are every source block's ghosts as last
 			// gathered, and this partition's block as last published.
-			// The ghosts of source si are kern.ghosts[cut[si]:cut[si+1]],
-			// since both lists ascend.
-			kern := kernels[p]
-			cut := make([]int, len(sources[p])+1)
-			for si, src := range sources[p] {
-				cut[si] = kern.ghostIndex(bounds[src])
-			}
-			cut[len(sources[p])] = len(kern.ghosts)
+			// The ghosts of source si are kern.ghosts[cut[si]:cut[si+1]].
+			kern := pl.kernels[p].clone()
+			cut := pl.cuts[p]
 			seen := make([]int64, len(sources[p])) // freshest observed iter per source
 			for i := range seen {
 				seen[i] = core.NoValue
 			}
-			// held is the payload each source's ghosts were last
-			// gathered from. Payloads are never written after their
-			// publish, and holding one keeps its array from being
-			// reused, so a payload with the same backing array carries
-			// the same values and needs no gather.
-			held := make([][]float64, len(sources[p]))
+			// held is the stamp of the block each source's ghosts were
+			// last gathered from. A partition fills at most one block
+			// per superstep, so a block with the same stamp carries the
+			// same values and needs no gather.
+			held := make([]int64, len(sources[p]))
+			for i := range held {
+				held[i] = -1
+			}
 			// payload is owned in operand form as last published, nil
-			// once owned has changed since.
-			var payload []float64
+			// once owned has changed since. blocks is the partition's
+			// free list, which payloads return to once no buffer or
+			// message holds them.
+			var payload *stateBlock
+			blocks := &blockPool{}
 			// changed reports that owned or some of kern's ghosts
 			// changed since the last superstep call (or that it never
 			// ran). While it is false, the kernel would leave owned as
@@ -336,15 +407,19 @@ func Run(cfg Config) (Result, error) {
 			jit := newJitterer(cfg.Calib, task.Proc().Rng())
 			stepCost := cfg.Calib.StepCost(hi-lo, int(g.InOff[hi]-g.InOff[lo])).Seconds()
 			done := false
+			var own ctrlMsg // partition 0's own report, folded in place
 
 			// publish writes owned, in operand form, to this partition's
-			// location. A partition whose state has not changed since its
-			// last publish republishes the same payload.
-			publish := func(iter int64) {
+			// location as its iteration iter value; at is the superstep
+			// whose entering state owned is. A partition whose state has
+			// not changed since its last publish republishes the same
+			// block.
+			publish := func(at, iter int64) {
 				if payload == nil {
-					payload = make([]float64, hi-lo)
-					operands(g, cfg.Algo, lo, owned, payload)
-					copy(kern.ops, payload) // the own block leads kern.ops
+					payload = blocks.get(hi - lo)
+					payload.at = at
+					operands(g, cfg.Algo, lo, owned, payload.vals)
+					copy(kern.ops, payload.vals) // the own block leads kern.ops
 				}
 				node.Write(locs[p], iter, payload)
 			}
@@ -352,7 +427,7 @@ func Run(cfg Config) (Result, error) {
 			finish := func(iter int64) {
 				// Publish the final state so no peer ever blocks on this
 				// partition again, then record results.
-				publish(sentinelIter)
+				publish(iter, sentinelIter)
 				res.Supersteps[p] = iter
 				copy(res.Values[lo:hi], owned)
 				st := node.Stats()
@@ -385,6 +460,21 @@ func Run(cfg Config) (Result, error) {
 					lastDirty[m.Part] = m.Iter
 				}
 				copy(lastSeen[m.Part], m.Seen)
+			}
+			// collect folds every report waiting in the mailbox, then
+			// returns each to the free list when pvm pools.
+			collect := func() {
+				for {
+					m := task.NRecv(pvm.Any, ctrlTag)
+					if m == nil {
+						return
+					}
+					r := m.Data.(*ctrlMsg)
+					report(r)
+					if pvmCfg.Pooling {
+						reports = append(reports, r)
+					}
+				}
 			}
 
 			// converged decides termination: every partition clean for a
@@ -420,13 +510,7 @@ func Run(cfg Config) (Result, error) {
 				// rides the barrier — see the end of the loop.
 				if cfg.Mode != core.Sync {
 					if p == 0 {
-						for {
-							m := task.NRecv(pvm.Any, ctrlTag)
-							if m == nil {
-								break
-							}
-							report(m.Data.(*ctrlMsg))
-						}
+						collect()
 						if converged() {
 							res.Converged = true
 							task.Bcast(doneTag, doneMsgSize, nil)
@@ -442,7 +526,7 @@ func Run(cfg Config) (Result, error) {
 				// Publish this superstep's state, then read the peers
 				// under the run's coherence discipline.
 				stepStart := task.Now()
-				publish(iter)
+				publish(iter, iter)
 				for si, src := range sources[p] {
 					var u core.Update
 					ok := false
@@ -464,13 +548,12 @@ func Run(cfg Config) (Result, error) {
 					if u.Iter > seen[si] {
 						seen[si] = u.Iter
 					}
-					slo, shi := bounds[src], bounds[src+1]
-					if vs, vok := u.Value.([]float64); vok && len(vs) == shi-slo {
-						if h := held[si]; h == nil || &h[0] != &vs[0] {
-							kern.gather(cut[si], cut[si+1], slo, vs)
-							held[si] = vs
-							changed = true
-						}
+					// The block stays valid until this node's next DSM
+					// call, so it is gathered here or not at all.
+					if b := u.Value.(*stateBlock); b.at != held[si] {
+						kern.gather(cut[si], cut[si+1], bounds[src], b.vals)
+						held[si] = b.at
+						changed = true
 					}
 				}
 
@@ -486,11 +569,20 @@ func Run(cfg Config) (Result, error) {
 				task.Compute(sim.DurationOf(stepCost * jit.next()))
 
 				if p == 0 {
-					report(&ctrlMsg{Part: 0, Iter: iter, Residual: residual, Frontier: frontier, Seen: seen})
+					own.Iter, own.Residual, own.Frontier, own.Seen = iter, residual, frontier, seen
+					report(&own)
 				} else {
-					task.Send(0, ctrlTag, ctrlMsgSize(len(seen)),
-						&ctrlMsg{Part: p, Iter: iter, Residual: residual, Frontier: frontier,
-							Seen: append([]int64(nil), seen...)})
+					var m *ctrlMsg
+					if k := len(reports); k > 0 {
+						m = reports[k-1]
+						reports[k-1] = nil
+						reports = reports[:k-1]
+					} else {
+						m = &ctrlMsg{}
+					}
+					m.Part, m.Iter, m.Residual, m.Frontier = p, iter, residual, frontier
+					m.Seen = append(m.Seen[:0], seen...)
+					task.Send(0, ctrlTag, ctrlMsgSize(len(seen)), m)
 				}
 
 				now := task.Now()
@@ -519,13 +611,7 @@ func Run(cfg Config) (Result, error) {
 					// the barrier itself needs delivery to terminate).
 					barrier.Wait(task)
 					if p == 0 {
-						for {
-							m := task.NRecv(pvm.Any, ctrlTag)
-							if m == nil {
-								break
-							}
-							report(m.Data.(*ctrlMsg))
-						}
+						collect()
 						stop := converged()
 						if stop {
 							res.Converged = true
@@ -590,7 +676,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Series != nil {
 		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range warpSeries.Windows() {
+		for w, v := range warp.Windows() {
 			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
 		}
 		res.Telemetry.Series = cfg.Series.Summaries()

@@ -17,42 +17,58 @@ import (
 // sending times. Warp 1 means stable network load; warp >> 1 means load
 // is increasing.
 
-// WarpMeter accumulates warp samples per (receiver, sender) pair.
+// WarpMeter accumulates warp samples per (receiver, sender) pair: their
+// mean and max over the whole run and, with a window, their mean over
+// each consecutive window of virtual time, so the onset of network
+// instability is visible as a time series rather than a single mean: a
+// stable network hovers at 1 in every window; a flooding sender drives
+// later windows' warp upward. One pairing feeds both views.
 type WarpMeter struct {
-	last map[[2]int][2]sim.Time // (dst,src) -> (sentAt, arrivedAt) of previous message
-	acc  Accumulator
+	last   map[[2]int][2]sim.Time // (dst,src) -> (sentAt, arrivedAt) of previous message
+	acc    Accumulator
+	window sim.Duration  // window width; 0 keeps no windows
+	accs   []Accumulator // accs[i] holds the samples arriving in window i
 }
 
-// NewWarpMeter returns an empty meter.
-func NewWarpMeter() *WarpMeter {
-	return &WarpMeter{last: make(map[[2]int][2]sim.Time)}
+// NewWarpMeter returns an empty meter. A positive window also keeps the
+// per-window means Windows reports; 0 keeps none, and a negative window
+// panics.
+func NewWarpMeter(window sim.Duration) *WarpMeter {
+	if window < 0 {
+		panic("metrics: warp window must not be negative")
+	}
+	return &WarpMeter{last: make(map[[2]int][2]sim.Time), window: window}
 }
 
 // Observe records one message arrival. Call it for every message (e.g.
-// from pvm.Machine.ArrivalHook).
+// from pvm.Machine.ArrivalHook). It pairs the arrival with the previous
+// message of the same (receiver, sender) stream, and a pair with a
+// positive send spacing yields one sample, which lands in the whole-run
+// statistics and in the window containing arrivedAt.
 func (w *WarpMeter) Observe(dst, src int, sentAt, arrivedAt sim.Time) {
-	if s, ok := w.observe(dst, src, sentAt, arrivedAt); ok {
-		w.acc.Add(s)
+	var win *Accumulator
+	if w.window > 0 {
+		idx := int(int64(arrivedAt) / int64(w.window))
+		for len(w.accs) <= idx {
+			w.accs = append(w.accs, Accumulator{})
+		}
+		win = &w.accs[idx]
 	}
-}
-
-// observe pairs the arrival with the previous message of the same
-// (receiver, sender) stream and returns the warp sample, if the pair
-// yields one. It is the single copy of the pairing logic; WarpMeter and
-// WarpSeries both build on it.
-func (w *WarpMeter) observe(dst, src int, sentAt, arrivedAt sim.Time) (float64, bool) {
 	key := [2]int{dst, src}
 	prev, ok := w.last[key]
 	w.last[key] = [2]sim.Time{sentAt, arrivedAt}
 	if !ok {
-		return 0, false
+		return
 	}
 	ds := sentAt.Sub(prev[0]).Seconds()
 	if ds <= 0 {
-		return 0, false
+		return
 	}
-	da := arrivedAt.Sub(prev[1]).Seconds()
-	return da / ds, true
+	s := arrivedAt.Sub(prev[1]).Seconds() / ds
+	w.acc.Add(s)
+	if win != nil {
+		win.Add(s)
+	}
 }
 
 // Samples reports how many warp values have been measured.
@@ -75,61 +91,19 @@ func (w *WarpMeter) Max() float64 {
 	return w.acc.Max()
 }
 
-// WarpSeries tracks warp over consecutive windows of virtual time, so
-// the onset of network instability is visible as a time series rather
-// than a single mean: a stable network hovers at 1 in every window; a
-// flooding sender drives later windows' warp upward.
-type WarpSeries struct {
-	meter  *WarpMeter
-	window sim.Duration
-	cur    int
-	accs   []Accumulator
-}
-
-// NewWarpSeries returns a series with the given window width.
-func NewWarpSeries(window sim.Duration) *WarpSeries {
-	if window <= 0 {
-		panic("metrics: warp window must be positive")
-	}
-	return &WarpSeries{meter: NewWarpMeter(), window: window}
-}
-
-// Observe records one message arrival (same contract as
-// WarpMeter.Observe); the sample lands in the window containing
-// arrivedAt. The pairing logic is delegated to the embedded meter so it
-// cannot drift from WarpMeter's.
-func (ws *WarpSeries) Observe(dst, src int, sentAt, arrivedAt sim.Time) {
-	idx := int(int64(arrivedAt) / int64(ws.window))
-	for len(ws.accs) <= idx {
-		ws.accs = append(ws.accs, Accumulator{})
-	}
-	if s, ok := ws.meter.observe(dst, src, sentAt, arrivedAt); ok {
-		ws.accs[idx].Add(s)
-	}
-}
-
-// Windows returns the per-window mean warp (1 for empty windows).
-func (ws *WarpSeries) Windows() []float64 {
-	out := make([]float64, len(ws.accs))
-	for i := range ws.accs {
-		if ws.accs[i].N() == 0 {
+// Windows returns the per-window mean warp (1 for empty windows), one
+// entry per window up to the last arrival's; it is empty without a
+// window.
+func (w *WarpMeter) Windows() []float64 {
+	out := make([]float64, len(w.accs))
+	for i := range w.accs {
+		if w.accs[i].N() == 0 {
 			out[i] = 1
 		} else {
-			out[i] = ws.accs[i].Mean()
+			out[i] = w.accs[i].Mean()
 		}
 	}
 	return out
-}
-
-// Max returns the largest window mean (1 with no samples).
-func (ws *WarpSeries) Max() float64 {
-	max := 1.0
-	for _, w := range ws.Windows() {
-		if w > max {
-			max = w
-		}
-	}
-	return max
 }
 
 // Accumulator is a Welford-style running mean/variance with min/max.

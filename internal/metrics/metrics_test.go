@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +79,7 @@ func TestProportionCI(t *testing.T) {
 }
 
 func TestWarpStableNetwork(t *testing.T) {
-	w := NewWarpMeter()
+	w := NewWarpMeter(0)
 	// Constant delay: arrival spacing == send spacing -> warp 1.
 	for i := 0; i < 10; i++ {
 		at := sim.Time(i) * sim.Time(sim.Millisecond)
@@ -92,7 +94,7 @@ func TestWarpStableNetwork(t *testing.T) {
 }
 
 func TestWarpRisingLoad(t *testing.T) {
-	w := NewWarpMeter()
+	w := NewWarpMeter(0)
 	// Send every 1 ms; queuing delay grows 1 ms per message: arrival
 	// spacing 2 ms -> warp 2.
 	for i := 0; i < 10; i++ {
@@ -106,7 +108,7 @@ func TestWarpRisingLoad(t *testing.T) {
 }
 
 func TestWarpPerPairTracking(t *testing.T) {
-	w := NewWarpMeter()
+	w := NewWarpMeter(0)
 	// Interleaved senders must not contaminate each other's deltas.
 	w.Observe(0, 1, 0, 10)
 	w.Observe(0, 2, 5, 1000)
@@ -120,7 +122,7 @@ func TestWarpPerPairTracking(t *testing.T) {
 }
 
 func TestWarpNoSamples(t *testing.T) {
-	w := NewWarpMeter()
+	w := NewWarpMeter(0)
 	if w.Mean() != 1 || w.Max() != 1 {
 		t.Fatal("empty meter should report warp 1 (stable)")
 	}
@@ -181,7 +183,7 @@ func TestAccumulatorMatchesTwoPass(t *testing.T) {
 }
 
 func TestWarpSeriesWindows(t *testing.T) {
-	ws := NewWarpSeries(10 * sim.Millisecond)
+	ws := NewWarpMeter(10 * sim.Millisecond)
 	// First window: stable (spacing preserved). Second window: doubling
 	// arrival spacing (warp 2).
 	for i := 0; i < 5; i++ {
@@ -200,30 +202,94 @@ func TestWarpSeriesWindows(t *testing.T) {
 	if math.Abs(win[0]-1) > 1e-9 {
 		t.Fatalf("stable window warp %v, want 1", win[0])
 	}
-	if ws.Max() < 1.5 {
-		t.Fatalf("unstable window never registered: %v (max %v)", win, ws.Max())
+	if slices.Max(win) < 1.5 {
+		t.Fatalf("unstable window never registered: %v", win)
 	}
 }
 
 func TestWarpSeriesEmptyWindowsAreStable(t *testing.T) {
-	ws := NewWarpSeries(sim.Millisecond)
+	ws := NewWarpMeter(sim.Millisecond)
 	ws.Observe(0, 1, 0, sim.Time(10*sim.Millisecond))
 	ws.Observe(0, 1, sim.Time(sim.Millisecond), sim.Time(11*sim.Millisecond))
-	for i, w := range ws.Windows()[:10] {
+	win := ws.Windows()
+	for i, w := range win[:10] {
 		if w != 1 {
 			t.Fatalf("empty window %d has warp %v", i, w)
 		}
 	}
-	if ws.Max() != 1 {
-		t.Fatalf("stable series max %v", ws.Max())
+	if slices.Max(win) != 1 {
+		t.Fatalf("stable series max %v", slices.Max(win))
 	}
 }
 
 func TestWarpSeriesBadWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("zero window did not panic")
+			t.Error("negative window did not panic")
 		}
 	}()
-	NewWarpSeries(0)
+	NewWarpMeter(-1)
+}
+
+// TestWarpMeterMatchesReferencePairing holds the meter's single pairing
+// to a reference that pairs a random arrival stream on its own: the
+// mean, the max, the sample count and every window mean must be equal
+// bit for bit, and a meter without a window must agree on the whole-run
+// figures.
+func TestWarpMeterMatchesReferencePairing(t *testing.T) {
+	const window = 3 * sim.Millisecond
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		windowed, plain := NewWarpMeter(window), NewWarpMeter(0)
+		last := map[[2]int][2]sim.Time{}
+		var all Accumulator
+		var wins []Accumulator
+		clock := make([]sim.Time, 4) // per-sender send clock
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			dst, src := rng.Intn(3), rng.Intn(4)
+			// Send times repeat now and then, so some pairs have zero
+			// spacing and yield no sample.
+			clock[src] = clock[src].Add(sim.Duration(rng.Intn(3)) * 200 * sim.Microsecond)
+			sent := clock[src]
+			arr := sent.Add(sim.Duration(rng.Intn(5000)) * sim.Microsecond)
+			windowed.Observe(dst, src, sent, arr)
+			plain.Observe(dst, src, sent, arr)
+
+			idx := int(int64(arr) / int64(window))
+			for len(wins) <= idx {
+				wins = append(wins, Accumulator{})
+			}
+			key := [2]int{dst, src}
+			prev, ok := last[key]
+			last[key] = [2]sim.Time{sent, arr}
+			if ds := sent.Sub(prev[0]).Seconds(); ok && ds > 0 {
+				s := arr.Sub(prev[1]).Seconds() / ds
+				all.Add(s)
+				wins[idx].Add(s)
+			}
+		}
+		wantMean, wantMax := 1.0, 1.0
+		if all.N() > 0 {
+			wantMean, wantMax = all.Mean(), all.Max()
+		}
+		wantWins := make([]float64, len(wins))
+		for i := range wins {
+			wantWins[i] = 1
+			if wins[i].N() > 0 {
+				wantWins[i] = wins[i].Mean()
+			}
+		}
+		for name, w := range map[string]*WarpMeter{"windowed": windowed, "plain": plain} {
+			if w.Samples() != all.N() || w.Mean() != wantMean || w.Max() != wantMax {
+				t.Fatalf("trial %d, %s: samples/mean/max %d/%v/%v, reference %d/%v/%v",
+					trial, name, w.Samples(), w.Mean(), w.Max(), all.N(), wantMean, wantMax)
+			}
+		}
+		if got := windowed.Windows(); !slices.Equal(got, wantWins) {
+			t.Fatalf("trial %d: windows %v, reference %v", trial, got, wantWins)
+		}
+		if got := plain.Windows(); len(got) != 0 {
+			t.Fatalf("trial %d: a meter without a window kept windows %v", trial, got)
+		}
+	}
 }

@@ -221,7 +221,8 @@ type Set struct {
 }
 
 // DefaultWindow is the window width runs use unless configured
-// otherwise: 100 virtual milliseconds, matching metrics.WarpSeries.
+// otherwise: 100 virtual milliseconds, matching the runners' warp
+// meter windows.
 const DefaultWindow = 100 * sim.Millisecond
 
 // NewSet returns an empty registry with the given window width
