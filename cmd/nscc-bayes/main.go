@@ -8,8 +8,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"nscc/internal/bayes"
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/netsim"
@@ -44,7 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	runMode, err := checkRun(*procs, *maxIt, *age, *mode, *algo)
+	runMode, err := checkRun(*procs, *maxIt, *age, *load, *readTo, *mode, *algo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -105,11 +107,13 @@ func main() {
 		Seed: *seed, Calib: calib, LoaderBps: *load,
 		RandomDefaults: *randDef,
 		Batch:          *batch,
-		Faults:         faultPlan,
-		Reliable:       *reliable,
-		RaceCheck:      *simRace,
+		Options: cluster.Options{
+			Faults:      faultPlan,
+			Reliable:    *reliable,
+			ReadTimeout: sim.Duration(readTo.Nanoseconds()),
+			RaceCheck:   *simRace,
+		},
 	}
-	cfg.ReadTimeout = sim.Duration(readTo.Nanoseconds())
 	if *swFabric {
 		sw := netsim.DefaultSwitchConfig()
 		cfg.SwitchCfg = &sw
@@ -162,7 +166,7 @@ func main() {
 
 // checkRun rejects flag values no run can use, before anything runs,
 // and returns the coherence mode -mode names.
-func checkRun(procs int, maxIters, age int64, mode, algo string) (core.Mode, error) {
+func checkRun(procs int, maxIters, age int64, load float64, readTo time.Duration, mode, algo string) (core.Mode, error) {
 	switch {
 	case procs < 1:
 		return 0, fmt.Errorf("-procs %d: want at least 1 processor", procs)
@@ -170,6 +174,10 @@ func checkRun(procs int, maxIters, age int64, mode, algo string) (core.Mode, err
 		return 0, fmt.Errorf("-maxiters %d: want at least 1 iteration", maxIters)
 	case age < 0:
 		return 0, fmt.Errorf("-age %d: want a staleness bound of at least 0 iterations", age)
+	case !(load >= 0):
+		return 0, fmt.Errorf("-load %v: want a rate of at least 0 bits/s", load)
+	case readTo < 0:
+		return 0, fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	case algo != "ls" && algo != "lw":
 		return 0, fmt.Errorf("-algo %q: want ls or lw", algo)
 	}

@@ -84,33 +84,41 @@ func main() {
 	)
 	flag.Parse()
 
-	if *profOut != "" {
-		stop, err := startProfiles(*profOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer stop()
-	}
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "-- live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
-
-	opts := exper.Quick()
-	if *profile == "full" {
-		opts = exper.Full()
-	} else if *profile != "quick" {
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
+	// Every flag is checked before anything starts: the profiles, the
+	// status server, the cache or a sweep.
+	bad := func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
 		os.Exit(2)
+	}
+	opts := exper.Quick()
+	switch *profile {
+	case "quick":
+	case "full":
+		opts = exper.Full()
+	default:
+		bad("unknown profile %q", *profile)
+	}
+	if !knownExperiment(*exp) {
+		bad("unknown experiment %q", *exp)
+	}
+	if *exp == "micro" && *benchOut == "" {
+		bad("-exp micro requires -bench-out (its only output is the snapshot)")
+	}
+	switch {
+	case *trials < 0:
+		bad("-trials %d: want at least 0 (0 keeps the profile's count)", *trials)
+	case *gens < 0:
+		bad("-gens %d: want at least 0 (0 keeps the profile's budget)", *gens)
+	case *workers < 0:
+		bad("-workers %d: want at least 0 (0 = GOMAXPROCS)", *workers)
+	case *readTo < 0:
+		bad("-read-timeout %v: want at least 0 (0 waits forever)", *readTo)
+	case !(*lossProb >= 0 && *lossProb <= 1):
+		bad("-loss must be in [0,1]")
+	case *raceOut != "" && !*simRace:
+		bad("-simrace-out requires -simrace")
+	case *resume && *cacheDir == "":
+		bad("-resume requires -cache-dir")
 	}
 	if *trials > 0 {
 		opts.Trials = *trials
@@ -126,42 +134,20 @@ func main() {
 	if *faultsF != "" {
 		plan, err := faults.LoadFile(*faultsF)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
+			bad("-faults: %v", err)
 		}
 		opts.Faults = plan
 	}
 	opts.Reliable = *reliable
 	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	if *lossProb < 0 || *lossProb > 1 {
-		fmt.Fprintf(os.Stderr, "-loss must be in [0,1]\n")
-		os.Exit(2)
-	}
 	opts.LossProb = *lossProb
 	opts.SimRace = *simRace
-	if *raceOut != "" && !*simRace {
-		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
-		os.Exit(2)
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -cache-dir")
-		os.Exit(2)
-	}
-	var store *ckpt.Store
-	if *cacheDir != "" {
-		store = ckpt.NewStore(*cacheDir, *resume)
-		opts.Ckpt = store
-	}
-	if srv != nil {
-		opts.Progress = srv
-	}
 	if *procs != "" {
 		opts.Procs = nil
 		for _, s := range strings.Split(*procs, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || p < 1 {
-				fmt.Fprintf(os.Stderr, "bad -procs entry %q\n", s)
-				os.Exit(2)
+				bad("bad -procs entry %q", s)
 			}
 			opts.Procs = append(opts.Procs, p)
 		}
@@ -171,11 +157,54 @@ func main() {
 		for _, s := range strings.Split(*funcs, ",") {
 			no, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || no < 1 || no > 8 {
-				fmt.Fprintf(os.Stderr, "bad -funcs entry %q\n", s)
-				os.Exit(2)
+				bad("bad -funcs entry %q", s)
 			}
 			fns = append(fns, functions.ByNo(no))
 		}
+	}
+	var nodes []int
+	if *nodesF != "" {
+		for _, s := range strings.Split(*nodesF, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil || n < 1 {
+				bad("bad -nodes entry %q", s)
+			}
+			nodes = append(nodes, n)
+		}
+	}
+	var topos []ga.Topology
+	if *toposF != "" {
+		for _, s := range strings.Split(*toposF, ",") {
+			topo, err := ga.ParseTopology(strings.TrimSpace(s))
+			if err != nil {
+				bad("%v", err)
+			}
+			topos = append(topos, topo)
+		}
+	}
+
+	if *profOut != "" {
+		stop, err := startProfiles(*profOut)
+		if err != nil {
+			bad("%v", err)
+		}
+		defer stop()
+	}
+	var srv *obs.Server
+	if *httpAddr != "" {
+		var err error
+		srv, err = obs.Start(*httpAddr)
+		if err != nil {
+			bad("%v", err)
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "-- live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
+		opts.Progress = srv
+	}
+	var store *ckpt.Store
+	if *cacheDir != "" {
+		store = ckpt.NewStore(*cacheDir, *resume)
+		opts.Ckpt = store
 	}
 
 	if *trOut != "" || *metOut != "" {
@@ -255,21 +284,16 @@ func main() {
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
-	matched := false
 	if want("table1") {
-		matched = true
 		run("Table 1", 0, func() error { exper.Table1(os.Stdout); return nil })
 	}
 	if want("table2") {
-		matched = true
 		run("Table 2", exper.Table2Cells(), func() error { _, err := exper.Table2(os.Stdout, opts); return err })
 	}
 	if want("fig1") {
-		matched = true
 		run("Figure 1", 0, func() error { exper.Figure1Report(os.Stdout, opts); return nil })
 	}
 	if want("fig2") {
-		matched = true
 		run("Figure 2", exper.Figure2Cells(opts, fns), func() error {
 			res, err := exper.Figure2(os.Stdout, opts, fns)
 			if err != nil {
@@ -282,7 +306,6 @@ func main() {
 		})
 	}
 	if want("fig3") {
-		matched = true
 		run("Figure 3", exper.Figure3Cells(opts), func() error {
 			res, err := exper.Figure3(os.Stdout, opts)
 			if err != nil {
@@ -294,7 +317,6 @@ func main() {
 		})
 	}
 	if want("fig4") {
-		matched = true
 		run("Figure 4", exper.Figure4Cells(opts, fns), func() error {
 			res, err := exper.Figure4(os.Stdout, opts, fns)
 			if err != nil {
@@ -310,7 +332,6 @@ func main() {
 	// but a -bench-out snapshot of "all" includes it so the performance
 	// baseline covers every pooled sweep the tool can run.
 	if *exp == "agesweep" || (*exp == "all" && *benchOut != "") {
-		matched = true
 		loads := []float64{0, 1e6, 2e6}
 		run("Age sweep", exper.AgeSweepCells(opts, len(loads)), func() error {
 			fn := functions.F1
@@ -361,29 +382,6 @@ func main() {
 		})
 	}
 	if *exp == "scale" {
-		matched = true
-		var nodes []int
-		if *nodesF != "" {
-			for _, s := range strings.Split(*nodesF, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "bad -nodes entry %q\n", s)
-					os.Exit(2)
-				}
-				nodes = append(nodes, n)
-			}
-		}
-		var topos []ga.Topology
-		if *toposF != "" {
-			for _, s := range strings.Split(*toposF, ",") {
-				topo, err := ga.ParseTopology(strings.TrimSpace(s))
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(2)
-				}
-				topos = append(topos, topo)
-			}
-		}
 		run("Scale sweep", exper.ScaleSweepCells(opts, nodes, topos), func() error {
 			rows, err := exper.ScaleSweep(os.Stdout, opts, nodes, topos)
 			if err != nil {
@@ -393,21 +391,6 @@ func main() {
 				return exper.WriteScaleRowsCSV(w, rows)
 			})
 		})
-	}
-	// -exp micro runs only the standard DES microbenchmarks — the
-	// machine-independent allocs/op column is what CI's perf gate
-	// compares against the committed baseline, so a fresh run must not
-	// cost a whole sweep.
-	if *exp == "micro" {
-		matched = true
-		if *benchOut == "" {
-			fmt.Fprintln(os.Stderr, "-exp micro requires -bench-out (its only output is the snapshot)")
-			os.Exit(2)
-		}
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
 
 	if store != nil {
@@ -437,6 +420,18 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *benchOut)
 	}
+}
+
+// knownExperiment reports whether -exp names an experiment. -exp micro
+// runs only the standard DES microbenchmarks — the machine-independent
+// allocs/op column is what CI's perf gate compares against the
+// committed baseline, so a fresh run must not cost a whole sweep.
+func knownExperiment(exp string) bool {
+	switch exp {
+	case "all", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "agesweep", "scale", "micro":
+		return true
+	}
+	return false
 }
 
 // startProfiles begins a CPU profile at PREFIX.cpu.pprof and returns a

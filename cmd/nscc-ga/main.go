@@ -9,7 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/ga"
@@ -54,14 +56,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
 		os.Exit(2)
 	}
-	if err := checkRun(*fnNo, *procs, *gens, *age, *rackSize); err != nil {
+	runMode, err := checkRun(*fnNo, *procs, *gens, *age, *rackSize, *load, *readTo, *mode)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	topo, err := ga.ParseTopology(*topology)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	var plan *faults.Plan
+	if *faultsF != "" {
+		if plan, err = faults.LoadFile(*faultsF); err != nil {
+			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {
-		var err error
 		srv, err = obs.Start(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -81,30 +95,23 @@ func main() {
 		serial.Time, serial.Best, serial.Avg, serial.Evals)
 
 	cfg := ga.IslandConfig{
-		Fn: fn, Par: par, P: *procs,
+		Fn: fn, Par: par, P: *procs, Mode: runMode,
+		Topology:  topo,
 		FixedGens: *gens, MinGens: *gens, MaxGens: 4 * *gens,
 		Seed: *seed, Calib: calib, LoaderBps: *load,
 		Interval:   *interval,
 		DynamicAge: *dynAge,
 		NodeOpts:   core.Options{Window: *window, Coalesce: *window > 0},
-		Reliable:   *reliable,
-		RaceCheck:  *simRace,
+		Options: cluster.Options{
+			Faults:      plan,
+			Reliable:    *reliable,
+			ReadTimeout: sim.Duration(readTo.Nanoseconds()),
+			RaceCheck:   *simRace,
+		},
 	}
-	cfg.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
+	if runMode == core.NonStrict {
+		cfg.Age = *age
 	}
-	topo, err := ga.ParseTopology(*topology)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cfg.Topology = topo
 	if *swFabric {
 		sw := netsim.DefaultSwitchConfig()
 		cfg.Switch = &sw
@@ -115,18 +122,6 @@ func main() {
 			h.RackSize = *rackSize
 		}
 		cfg.Hier = &h
-	}
-	switch *mode {
-	case "sync":
-		cfg.Mode = core.Sync
-	case "async":
-		cfg.Mode = core.Async
-	case "global_read":
-		cfg.Mode = core.NonStrict
-		cfg.Age = *age
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
 	if cfg.Mode != core.Sync {
 		// Quality target: the synchronous run's final population average.
@@ -193,19 +188,32 @@ func main() {
 	}
 }
 
-// checkRun rejects flag values no run can use, before anything runs.
-func checkRun(fnNo, procs int, gens, age int64, rackSize int) error {
+// checkRun rejects flag values no run can use, before anything runs,
+// and returns the coherence mode -mode names.
+func checkRun(fnNo, procs int, gens, age int64, rackSize int, load float64, readTo time.Duration, mode string) (core.Mode, error) {
 	switch {
 	case fnNo < 1 || fnNo > 8:
-		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
+		return 0, fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
 	case procs < 1:
-		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
+		return 0, fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case gens < 1:
-		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
+		return 0, fmt.Errorf("-gens %d: want at least 1 generation", gens)
 	case age < 0:
-		return fmt.Errorf("-age %d: want a staleness bound of at least 0 generations", age)
+		return 0, fmt.Errorf("-age %d: want a staleness bound of at least 0 generations", age)
 	case rackSize < 0:
-		return fmt.Errorf("-rack-size %d: want at least 1 node per rack, or 0 for the default", rackSize)
+		return 0, fmt.Errorf("-rack-size %d: want at least 1 node per rack, or 0 for the default", rackSize)
+	case !(load >= 0):
+		return 0, fmt.Errorf("-load %v: want a rate of at least 0 bits/s", load)
+	case readTo < 0:
+		return 0, fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	}
-	return nil
+	switch mode {
+	case "sync":
+		return core.Sync, nil
+	case "async":
+		return core.Async, nil
+	case "global_read":
+		return core.NonStrict, nil
+	}
+	return 0, fmt.Errorf("-mode %q: want sync, async or global_read", mode)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,13 +20,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadRunFlagsExitTwo checks that a -func, -procs, -gens, -age or
-// -rack-size value no run can use is one line on stderr and exit status
-// 2, not a panic or a simulation that deadlocks.
+// TestBadRunFlagsExitTwo checks that a flag value no run can use is one
+// line on stderr and exit status 2, not a panic or a simulation that
+// deadlocks, and that it comes before the serial baseline runs. The
+// -http cases need every check before the server starts, whose start
+// line would be a second; a negative -read-timeout or -load must be
+// rejected, not run as "wait forever" or as no load.
 func TestBadRunFlagsExitTwo(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
 		{"-age", "-5"}, {"-mode", "async", "-age", "-1"}, {"-hier", "-rack-size", "-4"},
+		{"-read-timeout", "-5ms"}, {"-load", "-1"},
+		{"-http", "127.0.0.1:0", "-mode", "bogus"},
+		{"-http", "127.0.0.1:0", "-topology", "bogus"},
+		{"-http", "127.0.0.1:0", "-faults", missing},
+		{"-http", "127.0.0.1:0", "-read-timeout", "-5ms"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

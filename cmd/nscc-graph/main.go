@@ -75,6 +75,50 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-workers must not be negative (0 = GOMAXPROCS)")
 		os.Exit(2)
 	}
+	if *resume && *cacheDir == "" {
+		fmt.Fprintln(os.Stderr, "-resume requires -cache-dir")
+		os.Exit(2)
+	}
+	var plan *faults.Plan
+	if *faultsF != "" {
+		var err error
+		if plan, err = faults.LoadFile(*faultsF); err != nil {
+			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	// The topologies, each checked against -procs. A file-based one runs
+	// the direct one-graph report (no cell cache — the journal keys on
+	// spec strings, not file contents).
+	var specs []string
+	var edges *graph.Graph
+	switch {
+	case *edgesF != "" && *topo != "":
+		fmt.Fprintln(os.Stderr, "-edges and -topo are mutually exclusive")
+		os.Exit(2)
+	case *edgesF != "":
+		data, err := os.ReadFile(*edgesF)
+		if err == nil {
+			edges, err = graph.ParseEdgeList(data)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-edges: %v\n", err)
+			os.Exit(2)
+		}
+		checkProcs(*procsN, *edgesF, edges)
+	case *topo != "":
+		specs = splitSpecs(*topo)
+	default:
+		specs = exper.GraphSweepSpecs
+	}
+	for _, s := range specs {
+		g, err := graph.ParseTopoSpec(s)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-topo: %v\n", err)
+			os.Exit(2)
+		}
+		checkProcs(*procsN, s, g)
+	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {
@@ -97,22 +141,11 @@ func main() {
 	}
 	opts.UseSwitch = *useSw
 	opts.Workers = *workers
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Faults = plan
-	}
+	opts.Faults = plan
 	opts.Reliable = *reliable
 	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
 	opts.LossProb = *lossProb
 	opts.SimRace = *simRace
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -cache-dir")
-		os.Exit(2)
-	}
 	var store *ckpt.Store
 	if *cacheDir != "" {
 		store = ckpt.NewStore(*cacheDir, *resume)
@@ -122,43 +155,12 @@ func main() {
 		opts.Progress = srv
 	}
 
-	var specs []string
-	switch {
-	case *edgesF != "" && *topo != "":
-		fmt.Fprintln(os.Stderr, "-edges and -topo are mutually exclusive")
-		os.Exit(2)
-	case *edgesF != "":
-		// A file-based topology runs the direct one-graph report (no
-		// cell cache — the journal keys on spec strings, not file
-		// contents).
-		data, err := os.ReadFile(*edgesF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-edges: %v\n", err)
-			os.Exit(2)
-		}
-		g, err := graph.ParseEdgeList(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-edges: %v\n", err)
-			os.Exit(2)
-		}
-		checkProcs(*procsN, *edgesF, g)
-		if err := edgeListReport(g, *edgesF, *procsN, opts); err != nil {
+	if edges != nil {
+		if err := edgeListReport(edges, *edgesF, *procsN, opts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
-	case *topo != "":
-		specs = splitSpecs(*topo)
-	default:
-		specs = exper.GraphSweepSpecs
-	}
-	for _, s := range specs {
-		g, err := graph.ParseTopoSpec(s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-topo: %v\n", err)
-			os.Exit(2)
-		}
-		checkProcs(*procsN, s, g)
 	}
 
 	cells := exper.GraphSweepCells(opts, len(specs))

@@ -87,16 +87,23 @@ func TestBadProcsExitTwo(t *testing.T) {
 
 // TestBadRunFlagsExitTwo checks that a negative -trials, -read-timeout
 // or -workers, each of which would otherwise run a sweep with a default
-// or an unbounded setting, is one line on stderr naming the flag and
-// exit status 2, before any simulation prints. With -http the check
-// comes before the server starts, whose start line would be a second.
+// or an unbounded setting, an unreadable -faults file, -resume without
+// a cache and too many -procs for a topology are one line on stderr
+// naming the flag and exit status 2, before any simulation prints.
+// With -http every check comes before the server starts, whose start
+// line would be a second.
 func TestBadRunFlagsExitTwo(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-topo", "ring:12", "-trials", "-1"},
 		{"-topo", "ring:12", "-read-timeout", "-5ms"},
 		{"-topo", "ring:12", "-workers", "-2"},
 		{"-edges", edgeFile(t), "-procs", "2", "-read-timeout", "-1ns"},
 		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-trials", "-1"},
+		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-faults", missing},
+		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-resume", "-cache-dir="},
+		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-procs", "13"},
+		{"-http", "127.0.0.1:0", "-edges", edgeFile(t), "-procs", "13"},
 	} {
 		stdout, stderr, code := runMain(t, args...)
 		if code != 2 {

@@ -17,7 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/ga"
@@ -47,9 +49,17 @@ func main() {
 		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
 	)
 	flag.Parse()
-	if err := checkRun(*fnNo, *procs, *gens); err != nil {
+	if err := checkRun(*fnNo, *procs, *gens, *load, *readTo); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	var plan *faults.Plan
+	if *faultsF != "" {
+		var err error
+		if plan, err = faults.LoadFile(*faultsF); err != nil {
+			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	var srv *obs.Server
@@ -71,17 +81,12 @@ func main() {
 		Fn: fn, Par: par, P: *procs,
 		FixedGens: *gens, MinGens: *gens, MaxGens: 4 * *gens,
 		Seed: *seed, Calib: calib, LoaderBps: *load,
-		Reliable:    *reliable,
-		ReadTimeout: sim.Duration(readTo.Nanoseconds()),
-		RaceCheck:   *simRace,
-	}
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		base.Faults = plan
+		Options: cluster.Options{
+			Faults:      plan,
+			Reliable:    *reliable,
+			ReadTimeout: sim.Duration(readTo.Nanoseconds()),
+			RaceCheck:   *simRace,
+		},
 	}
 
 	// Series recording (and the telemetry artifact) only when the data
@@ -178,7 +183,7 @@ func show(name string, r ga.IslandResult) {
 }
 
 // checkRun rejects flag values no run can use, before anything runs.
-func checkRun(fnNo, procs int, gens int64) error {
+func checkRun(fnNo, procs int, gens int64, load float64, readTo time.Duration) error {
 	switch {
 	case fnNo < 1 || fnNo > 8:
 		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
@@ -186,6 +191,10 @@ func checkRun(fnNo, procs int, gens int64) error {
 		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case gens < 1:
 		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
+	case !(load >= 0):
+		return fmt.Errorf("-load %v: want a rate of at least 0 bits/s", load)
+	case readTo < 0:
+		return fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,11 +20,18 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadRunFlagsExitTwo checks that a -func, -procs or -gens value no
-// run can use is one line on stderr and exit status 2, not a panic.
+// TestBadRunFlagsExitTwo checks that a flag value no run can use is one
+// line on stderr and exit status 2, not a panic. The -http cases need
+// every check before the server starts, whose start line would be a
+// second; a negative -read-timeout or -load must be rejected, not run
+// as "wait forever" or as no load.
 func TestBadRunFlagsExitTwo(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
+		{"-read-timeout", "-5ms"}, {"-load", "-1"},
+		{"-http", "127.0.0.1:0", "-faults", missing},
+		{"-http", "127.0.0.1:0", "-read-timeout", "-5ms"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

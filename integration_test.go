@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nscc/internal/bayes"
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/exper"
 	"nscc/internal/faults"
@@ -156,11 +157,12 @@ func TestEndToEndChaosGA(t *testing.T) {
 		Mode: core.NonStrict, Age: 10,
 		FixedGens: 40, MinGens: 40, MaxGens: 160,
 		Seed: 23, Calib: ga.DefaultCalibration(),
-
-		Faults:      faults.RandomPlan(23, 4, 2.0),
-		Reliable:    true,
-		ReadTimeout: 50 * sim.Millisecond,
-		Tracer:      rec,
+		Options: cluster.Options{
+			Faults:      faults.RandomPlan(23, 4, 2.0),
+			Reliable:    true,
+			ReadTimeout: 50 * sim.Millisecond,
+			Tracer:      rec,
+		},
 	}
 	res, err := ga.RunIsland(cfg)
 	if err != nil {

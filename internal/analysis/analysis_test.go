@@ -53,7 +53,7 @@ func TestRawconcScope(t *testing.T) {
 		"nscc/internal/ga", "nscc/internal/ga/functions", "nscc/internal/bayes",
 		"nscc/internal/faults", "nscc/internal/rollback",
 		"nscc/internal/partition", "nscc/internal/exper",
-		"nscc/internal/graph",
+		"nscc/internal/graph", "nscc/internal/cluster",
 	}
 	out := []string{
 		"nscc/internal/sim", "nscc/internal/runner", "nscc/internal/trace",

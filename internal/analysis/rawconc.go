@@ -22,6 +22,7 @@ var rawconcScope = []string{
 	"nscc/internal/partition",
 	"nscc/internal/exper",
 	"nscc/internal/graph",
+	"nscc/internal/cluster",
 }
 
 // Rawconc reports raw Go concurrency — go statements, channels,

@@ -7,15 +7,14 @@ import (
 	"math"
 	"math/rand"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
-	"nscc/internal/faults"
 	"nscc/internal/metrics"
 	"nscc/internal/netsim"
 	"nscc/internal/partition"
 	"nscc/internal/pvm"
 	"nscc/internal/rollback"
 	"nscc/internal/sim"
-	"nscc/internal/simrace"
 	"nscc/internal/trace"
 	"nscc/internal/tseries"
 )
@@ -88,37 +87,16 @@ type ParallelConfig struct {
 	PVM       *pvm.Config
 	LoaderBps float64
 
-	// Faults, if non-nil, wraps the fabric in the fault injector and
-	// applies the plan's schedules to the run (strictly opt-in).
-	Faults *faults.Plan
-	// Reliable runs the message layer with sequence-numbered
-	// ack/retransmit delivery (pvm.Config.Reliable).
-	Reliable bool
-	// ReadTimeout, if positive, bounds Global_Read blocking
-	// (core.Options.ReadTimeout) so a lost update degrades the read
-	// instead of deadlocking the partition.
-	ReadTimeout sim.Duration
 	// RandomDefaults replaces the most-probable-state defaults with
 	// arbitrary fixed states (ablation: the paper derives defaults from
 	// the nodes' probability distributions so gambles usually pay off).
 	RandomDefaults bool
 
-	// Tracer, if set, receives the run's full event stream, including
-	// per-iteration app spans and rollback/antimessage instants. Nil
-	// keeps every hot path on its zero-cost branch.
-	Tracer trace.Tracer
-
-	// RaceCheck runs the simulated-time race classifier over the run and
-	// fills Telemetry.Races. Strictly passive: virtual time and the
-	// estimate are identical with it on or off.
-	RaceCheck bool
-
-	// Series, if set, records the run's windowed simulated-time series
-	// (core staleness/timeouts, pvm queue depth/retransmits, net busy
-	// time/drops, counters "bayes.iters" and "bayes.rollbacks", gauge
-	// "pvm.warp" copied from the warp series) into the given set and
-	// exports them in Telemetry.Series. Strictly observational.
-	Series *tseries.Set
+	// Options are the run's fault and observation settings. A tracer
+	// also receives per-iteration app spans and rollback/antimessage
+	// instants, and a series set counters "bayes.iters" and
+	// "bayes.rollbacks".
+	cluster.Options
 }
 
 // ParallelResult reports one parallel run.
@@ -127,7 +105,6 @@ type ParallelResult struct {
 	HalfWidth        float64
 	Iters            int64 // iterations the coordinator partition executed
 	Accepted         int64
-	Completion       sim.Duration
 	ReachedPrecision bool
 
 	Rollbacks int64
@@ -136,21 +113,9 @@ type ParallelResult struct {
 	Conflicts int64
 	Retracts  int64
 
-	Messages    int64
-	NetBytes    int64
-	QueueDelay  sim.Duration
-	BlockedTime sim.Duration
-	Blocked     int64
-	WarpMean    float64
-	WarpMax     float64
-	WarpWindows []float64 // per-100ms mean warp (instability time series)
-
 	EdgeCut int // dependency edges crossing partitions
 
-	// Telemetry is the machine-readable observability block: per-task
-	// message/coherence accounting, network aggregates, and the merged
-	// observed-staleness histogram.
-	Telemetry *metrics.Telemetry
+	cluster.Stats
 }
 
 // topology is the precomputed partition/communication structure of one
@@ -428,49 +393,12 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 		return ParallelResult{}, fmt.Errorf("bayes: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
-	defer eng.Close()
-	eng.SetTracer(cfg.Tracer)
-	var net netsim.Fabric
-	if cfg.SwitchCfg != nil {
-		sw := netsim.NewSwitch(eng, *cfg.SwitchCfg)
-		sw.SetSeries(cfg.Series)
-		net = sw
-	} else {
-		netCfg := netsim.DefaultConfig()
-		if cfg.NetCfg != nil {
-			netCfg = *cfg.NetCfg
-		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(cfg.Series)
-		net = bus
-	}
-	if cfg.Faults != nil {
-		net = faults.Wrap(net, cfg.Faults)
-	}
-	pvmCfg := pvm.DefaultConfig()
-	if cfg.PVM != nil {
-		pvmCfg = *cfg.PVM
-	}
-	if cfg.Reliable {
-		pvmCfg.Reliable = true
-	}
-	// Message pooling is safe only without fault injection: duplication
-	// re-delivers the same payload pointer, which would double-release.
-	pvmCfg.Pooling = cfg.Faults == nil
-	machine := pvm.NewMachine(eng, net, pvmCfg)
-	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter(100 * sim.Millisecond)
-	machine.ArrivalHook = func(dst int, m *pvm.Message) {
-		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-	}
-	if cfg.LoaderBps > 0 {
-		netsim.StartLoader(net, cfg.LoaderBps, 1024)
-	}
-	var rc *simrace.Checker
-	if cfg.RaceCheck {
-		rc = simrace.New(eng)
-		rc.Attach(machine)
+	cl, err := cluster.Build(cluster.Spec{
+		Seed: cfg.Seed, Net: cfg.NetCfg, Switch: cfg.SwitchCfg,
+		PVM: cfg.PVM, LoaderBps: cfg.LoaderBps, Options: cfg.Options,
+	})
+	if err != nil {
+		return ParallelResult{}, err
 	}
 
 	topo, flat, defaults := pl.topo, pl.lut, pl.defaults
@@ -483,10 +411,6 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 
 	res := ParallelResult{EdgeCut: topo.cut, HalfWidth: math.Inf(1)}
 	workers := make([]*worker, cfg.P)
-	coreStats := make([]core.Stats, cfg.P)
-	var staleHist metrics.Histogram
-	var exitMax sim.Duration
-	remaining := cfg.P
 
 	for p := 0; p < cfg.P; p++ {
 		p := p
@@ -558,10 +482,10 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 		}
 		workers[p] = w
 
-		machine.Spawn("part", func(task *pvm.Task) {
+		cl.Spawn("part", func(task *pvm.Task) {
 			w.task = task
 			w.jit = cfg.Calib.NewJitterer(task.Proc().Rng())
-			w.node = core.NewNode(task, core.Options{Observer: w.observe, ReadTimeout: cfg.ReadTimeout, Races: raceObserver(rc), Series: cfg.Series})
+			w.node = cl.Node(task, core.Options{Observer: w.observe})
 			for _, ls := range topo.bundleLocs {
 				for _, l := range ls {
 					w.node.Register(l)
@@ -570,36 +494,24 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 			for _, l := range topo.progLocs {
 				w.node.Register(l)
 			}
-			w.run(func(at sim.Time) {
-				if d := at.Sub(0); d > exitMax {
-					exitMax = d
-				}
-				st := w.node.Stats()
-				res.BlockedTime += st.BlockedTime
-				res.Blocked += st.BlockedReads
-				coreStats[p] = st
-				staleHist.Merge(w.node.Staleness())
+			w.run(func() {
 				rs := w.store.Stats()
 				res.Rollbacks += rs.Rollbacks
 				res.Replayed += w.replayed
 				res.Gambles += rs.Gambles
 				res.Conflicts += rs.Conflicts
 				res.Retracts += rs.Retracts
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
-				}
+				cl.Exit(w.node)
 			})
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	res.Stats, err = cl.Run(cfg.Mode, cfg.Age)
+	if err != nil {
 		return res, err
 	}
-
 	cw := workers[topo.coordinator]
 	res.Iters = int64(len(cw.log))
-	res.Completion = exitMax
 	res.ReachedPrecision = cw.stopped
 	hits, acc := cw.countUpTo(cw.finalWatermark())
 	res.Accepted = acc
@@ -607,62 +519,7 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 		res.Prob = float64(hits) / float64(acc)
 		res.HalfWidth = metrics.ProportionCI90HalfWidth(res.Prob, int(acc))
 	}
-	st := net.Stats()
-	res.Messages = st.Frames
-	res.NetBytes = st.Bytes
-	res.QueueDelay = st.QueueDelay
-	res.WarpMean = warp.Mean()
-	res.WarpMax = warp.Max()
-	res.WarpWindows = warp.Windows()
-
-	tasks := machine.TaskTelemetry()
-	var violations int64
-	for i := range tasks {
-		if i < len(coreStats) {
-			cs := coreStats[i]
-			tasks[i].GlobalReads = cs.GlobalReads
-			tasks[i].BlockedReads = cs.BlockedReads
-			tasks[i].BlockedSecs = cs.BlockedTime.Seconds()
-			tasks[i].ReadTimeouts = cs.ReadTimeouts
-			violations += cs.ReadTimeouts
-		}
-	}
-	res.Telemetry = &metrics.Telemetry{
-		Variant:             cfg.Mode.String(),
-		Age:                 cfg.Age,
-		CompletionSecs:      res.Completion.Seconds(),
-		Tasks:               tasks,
-		Net:                 st.Telemetry(eng.Now().Sub(0)),
-		Staleness:           staleHist.Summary(),
-		WarpMean:            res.WarpMean,
-		WarpMax:             res.WarpMax,
-		StalenessViolations: violations,
-	}
-	if rc != nil {
-		res.Telemetry.Races = rc.Telemetry()
-		res.Telemetry.RaceLocations = rc.Report().Locations
-	}
-	if cfg.Series != nil {
-		// Copy the warp series into the set as gauge "pvm.warp" (one
-		// sample per 100 ms window, at the window's start) so the export
-		// carries warp alongside the other windowed series.
-		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range res.WarpWindows {
-			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
-		}
-		res.Telemetry.Series = cfg.Series.Summaries()
-	}
 	return res, nil
-}
-
-// raceObserver converts a possibly-nil *simrace.Checker into the
-// core.Options field without storing a non-nil interface around a nil
-// pointer.
-func raceObserver(rc *simrace.Checker) core.RaceObserver {
-	if rc == nil {
-		return nil
-	}
-	return rc
 }
 
 func sortInts(xs []int) {
@@ -740,9 +597,9 @@ func (w *worker) setEvBit(part int, iter int64, ok bool) {
 	}
 }
 
-// run is the partition's main loop. onExit is called exactly once with
-// the exit time.
-func (w *worker) run(onExit func(sim.Time)) {
+// run is the partition's main loop. onExit is called exactly once, as
+// the partition exits.
+func (w *worker) run(onExit func()) {
 	cfg := w.cfg
 	for t := int64(0); ; t++ {
 		if w.task.NRecv(pvm.Any, doneTag) != nil {
@@ -917,7 +774,7 @@ func (w *worker) syncBarrier(t int64) bool {
 
 // finish publishes exit sentinels on every location this partition
 // writes, so no blocked peer waits forever, then reports exit.
-func (w *worker) finish(onExit func(sim.Time)) {
+func (w *worker) finish(onExit func()) {
 	if w.cfg.Mode != core.Sync {
 		w.flushBatch(int64(len(w.log)) - 1)
 	}
@@ -925,7 +782,7 @@ func (w *worker) finish(onExit func(sim.Time)) {
 		w.node.Write(w.topo.bundleLocs[w.p][dst], sentinelIter, nil)
 	}
 	w.node.Write(w.topo.progLocs[w.p], sentinelIter, nil)
-	onExit(w.task.Now())
+	onExit()
 }
 
 // sampleIter draws this partition's nodes for iteration t in the

@@ -256,13 +256,36 @@ func TestRunParallelConfigErrors(t *testing.T) {
 	negIters.MaxIters = -5
 	negAge := parCfg(core.NonStrict, 2)
 	negAge.Age = -5
+	// Fabric and cluster numbers no run can simulate: each is an error
+	// from cluster.Build, not a panic inside the engine or a value
+	// silently read as 0.
+	bus := func(edit func(*netsim.Config)) ParallelConfig {
+		cfg := parCfg(core.NonStrict, 2)
+		nc := netsim.DefaultConfig()
+		edit(&nc)
+		cfg.NetCfg = &nc
+		return cfg
+	}
+	zeroSwitch := parCfg(core.Async, 2)
+	zeroSwitch.SwitchCfg = &netsim.SwitchConfig{}
+	negLoad := parCfg(core.Sync, 2)
+	negLoad.LoaderBps = -1
+	negTimeout := parCfg(core.NonStrict, 2)
+	negTimeout.ReadTimeout = -5 * sim.Millisecond
 	for name, cfg := range map[string]ParallelConfig{
-		"nil network":         noNet,
-		"zero processors":     noProcs,
-		"negative processors": negProcs,
-		"zero MaxIters":       noIters,
-		"negative MaxIters":   negIters,
-		"GR, negative Age":    negAge,
+		"nil network":           noNet,
+		"zero processors":       noProcs,
+		"negative processors":   negProcs,
+		"zero MaxIters":         noIters,
+		"negative MaxIters":     negIters,
+		"GR, negative Age":      negAge,
+		"NaN bus bandwidth":     bus(func(c *netsim.Config) { c.BandwidthBps = math.NaN() }),
+		"zero bus bandwidth":    bus(func(c *netsim.Config) { c.BandwidthBps = 0 }),
+		"negative loss":         bus(func(c *netsim.Config) { c.LossProb = -0.1 }),
+		"NaN loss":              bus(func(c *netsim.Config) { c.LossProb = math.NaN() }),
+		"zero switch bandwidth": zeroSwitch,
+		"negative loader rate":  negLoad,
+		"negative read timeout": negTimeout,
 	} {
 		func() {
 			defer func() {

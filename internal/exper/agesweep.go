@@ -80,29 +80,23 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 		Target float64      `json:"target"`
 	}
 	nLoads, nTrials := len(loads), opts.Trials
-	refMemo, err := opts.sweepMemo("agesweep-refs", func(i int) ckpt.Key {
-		load, trial := loads[i/nTrials], i%nTrials
-		return ageRefKey(fn, p, load, trial, ageSweepSeed(opts, trial))
-	})
-	if err != nil {
-		return res, err
-	}
-	opts.sweepStart("agesweep-refs", nLoads*nTrials)
-	refs, err := runner.MapMemo(nLoads*nTrials, opts.Workers,
+	refs, err := runSweep(opts, "agesweep-refs", nLoads*nTrials,
+		func(i int) ckpt.Key {
+			load, trial := loads[i/nTrials], i%nTrials
+			return ageRefKey(fn, p, load, trial, ageSweepSeed(opts, trial))
+		},
 		func(i int) string {
 			return fmt.Sprintf("agesweep ref load=%.1fMbps trial=%d", loads[i/nTrials]/1e6, i%nTrials)
 		},
-		refMemo,
-		withProgress(opts, "agesweep-refs", func(i int) (refOut, error) {
+		func(i int) (refOut, error) {
 			load, trial := loads[i/nTrials], i%nTrials
 			seed := ageSweepSeed(opts, trial)
 			serial := ga.RunSerial(fn, par, par.N*p, opts.SyncGens, seed, calib)
 			syncCfg := ga.IslandConfig{
 				Fn: fn, Par: par, P: p, Mode: core.Sync,
 				FixedGens: opts.SyncGens, Seed: seed, Calib: calib, LoaderBps: load,
-				Net:    opts.netOverride(),
-				Faults: opts.Faults, Reliable: opts.Reliable, ReadTimeout: opts.ReadTimeout,
-				RaceCheck: opts.SimRace,
+				Net:     opts.netOverride(),
+				Options: opts.cluster(),
 			}
 			if opts.UseSwitch {
 				sw := netsim.DefaultSwitchConfig()
@@ -113,11 +107,10 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 				return refOut{}, err
 			}
 			return refOut{Serial: serial.Time, Target: syncRes.Avg}, nil
-		}))
+		})
 	if err != nil {
 		return res, err
 	}
-	opts.sweepDone("agesweep-refs")
 
 	// Stage 2: the sweep surface. Age index len(ageSweepAges) is the
 	// dynamic-age pseudo-point. Fields exported: checkpoint-journal
@@ -137,16 +130,12 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 		}
 		return ageSweepAges[ai], false
 	}
-	cellMemo, err := opts.sweepMemo("agesweep-cells", func(i int) ckpt.Key {
-		li, ai, trial := i/(nAges*nTrials), (i/nTrials)%nAges, i%nTrials
-		age, dynamic := cellAge(ai)
-		return ageCellKey(fn, p, loads[li], age, dynamic, trial, ageSweepSeed(opts, trial))
-	})
-	if err != nil {
-		return res, err
-	}
-	opts.sweepStart("agesweep-cells", nLoads*nAges*nTrials)
-	outs, err := runner.MapMemo(nLoads*nAges*nTrials, opts.Workers,
+	outs, err := runSweep(opts, "agesweep-cells", nLoads*nAges*nTrials,
+		func(i int) ckpt.Key {
+			li, ai, trial := i/(nAges*nTrials), (i/nTrials)%nAges, i%nTrials
+			age, dynamic := cellAge(ai)
+			return ageCellKey(fn, p, loads[li], age, dynamic, trial, ageSweepSeed(opts, trial))
+		},
 		func(i int) string {
 			li, ai, trial := i/(nAges*nTrials), (i/nTrials)%nAges, i%nTrials
 			age, dynamic := cellAge(ai)
@@ -156,8 +145,7 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 			}
 			return fmt.Sprintf("agesweep load=%.1fMbps %s trial=%d", loads[li]/1e6, name, trial)
 		},
-		cellMemo,
-		withProgress(opts, "agesweep-cells", func(i int) (cellOut, error) {
+		func(i int) (cellOut, error) {
 			li, ai, trial := i/(nAges*nTrials), (i/nTrials)%nAges, i%nTrials
 			age, dynamic := cellAge(ai)
 			seed := ageSweepSeed(opts, trial)
@@ -169,8 +157,7 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 				Seed:    seed, Calib: calib, LoaderBps: loads[li],
 				DynamicAge: dynamic,
 				Net:        opts.netOverride(),
-				Faults:     opts.Faults, Reliable: opts.Reliable, ReadTimeout: opts.ReadTimeout,
-				RaceCheck: opts.SimRace,
+				Options:    opts.cluster(),
 			}
 			if opts.UseSwitch {
 				sw := netsim.DefaultSwitchConfig()
@@ -186,11 +173,10 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 				out.Locs = r.Telemetry.RaceLocations
 			}
 			return out, nil
-		}))
+		})
 	if err != nil {
 		return res, err
 	}
-	opts.sweepDone("agesweep-cells")
 
 	// Aggregate trials in enumeration order.
 	for li, load := range loads {

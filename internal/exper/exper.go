@@ -15,6 +15,7 @@ import (
 	"io"
 
 	"nscc/internal/ckpt"
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/ga"
@@ -135,34 +136,39 @@ type ProgressSink interface {
 	SweepDone(sweep string)
 }
 
-// sweepStart reports a sweep's start (nil-safe).
-func (o Options) sweepStart(sweep string, cells int) {
-	if o.Progress != nil {
-		o.Progress.SweepStart(sweep, cells)
+// runSweep runs the named sweep's n cells on the worker pool and
+// returns their outputs in cell order. key fingerprints cell i in the
+// sweep's checkpoint journal, and label names it in errors. The
+// progress sink sees the sweep start, every cell done once — a computed
+// cell here, a replayed one through sweepMemo's wrapper — and the sweep
+// end.
+func runSweep[T any](o Options, sweep string, n int, key func(int) ckpt.Key, label func(int) string, cell func(int) (T, error)) ([]T, error) {
+	memo, err := o.sweepMemo(sweep, key)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// sweepDone reports a sweep's successful completion (nil-safe).
-func (o Options) sweepDone(sweep string) {
+	fn := cell
 	if o.Progress != nil {
+		o.Progress.SweepStart(sweep, n)
+		fn = func(i int) (T, error) {
+			v, err := cell(i)
+			if err == nil {
+				o.Progress.CellDone(sweep)
+			}
+			return v, err
+		}
+	}
+	outs, err := runner.MapMemo(n, o.Workers, label, memo, fn)
+	if err == nil && o.Progress != nil {
 		o.Progress.SweepDone(sweep)
 	}
+	return outs, err
 }
 
-// withProgress wraps a sweep's cell function so each computed cell
-// reports CellDone. Cache hits never reach fn; they report through the
-// memo wrapper in sweepMemo instead, so every cell fires exactly once.
-func withProgress[T any](o Options, sweep string, fn func(int) (T, error)) func(int) (T, error) {
-	if o.Progress == nil {
-		return fn
-	}
-	return func(i int) (T, error) {
-		v, err := fn(i)
-		if err == nil {
-			o.Progress.CellDone(sweep)
-		}
-		return v, err
-	}
+// cluster returns the fault and observation settings every cell's
+// cluster runs with.
+func (o Options) cluster() cluster.Options {
+	return cluster.Options{Faults: o.Faults, Reliable: o.Reliable, ReadTimeout: o.ReadTimeout, RaceCheck: o.SimRace}
 }
 
 // netOverride returns the bus config override the fault knobs imply,
@@ -268,17 +274,14 @@ func gaTrial(fn *functions.Function, p int, seed int64, opts Options, loadBps fl
 
 	base := ga.IslandConfig{
 		Fn: fn, Par: par, P: p,
-		FixedGens:   opts.SyncGens,
-		MinGens:     opts.SyncGens,
-		MaxGens:     int64(opts.CapFactor * float64(opts.SyncGens)),
-		Seed:        seed,
-		Calib:       calib,
-		LoaderBps:   loadBps,
-		Net:         opts.netOverride(),
-		Faults:      opts.Faults,
-		Reliable:    opts.Reliable,
-		ReadTimeout: opts.ReadTimeout,
-		RaceCheck:   opts.SimRace,
+		FixedGens: opts.SyncGens,
+		MinGens:   opts.SyncGens,
+		MaxGens:   int64(opts.CapFactor * float64(opts.SyncGens)),
+		Seed:      seed,
+		Calib:     calib,
+		LoaderBps: loadBps,
+		Net:       opts.netOverride(),
+		Options:   opts.cluster(),
 	}
 	if opts.UseSwitch {
 		sw := netsim.DefaultSwitchConfig()

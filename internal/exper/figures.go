@@ -28,29 +28,19 @@ type gaCellRef struct {
 // outputs in cell order. ctx names the calling figure in errors and
 // the sweep's checkpoint journal, where every cell result is cached.
 func runGACells(ctx string, cells []gaCellRef, opts Options) ([]trialOut, error) {
-	memo, err := opts.sweepMemo(ctx, func(i int) ckpt.Key {
-		c := cells[i]
-		return gaCellKey(ctx, c.fn, c.p, c.load, c.trial, gaCellSeed(opts, c.trial, c.fn, c.p))
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts.sweepStart(ctx, len(cells))
-	outs, err := runner.MapMemo(len(cells), opts.Workers,
+	return runSweep(opts, ctx, len(cells),
+		func(i int) ckpt.Key {
+			c := cells[i]
+			return gaCellKey(ctx, c.fn, c.p, c.load, c.trial, gaCellSeed(opts, c.trial, c.fn, c.p))
+		},
 		func(i int) string {
 			c := cells[i]
 			return fmt.Sprintf("%s F%d P=%d load=%.1fMbps trial=%d", ctx, c.fn.No, c.p, c.load/1e6, c.trial)
 		},
-		memo,
-		withProgress(opts, ctx, func(i int) (trialOut, error) {
+		func(i int) (trialOut, error) {
 			c := cells[i]
 			return gaTrial(c.fn, c.p, gaCellSeed(opts, c.trial, c.fn, c.p), opts, c.load)
-		}))
-	if err != nil {
-		return nil, err
-	}
-	opts.sweepDone(ctx)
-	return outs, nil
+		})
 }
 
 // Figure2Result holds the GA speedups on the unloaded network (Figure
@@ -234,21 +224,16 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 			cells = append(cells, bayesCellRef{net: bn, trial: trial})
 		}
 	}
-	memo, err := opts.sweepMemo("figure3", func(i int) ckpt.Key {
-		c := cells[i]
-		return bayesCellKey("figure3", c.net, c.trial,
-			runner.DeriveSeed(opts.Seed, seedStreamBayes, int64(c.trial)))
-	})
-	if err != nil {
-		return res, err
-	}
-	opts.sweepStart("figure3", len(cells))
-	outs, err := runner.MapMemo(len(cells), opts.Workers,
+	outs, err := runSweep(opts, "figure3", len(cells),
+		func(i int) ckpt.Key {
+			c := cells[i]
+			return bayesCellKey("figure3", c.net, c.trial,
+				runner.DeriveSeed(opts.Seed, seedStreamBayes, int64(c.trial)))
+		},
 		func(i int) string {
 			return fmt.Sprintf("figure3 %s trial=%d", cells[i].net.Name, cells[i].trial)
 		},
-		memo,
-		withProgress(opts, "figure3", func(i int) (bayesTrialOut, error) {
+		func(i int) (bayesTrialOut, error) {
 			bn, trial := cells[i].net, cells[i].trial
 			// The trial seed is shared across networks (not a collision:
 			// each network is a distinct paired experiment on the stream).
@@ -272,15 +257,12 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 				cfg := bayes.ParallelConfig{
 					Net: bn, Query: q, P: 2,
 					Mode: v.Mode, Age: v.Age,
-					Precision:   opts.Precision,
-					MaxIters:    bayesMaxIters(opts),
-					Seed:        seed,
-					Calib:       calib,
-					NetCfg:      opts.netOverride(),
-					Faults:      opts.Faults,
-					Reliable:    opts.Reliable,
-					ReadTimeout: opts.ReadTimeout,
-					RaceCheck:   opts.SimRace,
+					Precision: opts.Precision,
+					MaxIters:  bayesMaxIters(opts),
+					Seed:      seed,
+					Calib:     calib,
+					NetCfg:    opts.netOverride(),
+					Options:   opts.cluster(),
 				}
 				pr, err := plan.Run(cfg)
 				if err != nil {
@@ -291,11 +273,10 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 				out.Iters[v] = pr.Iters
 			}
 			return out, nil
-		}))
+		})
 	if err != nil {
 		return res, err
 	}
-	opts.sweepDone("figure3")
 
 	totSerial := sim.Duration(0)
 	totPar := map[Variant]sim.Duration{}

@@ -76,10 +76,7 @@ func GraphConfig(g *graph.Graph, algo graph.Algo, p int, v Variant, seed int64, 
 		Seed:          seed,
 		Calib:         graph.DefaultCalibration(),
 		Net:           opts.netOverride(),
-		Faults:        opts.Faults,
-		Reliable:      opts.Reliable,
-		ReadTimeout:   opts.ReadTimeout,
-		RaceCheck:     opts.SimRace,
+		Options:       opts.cluster(),
 	}
 	if opts.UseSwitch {
 		sw := netsim.DefaultSwitchConfig()
@@ -155,28 +152,22 @@ func GraphSweep(w io.Writer, opts Options, specs []string, p int) ([]GraphRow, e
 	coords := func(i int) (si, ai, trial int) {
 		return i / (len(algos) * nTrials), (i / nTrials) % len(algos), i % nTrials
 	}
-	memo, err := opts.sweepMemo("graphsweep", func(i int) ckpt.Key {
-		si, ai, trial := coords(i)
-		return graphCellKey(specs[si], algos[ai], p, trial, graphCellSeed(opts, si, ai, trial))
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts.sweepStart("graphsweep", nCells)
-	outs, err := runner.MapMemo(nCells, opts.Workers,
+	outs, err := runSweep(opts, "graphsweep", nCells,
+		func(i int) ckpt.Key {
+			si, ai, trial := coords(i)
+			return graphCellKey(specs[si], algos[ai], p, trial, graphCellSeed(opts, si, ai, trial))
+		},
 		func(i int) string {
 			si, ai, trial := coords(i)
 			return fmt.Sprintf("graphsweep %s %s trial=%d", specs[si], algos[ai], trial)
 		},
-		memo,
-		withProgress(opts, "graphsweep", func(i int) (graphTrialOut, error) {
+		func(i int) (graphTrialOut, error) {
 			si, ai, trial := coords(i)
 			return graphTrial(graphs[si], algos[ai], p, graphCellSeed(opts, si, ai, trial), opts)
-		}))
+		})
 	if err != nil {
 		return nil, err
 	}
-	opts.sweepDone("graphsweep")
 
 	// Aggregate trials in enumeration order.
 	var rows []GraphRow

@@ -121,14 +121,11 @@ func scaleTrial(nodes int, topo ga.Topology, seed int64, opts Options) (scaleTri
 		Mode: core.NonStrict, Age: scaleAge,
 		Topology:  topo,
 		FixedGens: opts.SyncGens, MinGens: opts.SyncGens, MaxGens: opts.SyncGens,
-		Target:      scaleTarget,
-		Seed:        seed,
-		Calib:       ga.DefaultCalibration(),
-		Hier:        &h,
-		Faults:      opts.Faults,
-		Reliable:    opts.Reliable,
-		ReadTimeout: opts.ReadTimeout,
-		RaceCheck:   opts.SimRace,
+		Target:  scaleTarget,
+		Seed:    seed,
+		Calib:   ga.DefaultCalibration(),
+		Hier:    &h,
+		Options: opts.cluster(),
 	}
 	res, err := ga.RunIsland(cfg)
 	if err != nil {
@@ -171,28 +168,22 @@ func ScaleSweep(w io.Writer, opts Options, nodes []int, topos []ga.Topology) ([]
 		pair := pairs[i/nTrials]
 		return nodes[pair[0]], topos[pair[1]], i % nTrials
 	}
-	memo, err := opts.sweepMemo("scalesweep", func(i int) ckpt.Key {
-		n, topo, trial := coords(i)
-		return scaleCellKey(n, topo, trial, scaleCellSeed(opts, n, topo, trial))
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts.sweepStart("scalesweep", nCells)
-	outs, err := runner.MapMemo(nCells, opts.Workers,
+	outs, err := runSweep(opts, "scalesweep", nCells,
+		func(i int) ckpt.Key {
+			n, topo, trial := coords(i)
+			return scaleCellKey(n, topo, trial, scaleCellSeed(opts, n, topo, trial))
+		},
 		func(i int) string {
 			n, topo, trial := coords(i)
 			return fmt.Sprintf("scalesweep nodes=%d %s trial=%d", n, topo, trial)
 		},
-		memo,
-		withProgress(opts, "scalesweep", func(i int) (scaleTrialOut, error) {
+		func(i int) (scaleTrialOut, error) {
 			n, topo, trial := coords(i)
 			return scaleTrial(n, topo, scaleCellSeed(opts, n, topo, trial), opts)
-		}))
+		})
 	if err != nil {
 		return nil, err
 	}
-	opts.sweepDone("scalesweep")
 
 	// Aggregate trials in enumeration order.
 	rows := make([]ScaleRow, 0, len(pairs))

@@ -91,18 +91,13 @@ var paperSerialSecs = map[string]float64{"A": 11.12, "AA": 11.19, "C": 11.81, "H
 // so the error return now also carries journal failures.
 func Table2(w io.Writer, opts Options) ([]Table2Row, error) {
 	nets := bayes.Table2Networks()
-	memo, err := opts.sweepMemo("table2", func(i int) ckpt.Key {
-		return bayesCellKey("table2", nets[i], 0,
-			runner.DeriveSeed(opts.Seed, seedStreamTable2, int64(i)))
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts.sweepStart("table2", len(nets))
-	rows, err := runner.MapMemo(len(nets), opts.Workers,
+	rows, err := runSweep(opts, "table2", len(nets),
+		func(i int) ckpt.Key {
+			return bayesCellKey("table2", nets[i], 0,
+				runner.DeriveSeed(opts.Seed, seedStreamTable2, int64(i)))
+		},
 		func(i int) string { return fmt.Sprintf("table2 %s", nets[i].Name) },
-		memo,
-		withProgress(opts, "table2", func(i int) (Table2Row, error) {
+		func(i int) (Table2Row, error) {
 			bn := nets[i]
 			rng := rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, seedStreamTable2, int64(i))))
 			g := bn.Graph()
@@ -119,11 +114,10 @@ func Table2(w io.Writer, opts Options) ([]Table2Row, error) {
 				Serial:    serial.Time,
 				SerialRef: paperSerialSecs[bn.Name],
 			}, nil
-		}))
+		})
 	if err != nil {
 		return nil, err
 	}
-	opts.sweepDone("table2")
 	for i := range rows {
 		rows[i].Net = nets[i]
 	}

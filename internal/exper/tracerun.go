@@ -42,16 +42,13 @@ func TraceRun(w io.Writer, opts Options, tr trace.Tracer) (*TraceTelemetry, erro
 
 	base := ga.IslandConfig{
 		Fn: fn, Par: par, P: p,
-		FixedGens:   opts.SyncGens,
-		MinGens:     opts.SyncGens,
-		MaxGens:     int64(opts.CapFactor * float64(opts.SyncGens)),
-		Seed:        opts.Seed,
-		Calib:       calib,
-		Net:         opts.netOverride(),
-		Faults:      opts.Faults,
-		Reliable:    opts.Reliable,
-		ReadTimeout: opts.ReadTimeout,
-		RaceCheck:   opts.SimRace,
+		FixedGens: opts.SyncGens,
+		MinGens:   opts.SyncGens,
+		MaxGens:   int64(opts.CapFactor * float64(opts.SyncGens)),
+		Seed:      opts.Seed,
+		Calib:     calib,
+		Net:       opts.netOverride(),
+		Options:   opts.cluster(),
 	}
 	syncCfg := base
 	syncCfg.Mode = core.Sync
@@ -75,17 +72,14 @@ func TraceRun(w io.Writer, opts Options, tr trace.Tracer) (*TraceTelemetry, erro
 	bcfg := bayes.ParallelConfig{
 		Net: bn, Query: bayes.DefaultQuery(bn), P: 2,
 		Mode: core.NonStrict, Age: traceAge,
-		Precision:   opts.Precision,
-		MaxIters:    bayesMaxIters(opts),
-		Seed:        opts.Seed,
-		Calib:       bayes.DefaultCalibration(),
-		NetCfg:      opts.netOverride(),
-		Faults:      opts.Faults,
-		Reliable:    opts.Reliable,
-		ReadTimeout: opts.ReadTimeout,
-		RaceCheck:   opts.SimRace,
-		Series:      tseries.NewSet(tseries.DefaultWindow),
+		Precision: opts.Precision,
+		MaxIters:  bayesMaxIters(opts),
+		Seed:      opts.Seed,
+		Calib:     bayes.DefaultCalibration(),
+		NetCfg:    opts.netOverride(),
+		Options:   opts.cluster(),
 	}
+	bcfg.Series = tseries.NewSet(tseries.DefaultWindow)
 	bres, err := bayes.RunParallel(bcfg)
 	if err != nil {
 		return nil, fmt.Errorf("trace demo bayes: %w", err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nscc/internal/bayes"
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/ga"
@@ -35,10 +36,11 @@ func chaosGACfg(seed int64) ga.IslandConfig {
 		FixedGens: 40, MinGens: 40, MaxGens: 160,
 		Seed:  seed,
 		Calib: ga.DefaultCalibration(),
-
-		Faults:      faults.RandomPlan(seed, 4, 2.0),
-		Reliable:    true,
-		ReadTimeout: chaosTimeout,
+		Options: cluster.Options{
+			Faults:      faults.RandomPlan(seed, 4, 2.0),
+			Reliable:    true,
+			ReadTimeout: chaosTimeout,
+		},
 	}
 }
 
@@ -125,10 +127,11 @@ func chaosBayesCfg(seed int64) bayes.ParallelConfig {
 		Precision: 0.05, MaxIters: 4000,
 		Seed:  seed,
 		Calib: bayes.DefaultCalibration(),
-
-		Faults:      faults.RandomPlan(seed+1000, 2, 5.0),
-		Reliable:    true,
-		ReadTimeout: chaosTimeout,
+		Options: cluster.Options{
+			Faults:      faults.RandomPlan(seed+1000, 2, 5.0),
+			Reliable:    true,
+			ReadTimeout: chaosTimeout,
+		},
 	}
 }
 

@@ -5,16 +5,13 @@ import (
 	"fmt"
 	"math"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
-	"nscc/internal/faults"
 	"nscc/internal/ga/functions"
-	"nscc/internal/metrics"
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
-	"nscc/internal/simrace"
 	"nscc/internal/trace"
-	"nscc/internal/tseries"
 )
 
 // doneTag carries the "a subpopulation has converged past the target"
@@ -141,71 +138,30 @@ type IslandConfig struct {
 	// PVM overrides the messaging overheads (nil = pvm.DefaultConfig()).
 	PVM *pvm.Config
 
-	// Faults, if non-nil, wraps the fabric in the fault injector and
-	// applies the plan's loss/delay/reorder/duplicate/crash/partition
-	// schedules to the run. Nil leaves the fabric untouched (the
-	// fault layer is strictly opt-in).
-	Faults *faults.Plan
-	// Reliable runs the message layer with sequence-numbered
-	// ack/retransmit delivery (pvm.Config.Reliable). It composes with
-	// PVM: when both are set, Reliable overrides the override's flag.
-	Reliable bool
-	// ReadTimeout, if positive, bounds Global_Read blocking
-	// (core.Options.ReadTimeout): a read that cannot meet its bound in
-	// time degrades to the cached value and counts a staleness
-	// violation instead of deadlocking on a lost update.
-	ReadTimeout sim.Duration
-
-	// Tracer, if set, receives the run's full event stream (sim process
-	// lifecycle, network frames, messages, Global_Reads, per-generation
-	// app spans). Nil keeps every hot path on its zero-cost branch.
-	Tracer trace.Tracer
-
-	// RaceCheck runs the simulated-time race classifier over the run and
-	// fills Telemetry.Races. The checker is strictly passive: virtual
-	// time, message order, and the GA result are identical with it on or
-	// off.
-	RaceCheck bool
-
-	// Series, if set, records the run's windowed simulated-time series
-	// (core staleness/timeouts, pvm queue depth/retransmits, net busy
-	// time/drops, gauge "ga.avg_fitness" per generation, gauge
-	// "pvm.warp" copied from the warp series) into the given set and
-	// exports them in Telemetry.Series. Strictly observational.
-	Series *tseries.Set
+	// Options are the run's fault and observation settings. A series
+	// set also records gauge "ga.avg_fitness" per generation, and a
+	// tracer one span per generation.
+	cluster.Options
 }
 
 // IslandResult reports one parallel run.
 type IslandResult struct {
-	Completion    sim.Duration // virtual time at which the last island exited
-	Best          float64      // best objective ever seen, over all islands
-	FinalBest     float64      // best objective in the final populations (quality target for async/GR runs)
-	Avg           float64      // mean of final per-island population averages
-	Gens          []int64      // generations completed per island
+	Best          float64 // best objective ever seen, over all islands
+	FinalBest     float64 // best objective in the final populations (quality target for async/GR runs)
+	Avg           float64 // mean of final per-island population averages
+	Gens          []int64 // generations completed per island
 	OptimumFound  bool
 	ReachedTarget bool // false if the run hit MaxGens without converging
 
-	Messages    int64        // frames offered to the network
-	NetBytes    int64        // bytes carried
-	QueueDelay  sim.Duration // cumulative bus queuing delay
-	WarpMean    float64
-	WarpMax     float64
-	WarpWindows []float64    // per-100ms mean warp (instability time series)
-	BlockedTime sim.Duration // total Global_Read blocking across islands
-	Blocked     int64        // blocking Global_Read count
-	Coalesced   int64
-
-	// Telemetry is the machine-readable observability block: per-task
-	// message/coherence accounting, network aggregates, and the merged
-	// observed-staleness histogram.
-	Telemetry *metrics.Telemetry
+	cluster.Stats
 }
 
 // RunIsland executes one island-GA configuration on a fresh simulated
 // cluster and reports the result. The run is deterministic in cfg.Seed.
 // An impossible configuration (no function, no processors, a deme of
-// fewer than 2, no generation budget for the mode, or a negative
-// Global_Read age, which no read could ever satisfy) is an error.
+// fewer than 2, no generation budget for the mode, a negative
+// Global_Read age, which no read could ever satisfy, or a cluster
+// setting cluster.Build rejects) is an error.
 func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	switch {
 	case cfg.Fn == nil:
@@ -221,75 +177,28 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	case cfg.Mode == core.NonStrict && cfg.Age < 0:
 		return IslandResult{}, fmt.Errorf("ga: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
-
-	eng := sim.NewEngine(cfg.Seed)
-	defer eng.Close()
-	eng.SetTracer(cfg.Tracer)
-	var net netsim.Fabric
-	if cfg.Hier != nil {
-		net = netsim.NewHier(eng, *cfg.Hier)
-	} else if cfg.Switch != nil {
-		sw := netsim.NewSwitch(eng, *cfg.Switch)
-		sw.SetSeries(cfg.Series)
-		net = sw
-	} else {
-		netCfg := netsim.DefaultConfig()
-		if cfg.Net != nil {
-			netCfg = *cfg.Net
-		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(cfg.Series)
-		net = bus
+	// Shared locations: island i's migrant block, read by the islands
+	// the topology wires it to (sources[i]: whose blocks island i
+	// reads; the gossip overlays make the relation symmetric).
+	sources, readers, err := topologySources(cfg.Topology, cfg.P, cfg.Seed)
+	if err != nil {
+		return IslandResult{}, err
 	}
-	if cfg.Faults != nil {
-		net = faults.Wrap(net, cfg.Faults)
+	cl, err := cluster.Build(cluster.Spec{
+		Seed: cfg.Seed, Net: cfg.Net, Switch: cfg.Switch, Hier: cfg.Hier,
+		PVM: cfg.PVM, LoaderBps: cfg.LoaderBps, Options: cfg.Options,
+	})
+	if err != nil {
+		return IslandResult{}, err
 	}
-	pvmCfg := pvm.DefaultConfig()
-	if cfg.PVM != nil {
-		pvmCfg = *cfg.PVM
-	}
-	if cfg.Reliable {
-		pvmCfg.Reliable = true
-	}
-	// Message pooling is safe only without fault injection: duplication
-	// re-delivers the same payload pointer, which would double-release.
-	pvmCfg.Pooling = cfg.Faults == nil
-	machine := pvm.NewMachine(eng, net, pvmCfg)
-	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter(100 * sim.Millisecond)
 	serFit := cfg.Series.Gauge("ga.avg_fitness")
-	machine.ArrivalHook = func(dst int, m *pvm.Message) {
-		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-	}
-	if cfg.LoaderBps > 0 {
-		netsim.StartLoader(net, cfg.LoaderBps, 1024)
-	}
-	nodeOpts := cfg.NodeOpts
-	if cfg.ReadTimeout > 0 {
-		nodeOpts.ReadTimeout = cfg.ReadTimeout
-	}
-	nodeOpts.Series = cfg.Series
-	var rc *simrace.Checker
-	if cfg.RaceCheck {
-		rc = simrace.New(eng)
-		rc.Attach(machine)
-		nodeOpts.Races = rc
-	}
 
 	interval := cfg.Interval
 	if interval < 1 {
 		interval = 1
 	}
-
-	// Shared locations: island i's migrant block, read by the islands
-	// the topology wires it to (sources[i]: whose blocks island i
-	// reads; the gossip overlays make the relation symmetric).
 	k := cfg.Par.N / 2
 	locs := make([]*core.Location, cfg.P)
-	sources, readers, err := topologySources(cfg.Topology, cfg.P, cfg.Seed)
-	if err != nil {
-		return IslandResult{}, err
-	}
 	members := make([]int, cfg.P)
 	for i := 0; i < cfg.P; i++ {
 		members[i] = i
@@ -310,18 +219,14 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		ReachedTarget: cfg.Mode == core.Sync,
 	}
 	finalAvgs := make([]float64, cfg.P)
-	coreStats := make([]core.Stats, cfg.P)
-	var staleHist metrics.Histogram
-	var exitTimes []sim.Time
-	remaining := cfg.P
 
 	for i := 0; i < cfg.P; i++ {
 		i := i
-		machine.Spawn("island", func(task *pvm.Task) {
+		cl.Spawn("island", func(task *pvm.Task) {
 			// Register only the blocks this island writes or reads: a
 			// node serves and names just those, and a 1000-island cell
 			// would otherwise make a million registrations.
-			node := core.NewNode(task, nodeOpts)
+			node := cl.Node(task, cfg.NodeOpts)
 			node.Register(locs[i])
 			for _, j := range sources[i] {
 				node.Register(locs[j])
@@ -344,17 +249,7 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 				if b := deme.CurrentBest(); b < res.FinalBest {
 					res.FinalBest = b
 				}
-				st := node.Stats()
-				res.BlockedTime += st.BlockedTime
-				res.Blocked += st.BlockedReads
-				res.Coalesced += st.Coalesced
-				coreStats[i] = st
-				staleHist.Merge(node.Staleness())
-				exitTimes = append(exitTimes, task.Now())
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
-				}
+				cl.Exit(node)
 			}
 
 			for gen := int64(0); ; gen++ {
@@ -449,13 +344,9 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	res.Stats, err = cl.Run(cfg.Mode, cfg.Age)
+	if err != nil {
 		return res, err
-	}
-	for _, t := range exitTimes {
-		if d := t.Sub(0); d > res.Completion {
-			res.Completion = d
-		}
 	}
 	s := 0.0
 	for _, a := range finalAvgs {
@@ -463,50 +354,5 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	}
 	res.Avg = s / float64(cfg.P)
 	res.OptimumFound = cfg.Fn.OptimumFound(res.Best)
-	st := net.Stats()
-	res.Messages = st.Frames
-	res.NetBytes = st.Bytes
-	res.QueueDelay = st.QueueDelay
-	res.WarpMean = warp.Mean()
-	res.WarpMax = warp.Max()
-	res.WarpWindows = warp.Windows()
-
-	tasks := machine.TaskTelemetry()
-	var violations int64
-	for i := range tasks {
-		if i < len(coreStats) {
-			cs := coreStats[i]
-			tasks[i].GlobalReads = cs.GlobalReads
-			tasks[i].BlockedReads = cs.BlockedReads
-			tasks[i].BlockedSecs = cs.BlockedTime.Seconds()
-			tasks[i].ReadTimeouts = cs.ReadTimeouts
-			violations += cs.ReadTimeouts
-		}
-	}
-	res.Telemetry = &metrics.Telemetry{
-		Variant:             cfg.Mode.String(),
-		Age:                 cfg.Age,
-		CompletionSecs:      res.Completion.Seconds(),
-		Tasks:               tasks,
-		Net:                 st.Telemetry(eng.Now().Sub(0)),
-		Staleness:           staleHist.Summary(),
-		WarpMean:            res.WarpMean,
-		WarpMax:             res.WarpMax,
-		StalenessViolations: violations,
-	}
-	if rc != nil {
-		res.Telemetry.Races = rc.Telemetry()
-		res.Telemetry.RaceLocations = rc.Report().Locations
-	}
-	if cfg.Series != nil {
-		// Copy the warp series into the set as gauge "pvm.warp" (one
-		// sample per 100 ms window, at the window's start) so the export
-		// carries warp alongside the other windowed series.
-		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range res.WarpWindows {
-			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
-		}
-		res.Telemetry.Series = cfg.Series.Summaries()
-	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -394,15 +395,41 @@ func TestRunIslandConfigErrors(t *testing.T) {
 	negMax.MaxGens = -3
 	negAge := quickCfg(core.NonStrict, 2)
 	negAge.Age = -5
+	// Fabric and cluster numbers no run can simulate: each is an error
+	// from cluster.Build, not a panic inside the engine or a value
+	// silently read as 0.
+	bus := func(edit func(*netsim.Config)) IslandConfig {
+		cfg := quickCfg(core.NonStrict, 2)
+		nc := netsim.DefaultConfig()
+		edit(&nc)
+		cfg.Net = &nc
+		return cfg
+	}
+	zeroSwitch := quickCfg(core.Async, 2)
+	zeroSwitch.Switch = &netsim.SwitchConfig{}
+	noRacks := quickCfg(core.Async, 2)
+	noRacks.Hier = &netsim.HierConfig{Bus: netsim.DefaultConfig(), UplinkBandwidthBps: 1e8}
+	negLoad := quickCfg(core.Sync, 2)
+	negLoad.LoaderBps = -1
+	negTimeout := quickCfg(core.NonStrict, 2)
+	negTimeout.ReadTimeout = -5 * sim.Millisecond
 	for name, cfg := range map[string]IslandConfig{
-		"nil function":         noFn,
-		"zero processors":      quickCfg(core.Async, 0),
-		"negative processors":  quickCfg(core.Sync, -1),
-		"deme of one":          tinyDeme,
-		"sync, zero FixedGens": noFixed,
-		"async, zero MaxGens":  noMax,
-		"GR, negative MaxGens": negMax,
-		"GR, negative Age":     negAge,
+		"nil function":          noFn,
+		"zero processors":       quickCfg(core.Async, 0),
+		"negative processors":   quickCfg(core.Sync, -1),
+		"deme of one":           tinyDeme,
+		"sync, zero FixedGens":  noFixed,
+		"async, zero MaxGens":   noMax,
+		"GR, negative MaxGens":  negMax,
+		"GR, negative Age":      negAge,
+		"NaN bus bandwidth":     bus(func(c *netsim.Config) { c.BandwidthBps = math.NaN() }),
+		"zero bus bandwidth":    bus(func(c *netsim.Config) { c.BandwidthBps = 0 }),
+		"negative loss":         bus(func(c *netsim.Config) { c.LossProb = -0.1 }),
+		"NaN loss":              bus(func(c *netsim.Config) { c.LossProb = math.NaN() }),
+		"zero switch bandwidth": zeroSwitch,
+		"zero rack size":        noRacks,
+		"negative loader rate":  negLoad,
+		"negative read timeout": negTimeout,
 	} {
 		func() {
 			defer func() {

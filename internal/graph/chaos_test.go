@@ -13,6 +13,7 @@ import (
 	"math"
 	"testing"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/graph"
@@ -37,10 +38,11 @@ func chaosCfg(t *testing.T, algo graph.Algo, seed int64) graph.Config {
 		MaxSupersteps: 4000,
 		Seed:          seed,
 		Calib:         graph.DefaultCalibration(),
-
-		Faults:      faults.RandomPlan(seed, 4, 2.0),
-		Reliable:    true,
-		ReadTimeout: chaosTimeout,
+		Options: cluster.Options{
+			Faults:      faults.RandomPlan(seed, 4, 2.0),
+			Reliable:    true,
+			ReadTimeout: chaosTimeout,
+		},
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/sim"
@@ -30,7 +31,7 @@ func planCfg(g *Graph, algo Algo, p int, v variant, seed int64) Config {
 		MaxSupersteps: 4000,
 		Seed:          seed,
 		Calib:         DefaultCalibration(),
-		RaceCheck:     true,
+		Options:       cluster.Options{RaceCheck: true},
 	}
 }
 

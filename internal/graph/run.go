@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"math"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
-	"nscc/internal/faults"
-	"nscc/internal/metrics"
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
-	"nscc/internal/simrace"
 	"nscc/internal/trace"
-	"nscc/internal/tseries"
 )
 
 // ctrlTag carries per-superstep convergence reports to partition 0,
@@ -86,22 +83,11 @@ type Config struct {
 	// PVM overrides the messaging overheads (nil = pvm.DefaultConfig()).
 	PVM *pvm.Config
 
-	// Faults, Reliable, ReadTimeout: exactly the GA runner's contract.
-	// Note the Sync barrier and the exit protocol rely on per-pair
-	// in-order delivery; under reordering fault plans run Reliable,
-	// which restores it.
-	Faults      *faults.Plan
-	Reliable    bool
-	ReadTimeout sim.Duration
-
-	Tracer trace.Tracer
-	// RaceCheck runs the simulated-time race classifier (strictly
-	// passive) and fills Telemetry.Races.
-	RaceCheck bool
-	// Series, if set, records windowed series: counter "graph.iters"
-	// (supersteps per window), gauge "graph.residual" and gauge
-	// "graph.frontier_size" (freshest per-superstep values).
-	Series *tseries.Set
+	// Options are the run's fault and observation settings. A series
+	// set also records counter "graph.iters" (supersteps per window),
+	// gauge "graph.residual" and gauge "graph.frontier_size" (freshest
+	// per-superstep values).
+	cluster.Options
 
 	// OnSuperstep, if set, observes every partition's owned sub-vector
 	// at the end of each superstep (the property-test hook; the engine
@@ -113,20 +99,11 @@ type Config struct {
 // Result reports one partitioned run.
 type Result struct {
 	Values     []float64 // assembled final state vector
-	Completion sim.Duration
-	Supersteps []int64 // supersteps completed per partition
-	Converged  bool    // the coordinator declared quiet convergence
-	Residual   float64 // sum of the partitions' final residual reports
+	Supersteps []int64   // supersteps completed per partition
+	Converged  bool      // the coordinator declared quiet convergence
+	Residual   float64   // sum of the partitions' final residual reports
 
-	Messages    int64
-	NetBytes    int64
-	QueueDelay  sim.Duration
-	WarpMean    float64
-	WarpMax     float64
-	BlockedTime sim.Duration
-	Blocked     int64
-
-	Telemetry *metrics.Telemetry
+	cluster.Stats
 }
 
 // quietDefault returns the mode's consecutive-clean window.
@@ -282,57 +259,15 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 	quiet := cfg.quietDefault()
 	bounds, locs, sources := pl.bounds, pl.locs, pl.sources
 
-	eng := sim.NewEngine(cfg.Seed)
-	defer eng.Close()
-	eng.SetTracer(cfg.Tracer)
-	var net netsim.Fabric
-	if cfg.Switch != nil {
-		sw := netsim.NewSwitch(eng, *cfg.Switch)
-		sw.SetSeries(cfg.Series)
-		net = sw
-	} else {
-		netCfg := netsim.DefaultConfig()
-		if cfg.Net != nil {
-			netCfg = *cfg.Net
-		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(cfg.Series)
-		net = bus
+	cl, err := cluster.Build(cluster.Spec{
+		Seed: cfg.Seed, Net: cfg.Net, Switch: cfg.Switch, PVM: cfg.PVM, Options: cfg.Options,
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.Faults != nil {
-		net = faults.Wrap(net, cfg.Faults)
-	}
-	pvmCfg := pvm.DefaultConfig()
-	if cfg.PVM != nil {
-		pvmCfg = *cfg.PVM
-	}
-	if cfg.Reliable {
-		pvmCfg.Reliable = true
-	}
-	// Pooling is safe only without fault injection (duplication
-	// re-delivers the same payload pointer). It also switches on the
-	// recycling of state blocks and convergence reports.
-	pvmCfg.Pooling = cfg.Faults == nil
-	machine := pvm.NewMachine(eng, net, pvmCfg)
-	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter(100 * sim.Millisecond)
 	serIters := cfg.Series.Counter("graph.iters")
 	serResid := cfg.Series.Gauge("graph.residual")
 	serFrontier := cfg.Series.Gauge("graph.frontier_size")
-	machine.ArrivalHook = func(dst int, m *pvm.Message) {
-		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-	}
-	nodeOpts := cfg.NodeOpts
-	if cfg.ReadTimeout > 0 {
-		nodeOpts.ReadTimeout = cfg.ReadTimeout
-	}
-	nodeOpts.Series = cfg.Series
-	var rc *simrace.Checker
-	if cfg.RaceCheck {
-		rc = simrace.New(eng)
-		rc.Attach(machine)
-		nodeOpts.Races = rc
-	}
 
 	members := make([]int, cfg.P)
 	for q := range members {
@@ -361,15 +296,11 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 	// when pvm pools: the coordinator returns each report after folding
 	// it, and the other partitions send theirs from the list.
 	var reports []*ctrlMsg
-	coreStats := make([]core.Stats, cfg.P)
-	var staleHist metrics.Histogram
-	var exitTimes []sim.Time
-	remaining := cfg.P
 
 	for p := 0; p < cfg.P; p++ {
 		p := p
-		machine.Spawn("part", func(task *pvm.Task) {
-			node := core.NewNode(task, nodeOpts)
+		cl.Spawn("part", func(task *pvm.Task) {
+			node := cl.Node(task, cfg.NodeOpts)
 			for _, l := range locs {
 				node.Register(l)
 			}
@@ -430,16 +361,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 				publish(iter, sentinelIter)
 				res.Supersteps[p] = iter
 				copy(res.Values[lo:hi], owned)
-				st := node.Stats()
-				res.BlockedTime += st.BlockedTime
-				res.Blocked += st.BlockedReads
-				coreStats[p] = st
-				staleHist.Merge(node.Staleness())
-				exitTimes = append(exitTimes, task.Now())
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
-				}
+				cl.Exit(node)
 			}
 
 			// report folds one convergence report into the coordinator's
@@ -471,7 +393,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 					}
 					r := m.Data.(*ctrlMsg)
 					report(r)
-					if pvmCfg.Pooling {
+					if task.Pooling() {
 						reports = append(reports, r)
 					}
 				}
@@ -626,60 +548,15 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	res.Stats, err = cl.Run(cfg.Mode, cfg.Age)
+	if err != nil {
 		return res, err
-	}
-	for _, t := range exitTimes {
-		if d := t.Sub(0); d > res.Completion {
-			res.Completion = d
-		}
 	}
 	for _, r := range lastResid {
 		res.Residual += r
 	}
 	if math.IsNaN(res.Residual) {
 		res.Residual = math.Inf(1)
-	}
-	st := net.Stats()
-	res.Messages = st.Frames
-	res.NetBytes = st.Bytes
-	res.QueueDelay = st.QueueDelay
-	res.WarpMean = warp.Mean()
-	res.WarpMax = warp.Max()
-
-	tasks := machine.TaskTelemetry()
-	var violations int64
-	for i := range tasks {
-		if i < len(coreStats) {
-			cs := coreStats[i]
-			tasks[i].GlobalReads = cs.GlobalReads
-			tasks[i].BlockedReads = cs.BlockedReads
-			tasks[i].BlockedSecs = cs.BlockedTime.Seconds()
-			tasks[i].ReadTimeouts = cs.ReadTimeouts
-			violations += cs.ReadTimeouts
-		}
-	}
-	res.Telemetry = &metrics.Telemetry{
-		Variant:             cfg.Mode.String(),
-		Age:                 cfg.Age,
-		CompletionSecs:      res.Completion.Seconds(),
-		Tasks:               tasks,
-		Net:                 st.Telemetry(eng.Now().Sub(0)),
-		Staleness:           staleHist.Summary(),
-		WarpMean:            res.WarpMean,
-		WarpMax:             res.WarpMax,
-		StalenessViolations: violations,
-	}
-	if rc != nil {
-		res.Telemetry.Races = rc.Telemetry()
-		res.Telemetry.RaceLocations = rc.Report().Locations
-	}
-	if cfg.Series != nil {
-		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range warp.Windows() {
-			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
-		}
-		res.Telemetry.Series = cfg.Series.Summaries()
 	}
 	return res, nil
 }

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
+	"nscc/internal/netsim"
 	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/tseries"
@@ -28,7 +31,7 @@ func TestRaceClassification(t *testing.T) {
 				MaxSupersteps: 4000,
 				Seed:          5,
 				Calib:         DefaultCalibration(),
-				RaceCheck:     true,
+				Options:       cluster.Options{RaceCheck: true},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -104,8 +107,10 @@ func TestTelemetryAndSeries(t *testing.T) {
 		MaxSupersteps: 4000,
 		Seed:          3,
 		Calib:         DefaultCalibration(),
-		Tracer:        buf,
-		Series:        set,
+		Options: cluster.Options{
+			Tracer: buf,
+			Series: set,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +179,26 @@ func TestTelemetryAndSeries(t *testing.T) {
 // configs: each comes back as an error, never a panic.
 func TestRunConfigErrors(t *testing.T) {
 	g, _ := Ring(4)
+	// Fabric and cluster numbers no run can simulate: each is an error
+	// from cluster.Build, not a panic inside the engine or a value
+	// silently read as 0.
+	bus := func(edit func(*netsim.Config)) Config {
+		nc := netsim.DefaultConfig()
+		edit(&nc)
+		return Config{G: g, P: 2, MaxSupersteps: 1, Net: &nc}
+	}
 	for name, cfg := range map[string]Config{
-		"nil graph":        {P: 1, MaxSupersteps: 1},
-		"zero parts":       {G: g, P: 0, MaxSupersteps: 1},
-		"too many":         {G: g, P: 5, MaxSupersteps: 1},
-		"no superstep cap": {G: g, P: 2},
-		"GR, negative age": {G: g, P: 2, MaxSupersteps: 1, Mode: core.NonStrict, Age: -5},
+		"nil graph":             {P: 1, MaxSupersteps: 1},
+		"zero parts":            {G: g, P: 0, MaxSupersteps: 1},
+		"too many":              {G: g, P: 5, MaxSupersteps: 1},
+		"no superstep cap":      {G: g, P: 2},
+		"GR, negative age":      {G: g, P: 2, MaxSupersteps: 1, Mode: core.NonStrict, Age: -5},
+		"NaN bus bandwidth":     bus(func(c *netsim.Config) { c.BandwidthBps = math.NaN() }),
+		"zero bus bandwidth":    bus(func(c *netsim.Config) { c.BandwidthBps = 0 }),
+		"negative loss":         bus(func(c *netsim.Config) { c.LossProb = -0.1 }),
+		"NaN loss":              bus(func(c *netsim.Config) { c.LossProb = math.NaN() }),
+		"zero switch bandwidth": {G: g, P: 2, MaxSupersteps: 1, Switch: &netsim.SwitchConfig{}},
+		"negative read timeout": {G: g, P: 2, MaxSupersteps: 1, Options: cluster.Options{ReadTimeout: -1}},
 	} {
 		func() {
 			defer func() {

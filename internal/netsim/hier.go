@@ -214,16 +214,11 @@ func (f *hFrame) Run() {
 	}
 }
 
-// NewHier creates a hierarchical fabric on eng.
+// NewHier creates a hierarchical fabric on eng. It panics on a
+// configuration that fails Validate.
 func NewHier(eng *sim.Engine, cfg HierConfig) *Hier {
-	if cfg.RackSize <= 0 {
-		panic("netsim: hier rack size must be positive")
-	}
-	if cfg.Bus.BandwidthBps <= 0 {
-		panic("netsim: hier bus bandwidth must be positive")
-	}
-	if cfg.UplinkBandwidthBps <= 0 {
-		panic("netsim: hier uplink bandwidth must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Hier{eng: eng, cfg: cfg, rng: lossRng{eng: eng}}
 }

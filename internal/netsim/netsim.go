@@ -223,10 +223,11 @@ func (n *Network) traceFrame(tr trace.Tracer, now, start sim.Time, tx sim.Durati
 		K2: "wait_us", V2: int64(start.Sub(now)) / 1000})
 }
 
-// New creates a network on eng with the given configuration.
+// New creates a network on eng with the given configuration. It panics
+// on a configuration that fails Validate.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.BandwidthBps <= 0 {
-		panic("netsim: bandwidth must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Network{eng: eng, cfg: cfg, rng: eng.NewRng(1 << 20)}
 }

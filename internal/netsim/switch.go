@@ -135,10 +135,11 @@ func (s *Switch) SetSeries(set *tseries.Set) {
 	s.serBacklog = set.Gauge("net.backlog_us")
 }
 
-// NewSwitch creates a switch fabric on eng.
+// NewSwitch creates a switch fabric on eng. It panics on a
+// configuration that fails Validate.
 func NewSwitch(eng *sim.Engine, cfg SwitchConfig) *Switch {
-	if cfg.LinkBandwidthBps <= 0 {
-		panic("netsim: switch link bandwidth must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Switch{eng: eng, cfg: cfg}
 }

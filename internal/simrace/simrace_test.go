@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
@@ -19,10 +20,10 @@ func runGA(t *testing.T, mode core.Mode, age, seed int64) *ga.IslandResult {
 		Fn: functions.F1, Par: ga.DeJongParams(), P: 4,
 		Mode: mode, Age: age,
 		FixedGens: 40, MinGens: 40, MaxGens: 160,
-		Target:    1e9, // quality target irrelevant: bound the run by gens
-		Seed:      seed,
-		Calib:     ga.DefaultCalibration(),
-		RaceCheck: true,
+		Target:  1e9, // quality target irrelevant: bound the run by gens
+		Seed:    seed,
+		Calib:   ga.DefaultCalibration(),
+		Options: cluster.Options{RaceCheck: true},
 	}
 	if mode == core.Sync {
 		cfg.Target = 0
