@@ -46,9 +46,18 @@ func main() {
 	)
 	flag.Parse()
 
-	runMode, err := checkRun(*procs, *maxIt, *age, *load, *readTo, *mode, *algo)
+	runMode, err := checkRun(*procs, *maxIt, *age, *readTo, *mode, *algo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	fabric := cluster.Spec{LoaderBps: *load}
+	if *swFabric {
+		sw := netsim.DefaultSwitchConfig()
+		fabric.Switch = &sw
+	}
+	if err := fabric.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-load: %v\n", err)
 		os.Exit(2)
 	}
 	var faultPlan *faults.Plan
@@ -104,7 +113,8 @@ func main() {
 	cfg := bayes.ParallelConfig{
 		Net: bn, Query: q, P: *procs, Mode: runMode,
 		Age: *age, Precision: *prec, MaxIters: *maxIt,
-		Seed: *seed, Calib: calib, LoaderBps: *load,
+		Seed: *seed, Calib: calib,
+		SwitchCfg: fabric.Switch, LoaderBps: fabric.LoaderBps,
 		RandomDefaults: *randDef,
 		Batch:          *batch,
 		Options: cluster.Options{
@@ -113,10 +123,6 @@ func main() {
 			ReadTimeout: sim.Duration(readTo.Nanoseconds()),
 			RaceCheck:   *simRace,
 		},
-	}
-	if *swFabric {
-		sw := netsim.DefaultSwitchConfig()
-		cfg.SwitchCfg = &sw
 	}
 
 	var rec *trace.Recorder
@@ -166,7 +172,7 @@ func main() {
 
 // checkRun rejects flag values no run can use, before anything runs,
 // and returns the coherence mode -mode names.
-func checkRun(procs int, maxIters, age int64, load float64, readTo time.Duration, mode, algo string) (core.Mode, error) {
+func checkRun(procs int, maxIters, age int64, readTo time.Duration, mode, algo string) (core.Mode, error) {
 	switch {
 	case procs < 1:
 		return 0, fmt.Errorf("-procs %d: want at least 1 processor", procs)
@@ -174,8 +180,6 @@ func checkRun(procs int, maxIters, age int64, load float64, readTo time.Duration
 		return 0, fmt.Errorf("-maxiters %d: want at least 1 iteration", maxIters)
 	case age < 0:
 		return 0, fmt.Errorf("-age %d: want a staleness bound of at least 0 iterations", age)
-	case !(load >= 0):
-		return 0, fmt.Errorf("-load %v: want a rate of at least 0 bits/s", load)
 	case readTo < 0:
 		return 0, fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	case algo != "ls" && algo != "lw":

@@ -23,9 +23,9 @@ func TestMain(m *testing.M) {
 // line on stderr and exit status 2, before the serial reference runs or
 // prints: a negative -age (not a parallel run that deadlocks waiting for
 // an iteration no writer reaches), a -procs or -maxiters below 1, an
-// unknown -mode or -algo, an unreadable -faults file, and a negative
+// unknown -mode or -algo, an unreadable -faults file, a negative
 // -read-timeout or -load (not a run that waits forever or runs
-// unloaded). An unknown -algo prints nothing even when checked late, so
+// unloaded), and a -load above the bus's 10 Mbit/s. An unknown -algo prints nothing even when checked late, so
 // its case also asks for the live status page, whose start line on
 // stderr shows whether the flag was checked before anything started.
 func TestBadRunFlagsExitTwo(t *testing.T) {
@@ -35,7 +35,7 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-maxiters", "0"}, {"-maxiters", "-7"},
 		{"-mode", "bogus"}, {"-algo", "bogus", "-http", "127.0.0.1:0"},
 		{"-faults", "no-such-plan.json"},
-		{"-read-timeout", "-5ms"}, {"-load", "-1"},
+		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},
 		{"-read-timeout", "-5ms", "-http", "127.0.0.1:0"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)

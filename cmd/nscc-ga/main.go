@@ -56,9 +56,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
 		os.Exit(2)
 	}
-	runMode, err := checkRun(*fnNo, *procs, *gens, *age, *rackSize, *load, *readTo, *mode)
+	runMode, err := checkRun(*fnNo, *procs, *gens, *age, *rackSize, *readTo, *mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	fabric := cluster.Spec{LoaderBps: *load}
+	if *swFabric {
+		sw := netsim.DefaultSwitchConfig()
+		fabric.Switch = &sw
+	}
+	if *hierFabric {
+		h := netsim.DefaultHierConfig()
+		if *rackSize > 0 {
+			h.RackSize = *rackSize
+		}
+		fabric.Hier = &h
+	}
+	if err := fabric.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-load: %v\n", err)
 		os.Exit(2)
 	}
 	topo, err := ga.ParseTopology(*topology)
@@ -98,7 +114,8 @@ func main() {
 		Fn: fn, Par: par, P: *procs, Mode: runMode,
 		Topology:  topo,
 		FixedGens: *gens, MinGens: *gens, MaxGens: 4 * *gens,
-		Seed: *seed, Calib: calib, LoaderBps: *load,
+		Seed: *seed, Calib: calib,
+		Switch: fabric.Switch, Hier: fabric.Hier, LoaderBps: fabric.LoaderBps,
 		Interval:   *interval,
 		DynamicAge: *dynAge,
 		NodeOpts:   core.Options{Window: *window, Coalesce: *window > 0},
@@ -111,17 +128,6 @@ func main() {
 	}
 	if runMode == core.NonStrict {
 		cfg.Age = *age
-	}
-	if *swFabric {
-		sw := netsim.DefaultSwitchConfig()
-		cfg.Switch = &sw
-	}
-	if *hierFabric {
-		h := netsim.DefaultHierConfig()
-		if *rackSize > 0 {
-			h.RackSize = *rackSize
-		}
-		cfg.Hier = &h
 	}
 	if cfg.Mode != core.Sync {
 		// Quality target: the synchronous run's final population average.
@@ -190,7 +196,7 @@ func main() {
 
 // checkRun rejects flag values no run can use, before anything runs,
 // and returns the coherence mode -mode names.
-func checkRun(fnNo, procs int, gens, age int64, rackSize int, load float64, readTo time.Duration, mode string) (core.Mode, error) {
+func checkRun(fnNo, procs int, gens, age int64, rackSize int, readTo time.Duration, mode string) (core.Mode, error) {
 	switch {
 	case fnNo < 1 || fnNo > 8:
 		return 0, fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
@@ -202,8 +208,6 @@ func checkRun(fnNo, procs int, gens, age int64, rackSize int, load float64, read
 		return 0, fmt.Errorf("-age %d: want a staleness bound of at least 0 generations", age)
 	case rackSize < 0:
 		return 0, fmt.Errorf("-rack-size %d: want at least 1 node per rack, or 0 for the default", rackSize)
-	case !(load >= 0):
-		return 0, fmt.Errorf("-load %v: want a rate of at least 0 bits/s", load)
 	case readTo < 0:
 		return 0, fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	}

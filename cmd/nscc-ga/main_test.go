@@ -25,13 +25,14 @@ func TestMain(m *testing.M) {
 // deadlocks, and that it comes before the serial baseline runs. The
 // -http cases need every check before the server starts, whose start
 // line would be a second; a negative -read-timeout or -load must be
-// rejected, not run as "wait forever" or as no load.
+// rejected, not run as "wait forever" or as no load, and so must a
+// -load above the bus's 10 Mbit/s.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
 		{"-age", "-5"}, {"-mode", "async", "-age", "-1"}, {"-hier", "-rack-size", "-4"},
-		{"-read-timeout", "-5ms"}, {"-load", "-1"},
+		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},
 		{"-http", "127.0.0.1:0", "-mode", "bogus"},
 		{"-http", "127.0.0.1:0", "-topology", "bogus"},
 		{"-http", "127.0.0.1:0", "-faults", missing},

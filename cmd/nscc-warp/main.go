@@ -49,8 +49,12 @@ func main() {
 		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
 	)
 	flag.Parse()
-	if err := checkRun(*fnNo, *procs, *gens, *load, *readTo); err != nil {
+	if err := checkRun(*fnNo, *procs, *gens, *readTo); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := (cluster.Spec{LoaderBps: *load}).Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-load: %v\n", err)
 		os.Exit(2)
 	}
 	var plan *faults.Plan
@@ -183,7 +187,7 @@ func show(name string, r ga.IslandResult) {
 }
 
 // checkRun rejects flag values no run can use, before anything runs.
-func checkRun(fnNo, procs int, gens int64, load float64, readTo time.Duration) error {
+func checkRun(fnNo, procs int, gens int64, readTo time.Duration) error {
 	switch {
 	case fnNo < 1 || fnNo > 8:
 		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
@@ -191,8 +195,6 @@ func checkRun(fnNo, procs int, gens int64, load float64, readTo time.Duration) e
 		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case gens < 1:
 		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
-	case !(load >= 0):
-		return fmt.Errorf("-load %v: want a rate of at least 0 bits/s", load)
 	case readTo < 0:
 		return fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	}

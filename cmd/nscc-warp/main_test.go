@@ -24,12 +24,13 @@ func TestMain(m *testing.M) {
 // line on stderr and exit status 2, not a panic. The -http cases need
 // every check before the server starts, whose start line would be a
 // second; a negative -read-timeout or -load must be rejected, not run
-// as "wait forever" or as no load.
+// as "wait forever" or as no load, and so must a -load above the bus's
+// 10 Mbit/s.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
-		{"-read-timeout", "-5ms"}, {"-load", "-1"},
+		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},
 		{"-http", "127.0.0.1:0", "-faults", missing},
 		{"-http", "127.0.0.1:0", "-read-timeout", "-5ms"},
 	} {

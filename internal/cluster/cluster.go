@@ -85,11 +85,13 @@ type Spec struct {
 // 1 ns resolution and a run's events are nearly all loader frames.
 const maxLoaderBps = 1e9
 
-// validate reports the first setting of s no cluster can run. The
+// Validate reports the first setting of s no cluster can run: a fabric
+// config that fails its own Validate, a negative read timeout, or a
+// loader rate outside [0, 1 Gbit/s] or above the rate of its link. The
 // loader is one host on the fabric, so it cannot offer more than its
 // link carries: a rack bus on the rack/spine fabric, its switch link,
 // or the bus.
-func (s Spec) validate() error {
+func (s Spec) Validate() error {
 	var err error
 	link := netsim.DefaultConfig().BandwidthBps
 	switch {
@@ -140,7 +142,7 @@ type Stats struct {
 	WarpWindows []float64    // per-100ms mean warp (instability time series)
 	BlockedTime sim.Duration // total Global_Read blocking across tasks
 	Blocked     int64        // blocking Global_Read count
-	Coalesced   int64        // outbox updates overwritten by newer writes
+	Coalesced   int64        // outbox updates overwritten before sending
 
 	// Telemetry is the machine-readable observability block: per-task
 	// message/coherence accounting, network aggregates, and the merged
@@ -151,12 +153,12 @@ type Stats struct {
 // warpWindow is the width of the warp meter's windows.
 const warpWindow = 100 * sim.Millisecond
 
-// Build makes the cluster s describes, or returns the error of the
-// first setting no cluster can run. Message pooling is on exactly when
+// Build makes the cluster s describes, or returns Validate's error.
+// Message pooling is on exactly when
 // no fault plan wraps the fabric: fault duplication re-delivers one
 // payload pointer twice, which would release a pooled message twice.
 func Build(s Spec) (*Cluster, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine(s.Seed)
