@@ -37,18 +37,22 @@ func benchOpts() exper.Options {
 func BenchmarkTable1Functions(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	fns := functions.All()
-	chromos := make([][]byte, len(fns))
+	chromos := make([]functions.Chrom, len(fns))
+	maxVars := 0
 	for i, fn := range fns {
-		chromos[i] = make([]byte, fn.TotalBits())
-		for j := range chromos[i] {
-			chromos[i][j] = byte(rng.Intn(2))
+		maxVars = max(maxVars, fn.Vars)
+		for j := 0; j < fn.TotalBits(); j++ {
+			if rng.Intn(2) == 1 {
+				chromos[i].Flip(j)
+			}
 		}
 	}
 	noise := xrand.New(1)
+	scratch := make([]float64, maxVars)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, fn := range fns {
-			_ = fn.EvalBits(chromos[j], noise)
+			_ = fn.EvalBitsInto(scratch, &chromos[j], false, noise)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func main() {
 		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to every simulated cluster")
 		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
 		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability")
+		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability (the bus only: not with -switch)")
 		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker (adds race columns to the age sweep)")
 		raceOut  = flag.String("simrace-out", "", "write the age sweep's merged per-location race report JSON to this file (requires -simrace and -exp agesweep; feed it to nscc-lint -simrace-report)")
 		profOut  = flag.String("profile-out", "", "write host pprof profiles of the run to PREFIX.cpu.pprof and PREFIX.heap.pprof (profile-guided optimization input; results are unchanged)")
@@ -115,6 +115,8 @@ func main() {
 		bad("-read-timeout %v: want at least 0 (0 waits forever)", *readTo)
 	case !(*lossProb >= 0 && *lossProb <= 1):
 		bad("-loss must be in [0,1]")
+	case *useSw && *lossProb > 0:
+		bad("-loss %v with -switch: the switch has no loss model, so -loss applies only to the bus", *lossProb)
 	case *raceOut != "" && !*simRace:
 		bad("-simrace-out requires -simrace")
 	case *resume && *cacheDir == "":

@@ -36,6 +36,9 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-read-timeout", "-5ms"},
 		{"-trials", "-3", "-workers", "-2"}, {"-workers", "-2"}, {"-gens", "-1"},
 		{"-simrace-out", "race.json"}, {"-resume"},
+		// The switch has no loss model: without the check this runs,
+		// printing what it prints without -loss, and exits 0.
+		{"-exp", "fig2", "-funcs", "1", "-procs", "2", "-trials", "1", "-gens", "20", "-switch", "-loss", "0.3"},
 	} {
 		args = append([]string{"-http", "127.0.0.1:0"}, args...)
 		cmd := exec.Command(os.Args[0], args...)

@@ -50,13 +50,17 @@ func main() {
 		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to every simulated cluster")
 		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
 		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability")
+		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability (the bus only: not with -switch)")
 		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker (adds race columns to the CSV)")
 		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address; strictly observer-side")
 	)
 	flag.Parse()
 	if *lossProb < 0 || *lossProb > 1 {
 		fmt.Fprintln(os.Stderr, "-loss must be in [0,1]")
+		os.Exit(2)
+	}
+	if *useSw && *lossProb > 0 {
+		fmt.Fprintf(os.Stderr, "-loss %v with -switch: the switch has no loss model, so -loss applies only to the bus\n", *lossProb)
 		os.Exit(2)
 	}
 	if *procsN < 1 {

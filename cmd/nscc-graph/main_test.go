@@ -104,6 +104,10 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-resume", "-cache-dir="},
 		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-procs", "13"},
 		{"-http", "127.0.0.1:0", "-edges", edgeFile(t), "-procs", "13"},
+		// The switch has no loss model: without the check these run,
+		// printing what they print without -loss, and exit 0.
+		{"-topo", "ring:12", "-switch", "-loss", "0.3"},
+		{"-http", "127.0.0.1:0", "-edges", edgeFile(t), "-procs", "2", "-switch", "-loss", "0.05"},
 	} {
 		stdout, stderr, code := runMain(t, args...)
 		if code != 2 {

@@ -102,7 +102,10 @@ type Options struct {
 	// staleness violations.
 	ReadTimeout sim.Duration
 	// LossProb, if positive, overrides the network model's independent
-	// per-frame loss probability (the lossy-Ethernet recipe).
+	// per-frame loss probability (the lossy-Ethernet recipe). Only the
+	// shared buses have a loss model: with UseSwitch the crossbar
+	// carries the GA and graph cells and ignores it, so the commands
+	// refuse the two together.
 	LossProb float64
 	// SimRace runs the simulated-time race classifier in every cell
 	// (ga.IslandConfig.RaceCheck) and adds race columns to the sweeps

@@ -17,18 +17,19 @@ func BenchmarkEvalBits(b *testing.B) {
 	for _, f := range All() {
 		b.Run(fmt.Sprintf("F%d", f.No), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			chroms := make([][]byte, 64)
+			chroms := make([]Chrom, 64)
 			for c := range chroms {
-				chroms[c] = make([]byte, f.TotalBits())
-				for i := range chroms[c] {
-					chroms[c][i] = byte(rng.Intn(2))
+				for i := 0; i < f.TotalBits(); i++ {
+					if rng.Intn(2) == 1 {
+						chroms[c].Flip(i)
+					}
 				}
 			}
 			scratch, noise := make([]float64, f.Vars), xrand.New(1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				evalSink = f.EvalBitsInto(scratch, chroms[i%len(chroms)], false, noise)
+				evalSink = f.EvalBitsInto(scratch, &chroms[i%len(chroms)], false, noise)
 			}
 		})
 	}

@@ -5,6 +5,15 @@
 // (variables are binary-encoded over their limit range, DeJong-style)
 // so the GA engine and the benchmarks share one definition.
 //
+// The package also owns the chromosome's bit layout, and no other
+// package restates it. A Chrom packs up to MaxBits bits into four
+// words, most significant first: bit i is bit 63-i%64 of word i/64.
+// Each variable is one big-endian field of BitsPerVar bits, which may
+// straddle two words (F6's 10-bit variables 6, 12 and 19 do). SetBit
+// writes one bit, Flip inverts one and SwapTail exchanges two
+// chromosomes' tails, which is all initialization, mutation and
+// crossover need.
+//
 // Each objective's formula is the reference: Eval(x) computes it, and
 // EvalBitsInto must return exactly its bits for the decoded chromosome.
 // F6 and F7 are sums of one term per variable, over variables that all
@@ -20,7 +29,6 @@
 package functions
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -71,68 +79,73 @@ func (f *Function) Eval(x []float64, rng *xrand.Rand) float64 {
 	return f.eval(x, rng)
 }
 
-// Decode maps a chromosome (one byte per bit, 0/1) to variable values:
-// each variable's bits are read most-significant-first as a plain
-// binary integer and scaled linearly onto [Lo, Hi] (DeJong's encoding).
-func (f *Function) Decode(bits []byte) []float64 {
-	return f.decode(bits, false)
+// MaxBits is the chromosome capacity in bits: Table 1's widest
+// function, F4, has 240 bits, so every chromosome fits 256.
+const MaxBits = 256
+
+// Chrom is a chromosome packed into fixed-width words: bit i is bit
+// 63-i%64 of word i/64, so the chromosome reads most-significant-first
+// from word 0 on, and bits at and past the function's TotalBits are
+// zero. It holds no pointers, so a population of them is one
+// allocation the garbage collector never scans, and copying one is a
+// value copy.
+type Chrom [MaxBits / 64]uint64
+
+// Flip inverts bit i.
+func (c *Chrom) Flip(i int) { c[i/64] ^= 1 << (63 - uint(i)%64) }
+
+// SetBit sets bit i to b, which is 0 or 1, without branching on b.
+func (c *Chrom) SetBit(i int, b uint) {
+	sh := 63 - uint(i)%64
+	c[i/64] = c[i/64]&^(1<<sh) | uint64(b&1)<<sh
 }
 
-// DecodeGray is Decode with the bit pattern interpreted as a reflected
-// Gray code, the common alternative encoding for GA function
-// optimization: adjacent parameter values differ in exactly one bit,
-// removing the Hamming cliffs of plain binary.
-func (f *Function) DecodeGray(bits []byte) []float64 {
-	return f.decode(bits, true)
-}
-
-func (f *Function) decode(bits []byte, gray bool) []float64 {
-	x := make([]float64, f.Vars)
-	f.DecodeInto(x, bits, gray)
-	return x
-}
-
-// DecodeInto is the allocation-free core of Decode/DecodeGray: it
-// writes the decoded variables into dst, which must have length
-// f.Vars. The arithmetic is identical to Decode, so the two produce
-// bit-equal values.
-func (f *Function) DecodeInto(dst []float64, bits []byte, gray bool) {
-	f.checkLens(dst, bits)
-	maxv, bpv := f.maxCode(), f.BitsPerVar
-	for i := 0; i < f.Vars; i++ {
-		dst[i] = f.value(code(bits[i*bpv:(i+1)*bpv], gray), maxv)
+// SwapTail exchanges bits from through MaxBits-1 of c and o: the word
+// holding bit from swaps under one mask, the words after it whole.
+func (c *Chrom) SwapTail(o *Chrom, from int) {
+	m := ^uint64(0) >> (uint(from) % 64)
+	for w := from / 64; w < len(c); w++ {
+		d := (c[w] ^ o[w]) & m
+		c[w] ^= d
+		o[w] ^= d
+		m = ^uint64(0)
 	}
 }
 
-// checkLens panics unless bits is one chromosome and dst holds one
-// value per variable.
-func (f *Function) checkLens(dst []float64, bits []byte) {
-	if len(bits) != f.TotalBits() {
-		panic(fmt.Sprintf("functions: F%d wants %d bits, got %d", f.No, f.TotalBits(), len(bits)))
-	}
-	if len(dst) != f.Vars {
-		panic(fmt.Sprintf("functions: F%d wants %d vars of scratch, got %d", f.No, f.Vars, len(dst)))
-	}
+// field reads the n bits (1 <= n <= 64) from bit i on as one
+// big-endian integer. It reads bit i's word and the next (word 0 after
+// the last, whose bits then go unused): v holds the field in its top n
+// bits, and a field inside one word leaves the next word's bits below
+// them, where the final shift drops them, so a field straddling two
+// words takes no branch of its own.
+func (c *Chrom) field(i, n uint) uint64 {
+	w, off := i/64, i%64
+	v := c[w]<<off | c[(w+1)%uint(len(c))]>>(64-off)
+	return v >> (64 - n)
 }
 
-// code reads one variable's bits most-significant-first as a plain
-// binary integer, Gray-decoded if gray is set.
-func code(seg []byte, gray bool) uint64 {
-	// Eight 0/1 bit bytes pack at once: read as a big-endian word, the
-	// multiply moves byte j's bit to bit 7-j of the product's top byte
-	// without carries, so v is the same integer the bit-at-a-time shift
-	// builds. The remainder shifts in singly.
-	var v uint64
-	for ; len(seg) >= 8; seg = seg[8:] {
-		v = v<<8 | binary.BigEndian.Uint64(seg)*0x0102040810204080>>56
-	}
-	for _, bit := range seg {
-		v = v<<1 | uint64(bit)
-	}
+// code reads the n-bit field from bit i on as a plain binary integer,
+// Gray-decoded if gray is set.
+func code(c *Chrom, i, n uint, gray bool) uint64 {
+	v := c.field(i, n)
 	if gray {
 		v = GrayToBinary(v)
 	}
 	return v
+}
+
+// DecodeInto maps a chromosome to variable values, writing them into
+// dst, which must hold f.Vars of them: each variable's field is read
+// as a plain binary integer (or, if gray is set, a reflected Gray
+// code, whose adjacent values differ in one bit, removing the Hamming
+// cliffs of plain binary) and scaled linearly onto [Lo, Hi] (DeJong's
+// encoding).
+func (f *Function) DecodeInto(dst []float64, c *Chrom, gray bool) {
+	_ = dst[f.Vars-1] // a short dst panics here, before any write
+	maxv, bpv := f.maxCode(), uint(f.BitsPerVar)
+	for i := 0; i < f.Vars; i++ {
+		dst[i] = f.value(code(c, uint(i)*bpv, bpv, gray), maxv)
+	}
 }
 
 // maxCode is the largest code of one variable, as a float64.
@@ -168,30 +181,21 @@ func GrayToBinary(g uint64) uint64 {
 // BinaryToGray converts a binary value to its reflected Gray code.
 func BinaryToGray(b uint64) uint64 { return b ^ (b >> 1) }
 
-// EvalBits decodes (plain binary) and evaluates in one step.
-func (f *Function) EvalBits(bits []byte, rng *xrand.Rand) float64 {
-	return f.Eval(f.Decode(bits), rng)
-}
-
-// EvalBitsGray decodes (Gray) and evaluates in one step.
-func (f *Function) EvalBitsGray(bits []byte, rng *xrand.Rand) float64 {
-	return f.Eval(f.DecodeGray(bits), rng)
-}
-
-// EvalBitsInto is EvalBits/EvalBitsGray with caller-owned decode
-// scratch (length f.Vars), so a tight evaluation loop allocates
-// nothing. Results are bit-identical to the allocating forms. A
-// function with a term table (F6, F7) sums table entries by code and
-// leaves scratch untouched.
-func (f *Function) EvalBitsInto(scratch []float64, bits []byte, gray bool, rng *xrand.Rand) float64 {
+// EvalBitsInto decodes a chromosome and evaluates the objective there,
+// with caller-owned decode scratch (f.Vars values), so a tight
+// evaluation loop allocates nothing. The result is exactly the
+// formula's, Eval at the DecodeInto values. A function with a term
+// table (F6, F7) sums table entries by code and leaves scratch
+// untouched, though a short scratch panics on every function alike.
+func (f *Function) EvalBitsInto(scratch []float64, c *Chrom, gray bool, rng *xrand.Rand) float64 {
 	if f.terms == nil {
-		f.DecodeInto(scratch, bits, gray)
-		return f.eval(scratch, rng)
+		f.DecodeInto(scratch, c, gray)
+		return f.eval(scratch[:f.Vars], rng)
 	}
-	f.checkLens(scratch, bits)
-	s, bpv := f.base, f.BitsPerVar
+	_ = scratch[f.Vars-1]
+	s, bpv := f.base, uint(f.BitsPerVar)
 	for i := 0; i < f.Vars; i++ {
-		s += f.terms[code(bits[i*bpv:(i+1)*bpv], gray)]
+		s += f.terms[code(c, uint(i)*bpv, bpv, gray)]
 	}
 	return s
 }

@@ -4,10 +4,17 @@
 // fitness-caching optimization the paper applies to its sequential
 // baselines, and the coarse-grained "island" parallel GA in its
 // synchronous, fully asynchronous and Global_Read-controlled variants.
+//
+// A chromosome is a functions.Chrom, packed bits in a pointer-free
+// value whose layout the functions package alone defines: this package
+// only sets, flips and swaps bits through it. An Individual is
+// therefore copied by assignment, and a population or a migrant block
+// is one allocation the garbage collector never scans.
+// internal/ga/ref_test.go keeps the byte-per-bit GA this replaced and
+// holds the deme to it, draw for draw.
 package ga
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -33,27 +40,20 @@ func DeJongParams() Params {
 }
 
 // Individual is one chromosome with its cached objective value. The GA
-// minimizes Fit.
+// minimizes Fit. It holds no pointers: assigning one copies it, and a
+// slice of them is one allocation the garbage collector never scans.
 type Individual struct {
-	Bits  []byte  // one byte per bit, 0 or 1
-	Fit   float64 // objective value (valid only if Valid)
+	Bits  functions.Chrom // packed bits; the function's layout
+	Fit   float64         // objective value (valid only if Valid)
 	Valid bool
-}
-
-// Clone returns a deep copy.
-func (ind Individual) Clone() Individual {
-	b := make([]byte, len(ind.Bits))
-	copy(b, ind.Bits)
-	return Individual{Bits: b, Fit: ind.Fit, Valid: ind.Valid}
 }
 
 // Deme is one subpopulation evolving under a Params setting. All
 // randomness comes from the supplied rng, so demes are deterministic.
 //
-// The deme is double-buffered: pop and next each own a full
-// population backed by one contiguous bit arena, and NextGeneration
-// builds the new generation in next and swaps the buffers, so the
-// steady-state generation loop allocates nothing.
+// The deme is double-buffered: NextGeneration builds the new
+// generation in next and swaps the buffers, so the steady-state
+// generation loop allocates nothing.
 type Deme struct {
 	Fn  *functions.Function
 	Par Params
@@ -79,23 +79,13 @@ type Deme struct {
 	bestSet bool
 	scratch Individual // discarded second child of an odd last pair
 
-	ws   []float64 // selection-weight prefix sums, reused per generation
-	idx  []int     // index-sort scratch, reused per call
-	key  []float64 // sort keys of idx, reused per call
-	xbuf []float64 // objective decode scratch, reused per evaluation
+	ws    []float64 // selection-weight prefix sums, reused per generation
+	idx   []int     // index-sort scratch, reused per call
+	key   []float64 // sort keys of idx, reused per call
+	xbuf  []float64 // objective decode scratch, reused per evaluation
+	flips []int     // mutation's flip positions, reused per child
 
 	evals int64 // total objective evaluations computed (cache misses)
-}
-
-// newPopulation allocates n individuals of bits chromosome bits each,
-// backed by one contiguous arena.
-func newPopulation(n, bits int) []Individual {
-	arena := make([]byte, n*bits)
-	pop := make([]Individual, n)
-	for i := range pop {
-		pop[i].Bits = arena[i*bits : (i+1)*bits : (i+1)*bits]
-	}
-	return pop
 }
 
 // NewDeme creates a deme of Par.N random individuals. The deme draws
@@ -113,11 +103,11 @@ func newDeme(fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
 	}
 	d := &Deme{Fn: fn, Par: par, rng: rng, mutThr: xrand.Threshold(par.M)}
 	bits := fn.TotalBits()
-	d.pop = newPopulation(par.N, bits)
-	d.next = newPopulation(par.N, bits)
+	d.pop = make([]Individual, par.N)
+	d.next = make([]Individual, par.N)
 	for i := range d.pop {
-		for b := range d.pop[i].Bits {
-			d.pop[i].Bits[b] = byte(rng.Intn(2))
+		for b := 0; b < bits; b++ {
+			d.pop[i].Bits.SetBit(b, uint(rng.Intn(2)))
 		}
 	}
 	w := par.W
@@ -129,17 +119,8 @@ func newDeme(fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
 	d.idx = make([]int, par.N)
 	d.key = make([]float64, par.N)
 	d.xbuf = make([]float64, fn.Vars)
-	d.best.Bits = make([]byte, bits)
-	d.scratch.Bits = make([]byte, bits)
+	d.flips = make([]int, 0, bits)
 	return d
-}
-
-// copyInto overwrites dst's chromosome and cached fitness with src's,
-// reusing dst's bit buffer (both must be full-length chromosomes).
-func copyInto(dst, src *Individual) {
-	copy(dst.Bits, src.Bits)
-	dst.Fit = src.Fit
-	dst.Valid = src.Valid
 }
 
 // Gen returns the number of completed generations.
@@ -161,7 +142,7 @@ func (d *Deme) EvaluateAll() int {
 	n := 0
 	for i := range d.pop {
 		if !d.pop[i].Valid {
-			d.pop[i].Fit = d.Fn.EvalBitsInto(d.xbuf, d.pop[i].Bits, d.Par.Gray, d.rng)
+			d.pop[i].Fit = d.Fn.EvalBitsInto(d.xbuf, &d.pop[i].Bits, d.Par.Gray, d.rng)
 			d.pop[i].Valid = true
 			n++
 		}
@@ -175,7 +156,7 @@ func (d *Deme) EvaluateAll() int {
 func (d *Deme) trackBest() {
 	for i := range d.pop {
 		if !d.bestSet || d.pop[i].Fit < d.best.Fit {
-			copyInto(&d.best, &d.pop[i])
+			d.best = d.pop[i]
 			d.bestSet = true
 		}
 	}
@@ -201,13 +182,13 @@ func (d *Deme) pushWorst() {
 // worstWindowCap exposes the scaling-window ring's capacity to tests.
 func (d *Deme) worstWindowCap() int { return cap(d.worstW) }
 
-// Best returns a copy of the best individual found so far. EvaluateAll
-// must have run at least once.
+// Best returns the best individual found so far. EvaluateAll must have
+// run at least once.
 func (d *Deme) Best() Individual {
 	if !d.bestSet {
 		panic("ga: Best before EvaluateAll")
 	}
-	return d.best.Clone()
+	return d.best
 }
 
 // CurrentBest returns the best objective value in the *current*
@@ -321,7 +302,7 @@ func (d *Deme) NextGeneration() {
 	if replace < n {
 		idx := d.sortedByFitness(n - replace)
 		for _, i := range idx[:n-replace] {
-			copyInto(&next[filled], &d.pop[i])
+			next[filled] = d.pop[i]
 			filled++
 		}
 	}
@@ -332,10 +313,10 @@ func (d *Deme) NextGeneration() {
 		if filled+1 < n {
 			c2 = &next[filled+1]
 		}
-		copyInto(c1, &d.pop[rouletteIndex(cum, total, d.rng)])
-		copyInto(c2, &d.pop[rouletteIndex(cum, total, d.rng)])
+		*c1 = d.pop[rouletteIndex(cum, total, d.rng)]
+		*c2 = d.pop[rouletteIndex(cum, total, d.rng)]
 		if d.rng.Float64() < d.Par.C {
-			crossover(c1, c2, d.rng)
+			d.crossover(c1, c2)
 		}
 		d.mutate(c1)
 		d.mutate(c2)
@@ -344,7 +325,7 @@ func (d *Deme) NextGeneration() {
 
 	if d.Par.Elitist && d.bestSet {
 		// The best-so-far individual replaces a random slot unchanged.
-		copyInto(&next[d.rng.Intn(n)], &d.best)
+		next[d.rng.Intn(n)] = d.best
 	}
 	d.pop, d.next = next, d.pop
 	d.gen++
@@ -362,19 +343,16 @@ func (d *Deme) sortedByFitness(head int) []int {
 	return idx
 }
 
-// crossover applies single-point crossover in place, invalidating both
+// crossover applies single-point crossover in place, swapping the
+// tails from a random point in [1, bits), and invalidates both
 // children's cached fitness.
-func crossover(a, b *Individual, rng *xrand.Rand) {
-	if len(a.Bits) != len(b.Bits) {
-		panic("ga: crossover length mismatch")
-	}
-	if len(a.Bits) < 2 {
+func (d *Deme) crossover(a, b *Individual) {
+	bits := d.Fn.TotalBits()
+	if bits < 2 {
 		return
 	}
-	point := 1 + rng.Intn(len(a.Bits)-1)
-	for i := point; i < len(a.Bits); i++ {
-		a.Bits[i], b.Bits[i] = b.Bits[i], a.Bits[i]
-	}
+	point := 1 + d.rng.Intn(bits-1)
+	a.Bits.SwapTail(&b.Bits, point)
 	a.Valid = false
 	b.Valid = false
 }
@@ -384,27 +362,29 @@ func crossover(a, b *Individual, rng *xrand.Rand) {
 // compared as an integer against the precomputed threshold. The draws
 // are exactly those of a Float64() < M test per bit, resamples
 // included; xrand steps the generator for them in blocks that cannot
-// wrap its register.
+// wrap its register and reports the bits to flip.
 func (d *Deme) mutate(ind *Individual) {
-	if d.rng.FlipBelow(ind.Bits, d.mutThr) > 0 {
+	d.flips = d.rng.FlipBelow(d.flips[:0], d.Fn.TotalBits(), d.mutThr)
+	for _, i := range d.flips {
+		ind.Bits.Flip(i)
+	}
+	if len(d.flips) > 0 {
 		ind.Valid = false
 	}
 }
 
 // BestK returns copies of the k fittest current individuals, fittest
 // first. Individuals must be evaluated (call after EvaluateAll). The
-// copies are freshly allocated in one contiguous backing arena (two
-// allocations total) because callers hand them to the message layer,
-// where receivers retain them indefinitely.
+// copies are one fresh allocation because callers hand them to the
+// message layer, where receivers retain them indefinitely.
 func (d *Deme) BestK(k int) []Individual {
 	if k > len(d.pop) {
 		k = len(d.pop)
 	}
 	idx := d.sortedByFitness(k)
-	bits := d.Fn.TotalBits()
-	out := newPopulation(k, bits)
+	out := make([]Individual, k)
 	for j, i := range idx[:k] {
-		copyInto(&out[j], &d.pop[i])
+		out[j] = d.pop[i]
 	}
 	return out
 }
@@ -438,19 +418,14 @@ func (d *Deme) ReplaceWorst(migrants []Individual) {
 	}
 	sortIdx(idx, key, len(migrants))
 	for i := range migrants {
-		m := &migrants[i]
-		if len(m.Bits) != d.Fn.TotalBits() {
-			panic(fmt.Sprintf("ga: migrant has %d bits, deme wants %d", len(m.Bits), d.Fn.TotalBits()))
-		}
-		copyInto(&d.pop[idx[i]], m)
+		d.pop[idx[i]] = migrants[i]
 	}
 	d.trackBest()
 }
 
 // bestOfPool returns the k fittest individuals from a migrant pool,
 // fittest first (used when more migrants arrive than slots exist). The
-// returned individuals share the pool's bit buffers: callers only read
-// them (ReplaceWorst copies bits into its own population).
+// returned individuals are copies; pool is never reordered.
 func bestOfPool(pool []Individual, k int) []Individual {
 	var ps poolSorter
 	return ps.bestK(pool, k)
@@ -458,9 +433,9 @@ func bestOfPool(pool []Individual, k int) []Individual {
 
 // poolSorter holds the reusable scratch of repeated top-k selections
 // over migrant pools: the index permutation the sort actually moves,
-// its gathered Fit keys, and the top-k headers handed to ReplaceWorst.
-// Sorting indices by a flat key slice instead of Individual headers
-// keeps each comparison to two loads. The selected order is identical:
+// its gathered Fit keys, and the top-k individuals handed to
+// ReplaceWorst. Sorting indices by a flat key slice instead of
+// Individuals keeps each comparison to two loads. The selected order is identical:
 // the sort's decisions depend only on the comparisons' verdicts, which
 // are the same Fit comparisons either way.
 type poolSorter struct {

@@ -18,11 +18,12 @@
 // XORed with a fixed table (cooked.go) that cannot be regenerated
 // cheaply: math/rand's gen_cooked.go runs 7.8e12 steps to produce it.
 //
-// One method goes beyond math/rand's API: FlipBelow, the GA's per-bit
-// mutation, tests a whole chromosome at once. Its draw contract is
-// that of one Float64() < p test per bit, in bit order, resamples
-// included: after it, every later draw matches math/rand's stream
-// exactly as if those Float64 calls had been made.
+// One method goes beyond math/rand's API: FlipBelow, which the GA's
+// per-bit mutation calls, makes n Bernoulli tests at once and reports
+// the indices of those that hold; it knows nothing of chromosomes. Its
+// draw contract is that of one Float64() < p test per index, in index
+// order, resamples included: after it, every later draw matches
+// math/rand's stream exactly as if those Float64 calls had been made.
 package xrand
 
 import "math/rand"
@@ -209,33 +210,33 @@ func Threshold(p float64) int64 {
 	return lo
 }
 
-// FlipBelow flips each bits[i] (XOR 1) for which Float64() < p holds,
-// t = Threshold(p), testing the bits in order, and returns the number
-// of bits flipped. It consumes exactly the draws of len(bits) such
-// tests, resamples included, so the stream continues as if Float64
-// had been called once per bit (and again per resample), without the
-// float conversion.
+// FlipBelow makes n tests of the event Float64() < p, t = Threshold(p),
+// and appends to dst the index (0 to n-1) of each test that holds, in
+// increasing order. It consumes exactly the draws of those n tests,
+// resamples included, so the stream continues as if Float64 had been
+// called once per test (and again per resample), without the float
+// conversion. What the indices mean, the GA's bits to flip, is the
+// caller's business.
 //
 // The generator steps in runs of draws that cannot wrap tap or feed:
 // a run is at most min(tap, feed) draws, so inside it both indices
 // just count down through two windows of the register and are never
-// tested for a wrap. A run also ends at the last bit still to test; a
-// resample spends a draw of the run without using up a bit. With tap
+// tested for a wrap. A run also ends at the last test still to make; a
+// resample spends a draw of the run without using up a test. With tap
 // or feed at zero, one draw goes through Uint64, which wraps the
 // index. Since t <= Resample, one unsigned comparison classifies the
-// common draw, kept and not flipped: v in [t, Resample).
-func (r *Rand) FlipBelow(bits []byte, t int64) int {
+// common draw, kept and not below t: v in [t, Resample).
+func (r *Rand) FlipBelow(dst []int, n int, t int64) []int {
 	s := &r.src
 	keep := uint64(Resample - t)
-	flips, i := 0, 0
-	for i < len(bits) {
+	i := 0
+	for i < n {
 		tap, feed := s.tap, s.feed
-		n := min(tap, feed, len(bits)-i)
-		if n == 0 {
+		m := min(tap, feed, n-i)
+		if m == 0 {
 			if v := s.Int63(); v < Resample {
 				if v < t {
-					bits[i] ^= 1
-					flips++
+					dst = append(dst, i)
 				}
 				i++
 			}
@@ -244,24 +245,34 @@ func (r *Rand) FlipBelow(bits []byte, t int64) int {
 		// The run walks both windows top down, as the per-draw steps
 		// walk feed and tap. The windows may overlap (a word written as
 		// feed is read as tap 273 draws later); the in-order loop sees
-		// that write, as the per-draw steps do.
-		fv := s.vec[feed-n : feed]
-		tv := s.vec[tap-n : tap][:len(fv)]
-		for k := len(fv) - 1; k >= 0; k-- {
-			x := fv[k] + tv[k]
-			fv[k] = x
-			v := int64(uint64(x) & rngMask)
-			if uint64(v-t) < keep {
-				i++
-			} else if v < t {
-				bits[i] ^= 1
-				flips++
-				i++
+		// that write, as the per-draw steps do. The inner loop takes
+		// common draws only and stops at any other, below t or a
+		// resample, which the outer loop settles before resuming.
+		fv := s.vec[feed-m : feed]
+		tv := s.vec[tap-m : tap]
+		for len(fv) > 0 {
+			tv = tv[:len(fv)]
+			k := len(fv) - 1
+			for ; k >= 0; k-- {
+				x := fv[k] + tv[k]
+				fv[k] = x
+				if uint64(int64(uint64(x)&rngMask)-t) >= keep {
+					break
+				}
 			}
+			i += len(fv) - 1 - k
+			if k < 0 {
+				break
+			}
+			if int64(uint64(fv[k])&rngMask) < t {
+				dst = append(dst, i)
+				i++
+			} // else a resample, which makes no test
+			fv = fv[:k]
 		}
-		s.tap, s.feed = tap-n, feed-n
+		s.tap, s.feed = tap-m, feed-m
 	}
-	return flips
+	return dst
 }
 
 // NormFloat64 returns a standard normal draw (math/rand's ziggurat).

@@ -3,6 +3,7 @@ package xrand
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -51,20 +52,23 @@ func step(x *Rand, r *rand.Rand, op, a byte) (string, bool) {
 	case 8:
 		return "ExpFloat64", math.Float64bits(x.ExpFloat64()) == math.Float64bits(r.ExpFloat64())
 	default:
-		// 0 to 765 bits: long enough for runs that end at a wrap of the
+		// 0 to 765 tests: long enough for runs that end at a wrap of the
 		// 607-word register and restart after it.
 		p := probs[int(a)%len(probs)]
-		bits := make([]byte, 3*int(a))
-		flips := x.FlipBelow(bits, Threshold(p))
-		ones := 0
-		for _, b := range bits {
-			if (b == 1) != (r.Float64() < p) {
-				return "FlipBelow", false
-			}
-			ones += int(b)
-		}
-		return "FlipBelow", flips == ones
+		return "FlipBelow", slices.Equal(x.FlipBelow(nil, 3*int(a), Threshold(p)), perTest(r, 3*int(a), p))
 	}
+}
+
+// perTest is FlipBelow's contract spelled out: n tests Float64() < p,
+// one per index, and the indices of those that hold.
+func perTest(r *rand.Rand, n int, p float64) []int {
+	var held []int
+	for i := 0; i < n; i++ {
+		if r.Float64() < p {
+			held = append(held, i)
+		}
+	}
+	return held
 }
 
 // TestStreamMatchesMathRand interleaves every method over seeds that
@@ -154,22 +158,21 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
-// flipPerDraw is the per-bit loop FlipBelow replaced: one Int63 draw
-// per bit, and another for each resample, each tested against t.
-func flipPerDraw(r *Rand, bits []byte, t int64) int {
-	flips := 0
-	for i := range bits {
+// flipPerDraw is the per-test loop FlipBelow replaced: one Int63 draw
+// per test, and another for each resample, each compared with t.
+func flipPerDraw(r *Rand, n int, t int64) []int {
+	var held []int
+	for i := 0; i < n; i++ {
 		for {
 			if v := r.Int63(); v < Resample {
 				if v < t {
-					bits[i] ^= 1
-					flips++
+					held = append(held, i)
 				}
 				break
 			}
 		}
 	}
-	return flips
+	return held
 }
 
 // TestFlipBelowResample plants register words so that chosen draws land
@@ -177,7 +180,9 @@ func flipPerDraw(r *Rand, bits []byte, t int64) int {
 // two in a row, the draw that wraps feed, and the draws just after it.
 // No random stream reaches this branch (it fires with probability 2^-54
 // per draw), so FlipBelow is compared with the per-draw loop on the
-// planted register: same bits, same flip count, same register after.
+// planted register: the same indices, and the same register after. A
+// math/rand generator over a copy of the register checks the indices
+// against Float64() < p itself, from 0 to 765 tests.
 func TestFlipBelowResample(t *testing.T) {
 	r := New(7)
 	for r.src.feed != 40 {
@@ -204,22 +209,26 @@ func TestFlipBelowResample(t *testing.T) {
 		}
 	}
 
-	thr := Threshold(0.5)
-	seed := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 39, 40, 41, 320} {
-		got, want := &Rand{src: r.src}, &Rand{src: r.src}
-		gb, wb := make([]byte, n), make([]byte, n)
-		for i := range gb {
-			gb[i] = byte(seed.Intn(2))
-			wb[i] = gb[i]
+	for _, p := range []float64{0.001, 0.5, 1} {
+		thr := Threshold(p)
+		for _, n := range []int{0, 1, 39, 40, 41, 320, 607, 765} {
+			got, want := &Rand{src: r.src}, &Rand{src: r.src}
+			src := r.src
+			gi, wi := got.FlipBelow(nil, n, thr), flipPerDraw(want, n, thr)
+			if !slices.Equal(gi, wi) {
+				t.Fatalf("p=%v n=%d: FlipBelow reported %v, per-draw loop %v", p, n, gi, wi)
+			}
+			if fi := perTest(rand.New(&src), n, p); !slices.Equal(gi, fi) {
+				t.Fatalf("p=%v n=%d: FlipBelow reported %v, Float64() < p held at %v", p, n, gi, fi)
+			}
+			if got.src != want.src || got.src != src {
+				t.Fatalf("p=%v n=%d: register differs after FlipBelow (tap %d feed %d) and the per-draw loop (tap %d feed %d)",
+					p, n, got.src.tap, got.src.feed, want.src.tap, want.src.feed)
+			}
 		}
-		gf, wf := got.FlipBelow(gb, thr), flipPerDraw(want, wb, thr)
-		if gf != wf || string(gb) != string(wb) {
-			t.Fatalf("n=%d: FlipBelow flipped %d bits to %v, per-draw loop %d to %v", n, gf, gb, wf, wb)
-		}
-		if got.src != want.src {
-			t.Fatalf("n=%d: register differs after FlipBelow (tap %d feed %d) and the per-draw loop (tap %d feed %d)",
-				n, got.src.tap, got.src.feed, want.src.tap, want.src.feed)
-		}
+	}
+	// Indices append to what dst already holds.
+	if got := New(1).FlipBelow([]int{-1}, 3, Threshold(1)); !slices.Equal(got, []int{-1, 0, 1, 2}) {
+		t.Fatalf("FlipBelow on a non-empty dst = %v, want [-1 0 1 2]", got)
 	}
 }
