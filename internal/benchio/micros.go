@@ -61,9 +61,7 @@ func microPingPong(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
 	net := netsim.New(eng, netsim.DefaultConfig())
-	pvmCfg := pvm.DefaultConfig()
-	pvmCfg.Pooling = true
-	m := pvm.NewMachine(eng, net, pvmCfg)
+	m := pvm.NewMachine(eng, net, pvm.DefaultConfig())
 	m.Spawn("ping", func(t *pvm.Task) {
 		for i := 0; i < b.N; i++ {
 			t.Send(1, 1, 64, nil)
@@ -92,9 +90,7 @@ func microBcast1000(b *testing.B) {
 	const p = 1000
 	eng := sim.NewEngine(1)
 	net := netsim.New(eng, netsim.DefaultConfig())
-	pvmCfg := pvm.DefaultConfig()
-	pvmCfg.Pooling = true
-	m := pvm.NewMachine(eng, net, pvmCfg)
+	m := pvm.NewMachine(eng, net, pvm.DefaultConfig())
 	m.Spawn("root", func(t *pvm.Task) {
 		for i := 0; i < b.N; i++ {
 			t.Bcast(1, 64, nil)

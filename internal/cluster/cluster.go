@@ -154,9 +154,6 @@ type Stats struct {
 const warpWindow = 100 * sim.Millisecond
 
 // Build makes the cluster s describes, or returns Validate's error.
-// Message pooling is on exactly when
-// no fault plan wraps the fabric: fault duplication re-delivers one
-// payload pointer twice, which would release a pooled message twice.
 func Build(s Spec) (*Cluster, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -190,7 +187,6 @@ func Build(s Spec) (*Cluster, error) {
 	if s.Reliable {
 		pvmCfg.Reliable = true
 	}
-	pvmCfg.Pooling = s.Faults == nil
 	machine := pvm.NewMachine(eng, net, pvmCfg)
 	machine.SetSeries(s.Series)
 	warp := metrics.NewWarpMeter(warpWindow)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nscc/internal/faults"
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
@@ -37,12 +38,16 @@ func (b *countBlock) Release() {
 	}
 }
 
-// blockMachine is a bus machine whose pvm pools or not.
-func blockMachine(seed int64, pooling bool) (*sim.Engine, *pvm.Machine) {
+// blockMachine is a bus machine on the plain transport. With dup set,
+// a fault plan delivers every frame twice.
+func blockMachine(seed int64, dup bool) (*sim.Engine, *pvm.Machine) {
 	eng := sim.NewEngine(seed)
-	cfg := pvm.DefaultConfig()
-	cfg.Pooling = pooling
-	return eng, pvm.NewMachine(eng, netsim.New(eng, netsim.DefaultConfig()), cfg)
+	var net netsim.Fabric = netsim.New(eng, netsim.DefaultConfig())
+	if dup {
+		net = faults.Wrap(net, &faults.Plan{Name: "every frame twice",
+			Duplicates: []faults.DuplicateWindow{{From: 0, To: 3600, Prob: 1}}})
+	}
+	return eng, pvm.NewMachine(eng, net, pvm.DefaultConfig())
 }
 
 // doneValue is the plain value every scenario's writer writes last:
@@ -51,12 +56,10 @@ func blockMachine(seed int64, pooling bool) (*sim.Engine, *pvm.Machine) {
 const doneValue = "done"
 
 // readUntilDone has a reader Global_Read loc until it returns doneValue,
-// written at iteration last. With pooling, each block it returns must
-// still be held when the read returns and again just before the
-// reader's next DSM call, after a pause in which newer updates can land
-// in its mailbox.
+// written at iteration last. Each block it returns must still be held
+// when the read returns and again just before the reader's next DSM
+// call, after a pause in which newer updates can land in its mailbox.
 func readUntilDone(t *testing.T, task *pvm.Task, n *Node, loc *Location, last int64, pause sim.Duration) {
-	pooling := task.Pooling()
 	for cur := int64(0); ; cur++ {
 		age := cur % 3
 		if cur > last {
@@ -67,28 +70,28 @@ func readUntilDone(t *testing.T, task *pvm.Task, n *Node, loc *Location, last in
 			return
 		}
 		b, ok := u.Value.(*countBlock)
-		check := ok && pooling
-		if check && b.refs <= 0 {
+		if ok && b.refs <= 0 {
 			t.Errorf("task %d: GlobalRead returned %s with %d references", task.ID(), b.name, b.refs)
 		}
 		task.Compute(pause)
-		if check && b.refs <= 0 {
+		if ok && b.refs <= 0 {
 			t.Errorf("task %d: %s released before the reader's next DSM call", task.ID(), b.name)
 		}
 	}
 }
 
-// blockScenario runs one DSM exchange of countBlocks and returns every
-// block it wrote, once the run has ended.
-type blockScenario func(t *testing.T, pooling bool) []*countBlock
+// blockScenario runs one DSM exchange of countBlocks, on a network that
+// delivers every frame twice when dup is set, and returns every block
+// it wrote, once the run has ended.
+type blockScenario func(t *testing.T, dup bool) []*countBlock
 
 // fanOutScenario has one writer publish a block per iteration to three
 // readers, republishing the current block every third iteration: each
 // new write replaces every buffer entry of the one before. It also
 // writes each block to a location nobody reads, where its own buffer
 // entry is the block's only holder across a republish.
-func fanOutScenario(t *testing.T, pooling bool) []*countBlock {
-	eng, m := blockMachine(3, pooling)
+func fanOutScenario(t *testing.T, dup bool) []*countBlock {
+	eng, m := blockMachine(3, dup)
 	defer eng.Close()
 	loc := &Location{ID: 1, Name: "x", Writer: 3, Readers: []int{0, 1, 2}, Size: 512}
 	solo := &Location{ID: 2, Name: "solo", Writer: 3, Size: 512}
@@ -128,9 +131,10 @@ func fanOutScenario(t *testing.T, pooling bool) []*countBlock {
 
 // requestScenario has a request-based reader solicit a value before
 // its first write: the writer re-sends its buffered block, and the
-// reader drops whichever copy of it lands second as a duplicate.
-func requestScenario(t *testing.T, pooling bool) []*countBlock {
-	eng, m := blockMachine(1, pooling)
+// reader drops whichever copy of it lands second as a duplicate. When
+// the network duplicates the solicitation, the writer answers both.
+func requestScenario(t *testing.T, dup bool) []*countBlock {
+	eng, m := blockMachine(1, dup)
 	defer eng.Close()
 	loc := &Location{ID: 1, Name: "x", Writer: 1, Readers: []int{0}, Size: 128}
 	b0 := &countBlock{name: "block 0"}
@@ -166,8 +170,12 @@ func requestScenario(t *testing.T, pooling bool) []*countBlock {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sent != 3 {
-		t.Errorf("the writer sent %d updates, want 3: block 0, its re-send and the plain value", sent)
+	want := int64(3)
+	if dup {
+		want = 4
+	}
+	if sent != want {
+		t.Errorf("the writer sent %d updates, want %d: block 0, a re-send per solicitation and the plain value", sent, want)
 	}
 	return []*countBlock{b0}
 }
@@ -175,8 +183,8 @@ func requestScenario(t *testing.T, pooling bool) []*countBlock {
 // outboxScenario has a windowed, coalescing writer publish faster than
 // the wire drains: a block queued in the outbox is coalesced away by
 // the next, and the survivors are flushed as the window frees.
-func outboxScenario(t *testing.T, pooling bool) []*countBlock {
-	eng, m := blockMachine(2, pooling)
+func outboxScenario(t *testing.T, dup bool) []*countBlock {
+	eng, m := blockMachine(2, dup)
 	defer eng.Close()
 	loc := &Location{ID: 1, Name: "x", Writer: 2, Readers: []int{0, 1}, Size: 4096}
 	const last = 30
@@ -210,28 +218,35 @@ func outboxScenario(t *testing.T, pooling bool) []*countBlock {
 		t.Fatal(err)
 	}
 	// A block coalesced away was held by the writer's buffer and the
-	// outbox only; a flushed one also by each reader's update.
+	// outbox only; a flushed one also by each delivery of its update,
+	// which the network makes twice per reader when dup is set.
+	deliveries := len(loc.Readers)
+	if dup {
+		deliveries *= 2
+	}
 	var dropped, flushed int
 	for _, b := range blocks {
 		switch b.retains {
 		case 2:
 			dropped++
-		case 2 + len(loc.Readers):
+		case 2 + deliveries:
 			flushed++
 		}
 	}
-	if pooling && (st.Coalesced == 0 || dropped == 0 || flushed == 0) {
+	if st.Coalesced == 0 || dropped == 0 || flushed == 0 {
 		t.Errorf("%d coalesced writes, %d blocks coalesced away, %d flushed from the outbox; want each > 0",
 			st.Coalesced, dropped, flushed)
 	}
 	return blocks
 }
 
-// TestBlockReleaseRule runs each scenario with pooling and checks that
-// the nodes balanced every reference they took: each block was
-// retained, every Retain is matched by Release calls by the end of the
-// run, and no count went below zero. Without pooling no node may call
-// either method.
+// TestBlockReleaseRule runs each scenario on a clean network and on one
+// that delivers every frame twice, and checks that the nodes balanced
+// every reference they took: each block was retained, every Retain is
+// matched by Release calls by the end of the run, no count went below
+// zero, and no block was retained again after its last release (which
+// hands it back for refilling). The duplicated deliveries must each
+// have taken a reference of their own.
 func TestBlockReleaseRule(t *testing.T) {
 	for name, run := range map[string]blockScenario{
 		"fan-out":      fanOutScenario,
@@ -239,33 +254,36 @@ func TestBlockReleaseRule(t *testing.T) {
 		"outbox":       outboxScenario,
 	} {
 		t.Run(name, func(t *testing.T) {
-			for _, b := range run(t, true) {
-				switch {
-				case b.negative:
-					t.Errorf("%s: released below zero", b.name)
-				case b.revived:
-					t.Errorf("%s: retained again after its release to zero", b.name)
-				case b.retains == 0:
-					t.Errorf("%s: never retained", b.name)
-				case b.refs != 0 || b.releases != b.retains:
-					t.Errorf("%s: %d retains, %d releases, %d references left", b.name, b.retains, b.releases, b.refs)
+			var retains [2]int
+			for i, dup := range []bool{false, true} {
+				for _, b := range run(t, dup) {
+					retains[i] += b.retains
+					switch {
+					case b.negative:
+						t.Errorf("dup %v, %s: released below zero", dup, b.name)
+					case b.revived:
+						t.Errorf("dup %v, %s: retained again after its release to zero", dup, b.name)
+					case b.retains == 0:
+						t.Errorf("dup %v, %s: never retained", dup, b.name)
+					case b.refs != 0 || b.releases != b.retains:
+						t.Errorf("dup %v, %s: %d retains, %d releases, %d references left",
+							dup, b.name, b.retains, b.releases, b.refs)
+					}
 				}
 			}
-			for _, b := range run(t, false) {
-				if b.retains != 0 || b.releases != 0 {
-					t.Errorf("unpooled, %s: %d retains, %d releases, want none", b.name, b.retains, b.releases)
-				}
+			if retains[1] <= retains[0] {
+				t.Errorf("%d retains with every frame duplicated, %d without; want more", retains[1], retains[0])
 			}
 		})
 	}
 }
 
-// TestApplyReleasesDroppedAndReplaced drives apply directly on a
-// pooling node: a fresh update's reference moves into the buffer, a
-// stale or duplicate update releases its own, and a fresher update
-// releases the value it replaces.
+// TestApplyReleasesDroppedAndReplaced drives apply directly on a node:
+// a fresh update's reference moves into the buffer, a stale or
+// duplicate update releases its own, and a fresher update releases the
+// value it replaces.
 func TestApplyReleasesDroppedAndReplaced(t *testing.T) {
-	n := &Node{buf: map[int]Update{}, pooling: true}
+	n := &Node{buf: map[int]Update{}}
 	a, b, c := &countBlock{name: "a"}, &countBlock{name: "b"}, &countBlock{name: "c"}
 	deliver := func(blk *countBlock, iter int64) {
 		blk.Retain(1) // the undelivered update's reference

@@ -22,10 +22,10 @@
 // A written value is shared, not copied: the writer's buffer, every
 // update in flight and every reader's buffer hold the same object. A
 // value that implements Block is handed back to its writer once none of
-// them holds it, under one ownership rule. When the task's pvm machine
-// pools (pvm.Config.Pooling), the node holds one reference for each
-// place the value sits: the writer's own buffer entry, each reader's
-// undelivered update, each reader's buffer entry, an outbox entry and a
+// them holds it, under one ownership rule. The node holds one reference
+// for each place the value sits: the writer's own buffer entry, each
+// delivery of an update not yet applied (a frame the network duplicates
+// is two deliveries), each reader's buffer entry, an outbox entry and a
 // request-based re-send. It releases a reference when that place lets
 // go of the value: a newer value replaces a buffer entry, apply drops a
 // stale or duplicate update, or an outbox entry is coalesced away or
@@ -33,8 +33,7 @@
 // until the reader's next DSM call on that node, which is when a newer
 // value can replace it; an Observer must not keep one past its call. A
 // delivery the network loses never releases its reference, so its
-// block is left to the GC, as pvm's pooled messages are. Without
-// pooling the node never calls Retain or Release.
+// block is left to the GC, as pvm's pooled messages are.
 package core
 
 import (
@@ -94,9 +93,8 @@ type Location struct {
 // Block is a written value whose storage its writer recycles. The DSM
 // node counts the references it holds to a Block while the value sits
 // in a buffer or travels to a reader (see the package doc for the
-// rule), and only when the task's pvm machine pools. The last Release
-// hands the block back to its writer, who may then overwrite it for a
-// later write; until then nobody writes it.
+// rule). The last Release hands the block back to its writer, who may
+// then overwrite it for a later write; until then nobody writes it.
 type Block interface {
 	// Retain adds n references.
 	Retain(n int)
@@ -120,23 +118,30 @@ type updateMsg struct {
 	Value interface{}
 	WAt   sim.Time
 
-	// owner/refs implement pooling (active only when the task's pvm
-	// machine runs with Config.Pooling): owner is the writing node
-	// whose free list the message returns to, refs the number of
-	// readers that have not yet applied it. apply() copies every field
-	// out into the node's buffer, so a reader is done with the message
-	// the moment apply returns and releases its share right there.
+	// owner/refs implement pooling: owner is the writing node whose
+	// free list the message returns to, refs the number of deliveries
+	// not yet applied. apply() copies every field out into the node's
+	// buffer, so a reader is done with the message the moment apply
+	// returns and releases its share right there.
 	owner *Node
 	refs  int
 }
 
-// release returns one reader's share of a pooled update message,
-// recycling it onto the owning writer's free list when the last
-// reader is done. Unpooled messages (owner nil) pass through.
-func (u *updateMsg) release() {
-	if u.owner == nil || u.refs <= 0 {
-		return
+// Retain takes n more delivery shares of the message, with one
+// reference to its value per share if the value is a Block. pvm calls
+// it through Message.Retain when the network delivers the message's
+// frame once more.
+func (u *updateMsg) Retain(n int) {
+	u.refs += n
+	if b, ok := u.Value.(Block); ok {
+		b.Retain(n)
 	}
+}
+
+// release returns one delivery's share of an update message, recycling
+// it onto the owning writer's free list when the last delivery is
+// applied.
+func (u *updateMsg) release() {
 	u.refs--
 	if u.refs == 0 {
 		o := u.owner
@@ -290,14 +295,12 @@ type Node struct {
 	stats    Stats
 	stale    metrics.Histogram // observed Global_Read staleness, log-bucketed
 
-	// pooling mirrors the pvm machine's Config.Pooling; updFree is the
-	// node's updateMsg free list, refilled by readers through
-	// updateMsg.release. wireDone is the preallocated in-flight-decrement
-	// callback (one closure per node instead of one per write). It is set
-	// only under a Window, the one reader of inFlight: pvm wraps any
-	// callback it is handed in a fresh closure per send, so without a
-	// Window a write hands it none.
-	pooling  bool
+	// updFree is the node's updateMsg free list, refilled by readers
+	// through updateMsg.release. wireDone is the preallocated
+	// in-flight-decrement callback (one closure per node instead of one
+	// per write). It is set only under a Window, the one reader of
+	// inFlight: pvm wraps any callback it is handed in a fresh closure
+	// per send, so without a Window a write hands it none.
 	wireDone func()
 	updFree  []*updateMsg
 
@@ -320,7 +323,6 @@ func NewNode(task *pvm.Task, opts Options) *Node {
 		serTimeouts: opts.Series.Counter("core.read_timeouts"),
 		serBlocked:  opts.Series.Counter("core.blocked_us"),
 	}
-	n.pooling = task != nil && task.Pooling()
 	if opts.Window > 0 {
 		n.wireDone = func() { n.inFlight-- }
 	}
@@ -328,12 +330,8 @@ func NewNode(task *pvm.Task, opts Options) *Node {
 }
 
 // newUpdateMsg takes an update message from the node's free list (or
-// allocates one) and, when pooling, stamps it for recycling by its
-// nreaders receivers.
+// allocates one) and stamps it for recycling by its nreaders receivers.
 func (n *Node) newUpdateMsg(nreaders int) *updateMsg {
-	if !n.pooling {
-		return &updateMsg{}
-	}
 	var u *updateMsg
 	if ln := len(n.updFree); ln > 0 {
 		u = n.updFree[ln-1]
@@ -347,21 +345,15 @@ func (n *Node) newUpdateMsg(nreaders int) *updateMsg {
 }
 
 // retain takes k references to v for the node's buffers and messages,
-// if v is a Block and the node pools.
-func (n *Node) retain(v interface{}, k int) {
-	if !n.pooling || k == 0 {
-		return
-	}
+// if v is a Block.
+func retain(v interface{}, k int) {
 	if b, ok := v.(Block); ok {
 		b.Retain(k)
 	}
 }
 
-// release drops one reference to v, if v is a Block and the node pools.
-func (n *Node) release(v interface{}) {
-	if !n.pooling {
-		return
-	}
+// release drops one reference to v, if v is a Block.
+func release(v interface{}) {
 	if b, ok := v.(Block); ok {
 		b.Release()
 	}
@@ -430,18 +422,16 @@ func (n *Node) WriteSized(loc *Location, iter int64, size int, value interface{}
 	// The writer's own buffer always sees its latest value. Its entry
 	// takes its reference before the one it replaces lets go, so a
 	// republished value never reaches zero in between.
-	n.retain(value, 1)
-	if n.pooling {
-		n.release(n.buf[loc.ID].Value)
-	}
+	retain(value, 1)
+	release(n.buf[loc.ID].Value)
 	n.buf[loc.ID] = Update{Value: value, Iter: iter, WrittenAt: n.task.Now()}
 
 	if n.opts.Window > 0 && n.inFlight >= n.opts.Window {
-		n.retain(value, 1) // the outbox entry's
+		retain(value, 1) // the outbox entry's
 		if n.opts.Coalesce {
 			for i := range n.outbox {
 				if n.outbox[i].loc.ID == loc.ID {
-					n.release(n.outbox[i].val)
+					release(n.outbox[i].val)
 					n.outbox[i] = outboxEntry{loc, iter, value, n.task.Now(), size}
 					n.stats.Coalesced++
 					return
@@ -460,7 +450,7 @@ func (n *Node) sendUpdate(loc *Location, iter int64, value interface{}, wAt sim.
 	}
 	msg := n.newUpdateMsg(len(loc.Readers))
 	msg.Loc, msg.Iter, msg.Value, msg.WAt = loc.ID, iter, value, wAt
-	n.retain(value, len(loc.Readers)) // one per reader's undelivered update
+	retain(value, len(loc.Readers)) // one per reader's undelivered update
 	if n.wireDone != nil {
 		n.inFlight++
 	}
@@ -480,7 +470,7 @@ func (n *Node) Flush() {
 		copy(n.outbox, n.outbox[1:])
 		n.outbox = n.outbox[:len(n.outbox)-1]
 		n.sendUpdate(e.loc, e.iter, e.val, e.wAt, e.size)
-		n.release(e.val) // the outbox entry's, now the updates'
+		release(e.val) // the outbox entry's, now the updates'
 	}
 }
 
@@ -516,9 +506,9 @@ func (n *Node) apply(u *updateMsg) {
 	cur, ok := n.buf[u.Loc]
 	if !ok || u.Iter > cur.Iter {
 		n.buf[u.Loc] = Update{Value: u.Value, Iter: u.Iter, WrittenAt: u.WAt}
-		n.release(cur.Value)
+		release(cur.Value)
 	} else {
-		n.release(u.Value)
+		release(u.Value)
 	}
 }
 
@@ -538,7 +528,7 @@ func (n *Node) serveRequests() {
 		if cur, ok := n.buf[req.Loc]; ok {
 			msg := n.newUpdateMsg(1)
 			msg.Loc, msg.Iter, msg.Value, msg.WAt = loc.ID, cur.Iter, cur.Value, cur.WrittenAt
-			n.retain(cur.Value, 1)
+			retain(cur.Value, 1)
 			n.task.Send(m.Src, UpdateTag, loc.Size, msg)
 			n.stats.UpdatesSent++
 		}

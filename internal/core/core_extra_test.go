@@ -140,16 +140,14 @@ func TestObserverSeesStaleUpdates(t *testing.T) {
 }
 
 // TestWriteBlockingReadAllocsZero checks that a warmed DSM update cycle,
-// one Write and the blocking Global_Read it releases, allocates nothing
-// with pooling: the update message comes from the writer's free list,
+// one Write and the blocking Global_Read it releases, allocates
+// nothing: the update message comes from the writer's free list,
 // and a write without a Window hands pvm no wire callback to wrap. Each
 // measured run of the engine ends when the reader's read returns.
 func TestWriteBlockingReadAllocsZero(t *testing.T) {
 	eng := sim.NewEngine(1)
 	defer eng.Close()
-	cfg := pvm.DefaultConfig()
-	cfg.Pooling = true
-	m := pvm.NewMachine(eng, netsim.New(eng, netsim.DefaultConfig()), cfg)
+	m := pvm.NewMachine(eng, netsim.New(eng, netsim.DefaultConfig()), pvm.DefaultConfig())
 	loc := &Location{ID: 1, Name: "x", Writer: 1, Readers: []int{0}, Size: 64}
 	value := new(int) // boxed once, so no write boxes its value
 	reads := 0

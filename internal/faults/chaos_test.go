@@ -1,14 +1,17 @@
 // Chaos harness: full-stack application cells (island GA, parallel
 // logic sampling) under dozens of randomized-but-seeded fault plans,
-// with the reliable transport and bounded Global_Read switched on. The
-// asserted invariants are liveness (every run completes — the engine
-// returns ErrDeadlock otherwise), the staleness contract (reads that
-// returned without timing out honored the age bound), determinism
-// (identical (seed, plan) pairs replay byte for byte), and convergence
-// (the GA still finds the optimum the fault-free run finds).
+// with bounded Global_Read switched on, on the reliable transport and
+// again on the plain one, where lost, reordered and duplicated frames
+// reach the application. The asserted invariants are liveness (every
+// run completes — the engine returns ErrDeadlock otherwise), the
+// staleness contract (reads that returned without timing out honored
+// the age bound), determinism (identical (seed, plan) pairs replay byte
+// for byte), and convergence (with reliable delivery, the GA still
+// finds the optimum the fault-free run finds).
 package faults_test
 
 import (
+	"reflect"
 	"testing"
 
 	"nscc/internal/bayes"
@@ -44,29 +47,42 @@ func chaosGACfg(seed int64) ga.IslandConfig {
 	}
 }
 
+// TestChaosGA runs every seed on the reliable transport and then on the
+// plain one. A plain-transport run is also replayed, and must give the
+// same result in every field.
 func TestChaosGA(t *testing.T) {
-	for seed := int64(0); seed < chaosGASeeds; seed++ {
-		res, err := ga.RunIsland(chaosGACfg(seed))
-		if err != nil {
-			t.Fatalf("seed %d: run did not complete (deadlock?): %v", seed, err)
-		}
-		if res.Completion <= 0 {
-			t.Fatalf("seed %d: nonpositive completion %v", seed, res.Completion)
-		}
-		// Staleness contract: every Global_Read that returned without
-		// timing out honored the age bound (degraded reads are excluded
-		// from the histogram and counted as violations instead).
-		if max := res.Telemetry.Staleness.Max; max > chaosAge {
-			t.Fatalf("seed %d: staleness bound broken: observed %d > age %d", seed, max, chaosAge)
-		}
-		// The violation counter must reconcile with the per-task export.
-		var perTask int64
-		for _, tt := range res.Telemetry.Tasks {
-			perTask += tt.ReadTimeouts
-		}
-		if perTask != res.Telemetry.StalenessViolations {
-			t.Fatalf("seed %d: StalenessViolations %d != sum of task ReadTimeouts %d",
-				seed, res.Telemetry.StalenessViolations, perTask)
+	for _, reliable := range []bool{true, false} {
+		for seed := int64(0); seed < chaosGASeeds; seed++ {
+			cfg := chaosGACfg(seed)
+			cfg.Reliable = reliable
+			res, err := ga.RunIsland(cfg)
+			if err != nil {
+				t.Fatalf("reliable %v seed %d: run did not complete (deadlock?): %v", reliable, seed, err)
+			}
+			if res.Completion <= 0 {
+				t.Fatalf("reliable %v seed %d: nonpositive completion %v", reliable, seed, res.Completion)
+			}
+			// Staleness contract: every Global_Read that returned without
+			// timing out honored the age bound (degraded reads are excluded
+			// from the histogram and counted as violations instead).
+			if max := res.Telemetry.Staleness.Max; max > chaosAge {
+				t.Fatalf("reliable %v seed %d: staleness bound broken: observed %d > age %d", reliable, seed, max, chaosAge)
+			}
+			// The violation counter must reconcile with the per-task export.
+			var perTask int64
+			for _, tt := range res.Telemetry.Tasks {
+				perTask += tt.ReadTimeouts
+			}
+			if perTask != res.Telemetry.StalenessViolations {
+				t.Fatalf("reliable %v seed %d: StalenessViolations %d != sum of task ReadTimeouts %d",
+					reliable, seed, res.Telemetry.StalenessViolations, perTask)
+			}
+			if !reliable {
+				again, err := ga.RunIsland(cfg)
+				if err != nil || !reflect.DeepEqual(again, res) {
+					t.Fatalf("reliable %v seed %d: chaos replay diverged (err %v):\n%+v\nvs\n%+v", reliable, seed, err, res, again)
+				}
+			}
 		}
 	}
 }
@@ -135,25 +151,41 @@ func chaosBayesCfg(seed int64) bayes.ParallelConfig {
 	}
 }
 
+// TestChaosBayes runs every seed on the reliable transport and then on
+// the plain one. A plain-transport run is also replayed, and must give
+// the same result in every field.
 func TestChaosBayes(t *testing.T) {
-	for seed := int64(0); seed < chaosBayesSeeds; seed++ {
-		res, err := bayes.RunParallel(chaosBayesCfg(seed))
-		if err != nil {
-			t.Fatalf("seed %d: run did not complete (deadlock?): %v", seed, err)
-		}
-		if res.Completion <= 0 || res.Iters <= 0 {
-			t.Fatalf("seed %d: degenerate run: %+v", seed, res)
-		}
-		if res.Prob < 0 || res.Prob > 1 {
-			t.Fatalf("seed %d: estimate %g outside [0,1]", seed, res.Prob)
-		}
-		var perTask int64
-		for _, tt := range res.Telemetry.Tasks {
-			perTask += tt.ReadTimeouts
-		}
-		if perTask != res.Telemetry.StalenessViolations {
-			t.Fatalf("seed %d: StalenessViolations %d != sum of task ReadTimeouts %d",
-				seed, res.Telemetry.StalenessViolations, perTask)
+	for _, reliable := range []bool{true, false} {
+		for seed := int64(0); seed < chaosBayesSeeds; seed++ {
+			cfg := chaosBayesCfg(seed)
+			cfg.Reliable = reliable
+			res, err := bayes.RunParallel(cfg)
+			if err != nil {
+				t.Fatalf("reliable %v seed %d: run did not complete (deadlock?): %v", reliable, seed, err)
+			}
+			if res.Completion <= 0 || res.Iters <= 0 {
+				t.Fatalf("reliable %v seed %d: degenerate run: %+v", reliable, seed, res)
+			}
+			if res.Prob < 0 || res.Prob > 1 {
+				t.Fatalf("reliable %v seed %d: estimate %g outside [0,1]", reliable, seed, res.Prob)
+			}
+			if max := res.Telemetry.Staleness.Max; max > chaosAge {
+				t.Fatalf("reliable %v seed %d: staleness bound broken: observed %d > age %d", reliable, seed, max, chaosAge)
+			}
+			var perTask int64
+			for _, tt := range res.Telemetry.Tasks {
+				perTask += tt.ReadTimeouts
+			}
+			if perTask != res.Telemetry.StalenessViolations {
+				t.Fatalf("reliable %v seed %d: StalenessViolations %d != sum of task ReadTimeouts %d",
+					reliable, seed, res.Telemetry.StalenessViolations, perTask)
+			}
+			if !reliable {
+				again, err := bayes.RunParallel(cfg)
+				if err != nil || !reflect.DeepEqual(again, res) {
+					t.Fatalf("reliable %v seed %d: chaos replay diverged (err %v):\n%+v\nvs\n%+v", reliable, seed, err, res, again)
+				}
+			}
 		}
 	}
 }

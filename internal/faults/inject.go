@@ -18,6 +18,14 @@ type Stats struct {
 	Duplicated     int64 // frames delivered a second time
 }
 
+// Shared is a payload that counts its deliveries, each of which holds
+// one share of it; a pooled pvm.Message is one. The injector takes one
+// more share of a frame it duplicates, before either delivery, so the
+// payload is not recycled while its second delivery is on the way.
+type Shared interface {
+	Retain(n int)
+}
+
 // Injector applies a Plan to an existing fabric. It implements
 // netsim.Fabric by delegating transmission to the wrapped fabric and
 // intercepting every delivery: each Attach handler is wrapped so that
@@ -244,6 +252,9 @@ func (j *Injector) deliver(src, dst int, payload interface{}, sentAt sim.Time, h
 			dup = true
 			break
 		}
+	}
+	if s, ok := payload.(Shared); dup && ok {
+		s.Retain(1)
 	}
 	if extra > 0 {
 		j.stats.Delayed++

@@ -4,12 +4,10 @@ import "math"
 
 // stateBlock is one published copy of a partition's state in operand
 // form: the value its location carries. It implements core.Block, so
-// when pvm pools, the DSM nodes count the buffers and messages that
-// hold it, and its last release returns it to its writer's free list
-// instead of leaving it to the GC. A partition then cycles through a
-// few blocks instead of allocating one per changed superstep. Without
-// pooling nothing releases a block, and every publish of a changed
-// state allocates a fresh one.
+// the DSM nodes count the buffers and messages that hold it, and its
+// last release returns it to its writer's free list instead of leaving
+// it to the GC. A partition then cycles through a few blocks instead of
+// allocating one per changed superstep.
 type stateBlock struct {
 	vals []float64
 	// at is the superstep whose entering state vals holds. A partition

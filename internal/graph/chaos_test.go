@@ -1,16 +1,19 @@
 package graph_test
 
 // Chaos harness for the graph workloads: partitioned PageRank/SSSP
-// runs under seeded random fault plans with the reliable transport and
-// bounded Global_Read switched on. Asserted invariants mirror the
-// faults package's chaos suite: liveness (no deadlock — the engine
-// returns ErrDeadlock otherwise), the staleness contract (non-timed-out
-// reads honored the age bound, and the violation counter reconciles
-// with the per-task export), determinism (identical (seed, plan) pairs
-// replay byte for byte), and worker-independence of the virtual result.
+// runs under seeded random fault plans with bounded Global_Read
+// switched on, on the reliable transport and again on the plain one,
+// where lost, reordered and duplicated frames reach the partitions.
+// Asserted invariants mirror the faults package's chaos suite: liveness
+// (no deadlock — the engine returns ErrDeadlock otherwise), the
+// staleness contract (non-timed-out reads honored the age bound, and
+// the violation counter reconciles with the per-task export),
+// determinism (identical (seed, plan) pairs replay byte for byte), and
+// worker-independence of the virtual result.
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"nscc/internal/cluster"
@@ -46,29 +49,44 @@ func chaosCfg(t *testing.T, algo graph.Algo, seed int64) graph.Config {
 	}
 }
 
+// TestChaosGraph runs every seed on the reliable transport and then on
+// the plain one. A plain-transport run is also replayed, and must give
+// the same result in every field.
 func TestChaosGraph(t *testing.T) {
-	for seed := int64(0); seed < chaosSeeds; seed++ {
-		algo := graph.Algos[seed%2]
-		res, err := graph.Run(chaosCfg(t, algo, seed))
-		if err != nil {
-			t.Fatalf("seed %d %s: run did not complete (deadlock?): %v", seed, algo, err)
-		}
-		if res.Completion <= 0 {
-			t.Fatalf("seed %d %s: nonpositive completion %v", seed, algo, res.Completion)
-		}
-		// Staleness contract: every Global_Read that returned without
-		// timing out honored the age bound; degraded reads are excluded
-		// from the histogram and counted as violations instead.
-		if max := res.Telemetry.Staleness.Max; max > chaosAge {
-			t.Fatalf("seed %d %s: staleness bound broken: observed %d > age %d", seed, algo, max, chaosAge)
-		}
-		var perTask int64
-		for _, tt := range res.Telemetry.Tasks {
-			perTask += tt.ReadTimeouts
-		}
-		if perTask != res.Telemetry.StalenessViolations {
-			t.Fatalf("seed %d %s: StalenessViolations %d != sum of task ReadTimeouts %d",
-				seed, algo, res.Telemetry.StalenessViolations, perTask)
+	for _, reliable := range []bool{true, false} {
+		for seed := int64(0); seed < chaosSeeds; seed++ {
+			algo := graph.Algos[seed%2]
+			cfg := chaosCfg(t, algo, seed)
+			cfg.Reliable = reliable
+			res, err := graph.Run(cfg)
+			if err != nil {
+				t.Fatalf("reliable %v seed %d %s: run did not complete (deadlock?): %v", reliable, seed, algo, err)
+			}
+			if res.Completion <= 0 {
+				t.Fatalf("reliable %v seed %d %s: nonpositive completion %v", reliable, seed, algo, res.Completion)
+			}
+			// Staleness contract: every Global_Read that returned without
+			// timing out honored the age bound; degraded reads are excluded
+			// from the histogram and counted as violations instead.
+			if max := res.Telemetry.Staleness.Max; max > chaosAge {
+				t.Fatalf("reliable %v seed %d %s: staleness bound broken: observed %d > age %d",
+					reliable, seed, algo, max, chaosAge)
+			}
+			var perTask int64
+			for _, tt := range res.Telemetry.Tasks {
+				perTask += tt.ReadTimeouts
+			}
+			if perTask != res.Telemetry.StalenessViolations {
+				t.Fatalf("reliable %v seed %d %s: StalenessViolations %d != sum of task ReadTimeouts %d",
+					reliable, seed, algo, res.Telemetry.StalenessViolations, perTask)
+			}
+			if !reliable {
+				again, err := graph.Run(cfg)
+				if err != nil || !reflect.DeepEqual(again, res) {
+					t.Fatalf("reliable %v seed %d %s: chaos replay diverged (err %v):\n%+v\nvs\n%+v",
+						reliable, seed, algo, err, res, again)
+				}
+			}
 		}
 	}
 }

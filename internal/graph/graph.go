@@ -33,14 +33,14 @@
 // operands and accumulators.
 //
 // A partition publishes its state as a state block, which implements
-// core.Block. When pvm pools (no fault plan attached), the DSM nodes
-// count the buffers and messages holding a block, and the last release
-// returns it to its partition's free list, so a partition cycles
-// through a few blocks instead of allocating one per changed
-// superstep. Readers tell blocks apart by the superstep stamp each
-// carries, not by array identity. The test-only nscc_poison build tag
-// fills a released block with NaN, so a use after release changes the
-// results.
+// core.Block. The DSM nodes count the buffers and messages holding a
+// block, and the last release returns it to its partition's free list,
+// so a partition cycles through a few blocks instead of allocating one
+// per changed superstep. Readers tell blocks apart by the superstep
+// stamp each carries, not by array identity. The test-only nscc_poison
+// build tag fills a released block with NaN, so a use after release
+// changes the results (and has a recycled convergence report name
+// partition -1, so folding it again panics).
 package graph
 
 import (

@@ -239,15 +239,17 @@ func TestPublishGarbagePerSuperstep(t *testing.T) {
 	}
 }
 
-// TestFaultPlanRecyclesNoBlock checks that state blocks are recycled
-// exactly when pvm pools. An Observer notes each state block a
-// partition receives, by identity, with the superstep stamp it carries
-// (it keeps the identity only and never reads a block after its call).
-// Without a fault plan some block arrives refilled with a later
-// superstep's state, and every arriving block is still referenced by
-// the update carrying it; with a fault plan attached, even one that
-// injects nothing, no block is ever refilled.
-func TestFaultPlanRecyclesNoBlock(t *testing.T) {
+// TestFaultPlanRecyclesBlocks checks that a run under a fault plan
+// recycles state blocks as a clean run does. An Observer notes each
+// state block a partition receives, by identity, with the superstep
+// stamp it carries (it keeps the identity only and never reads a block
+// after its call). In every run some block arrives refilled with a
+// later superstep's state, and every arriving block is still referenced
+// by the delivery carrying it. A plan that injects nothing refills
+// exactly the blocks a clean run refills, and a plan that duplicates
+// frames on the plain transport, whose deliveries each hold a reference
+// of their own, refills blocks too.
+func TestFaultPlanRecyclesBlocks(t *testing.T) {
 	g, err := ParseTopoSpec("clustered:n=40,k=4,seed=6")
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +262,8 @@ func TestFaultPlanRecyclesNoBlock(t *testing.T) {
 		cfg.Faults = plan
 		cfg.NodeOpts.Observer = func(_ int, u core.Update) {
 			b := u.Value.(*stateBlock)
-			if plan == nil && b.refs <= 0 {
-				t.Errorf("a block arrived with %d references", b.refs)
+			if b.refs <= 0 {
+				t.Errorf("plan %v: a block arrived with %d references", plan, b.refs)
 			}
 			if at, ok := stamps[b]; ok && at != b.at {
 				n++
@@ -270,15 +272,20 @@ func TestFaultPlanRecyclesNoBlock(t *testing.T) {
 		}
 		res := runFresh(t, cfg)
 		if !res.Converged {
-			t.Fatal("did not converge")
+			t.Fatalf("plan %v: did not converge", plan)
 		}
 		return n
 	}
-	if n := refilled(nil); n == 0 {
-		t.Error("a pooled run refilled no block")
+	clean := refilled(nil)
+	if clean == 0 {
+		t.Error("a clean run refilled no block")
 	}
-	if n := refilled(&faults.Plan{Name: "quiet"}); n != 0 {
-		t.Errorf("a run under a fault plan refilled %d blocks", n)
+	if n := refilled(&faults.Plan{Name: "quiet"}); n != clean {
+		t.Errorf("a run under a quiet fault plan refilled %d blocks, a clean run %d", n, clean)
+	}
+	dup := &faults.Plan{Name: "duplicate", Duplicates: []faults.DuplicateWindow{{From: 0, To: 3600, Prob: 0.5}}}
+	if n := refilled(dup); n == 0 {
+		t.Error("a run under duplicated frames refilled no block")
 	}
 }
 

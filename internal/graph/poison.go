@@ -3,5 +3,6 @@
 package graph
 
 // poisonReleased makes a state block's last release overwrite its
-// values with NaN. It is on only in the test-only nscc_poison build.
+// values with NaN, and a recycled convergence report name partition -1.
+// It is on only in the test-only nscc_poison build.
 const poisonReleased = true

@@ -41,7 +41,16 @@ type ctrlMsg struct {
 	Residual float64
 	Frontier int64
 	Seen     []int64
+
+	// refs counts the report's deliveries the coordinator has not yet
+	// folded: one per send, plus one per duplicate the network makes.
+	// The last fold returns the report to the run's free list.
+	refs int
 }
+
+// Retain takes n more delivery shares of the report (see
+// pvm.Message.Retain).
+func (m *ctrlMsg) Retain(n int) { m.refs += n }
 
 // ctrlMsgSize is the network size of a convergence report carrying
 // nsrc observed-iteration entries.
@@ -292,9 +301,9 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 			lastSeen[q][i] = core.NoValue
 		}
 	}
-	// reports is the run's free list of convergence reports, kept only
-	// when pvm pools: the coordinator returns each report after folding
-	// it, and the other partitions send theirs from the list.
+	// reports is the run's free list of convergence reports: the
+	// coordinator returns each report after folding its last delivery,
+	// and the other partitions send theirs from the list.
 	var reports []*ctrlMsg
 
 	for p := 0; p < cfg.P; p++ {
@@ -383,8 +392,10 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 				}
 				copy(lastSeen[m.Part], m.Seen)
 			}
-			// collect folds every report waiting in the mailbox, then
-			// returns each to the free list when pvm pools.
+			// collect folds every report waiting in the mailbox, and
+			// returns each to the free list after its last delivery. The
+			// nscc_poison build has a returned report name partition -1,
+			// so folding it again panics.
 			collect := func() {
 				for {
 					m := task.NRecv(pvm.Any, ctrlTag)
@@ -393,7 +404,10 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 					}
 					r := m.Data.(*ctrlMsg)
 					report(r)
-					if task.Pooling() {
+					if r.refs--; r.refs == 0 {
+						if poisonReleased {
+							r.Part = -1
+						}
 						reports = append(reports, r)
 					}
 				}
@@ -502,7 +516,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 					} else {
 						m = &ctrlMsg{}
 					}
-					m.Part, m.Iter, m.Residual, m.Frontier = p, iter, residual, frontier
+					m.Part, m.Iter, m.Residual, m.Frontier, m.refs = p, iter, residual, frontier, 1
 					m.Seen = append(m.Seen[:0], seen...)
 					task.Send(0, ctrlTag, ctrlMsgSize(len(seen)), m)
 				}

@@ -38,12 +38,24 @@ type Message struct {
 	// itself never touches it.
 	Aux interface{}
 
-	// refs counts receivers that have not yet finished with a pooled
-	// message (Config.Pooling). Zero marks an unpooled message that is
-	// never recycled. Each receiver's share is released when that task
-	// performs its *next* dequeue — see the ownership rule on
-	// Config.Pooling.
+	// refs counts the deliveries of the message that their receivers
+	// have not yet finished with. Each delivery's share is released when
+	// its receiving task performs its *next* dequeue (see Machine). A
+	// reliable-mode original is never delivered itself (each receiver
+	// gets a copy) and keeps refs at zero.
 	refs int
+}
+
+// Retain takes n more delivery shares of the message, and of its Data
+// if Data counts shares too (has a Retain method). A fabric that
+// delivers a frame more than once, as the fault injector does when it
+// duplicates one, calls it before the extra delivery, so the message
+// and its payload outlive every receive that hands them out.
+func (msg *Message) Retain(n int) {
+	msg.refs += n
+	if d, ok := msg.Data.(interface{ Retain(int) }); ok {
+		d.Retain(n)
+	}
 }
 
 // Config carries the software overheads of the messaging layer. These
@@ -87,15 +99,9 @@ type Config struct {
 	// selects the default (12, spanning ~80 virtual seconds of
 	// backoff — far beyond any injected fault window).
 	MaxRetries int
-	// Pooling recycles Message objects through a per-machine free list,
-	// making the steady-state send/receive path allocation-free. It
-	// tightens the ownership rule: a received *Message (and its Data)
-	// is valid only until the receiving task's next
-	// Recv/NRecv/RecvTimeout — receivers must copy out what they keep.
-	// All in-repo runners obey this rule already. Off by default, and
-	// it MUST stay off when a fault injector wraps the fabric: fault
-	// duplication re-delivers the same payload pointer, which would
-	// double-release a pooled message.
+	// Pooling is ignored: every machine pools its messages (see
+	// Machine). The field stays only so that code which still sets it
+	// compiles.
 	Pooling bool
 }
 
@@ -110,6 +116,13 @@ func DefaultConfig() Config {
 
 // Machine is a set of communicating tasks on one simulated
 // interconnect (the shared-Ethernet bus or the crossbar switch).
+//
+// A machine recycles its Message objects through a free list, so the
+// steady-state send/receive path allocates nothing. That sets the
+// ownership rule: a received *Message (and its Data) is valid only
+// until the receiving task's next Recv/NRecv/RecvTimeout, so receivers
+// copy out what they keep. Each delivery holds one share of the
+// message, and a delivery made twice takes one more (Message.Retain).
 type Machine struct {
 	eng   *sim.Engine
 	net   netsim.Fabric
@@ -141,8 +154,8 @@ type Machine struct {
 	serRetx     *tseries.Series
 	serBytes    *tseries.Series
 
-	// msgFree is the Message free list (Config.Pooling). Per-machine,
-	// not package-global: sweeps run independent machines on parallel
+	// msgFree is the Message free list. Per-machine, not
+	// package-global: sweeps run independent machines on parallel
 	// goroutines, and a shared pool would race.
 	msgFree []*Message
 
@@ -155,12 +168,6 @@ type Machine struct {
 	dstBuf, nodeBuf []int
 }
 
-// Pooling reports whether the machine recycles Message objects (see
-// Config.Pooling). Layers above that keep their own pools — the DSM
-// node's update records, for instance — key off this so one switch
-// governs the whole stack's ownership rules.
-func (m *Machine) Pooling() bool { return m.cfg.Pooling }
-
 // getMsg takes a Message from the free list or allocates one.
 func (m *Machine) getMsg() *Message {
 	if n := len(m.msgFree); n > 0 {
@@ -172,16 +179,12 @@ func (m *Machine) getMsg() *Message {
 	return &Message{}
 }
 
-// releaseMsg returns one receiver's share of a pooled message. The
-// object is cleared and recycled when the last receiver releases it;
-// unpooled messages (refs == 0) pass through untouched. A pooled
-// message one of whose deliveries was lost never reaches zero and is
-// simply collected by the GC — the pool leaks an object rather than
-// ever recycling early.
+// releaseMsg returns one delivery's share of a message. The object is
+// cleared and recycled when the last share is released. A message one
+// of whose deliveries was lost never reaches zero and is simply
+// collected by the GC — the pool leaks an object rather than ever
+// recycling early.
 func (m *Machine) releaseMsg(msg *Message) {
-	if msg.refs <= 0 {
-		return
-	}
 	msg.refs--
 	if msg.refs == 0 {
 		*msg = Message{}
@@ -254,7 +257,7 @@ type Task struct {
 
 	// lastRecv is the pooled message handed to the application by the
 	// previous dequeue; its share is released when the next dequeue
-	// begins (the Config.Pooling ownership rule made operational).
+	// begins (the Machine's ownership rule made operational).
 	lastRecv *Message
 
 	// wireDone is the preallocated window-release callback for sends
@@ -345,29 +348,32 @@ func (m *Machine) Spawn(name string, fn func(*Task)) *Task {
 			t.reliableArrival(payload)
 		})
 	} else {
-		t.node = m.net.Attach(name, func(src int, payload interface{}, sentAt sim.Time) {
-			msg := payload.(*Message)
-			msg.ArrivedAt = m.eng.Now()
-			if m.ArrivalHook != nil {
-				m.ArrivalHook(t.id, msg)
-			}
-			t.traceArrival(msg)
-			t.queue = append(t.queue, msg)
-			m.noteQueue(1)
-			t.wl.WakeAll()
-		})
+		t.node = m.net.Attach(name, t.arrive)
 	}
 	t.proc = m.eng.Spawn(name, func(p *sim.Proc) { fn(t) })
 	return t
 }
 
+// arrive queues a *Message the network delivered to the task: it stamps
+// the arrival time, shows the message to ArrivalHook and the tracer,
+// and wakes the task. It is the plain transport's fabric handler and
+// reads only the payload; the reliable transport hands it each
+// in-order copy.
+func (t *Task) arrive(_ int, payload interface{}, _ sim.Time) {
+	m := t.m
+	msg := payload.(*Message)
+	msg.ArrivedAt = m.eng.Now()
+	if m.ArrivalHook != nil {
+		m.ArrivalHook(t.id, msg)
+	}
+	t.traceArrival(msg)
+	t.queue = append(t.queue, msg)
+	m.noteQueue(1)
+	t.wl.WakeAll()
+}
+
 // ID returns the task id.
 func (t *Task) ID() int { return t.id }
-
-// Pooling reports whether the task's machine recycles messages (see
-// Config.Pooling) — the switch the coherence layer keys its own
-// payload pooling off.
-func (t *Task) Pooling() bool { return t.m.cfg.Pooling }
 
 // Proc returns the task's simulation process (for Sleep, Rng, Now).
 func (t *Task) Proc() *sim.Proc { return t.proc }
@@ -444,15 +450,12 @@ func (t *Task) send(dsts []int, ntasks int, tag int, size int, data interface{},
 		m.dstBuf = dsts
 	}
 	t.inflight++
-	var msg *Message
-	if m.cfg.Pooling && !m.cfg.Reliable {
-		// Reliable-mode originals are retained by the retransmission
-		// machinery indefinitely, so only the per-delivery copies are
-		// pooled (see deliverReliable).
-		msg = m.getMsg()
+	msg := m.getMsg()
+	if !m.cfg.Reliable {
+		// One share per delivery. A reliable-mode original stays with
+		// the retransmission machinery and is never recycled; each
+		// receiver gets its own pooled copy (see deliverReliable).
 		msg.refs = len(dsts)
-	} else {
-		msg = &Message{}
 	}
 	msg.Src, msg.Tag, msg.Data, msg.Size, msg.SentAt = t.id, tag, data, size, m.eng.Now()
 	t.bytesSent += int64(size)
@@ -517,15 +520,12 @@ func (t *Task) recvCost(msg *Message) sim.Duration {
 // charge accounts a dequeued message to the task: the unpacking CPU
 // time (advancing the task's clock) and the receive-side counters. It
 // is also the pool's release point: dequeuing a message ends the
-// application's ownership of the previous one (Config.Pooling).
+// application's ownership of the previous one.
 func (t *Task) charge(msg *Message) {
 	if prev := t.lastRecv; prev != nil {
-		t.lastRecv = nil
 		t.m.releaseMsg(prev)
 	}
-	if msg.refs > 0 {
-		t.lastRecv = msg
-	}
+	t.lastRecv = msg
 	if t.m.RecvHook != nil {
 		t.m.RecvHook(t.id, msg)
 	}

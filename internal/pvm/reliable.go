@@ -209,27 +209,13 @@ func (t *Task) srcOO(src int) map[int64]*Message {
 // deliverReliable releases one message to the application. The
 // Message is copied first: the original is shared by every multicast
 // receiver and by retransmissions, which arrive at different times.
-// With pooling on, the copy is a pooled object owned by this one
-// receiver (the unpooled original stays with the transport).
+// The copy is a pooled object whose one share is this receiver's (the
+// original stays with the transport).
 func (t *Task) deliverReliable(orig *Message) {
-	var msg *Message
-	if t.m.cfg.Pooling {
-		msg = t.m.getMsg()
-	} else {
-		msg = new(Message)
-	}
+	msg := t.m.getMsg()
 	*msg = *orig
-	if t.m.cfg.Pooling {
-		msg.refs = 1
-	}
-	msg.ArrivedAt = t.m.eng.Now()
-	if t.m.ArrivalHook != nil {
-		t.m.ArrivalHook(t.id, msg)
-	}
-	t.traceArrival(msg)
-	t.queue = append(t.queue, msg)
-	t.m.noteQueue(1)
-	t.wl.WakeAll()
+	msg.refs = 1
+	t.arrive(0, msg, 0)
 }
 
 // traceRel emits one reliable-transport instant (nil-tracer safe).

@@ -167,6 +167,77 @@ func TestReliableSuppressesDuplicates(t *testing.T) {
 	}
 }
 
+// sharedPayload counts the delivery shares a message hands on to it.
+type sharedPayload struct {
+	i, shares int
+}
+
+func (p *sharedPayload) Retain(n int) { p.shares += n }
+
+// TestPlainDuplicateTakesAShare runs the plain transport under a
+// duplication window of probability 1: every message arrives twice,
+// and each receive must see its source, tag, size and payload intact.
+// The receiver starts once all n messages are queued, so nothing takes
+// from the free list while it reads. A message is recycled exactly
+// once, when the dequeue after its second delivery releases the last
+// share, and its payload was told of the extra share.
+func TestPlainDuplicateTakesAShare(t *testing.T) {
+	const n = 6
+	eng := sim.NewEngine(1)
+	defer eng.Close()
+	plan := &faults.Plan{Duplicates: []faults.DuplicateWindow{{From: 0, To: 100, Prob: 1}}}
+	m := NewMachine(eng, faults.Wrap(netsim.New(eng, netsim.DefaultConfig()), plan), DefaultConfig())
+	sent := make([]*sharedPayload, n)
+	m.Spawn("send", func(task *Task) {
+		for i := range sent {
+			sent[i] = &sharedPayload{i: i}
+			task.Send(1, 7, 100+i, sent[i])
+		}
+	})
+	m.Spawn("recv", func(task *Task) {
+		task.Compute(sim.Second)
+		if task.Pending() != 2*n {
+			t.Errorf("%d messages queued, want %d", task.Pending(), 2*n)
+			return
+		}
+		for i := 0; i < n; i++ {
+			for c := 1; c <= 2; c++ {
+				msg := task.Recv(0, Any)
+				if msg.Src != 0 || msg.Tag != 7 || msg.Size != 100+i || msg.Data != sent[i] {
+					t.Errorf("message %d, copy %d: src %d tag %d size %d data %v; want 0, 7, %d and %v",
+						i, c, msg.Src, msg.Tag, msg.Size, msg.Data, 100+i, sent[i])
+					return
+				}
+				// The copies' shares: this receive's, and the second
+				// delivery's while it is still queued.
+				if want := 3 - c; msg.refs != want {
+					t.Errorf("message %d, copy %d: %d shares left, want %d", i, c, msg.refs, want)
+					return
+				}
+				if len(m.msgFree) != i {
+					t.Errorf("message %d, copy %d: %d messages recycled, want %d", i, c, len(m.msgFree), i)
+					return
+				}
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range sent {
+		if p.shares != 1 {
+			t.Errorf("payload %d took %d extra shares, want 1", i, p.shares)
+		}
+	}
+	seen := map[*Message]bool{}
+	for _, msg := range m.msgFree {
+		if seen[msg] {
+			t.Fatal("a message was recycled twice")
+		}
+		seen[msg] = true
+	}
+}
+
 // TestReliableRetransmitRecoversLoss drops everything for the first
 // 50 ms: the sole message sent at t~0 must still arrive, via a
 // retransmission after the window lifts.

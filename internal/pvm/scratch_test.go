@@ -143,8 +143,8 @@ func TestBcastSkipsTaskSpawnedDuringSleep(t *testing.T) {
 }
 
 // TestBcastAllocsZeroAt1000Tasks checks that a warmed broadcast costs
-// no allocation at 1000 tasks on the rack/spine fabric with pooling,
-// even from a task that has never sent: the destination and node lists
+// no allocation at 1000 tasks on the rack/spine fabric, even from a
+// task that has never sent: the destination and node lists
 // are the machine's, not the task's. Task k broadcasts when task k-1's
 // broadcast reaches it, and each measured run of the engine ends right
 // after the next broadcast.
@@ -152,9 +152,7 @@ func TestBcastAllocsZeroAt1000Tasks(t *testing.T) {
 	const p = 1000
 	eng := sim.NewEngine(1)
 	defer eng.Close()
-	cfg := DefaultConfig()
-	cfg.Pooling = true
-	m := NewMachine(eng, netsim.NewHier(eng, netsim.DefaultHierConfig()), cfg)
+	m := NewMachine(eng, netsim.NewHier(eng, netsim.DefaultHierConfig()), DefaultConfig())
 	bcasts := 0
 	for i := 0; i < p; i++ {
 		m.Spawn("t", func(t *Task) {

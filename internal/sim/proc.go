@@ -9,11 +9,11 @@ import (
 )
 
 // Proc is a cooperative simulated process. The function passed to Spawn
-// receives the Proc and may call its blocking methods (Sleep, and the
-// Wait methods of WaitList/Future/Barrier/Semaphore); each such call
-// parks the process, runs the event loop on its goroutine until the
-// next process step is due, and hands control straight to that process
-// (or simply carries on, when the step is this process's own).
+// receives the Proc and may call its blocking methods (Sleep, and
+// WaitList's Wait and WaitTimeout); each such call parks the process,
+// runs the event loop on its goroutine until the next process step is
+// due, and hands control straight to that process (or simply carries
+// on, when the step is this process's own).
 //
 // Proc methods must only be called from within the process's own
 // function; the engine guarantees only one process runs at a time.

@@ -189,7 +189,7 @@ func TestWaitListFIFO(t *testing.T) {
 
 func TestFuture(t *testing.T) {
 	e := NewEngine(1)
-	var f Future
+	var f future
 	var got interface{}
 	e.Spawn("reader", func(p *Proc) { got = f.Wait(p) })
 	e.Schedule(50, func() { f.Complete(99) })
@@ -206,7 +206,7 @@ func TestFuture(t *testing.T) {
 
 func TestFutureWaitAfterComplete(t *testing.T) {
 	e := NewEngine(1)
-	var f Future
+	var f future
 	f.Complete("x")
 	var got interface{}
 	e.Spawn("late", func(p *Proc) { got = f.Wait(p) })
@@ -224,14 +224,14 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 			t.Error("double Complete did not panic")
 		}
 	}()
-	var f Future
+	var f future
 	f.Complete(1)
 	f.Complete(2)
 }
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSemaphore(2)
+	s := newSemaphore(2)
 	inside, peak := 0, 0
 	for i := 0; i < 6; i++ {
 		e.Spawn("worker", func(p *Proc) {
@@ -257,7 +257,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 }
 
 func TestSemaphoreTryAcquire(t *testing.T) {
-	s := NewSemaphore(1)
+	s := newSemaphore(1)
 	if !s.TryAcquire() {
 		t.Fatal("first TryAcquire failed")
 	}
@@ -273,7 +273,7 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 func TestBarrierRounds(t *testing.T) {
 	e := NewEngine(1)
 	const n, rounds = 4, 3
-	b := NewBarrier(n)
+	b := newBarrier(n)
 	var times [rounds][n]Time
 	for i := 0; i < n; i++ {
 		i := i
@@ -300,7 +300,7 @@ func TestBarrierRounds(t *testing.T) {
 
 func TestBarrierGeneration(t *testing.T) {
 	e := NewEngine(1)
-	b := NewBarrier(2)
+	b := newBarrier(2)
 	var gens []int
 	for i := 0; i < 2; i++ {
 		e.Spawn("p", func(p *Proc) {
@@ -435,7 +435,7 @@ func TestSemaphoreProperty(t *testing.T) {
 		capacity := int(capRaw%4) + 1
 		n := int(nRaw%20) + 1
 		e := NewEngine(seed)
-		s := NewSemaphore(capacity)
+		s := newSemaphore(capacity)
 		inside, ok := 0, true
 		for i := 0; i < n; i++ {
 			e.Spawn("w", func(p *Proc) {
@@ -531,7 +531,7 @@ func TestSleepNegative(t *testing.T) {
 func TestWaitListLenAndFutureValue(t *testing.T) {
 	e := NewEngine(1)
 	var wl WaitList
-	var f Future
+	var f future
 	e.Spawn("w", func(p *Proc) { wl.Wait(p) })
 	e.Schedule(1, func() {
 		if wl.Len() != 1 {
@@ -551,14 +551,14 @@ func TestWaitListLenAndFutureValue(t *testing.T) {
 func TestBarrierValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewBarrier(0) did not panic")
+			t.Error("newBarrier(0) did not panic")
 		}
 	}()
-	NewBarrier(0)
+	newBarrier(0)
 }
 
 func TestBarrierParties(t *testing.T) {
-	if NewBarrier(3).Parties() != 3 {
+	if newBarrier(3).Parties() != 3 {
 		t.Fatal("Parties")
 	}
 }

@@ -3,8 +3,9 @@ package sim
 import "nscc/internal/trace"
 
 // WaitList is the engine's basic blocking primitive: a FIFO set of
-// parked processes that other code can wake. Mailboxes, futures,
-// barriers and the DSM's Global_Read blocking are all built on it.
+// parked processes that other code can wake. pvm's mailboxes and send
+// windows, and through them the DSM's Global_Read blocking, are built
+// on it.
 type WaitList struct {
 	waiters []*Proc
 }
@@ -76,108 +77,3 @@ func (w *WaitList) WakeAll() int {
 
 // Len reports the number of waiting processes.
 func (w *WaitList) Len() int { return len(w.waiters) }
-
-// Future is a one-shot value that processes can block on.
-type Future struct {
-	done bool
-	val  interface{}
-	wl   WaitList
-}
-
-// Complete resolves the future, waking all waiters. Completing twice
-// panics: a future is a one-shot rendezvous and double completion means
-// the model lost track of ownership.
-func (f *Future) Complete(val interface{}) {
-	if f.done {
-		panic("sim: Future completed twice")
-	}
-	f.done = true
-	f.val = val
-	f.wl.WakeAll()
-}
-
-// Done reports whether the future has been completed.
-func (f *Future) Done() bool { return f.done }
-
-// Value returns the completed value (nil if not yet complete).
-func (f *Future) Value() interface{} { return f.val }
-
-// Wait blocks p until the future completes and returns its value.
-func (f *Future) Wait(p *Proc) interface{} {
-	for !f.done {
-		f.wl.Wait(p)
-	}
-	return f.val
-}
-
-// Semaphore is a counting semaphore with FIFO fairness.
-type Semaphore struct {
-	avail int
-	wl    WaitList
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes one permit, blocking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.avail == 0 {
-		s.wl.Wait(p)
-	}
-	s.avail--
-}
-
-// TryAcquire takes a permit without blocking, reporting success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail == 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
-// Release returns one permit and wakes one waiter if any.
-func (s *Semaphore) Release() {
-	s.avail++
-	s.wl.WakeOne()
-}
-
-// Available reports the current number of permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Barrier synchronizes a fixed party of n processes. The last arriving
-// process releases the rest; the barrier then resets for reuse.
-type Barrier struct {
-	n       int
-	arrived int
-	gen     int
-	wl      WaitList
-}
-
-// NewBarrier returns a reusable barrier for n parties. n must be >= 1.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier size must be >= 1")
-	}
-	return &Barrier{n: n}
-}
-
-// Arrive blocks p until all n parties have arrived in the current
-// generation. It returns the generation index that just completed.
-func (b *Barrier) Arrive(p *Proc) int {
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.wl.WakeAll()
-		return gen
-	}
-	for b.gen == gen {
-		b.wl.Wait(p)
-	}
-	return gen
-}
-
-// Parties returns the barrier's party count.
-func (b *Barrier) Parties() int { return b.n }
