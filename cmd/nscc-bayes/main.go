@@ -67,6 +67,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// A barrier, or a Global_Read with no timeout, waits forever for a
+	// lost message; async runs and timed reads go on without it.
+	if faultPlan.Drops() && !*reliable && (runMode == core.Sync || runMode == core.NonStrict && *readTo == 0) {
+		fmt.Fprintf(os.Stderr, "-faults: the plan drops messages, and a %s run waits forever for a lost one: add -reliable (or, for global_read, -read-timeout)\n", *mode)
+		os.Exit(2)
+	}
 
 	var bn *bayes.Network
 	if *netName == "figure1" {

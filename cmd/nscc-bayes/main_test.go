@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,14 @@ func TestMain(m *testing.M) {
 // unloaded), and a -load above the bus's 10 Mbit/s. An unknown -algo prints nothing even when checked late, so
 // its case also asks for the live status page, whose start line on
 // stderr shows whether the flag was checked before anything started.
+// A fault plan that drops messages needs -reliable in sync mode and in
+// global_read mode without -read-timeout: either run deadlocks waiting
+// for a lost message.
 func TestBadRunFlagsExitTwo(t *testing.T) {
+	lossy := filepath.Join(t.TempDir(), "lossy.json")
+	if err := os.WriteFile(lossy, []byte(`{"loss":[{"from":0,"to":2,"prob":0.3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-age", "-5"}, {"-mode", "sync", "-age", "-1"},
 		{"-procs", "0"}, {"-procs", "-2", "-mode", "async"},
@@ -37,6 +45,8 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-faults", "no-such-plan.json"},
 		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},
 		{"-read-timeout", "-5ms", "-http", "127.0.0.1:0"},
+		{"-mode", "sync", "-faults", lossy, "-http", "127.0.0.1:0"},
+		{"-mode", "global_read", "-faults", lossy},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

@@ -89,6 +89,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// Every run includes a Sync one (the quality target's, for the
+	// other modes), and its barrier waits forever for a lost message.
+	if plan.Drops() && !*reliable {
+		fmt.Fprintln(os.Stderr, "-faults: the plan drops messages, and the sync run waits forever for a lost one unless -reliable resends it")
+		os.Exit(2)
+	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {

@@ -91,6 +91,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// Every report includes the Sync variant, whose barrier waits
+	// forever for a lost message.
+	if plan.Drops() && !*reliable {
+		fmt.Fprintln(os.Stderr, "-faults: the plan drops messages, and the sync run waits forever for a lost one unless -reliable resends it")
+		os.Exit(2)
+	}
 	// The topologies, each checked against -procs. A file-based one runs
 	// the direct one-graph report (no cell cache — the journal keys on
 	// spec strings, not file contents).

@@ -91,9 +91,14 @@ func TestBadProcsExitTwo(t *testing.T) {
 // a cache and too many -procs for a topology are one line on stderr
 // naming the flag and exit status 2, before any simulation prints.
 // With -http every check comes before the server starts, whose start
-// line would be a second.
+// line would be a second. A fault plan that drops messages needs
+// -reliable: without it every Sync cell deadlocks on its barrier.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
+	lossy := filepath.Join(t.TempDir(), "lossy.json")
+	if err := os.WriteFile(lossy, []byte(`{"loss":[{"from":0,"to":2,"prob":0.3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-topo", "ring:12", "-trials", "-1"},
 		{"-topo", "ring:12", "-read-timeout", "-5ms"},
@@ -104,6 +109,7 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-resume", "-cache-dir="},
 		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-procs", "13"},
 		{"-http", "127.0.0.1:0", "-edges", edgeFile(t), "-procs", "13"},
+		{"-http", "127.0.0.1:0", "-topo", "ring:12", "-faults", lossy},
 		// The switch has no loss model: without the check these run,
 		// printing what they print without -loss, and exit 0.
 		{"-topo", "ring:12", "-switch", "-loss", "0.3"},

@@ -65,6 +65,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// The sync baseline's barrier waits forever for a lost message.
+	if plan.Drops() && !*reliable {
+		fmt.Fprintln(os.Stderr, "-faults: the plan drops messages, and the sync run waits forever for a lost one unless -reliable resends it")
+		os.Exit(2)
+	}
 
 	var srv *obs.Server
 	if *httpAddr != "" {

@@ -25,14 +25,20 @@ func TestMain(m *testing.M) {
 // every check before the server starts, whose start line would be a
 // second; a negative -read-timeout or -load must be rejected, not run
 // as "wait forever" or as no load, and so must a -load above the bus's
-// 10 Mbit/s.
+// 10 Mbit/s. A fault plan that drops messages needs -reliable: without
+// it the sync baseline deadlocks on its barrier.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
+	lossy := filepath.Join(t.TempDir(), "lossy.json")
+	if err := os.WriteFile(lossy, []byte(`{"loss":[{"from":0,"to":2,"prob":0.3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
 		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},
 		{"-http", "127.0.0.1:0", "-faults", missing},
 		{"-http", "127.0.0.1:0", "-read-timeout", "-5ms"},
+		{"-http", "127.0.0.1:0", "-faults", lossy, "-read-timeout", "50ms"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

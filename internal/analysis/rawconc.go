@@ -9,7 +9,7 @@ import (
 // rawconcScope lists the package-path prefixes where simulated
 // processes live: inside them, sim.Proc coroutines are the only legal
 // concurrency. The simulation substrate itself (internal/sim, which
-// implements coroutines with goroutines and channels) and the host-side
+// implements processes as iter.Pull coroutines) and the host-side
 // worker pool (internal/runner) are deliberately outside the scope.
 var rawconcScope = []string{
 	"nscc/internal/core",

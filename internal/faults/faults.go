@@ -149,6 +149,22 @@ func (p *Plan) Empty() bool {
 		len(p.Duplicates) == 0 && len(p.Crashes) == 0 && len(p.Partitions) == 0)
 }
 
+// Drops reports whether the plan can lose messages: a loss burst with
+// a non-zero probability, a crash window or a partition window. Only
+// the reliable transport resends what is lost; on the plain one a
+// barrier, or a Global_Read with no timeout, waits for it forever.
+func (p *Plan) Drops() bool {
+	if p == nil {
+		return false
+	}
+	for _, b := range p.Loss {
+		if b.Prob > 0 {
+			return true
+		}
+	}
+	return len(p.Crashes) > 0 || len(p.Partitions) > 0
+}
+
 func checkWindow(kind string, i int, from, to float64) error {
 	if from < 0 {
 		return fmt.Errorf("faults: %s[%d]: negative start time %g", kind, i, from)

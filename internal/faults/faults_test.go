@@ -207,6 +207,34 @@ func TestPlanEmpty(t *testing.T) {
 	}
 }
 
+func TestPlanDrops(t *testing.T) {
+	var nilPlan *Plan
+	keeps := []*Plan{
+		nilPlan,
+		{Loss: []LossBurst{{From: 0, To: 1, Prob: 0}}},
+		{
+			Delays:     []DelaySpike{{From: 0, To: 1, Delay: 0.01}},
+			Reorders:   []ReorderWindow{{From: 0, To: 1, Prob: 0.5, MaxDelay: 0.01}},
+			Duplicates: []DuplicateWindow{{From: 0, To: 1, Prob: 0.5}},
+		},
+	}
+	for i, p := range keeps {
+		if p.Drops() {
+			t.Errorf("plan %d drops nothing, but Drops reported true", i)
+		}
+	}
+	drops := []*Plan{
+		{Loss: []LossBurst{{From: 0, To: 1, Prob: 0}, {From: 1, To: 2, Prob: 0.1}}},
+		{Crashes: []CrashWindow{{Node: 0, From: 0, To: 1}}},
+		{Partitions: []PartitionWindow{{From: 0, To: 1, GroupA: []int{0}, GroupB: []int{1}}}},
+	}
+	for i, p := range drops {
+		if !p.Drops() {
+			t.Errorf("plan %d can drop messages, but Drops reported false", i)
+		}
+	}
+}
+
 // TestRandomPlanAlwaysValidates is the generator's contract: whatever
 // the seed, the plan it emits passes full validation against the node
 // count it was generated for.

@@ -56,6 +56,85 @@ func (m *ctrlMsg) Retain(n int) { m.refs += n }
 // nsrc observed-iteration entries.
 func ctrlMsgSize(nsrc int) int { return 24 + 8*nsrc }
 
+// termination is the coordinator's view of the convergence reports
+// (partition 0 only): per partition, the superstep of the last report
+// folded, its residual, the run of consecutive clean reports, the last
+// dirty superstep and the latest Seen vector.
+type termination struct {
+	partEps   float64
+	sources   [][]int
+	last      []int64
+	resid     []float64
+	cleanRun  []int
+	lastDirty []int64
+	lastSeen  [][]int64
+}
+
+func newTermination(partEps float64, sources [][]int) *termination {
+	n := len(sources)
+	t := &termination{
+		partEps:   partEps,
+		sources:   sources,
+		last:      make([]int64, n),
+		resid:     make([]float64, n),
+		cleanRun:  make([]int, n),
+		lastDirty: make([]int64, n),
+		lastSeen:  make([][]int64, n),
+	}
+	for q := 0; q < n; q++ {
+		t.last[q] = -1
+		t.lastDirty[q] = -1
+		t.lastSeen[q] = make([]int64, len(sources[q]))
+		for i := range t.lastSeen[q] {
+			t.lastSeen[q][i] = core.NoValue
+		}
+	}
+	return t
+}
+
+// fold folds one convergence report into the termination state. A
+// report no newer than its partition's last one is a duplicate or a
+// reordered delivery, which only the plain transport makes, and
+// changes nothing. Clean means residual at or below the partition's
+// share of the bound — the sequential oracle's criterion, NOT a bitwise
+// fixed point: PageRank can oscillate forever in the last ulp (so a
+// nonzero frontier alone must not veto), while for SSSP the residual
+// IS the frontier count, so a clean report already implies an empty
+// frontier.
+func (t *termination) fold(m *ctrlMsg) {
+	if m.Iter <= t.last[m.Part] {
+		return
+	}
+	t.last[m.Part] = m.Iter
+	t.resid[m.Part] = m.Residual
+	if m.Residual <= t.partEps {
+		t.cleanRun[m.Part]++
+	} else {
+		t.cleanRun[m.Part] = 0
+		t.lastDirty[m.Part] = m.Iter
+	}
+	copy(t.lastSeen[m.Part], m.Seen)
+}
+
+// converged decides termination: every partition clean for quiet
+// consecutive reports, and every clean report computed from each
+// source's post-last-change state — a residual that only looked clean
+// on stale operands cannot pass. Within the convergence bound, the
+// assembled state is then a global fixed point of one Jacobi step.
+func (t *termination) converged(quiet int) bool {
+	for q, srcs := range t.sources {
+		if t.cleanRun[q] < quiet {
+			return false
+		}
+		for si, src := range srcs {
+			if t.lastSeen[q][si] <= t.lastDirty[src] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Config describes one partitioned graph-kernel run.
 type Config struct {
 	G    *Graph
@@ -288,19 +367,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 		Values:     make([]float64, g.N),
 		Supersteps: make([]int64, cfg.P),
 	}
-	// Coordinator termination state: consecutive clean reports, last
-	// dirty superstep, and the latest Seen vector per partition.
-	lastResid := make([]float64, cfg.P)
-	cleanRun := make([]int, cfg.P)
-	lastDirty := make([]int64, cfg.P)
-	lastSeen := make([][]int64, cfg.P)
-	for q := 0; q < cfg.P; q++ {
-		lastDirty[q] = -1
-		lastSeen[q] = make([]int64, len(sources[q]))
-		for i := range lastSeen[q] {
-			lastSeen[q][i] = core.NoValue
-		}
-	}
+	coord := newTermination(partEps, sources)
 	// reports is the run's free list of convergence reports: the
 	// coordinator returns each report after folding its last delivery,
 	// and the other partitions send theirs from the list.
@@ -373,25 +440,6 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 				cl.Exit(node)
 			}
 
-			// report folds one convergence report into the coordinator's
-			// termination state (partition 0 only). Reports from one
-			// partition arrive in order, so assignment suffices. Clean
-			// means residual at or below the partition's share of the
-			// bound — the sequential oracle's criterion, NOT a bitwise
-			// fixed point: PageRank can oscillate forever in the last
-			// ulp (so a nonzero frontier alone must not veto), while
-			// for SSSP the residual IS the frontier count, so a clean
-			// report already implies an empty frontier.
-			report := func(m *ctrlMsg) {
-				lastResid[m.Part] = m.Residual
-				if m.Residual <= partEps {
-					cleanRun[m.Part]++
-				} else {
-					cleanRun[m.Part] = 0
-					lastDirty[m.Part] = m.Iter
-				}
-				copy(lastSeen[m.Part], m.Seen)
-			}
 			// collect folds every report waiting in the mailbox, and
 			// returns each to the free list after its last delivery. The
 			// nscc_poison build has a returned report name partition -1,
@@ -403,7 +451,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 						return
 					}
 					r := m.Data.(*ctrlMsg)
-					report(r)
+					coord.fold(r)
 					if r.refs--; r.refs == 0 {
 						if poisonReleased {
 							r.Part = -1
@@ -411,26 +459,6 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 						reports = append(reports, r)
 					}
 				}
-			}
-
-			// converged decides termination: every partition clean for a
-			// quiet stretch, and every clean report computed from each
-			// source's post-last-change state — a residual that only
-			// looked clean on stale operands cannot pass. Within the
-			// convergence bound, the assembled state is then a global
-			// fixed point of one Jacobi step.
-			converged := func() bool {
-				for q := 0; q < cfg.P; q++ {
-					if cleanRun[q] < quiet {
-						return false
-					}
-					for si, src := range sources[q] {
-						if lastSeen[q][si] <= lastDirty[src] {
-							return false
-						}
-					}
-				}
-				return true
 			}
 
 			for iter := int64(0); ; iter++ {
@@ -447,7 +475,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 				if cfg.Mode != core.Sync {
 					if p == 0 {
 						collect()
-						if converged() {
+						if coord.converged(quiet) {
 							res.Converged = true
 							task.Bcast(doneTag, doneMsgSize, nil)
 							finish(iter)
@@ -506,7 +534,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 
 				if p == 0 {
 					own.Iter, own.Residual, own.Frontier, own.Seen = iter, residual, frontier, seen
-					report(&own)
+					coord.fold(&own)
 				} else {
 					var m *ctrlMsg
 					if k := len(reports); k > 0 {
@@ -548,7 +576,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 					barrier.Wait(task)
 					if p == 0 {
 						collect()
-						stop := converged()
+						stop := coord.converged(quiet)
 						if stop {
 							res.Converged = true
 							done = true
@@ -566,7 +594,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for _, r := range lastResid {
+	for _, r := range coord.resid {
 		res.Residual += r
 	}
 	if math.IsNaN(res.Residual) {

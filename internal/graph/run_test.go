@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -239,5 +240,41 @@ func TestMaxSuperstepCap(t *testing.T) {
 		if n > 5 {
 			t.Errorf("partition %d ran %d supersteps past the cap", p, n)
 		}
+	}
+}
+
+// TestTerminationFoldIgnoresStaleReports folds the duplicated and
+// reordered reports the plain transport delivers: a duplicate clean
+// report must not lengthen its partition's clean run, and a report
+// older than one already folded changes nothing.
+func TestTerminationFoldIgnoresStaleReports(t *testing.T) {
+	sources := [][]int{{1}, {0}}
+	report := func(iter int64, resid float64, seen int64) *ctrlMsg {
+		return &ctrlMsg{Part: 1, Iter: iter, Residual: resid, Seen: []int64{seen}}
+	}
+	const eps = 0.5
+
+	c := newTermination(eps, sources)
+	c.fold(report(3, 0, 3))
+	c.fold(report(3, 0, 3)) // a duplicate of the clean report
+	if c.cleanRun[1] != 1 {
+		t.Fatalf("clean run after a duplicated clean report = %d, want 1", c.cleanRun[1])
+	}
+	c.fold(report(4, 0, 4))
+	if c.cleanRun[1] != 2 {
+		t.Fatalf("clean run after the next clean report = %d, want 2", c.cleanRun[1])
+	}
+
+	c = newTermination(eps, sources)
+	c.fold(report(5, 1, 5)) // dirty at 5
+	c.fold(report(6, 0, 6))
+	state := func() string {
+		return fmt.Sprint(c.last, c.resid, c.cleanRun, c.lastDirty, c.lastSeen)
+	}
+	want := state()
+	c.fold(report(4, 2, 4)) // an older dirty report, delivered late
+	c.fold(report(6, 2, 6)) // a duplicate superstep carrying other values
+	if got := state(); got != want {
+		t.Fatalf("stale reports changed the fold: got %s, want %s", got, want)
 	}
 }

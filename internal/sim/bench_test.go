@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkSleepLoop measures the engine's hottest path: one process
 // sleeping repeatedly, i.e. one event schedule + heap pop + process
@@ -70,5 +73,39 @@ func BenchmarkWaitWake(b *testing.B) {
 	b.ResetTimer()
 	if err := eng.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkHandoffRing passes a token round a ring of n processes, each
+// parked on its own WaitList, so every iteration is one handoff from
+// the process that wakes its successor to that successor: no process
+// ever resumes its own step.
+func BenchmarkHandoffRing(b *testing.B) {
+	for _, n := range []int{2, 16, 1000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			eng := NewEngine(1)
+			wls := make([]WaitList, n)
+			holder, passes := 0, 0
+			for i := 0; i < n; i++ {
+				next := &wls[(i+1)%n]
+				eng.Spawn("ring", func(p *Proc) {
+					for passes < b.N {
+						if holder != i {
+							wls[i].Wait(p)
+							continue
+						}
+						passes++
+						holder = (i + 1) % n
+						next.WakeAll()
+					}
+					next.WakeAll() // end the ring: each process wakes the next
+				})
+			}
+			b.ResetTimer()
+			if err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"nscc/internal/trace"
 	"nscc/internal/xrand"
@@ -26,10 +27,10 @@ type Engine struct {
 	stopReq  bool
 	closed   bool
 	deadline Time // the current RunUntil's deadline
-	// done hands control back to RunUntil's caller when a process
-	// goroutine ends the run, and to Close when a process has exited.
-	done chan struct{}
-	// pval is a panic raised on a process goroutine, kept for RunUntil
+	// handoff is the process a yielding process names for RunUntil's
+	// resume loop to resume next; nil ends the run.
+	handoff *Proc
+	// pval is a panic raised on a process's stack, kept for RunUntil
 	// to re-raise on its caller's goroutine.
 	pval interface{}
 
@@ -62,7 +63,6 @@ func NewEngine(seed int64) *Engine {
 	e := &Engine{
 		seed: seed,
 		free: make([]*event, 0, 128),
-		done: make(chan struct{}),
 	}
 	e.q.init()
 	return e
@@ -157,9 +157,10 @@ func (e *Engine) Run() error { return e.RunUntil(Forever) }
 // later events remain pending). Deadlock is only reported when the whole
 // queue drained, i.e. when deadline is Forever.
 //
-// The loop runs on whichever goroutine holds control: this one until it
-// pops a process's step, then that process's, and so on. A panic raised
-// on a process goroutine, by the process itself or by a callback it was
+// RunUntil is the resume loop: it runs the event loop until it pops a
+// process's step, resumes that process, and then resumes whichever
+// process the yielding one names, until one names none. A panic raised
+// on a process's stack, by the process itself or by a callback it was
 // firing, is re-raised here.
 func (e *Engine) RunUntil(deadline Time) error {
 	if e.running {
@@ -168,8 +169,17 @@ func (e *Engine) RunUntil(deadline Time) error {
 	e.running = true
 	defer func() { e.running = false }()
 	e.deadline = deadline
-	if !e.next(nil) {
-		<-e.done
+	for p, n := e.next(nil), 1; p != nil; p, n = e.handoff, n+1 {
+		// Coroutine switches never enter the Go scheduler. Without a
+		// regular Gosched a GOMAXPROCS=1 sweep never does either, and
+		// the GC's mark worker apparently starves: fig3_bayes's
+		// cells_per_s fell 8.0% (4 of 4 alternating benchmark pairs,
+		// 2-vCPU host).
+		if n%64 == 0 {
+			runtime.Gosched()
+		}
+		e.handoff = nil
+		p.resume()
 	}
 	if v := e.pval; v != nil {
 		e.pval = nil
@@ -181,26 +191,22 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return nil
 }
 
-// next runs the event loop on the goroutine that holds control: that of
+// next runs the event loop on the stack that holds control: that of
 // RunUntil's caller (self == nil) or of process self, which has just
 // parked or finished. It fires callbacks inline until it pops the step
-// of a live process. If that process is self, next returns true at once
-// and no goroutine switch happens; otherwise it hands control to the
-// process with one channel send and returns false. When the run ends it
-// returns true to RunUntil's caller, and a process goroutine hands
-// control to that caller through e.done and returns false. After a
-// false return the calling goroutine must not touch the engine until
-// control is handed back to it.
-func (e *Engine) next(self *Proc) (mine bool) {
+// of a live process and returns that process, which may be self: then
+// self carries on with no switch at all. It returns nil when the run
+// ends, or when a callback fired on self's stack panics; the panic is
+// kept for RunUntil, and self stays parked and resumable.
+func (e *Engine) next(self *Proc) (due *Proc) {
 	if self != nil {
-		// A callback panicking on a process goroutine must not unwind
+		// A callback panicking on a process's stack must not unwind
 		// through the process's own frames: end the run and re-raise
 		// the value from RunUntil.
 		defer func() {
 			if r := recover(); r != nil {
 				e.pval = r
-				e.done <- struct{}{}
-				mine = false
+				due = nil
 			}
 		}()
 	}
@@ -232,30 +238,23 @@ func (e *Engine) next(self *Proc) (mine bool) {
 			if p.done {
 				continue
 			}
-			if p == self {
-				return true
-			}
-			p.resume <- struct{}{}
-			return false
+			return p
 		case r != nil:
 			r.Run()
 		default:
 			fn()
 		}
 	}
-	if self == nil {
-		return true
-	}
-	e.done <- struct{}{}
-	return false
+	return nil
 }
 
-// Close ends every unfinished process: each is resumed into
-// runtime.Goexit, so its deferred calls run, and Close returns once all
-// of them have exited. A process's deferred calls must not block on the
-// engine. It releases the goroutines, and everything they keep
-// reachable, of a run that ended with processes still parked, such as
-// one ended by Stop while a background loader sleeps. Close panics if
+// Close ends every unfinished process: each parked one is stopped, so
+// it unwinds with its deferred calls run, and one that never started is
+// marked done without running. A process's deferred calls must not
+// block on the engine. Close releases the coroutines, and everything
+// they keep reachable, of a run that ended with processes still parked,
+// such as one ended by Stop while a background loader sleeps. It may be
+// called from any goroutine once Run has returned. Close panics if
 // called during Run; calling it again is a no-op. The engine must not
 // be used after Close.
 func (e *Engine) Close() {
@@ -268,8 +267,11 @@ func (e *Engine) Close() {
 	e.closed = true
 	for _, p := range e.procs {
 		if !p.done {
-			p.resume <- struct{}{}
-			<-e.done
+			p.stop()
+			if !p.done { // never started, so finish never ran
+				p.done = true
+				e.nlive--
+			}
 		}
 	}
 }

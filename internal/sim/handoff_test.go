@@ -40,10 +40,10 @@ func runRecover(e *Engine) (v interface{}) {
 }
 
 // TestCallbackPanicOnProcessGoroutine panics in a Schedule callback and
-// in a Runner while a parked process's goroutine drives the loop. Run
-// must re-raise each callback's own value on the caller's goroutine
-// (recovering it here proves that), leave the engine runnable, and
-// reset its running flag.
+// in a Runner while a parked process drives the loop on its own stack.
+// Run must re-raise each callback's own value on the caller's goroutine
+// (recovering it here proves that), leave the engine runnable with the
+// process parked and resumable, and reset its running flag.
 func TestCallbackPanicOnProcessGoroutine(t *testing.T) {
 	type boom struct{ kind string }
 	for _, kind := range []string{"schedule", "runner"} {
@@ -54,7 +54,7 @@ func TestCallbackPanicOnProcessGoroutine(t *testing.T) {
 			want := &boom{kind}
 			e.Spawn("p", func(p *Proc) {
 				l.add("p")
-				p.Sleep(10) // p's goroutine now fires the callback at 5
+				p.Sleep(10) // p now fires the callback at 5 on its own stack
 				l.add("p")
 			})
 			fire := func() {
@@ -110,8 +110,11 @@ func TestProcessPanicAfterHandoff(t *testing.T) {
 	l.check(t, "waker@5 bad@5")
 }
 
-// TestGoexitPassesControlOn ends processes with runtime.Goexit: each
-// one's deferred calls run and the loop carries on without it.
+// TestGoexitPassesControlOn ends a process with runtime.Goexit while
+// Run drives the engine on a goroutine of its own. The process's
+// deferred calls run and that goroutine exits with it, leaving the rest
+// of the run parked; a second Run, here on the test's goroutine,
+// carries on from there.
 func TestGoexitPassesControlOn(t *testing.T) {
 	e := NewEngine(1)
 	l := &runLog{e: e}
@@ -121,18 +124,32 @@ func TestGoexitPassesControlOn(t *testing.T) {
 		p.Sleep(5)
 		runtime.Goexit()
 	})
-	e.Spawn("b", func(p *Proc) {
+	b := e.Spawn("b", func(p *Proc) {
 		l.add("b")
 		p.Sleep(10)
 		l.add("b")
-		runtime.Goexit() // the last live process ends the run this way
 	})
+	exited := make(chan bool)
+	go func() {
+		returned := false
+		defer func() { exited <- returned }()
+		_ = e.Run()
+		returned = true
+	}()
+	if <-exited {
+		t.Fatal("Run returned; want its goroutine to exit with the process")
+	}
+	l.check(t, "a@0 b@0 a-defer@5")
+	if !a.Done() || b.Done() || e.Live() != 1 {
+		t.Fatalf("after Goexit: a done %v, b done %v, Live %d; want true, false, 1",
+			a.Done(), b.Done(), e.Live())
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	l.check(t, "a@0 b@0 a-defer@5 b@10")
-	if !a.Done() || e.Live() != 0 {
-		t.Fatalf("Done = %v, Live = %d after Goexit", a.Done(), e.Live())
+	if !b.Done() || e.Live() != 0 {
+		t.Fatalf("b done %v, Live %d after the second Run", b.Done(), e.Live())
 	}
 }
 
@@ -274,33 +291,56 @@ func TestEngineInsideProcess(t *testing.T) {
 // TestCloseEndsParkedProcesses closes a stopped engine that still has a
 // sleeping process, a process blocked on a WaitList and one that never
 // started: each ends, deferred calls first, and Close waits for them.
+// The engine runs and closes on the test's goroutine, and then runs on
+// one goroutine and closes from another.
 func TestCloseEndsParkedProcesses(t *testing.T) {
-	e := NewEngine(1)
-	l := &runLog{e: e}
-	var wl WaitList
-	e.Spawn("sleeper", func(p *Proc) {
-		defer l.add("sleeper-defer")
-		for {
-			p.Sleep(10)
-		}
-	})
-	e.Spawn("waiter", func(p *Proc) {
-		defer l.add("waiter-defer")
-		wl.Wait(p)
-		l.add("woken")
-	})
-	e.Schedule(25, e.Stop)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	here := func(f func()) { f() }
+	elsewhere := func(f func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		<-done
 	}
-	unstarted := e.Spawn("unstarted", func(*Proc) { l.add("unstarted") })
-	e.Close()
-	l.check(t, "sleeper-defer@25 waiter-defer@25")
-	if e.Live() != 0 || !unstarted.Done() {
-		t.Fatalf("Live = %d, unstarted done = %v after Close", e.Live(), unstarted.Done())
+	for _, c := range []struct {
+		name       string
+		run, close func(func())
+	}{
+		{"one goroutine", here, here},
+		{"other goroutines", elsewhere, elsewhere},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			l := &runLog{e: e}
+			var wl WaitList
+			e.Spawn("sleeper", func(p *Proc) {
+				defer l.add("sleeper-defer")
+				for {
+					p.Sleep(10)
+				}
+			})
+			e.Spawn("waiter", func(p *Proc) {
+				defer l.add("waiter-defer")
+				wl.Wait(p)
+				l.add("woken")
+			})
+			e.Schedule(25, e.Stop)
+			var err error
+			c.run(func() { err = e.Run() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			unstarted := e.Spawn("unstarted", func(*Proc) { l.add("unstarted") })
+			c.close(e.Close)
+			l.check(t, "sleeper-defer@25 waiter-defer@25")
+			if e.Live() != 0 || !unstarted.Done() {
+				t.Fatalf("Live = %d, unstarted done = %v after Close", e.Live(), unstarted.Done())
+			}
+			e.Close() // a second Close is a no-op
+			l.check(t, "sleeper-defer@25 waiter-defer@25")
+		})
 	}
-	e.Close() // a second Close is a no-op
-	l.check(t, "sleeper-defer@25 waiter-defer@25")
 }
 
 // TestCloseDuringRunPanics calls Close from inside a running process.

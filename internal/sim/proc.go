@@ -1,19 +1,28 @@
+//go:build go1.23
+
+// The build line raises this file's language version to go1.23, the
+// first with package iter, while the module stays at go 1.22. A
+// toolchain older than go1.23 leaves Proc undefined and fails to build
+// the package rather than running another engine.
+
 package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 
 	"nscc/internal/trace"
 	"nscc/internal/xrand"
 )
 
-// Proc is a cooperative simulated process. The function passed to Spawn
+// Proc is a cooperative simulated process: a coroutine (iter.Pull)
+// that runs only while it holds control. The function passed to Spawn
 // receives the Proc and may call its blocking methods (Sleep, and
-// WaitList's Wait and WaitTimeout); each such call parks the process,
-// runs the event loop on its goroutine until the next process step is
-// due, and hands control straight to that process (or simply carries
-// on, when the step is this process's own).
+// WaitList's Wait and WaitTimeout); each such call parks the process
+// and runs the event loop on its stack until the next process step is
+// due. When that step is its own, the process simply carries on;
+// otherwise it yields to RunUntil's resume loop, naming the process to
+// resume next.
 //
 // Proc methods must only be called from within the process's own
 // function; the engine guarantees only one process runs at a time.
@@ -23,19 +32,33 @@ type Proc struct {
 	name string
 	rng  *xrand.Rand
 
-	resume chan struct{}
+	// resume switches to the process's coroutine until it yields or
+	// ends; stop ends a parked process (see Close). yield, called on
+	// the process's own stack, switches back to resume's caller.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	done   bool
 }
+
+// closing is the panic value park unwinds a process with when Close
+// stops it; finish recovers it.
+type closing struct{}
 
 // Spawn creates a process named name running fn, starting at the current
 // virtual time. Processes spawned at the same instant start in spawn
 // order.
+//
+// A process that calls runtime.Goexit (a test's t.FailNow, say) ends
+// with its deferred calls run, and the goroutine that called Run exits
+// too: iter.Pull passes a coroutine's Goexit on to the goroutine that
+// resumed it. The rest of the run stays parked, so a later Run, on any
+// goroutine, carries on from there.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
+		eng:  e,
+		id:   len(e.procs),
+		name: name,
 	}
 	p.rng = e.rngFor(p.id)
 	e.procs = append(e.procs, p)
@@ -44,51 +67,54 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		e.tracer.Emit(trace.Event{TS: int64(e.now), Ph: trace.PhaseInstant,
 			Pid: trace.PidSim, Tid: p.id, Cat: "sim", Name: "proc_start"})
 	}
-	go func() {
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer p.finish()
-		p.wait()
 		fn(p)
-	}()
+		// fn returned: done is set here, before finish, so finish can
+		// tell a return from runtime.Goexit.
+		p.done = true
+	})
 	e.scheduleStep(e.now, p)
 	return p
 }
 
-// finish runs on p's goroutine once its function has returned, panicked
-// or called runtime.Goexit, and passes control on: to the next process
-// due, to RunUntil's caller with the panic when p panicked, or back to
-// Close when Close ended p.
+// finish runs on p's stack once its function has returned, panicked or
+// called runtime.Goexit. After a return it runs the event loop on and
+// names the next process due; after a panic it names none and leaves
+// the panic for RunUntil to re-raise. After a Goexit, or when Close
+// stopped p, it passes nothing on.
 func (p *Proc) finish() {
 	r := recover()
 	e := p.eng
+	returned := p.done
 	p.done = true
 	e.nlive--
-	if !e.closed {
-		if e.tracer != nil {
-			e.tracer.Emit(trace.Event{TS: int64(e.now), Ph: trace.PhaseInstant,
-				Pid: trace.PidSim, Tid: p.id, Cat: "sim", Name: "proc_stop"})
-		}
-		if r == nil {
-			e.next(p)
-			return
-		}
-		e.pval = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+	if e.closed {
+		return
 	}
-	e.done <- struct{}{}
+	if e.tracer != nil {
+		e.tracer.Emit(trace.Event{TS: int64(e.now), Ph: trace.PhaseInstant,
+			Pid: trace.PidSim, Tid: p.id, Cat: "sim", Name: "proc_stop"})
+	}
+	switch {
+	case r != nil:
+		e.pval = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+	case returned:
+		e.handoff = e.next(p)
+	}
 }
 
 // park suspends the process until its next scheduled step.
 func (p *Proc) park() {
-	if !p.eng.next(p) {
-		p.wait()
+	e := p.eng
+	q := e.next(p)
+	if q == p {
+		return
 	}
-}
-
-// wait blocks p's goroutine until control is handed to it. Close hands
-// control over only to end the process.
-func (p *Proc) wait() {
-	<-p.resume
-	if p.eng.closed {
-		runtime.Goexit()
+	e.handoff = q
+	if !p.yield(struct{}{}) {
+		panic(closing{})
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with cooperative processes. It is the substrate on which the repository
 // emulates an IBM SP2-class multicomputer: each simulated node is a
-// process (a goroutine that runs only while it holds control), and all
-// inter-process interaction is mediated by events on a single virtual
-// clock. Exactly one goroutine holds control at any instant — Run's
-// caller or one process — and it runs the event loop itself: a parking
-// process fires the callbacks due and hands control straight to the next
-// process, or carries on when that process is itself. So the package
-// needs no locks and every run is reproducible given the same seed and
-// parameters.
+// process (an iter.Pull coroutine that runs only while it holds
+// control), and all inter-process interaction is mediated by events on a
+// single virtual clock. Exactly one stack holds control at any instant —
+// Run's caller or one process — and it runs the event loop itself: a
+// parking process fires the callbacks due and carries on when the next
+// process step is its own, or yields to Run's resume loop, which resumes
+// the process it names. A handoff is two coroutine switches and never
+// enters the Go scheduler. So the package needs no locks and every run
+// is reproducible given the same seed and parameters.
 package sim
 
 import "fmt"
