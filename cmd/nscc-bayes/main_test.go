@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -14,6 +16,8 @@ import (
 // with NSCC_RUN_MAIN set, so a test can observe its exit code.
 func TestMain(m *testing.M) {
 	if os.Getenv("NSCC_RUN_MAIN") == "1" {
+		// Parse as the built command does, without the test flags.
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		os.Exit(0)
 	}
@@ -64,5 +68,36 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: ran before rejecting its flags:\n%s", args, stdout.String())
 		}
+	}
+}
+
+var updateHelp = flag.Bool("update-help", false, "rewrite testdata/help.txt from the command's -help output")
+
+// TestHelpPin pins the command's flag surface, as -help prints it:
+// every flag's name, type, default and usage line. The Usage line names
+// the test binary, so it is normalized to the command's name.
+func TestHelpPin(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-help")
+	cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("-help: %v\n%s", err, out)
+	}
+	got := regexp.MustCompile(`(?m)^Usage of .*:$`).ReplaceAllLiteral(out, []byte("Usage of nscc-bayes:"))
+	pin := filepath.Join("testdata", "help.txt")
+	if *updateHelp {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pin, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-help differs from %s (rerun with -update-help to re-pin):\n%s", pin, got)
 	}
 }
