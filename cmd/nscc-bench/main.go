@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -41,46 +40,35 @@ import (
 	"time"
 
 	"nscc/internal/benchio"
-	"nscc/internal/ckpt"
+	"nscc/internal/cli"
 	"nscc/internal/exper"
-	"nscc/internal/faults"
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/metrics"
-	"nscc/internal/obs"
 	"nscc/internal/runner"
-	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/traceio"
 )
 
 func main() {
+	f := cli.Register(cli.Switch|cli.SimRaceOut|cli.Sweep, map[string]string{
+		"switch":      "run the GA experiments on the SP2-style crossbar switch",
+		"simrace":     "classify every cross-process read with the simulated-time race checker (adds race columns to the age sweep)",
+		"simrace-out": "write the age sweep's merged per-location race report JSON to this file (requires -simrace and -exp agesweep; feed it to nscc-lint -simrace-report)",
+	})
 	var (
 		exp      = flag.String("exp", "all", "experiment: all, table1, table2, fig1, fig2, fig3, fig4, agesweep, scale, micro (microbenchmarks only, requires -bench-out)")
 		profile  = flag.String("profile", "quick", "quick or full")
-		trials   = flag.Int("trials", 0, "override trial count")
 		gens     = flag.Int64("gens", 0, "override synchronous GA generations")
 		procs    = flag.String("procs", "", "override processor counts, e.g. 2,4,8")
 		funcs    = flag.String("funcs", "", "restrict GA functions, e.g. 1,5,7 (default all)")
 		seed     = flag.Int64("seed", 0, "override base seed")
-		csvDir   = flag.String("csv", "", "also write results as CSV files into this directory")
-		useSw    = flag.Bool("switch", false, "run the GA experiments on the SP2-style crossbar switch")
 		trOut    = flag.String("trace-out", "", "run the instrumented demo instead of the suite and write its Chrome trace_event JSON here")
 		metOut   = flag.String("metrics-out", "", "run the instrumented demo instead of the suite and write its telemetry JSON here")
-		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 		nodesF   = flag.String("nodes", "", "scale sweep island counts, e.g. 64,256,1000,5000 (-exp scale; default 64,256,1000)")
 		toposF   = flag.String("topologies", "", "scale sweep dissemination topologies, e.g. broadcast,gossip-random (-exp scale; default all)")
 		benchOut = flag.String("bench-out", "", "write a BENCH_*.json performance snapshot to this path")
-		cacheDir = flag.String("cache-dir", "", "journal every completed sweep cell into crash-safe per-sweep journals under this directory")
-		resume   = flag.Bool("resume", false, "replay cells already journaled in -cache-dir instead of recomputing them (requires -cache-dir)")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to every simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability (the bus only: not with -switch)")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker (adds race columns to the age sweep)")
-		raceOut  = flag.String("simrace-out", "", "write the age sweep's merged per-location race report JSON to this file (requires -simrace and -exp agesweep; feed it to nscc-lint -simrace-report)")
 		profOut  = flag.String("profile-out", "", "write host pprof profiles of the run to PREFIX.cpu.pprof and PREFIX.heap.pprof (profile-guided optimization input; results are unchanged)")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
 	)
 	flag.Parse()
 
@@ -101,29 +89,28 @@ func main() {
 	if !knownExperiment(*exp) {
 		bad("unknown experiment %q", *exp)
 	}
-	if *exp == "micro" && *benchOut == "" {
-		bad("-exp micro requires -bench-out (its only output is the snapshot)")
-	}
+	demo := *trOut != "" || *metOut != ""
+	// The age sweep is not part of "all" (it is the extension study),
+	// but a -bench-out snapshot of "all" includes it so the performance
+	// baseline covers every pooled sweep the tool can run. The demo
+	// replaces the suite.
+	ageSweep := !demo && (*exp == "agesweep" || *exp == "all" && *benchOut != "")
 	switch {
-	case *trials < 0:
-		bad("-trials %d: want at least 0 (0 keeps the profile's count)", *trials)
+	case *exp == "micro" && *benchOut == "":
+		bad("-exp micro requires -bench-out (its only output is the snapshot)")
 	case *gens < 0:
 		bad("-gens %d: want at least 0 (0 keeps the profile's budget)", *gens)
-	case *workers < 0:
-		bad("-workers %d: want at least 0 (0 = GOMAXPROCS)", *workers)
-	case *readTo < 0:
-		bad("-read-timeout %v: want at least 0 (0 waits forever)", *readTo)
-	case !(*lossProb >= 0 && *lossProb <= 1):
-		bad("-loss must be in [0,1]")
-	case *useSw && *lossProb > 0:
-		bad("-loss %v with -switch: the switch has no loss model, so -loss applies only to the bus", *lossProb)
-	case *raceOut != "" && !*simRace:
-		bad("-simrace-out requires -simrace")
-	case *resume && *cacheDir == "":
-		bad("-resume requires -cache-dir")
 	}
-	if *trials > 0 {
-		opts.Trials = *trials
+	// The demo and every experiment with a Sync cell: Figures 2-4 and
+	// the age sweep's references.
+	syncCell := demo
+	switch *exp {
+	case "all", "fig2", "fig3", "fig4", "agesweep":
+		syncCell = true
+	}
+	cli.ExitIf(f.Check(syncCell), 2)
+	if f.SimRaceOut != "" && !ageSweep {
+		bad("-simrace-out: no age sweep runs to write the race report (-exp agesweep, or -exp all with -bench-out, without the -trace-out/-metrics-out demo)")
 	}
 	if *gens > 0 {
 		opts.SyncGens = *gens
@@ -131,19 +118,6 @@ func main() {
 	if *seed != 0 {
 		opts.Seed = *seed
 	}
-	opts.UseSwitch = *useSw
-	opts.Workers = *workers
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			bad("-faults: %v", err)
-		}
-		opts.Faults = plan
-	}
-	opts.Reliable = *reliable
-	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	opts.LossProb = *lossProb
-	opts.SimRace = *simRace
 	if *procs != "" {
 		opts.Procs = nil
 		for _, s := range strings.Split(*procs, ",") {
@@ -192,24 +166,11 @@ func main() {
 		}
 		defer stop()
 	}
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			bad("%v", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "-- live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-		opts.Progress = srv
-	}
-	var store *ckpt.Store
-	if *cacheDir != "" {
-		store = ckpt.NewStore(*cacheDir, *resume)
-		opts.Ckpt = store
-	}
+	cli.ExitIf(f.Start(), 2)
+	defer f.Close()
+	f.Exper(&opts)
 
-	if *trOut != "" || *metOut != "" {
+	if demo {
 		// Tracing a whole experiment suite would produce gigabytes, so
 		// the trace/metrics flags run the small instrumented demo
 		// (exper.TraceRun) instead of the selected experiments.
@@ -220,28 +181,12 @@ func main() {
 			tr = rec
 		}
 		tel, err := exper.TraceRun(os.Stdout, opts, tr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		cli.ExitIf(err, 1)
+		if f.Server != nil {
+			f.Server.PublishTelemetry("ga", tel.GA)
+			f.Server.PublishTelemetry("bayes", tel.Bayes)
 		}
-		if srv != nil {
-			srv.PublishTelemetry("ga", tel.GA)
-			srv.PublishTelemetry("bayes", tel.Bayes)
-		}
-		if err := traceio.WriteTrace(*trOut, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *trOut != "" {
-			fmt.Printf("wrote %s (%d events)\n", *trOut, rec.Len())
-		}
-		if err := traceio.WriteMetrics(*metOut, tel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *metOut != "" {
-			fmt.Printf("wrote %s\n", *metOut)
-		}
+		cli.ExitIf(cli.WriteArtifacts(*trOut, rec, *metOut, tel), 1)
 		// The demo's windowed series as plottable CSV, one file per run.
 		for _, out := range []struct {
 			name   string
@@ -251,12 +196,9 @@ func main() {
 				continue
 			}
 			series := out.series
-			if err := writeCSV(*csvDir, out.name+"_series.csv", func(w io.Writer) error {
+			cli.ExitIf(f.WriteCSV(out.name+"_series.csv", func(w io.Writer) error {
 				return exper.WriteSeriesCSV(w, series)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			}), 1)
 		}
 		return
 	}
@@ -301,7 +243,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return writeCSV(*csvDir, "figure2.csv", func(w io.Writer) error {
+			return f.WriteCSV("figure2.csv", func(w io.Writer) error {
 				rows := append(append([]exper.GARow{}, res.PerFunc...), res.Average...)
 				return exper.WriteGARowsCSV(w, rows)
 			})
@@ -313,7 +255,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return writeCSV(*csvDir, "figure3.csv", func(w io.Writer) error {
+			return f.WriteCSV("figure3.csv", func(w io.Writer) error {
 				return exper.WriteBayesRowsCSV(w, res)
 			})
 		})
@@ -324,16 +266,13 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return writeCSV(*csvDir, "figure4.csv", func(w io.Writer) error {
+			return f.WriteCSV("figure4.csv", func(w io.Writer) error {
 				rows := append(append([]exper.GARow{}, res.BestCase...), res.Average...)
 				return exper.WriteGARowsCSV(w, rows)
 			})
 		})
 	}
-	// The age sweep is not part of "all" (it is the extension study),
-	// but a -bench-out snapshot of "all" includes it so the performance
-	// baseline covers every pooled sweep the tool can run.
-	if *exp == "agesweep" || (*exp == "all" && *benchOut != "") {
+	if ageSweep {
 		loads := []float64{0, 1e6, 2e6}
 		run("Age sweep", exper.AgeSweepCells(opts, len(loads)), func() error {
 			fn := functions.F1
@@ -348,14 +287,14 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if *raceOut != "" {
+			if f.SimRaceOut != "" {
 				totals := metrics.TotalsFromLocations(res.RaceLocations)
 				rep := metrics.RaceReport{Schema: metrics.RaceReportSchema,
 					Totals: totals, Locations: res.RaceLocations}
-				if err := traceio.WriteMetrics(*raceOut, rep); err != nil {
+				if err := traceio.WriteMetrics(f.SimRaceOut, rep); err != nil {
 					return err
 				}
-				fmt.Printf("wrote %s\n", *raceOut)
+				fmt.Printf("wrote %s\n", f.SimRaceOut)
 			}
 			return nil
 		})
@@ -389,27 +328,13 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return writeCSV(*csvDir, "scalesweep.csv", func(w io.Writer) error {
+			return f.WriteCSV("scalesweep.csv", func(w io.Writer) error {
 				return exper.WriteScaleRowsCSV(w, rows)
 			})
 		})
 	}
 
-	if store != nil {
-		// Cache accounting goes to stderr with the other meters so
-		// stdout stays byte-identical between cached, resumed, and
-		// uncached runs.
-		c := store.Counters()
-		if srv != nil {
-			srv.PublishCache(c)
-		}
-		fmt.Fprintf(os.Stderr, "-- cache: %d hits, %d misses, %d invalidated, %d torn (dir=%s)\n",
-			c.Hits, c.Misses, c.Invalidated, c.TornRecords, store.Dir())
-		if err := store.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	cli.ExitIf(f.CloseStore(), 1)
 
 	if *benchOut != "" {
 		fmt.Println("running microbenchmarks...")
@@ -470,31 +395,4 @@ func startProfiles(prefix string) (stop func(), err error) {
 		}
 		fmt.Fprintf(os.Stderr, "-- profiles: %s, %s\n", cpuPath, heapPath)
 	}, nil
-}
-
-// writeCSV writes one CSV artifact into dir (no-op when dir is empty)
-// through the atomic writer: the file appears complete or not at all,
-// and flush/close errors propagate instead of vanishing in a deferred
-// Close.
-func writeCSV(dir, name string, fill func(io.Writer) error) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, name)
-	f, err := ckpt.CreateAtomic(path)
-	if err != nil {
-		return err
-	}
-	if err := fill(f); err != nil {
-		f.Abort()
-		return err
-	}
-	if err := f.Commit(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

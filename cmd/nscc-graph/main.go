@@ -23,80 +23,31 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"nscc/internal/ckpt"
+	"nscc/internal/cli"
 	"nscc/internal/exper"
-	"nscc/internal/faults"
 	"nscc/internal/graph"
-	"nscc/internal/obs"
-	"nscc/internal/sim"
 )
 
 func main() {
+	f := cli.Register(cli.Switch|cli.Sweep, map[string]string{
+		"simrace": "classify every cross-process read with the simulated-time race checker (adds race columns to the CSV)",
+	})
 	var (
-		topo     = flag.String("topo", "", "comma-separated topology specs (ring:N / random:n=N,m=M,seed=S / clustered:n=N,k=K,seed=S); default the standard three-topology matrix")
-		edgesF   = flag.String("edges", "", "load one topology from this edge-list file instead of -topo")
-		procsN   = flag.Int("procs", 4, "partitions (simulated processors) per run")
-		trials   = flag.Int("trials", 0, "override trial count")
-		seed     = flag.Int64("seed", 0, "override base seed")
-		csvDir   = flag.String("csv", "", "also write results as CSV files into this directory")
-		useSw    = flag.Bool("switch", false, "run on the SP2-style crossbar switch instead of the shared Ethernet")
-		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "journal every completed sweep cell into a crash-safe journal under this directory")
-		resume   = flag.Bool("resume", false, "replay cells already journaled in -cache-dir instead of recomputing them (requires -cache-dir)")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to every simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability (the bus only: not with -switch)")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker (adds race columns to the CSV)")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address; strictly observer-side")
+		topo   = flag.String("topo", "", "comma-separated topology specs (ring:N / random:n=N,m=M,seed=S / clustered:n=N,k=K,seed=S); default the standard three-topology matrix")
+		edgesF = flag.String("edges", "", "load one topology from this edge-list file instead of -topo")
+		procsN = flag.Int("procs", 4, "partitions (simulated processors) per run")
+		seed   = flag.Int64("seed", 0, "override base seed")
 	)
 	flag.Parse()
-	if *lossProb < 0 || *lossProb > 1 {
-		fmt.Fprintln(os.Stderr, "-loss must be in [0,1]")
-		os.Exit(2)
-	}
-	if *useSw && *lossProb > 0 {
-		fmt.Fprintf(os.Stderr, "-loss %v with -switch: the switch has no loss model, so -loss applies only to the bus\n", *lossProb)
-		os.Exit(2)
-	}
 	if *procsN < 1 {
 		fmt.Fprintln(os.Stderr, "-procs must be at least 1")
 		os.Exit(2)
 	}
-	if *trials < 0 {
-		fmt.Fprintln(os.Stderr, "-trials must not be negative (0 keeps the default)")
-		os.Exit(2)
-	}
-	if *readTo < 0 {
-		fmt.Fprintln(os.Stderr, "-read-timeout must not be negative (0 waits forever)")
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "-workers must not be negative (0 = GOMAXPROCS)")
-		os.Exit(2)
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -cache-dir")
-		os.Exit(2)
-	}
-	var plan *faults.Plan
-	if *faultsF != "" {
-		var err error
-		if plan, err = faults.LoadFile(*faultsF); err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	// Every report includes the Sync variant, whose barrier waits
-	// forever for a lost message.
-	if plan.Drops() && !*reliable {
-		fmt.Fprintln(os.Stderr, "-faults: the plan drops messages, and the sync run waits forever for a lost one unless -reliable resends it")
-		os.Exit(2)
-	}
+	// Every report includes the Sync variant.
+	cli.ExitIf(f.Check(true), 2)
 	// The topologies, each checked against -procs. A file-based one runs
 	// the direct one-graph report (no cell cache — the journal keys on
 	// spec strings, not file contents).
@@ -129,47 +80,17 @@ func main() {
 		}
 		checkProcs(*procsN, s, g)
 	}
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "-- live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
+	cli.ExitIf(f.Start(), 2)
+	defer f.Close()
 
 	opts := exper.Quick()
-	if *trials > 0 {
-		opts.Trials = *trials
-	}
 	if *seed != 0 {
 		opts.Seed = *seed
 	}
-	opts.UseSwitch = *useSw
-	opts.Workers = *workers
-	opts.Faults = plan
-	opts.Reliable = *reliable
-	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	opts.LossProb = *lossProb
-	opts.SimRace = *simRace
-	var store *ckpt.Store
-	if *cacheDir != "" {
-		store = ckpt.NewStore(*cacheDir, *resume)
-		opts.Ckpt = store
-	}
-	if srv != nil {
-		opts.Progress = srv
-	}
+	f.Exper(&opts)
 
 	if edges != nil {
-		if err := edgeListReport(edges, *edgesF, *procsN, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.ExitIf(edgeListReport(edges, *edgesF, *procsN, opts), 1)
 		return
 	}
 
@@ -177,33 +98,15 @@ func main() {
 	fmt.Println("== Graph sweep ==")
 	start := time.Now() //nscc:wallclock -- host-side cells/sec meter, not simulated time
 	rows, err := exper.GraphSweep(os.Stdout, opts, specs, *procsN)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.ExitIf(err, 1)
 	wall := time.Since(start) //nscc:wallclock -- host-side cells/sec meter, not simulated time
 	fmt.Fprintf(os.Stderr, "-- graphsweep: %d cells in %.2fs (%.1f cells/sec)\n",
 		cells, wall.Seconds(), float64(cells)/wall.Seconds())
 
-	if err := writeCSV(*csvDir, "graphsweep.csv", func(w io.Writer) error {
+	cli.ExitIf(f.WriteCSV("graphsweep.csv", func(w io.Writer) error {
 		return exper.WriteGraphRowsCSV(w, rows)
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	if store != nil {
-		c := store.Counters()
-		if srv != nil {
-			srv.PublishCache(c)
-		}
-		fmt.Fprintf(os.Stderr, "-- cache: %d hits, %d misses, %d invalidated, %d torn (dir=%s)\n",
-			c.Hits, c.Misses, c.Invalidated, c.TornRecords, store.Dir())
-		if err := store.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	}), 1)
+	cli.ExitIf(f.CloseStore(), 1)
 }
 
 // checkProcs exits with status 2 unless p partitions fit the graph g,
@@ -267,29 +170,4 @@ func splitSpecs(s string) []string {
 		specs = append(specs, cur)
 	}
 	return specs
-}
-
-// writeCSV writes one CSV artifact into dir (no-op when dir is empty)
-// through the atomic writer.
-func writeCSV(dir, name string, fill func(io.Writer) error) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, name)
-	f, err := ckpt.CreateAtomic(path)
-	if err != nil {
-		return err
-	}
-	if err := fill(f); err != nil {
-		f.Abort()
-		return err
-	}
-	if err := f.Commit(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

@@ -16,99 +16,54 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"time"
 
-	"nscc/internal/cluster"
+	"nscc/internal/cli"
 	"nscc/internal/core"
-	"nscc/internal/faults"
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/metrics"
-	"nscc/internal/obs"
 	"nscc/internal/report"
-	"nscc/internal/sim"
 	"nscc/internal/trace"
-	"nscc/internal/traceio"
 	"nscc/internal/tseries"
 )
 
 func main() {
+	f := cli.Register(cli.Load|cli.Func, nil)
 	var (
-		fnNo     = flag.Int("func", 1, "test function number (1..8)")
-		procs    = flag.Int("procs", 16, "number of islands / processors")
-		gens     = flag.Int64("gens", 150, "generation budget")
-		load     = flag.Float64("load", 0, "background loader rate in bits/s")
-		seed     = flag.Int64("seed", 1, "random seed")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to the simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker")
-		trOut    = flag.String("trace-out", "", "write the gr(age=10) run's Chrome trace_event JSON to this file")
-		metOut   = flag.String("metrics-out", "", "write every run's telemetry JSON (keyed by run name) to this file")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
+		procs  = flag.Int("procs", 16, "number of islands / processors")
+		gens   = flag.Int64("gens", 150, "generation budget")
+		seed   = flag.Int64("seed", 1, "random seed")
+		trOut  = flag.String("trace-out", "", "write the gr(age=10) run's Chrome trace_event JSON to this file")
+		metOut = flag.String("metrics-out", "", "write every run's telemetry JSON (keyed by run name) to this file")
 	)
 	flag.Parse()
-	if err := checkRun(*fnNo, *procs, *gens, *readTo); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := (cluster.Spec{LoaderBps: *load}).Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "-load: %v\n", err)
-		os.Exit(2)
-	}
-	var plan *faults.Plan
-	if *faultsF != "" {
-		var err error
-		if plan, err = faults.LoadFile(*faultsF); err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	// The sync baseline's barrier waits forever for a lost message.
-	if plan.Drops() && !*reliable {
-		fmt.Fprintln(os.Stderr, "-faults: the plan drops messages, and the sync run waits forever for a lost one unless -reliable resends it")
-		os.Exit(2)
-	}
+	cli.ExitIf(checkRun(*procs, *gens), 2)
+	// The sync baseline's barrier waits on every message.
+	cli.ExitIf(f.Check(true), 2)
+	cli.ExitIf(f.Start(), 2)
+	defer f.Close()
 
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
-
-	fn := functions.ByNo(*fnNo)
+	fn := functions.ByNo(f.Func)
 	par := ga.DeJongParams()
 	calib := ga.DefaultCalibration()
 	base := ga.IslandConfig{
 		Fn: fn, Par: par, P: *procs,
 		FixedGens: *gens, MinGens: *gens, MaxGens: 4 * *gens,
-		Seed: *seed, Calib: calib, LoaderBps: *load,
-		Options: cluster.Options{
-			Faults:      plan,
-			Reliable:    *reliable,
-			ReadTimeout: sim.Duration(readTo.Nanoseconds()),
-			RaceCheck:   *simRace,
-		},
+		Seed: *seed, Calib: calib, LoaderBps: f.Cluster.LoaderBps,
+		Options: f.Cluster.Options,
 	}
 
 	// Series recording (and the telemetry artifact) only when the data
 	// leaves the process.
-	record := *metOut != "" || srv != nil
+	record := *metOut != "" || f.Server != nil
 	telem := map[string]*metrics.Telemetry{}
 	publish := func(name string, r ga.IslandResult) {
 		if !record {
 			return
 		}
 		telem[name] = r.Telemetry
-		if srv != nil {
-			srv.PublishTelemetry(name, r.Telemetry)
+		if f.Server != nil {
+			f.Server.PublishTelemetry(name, r.Telemetry)
 		}
 	}
 
@@ -118,10 +73,7 @@ func main() {
 		syncCfg.Series = tseries.NewSet(tseries.DefaultWindow)
 	}
 	syncRes, err := ga.RunIsland(syncCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.ExitIf(err, 1)
 	target := syncRes.Avg
 	publish("sync", syncRes)
 
@@ -151,10 +103,7 @@ func main() {
 			cfg.Tracer = rec
 		}
 		res, err := ga.RunIsland(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.ExitIf(err, 1)
 		publish(v.name, res)
 		show(v.name, res)
 		bars = append(bars, report.Bar{Label: v.name, Value: res.Completion.Seconds()})
@@ -163,20 +112,7 @@ func main() {
 	fmt.Println("\ncompletion time in seconds (shorter is better):")
 	fmt.Print(report.BarChart(bars, 48))
 
-	if err := traceio.WriteTrace(*trOut, rec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if rec != nil {
-		fmt.Printf("wrote %s (%d events)\n", *trOut, rec.Len())
-	}
-	if *metOut != "" {
-		if err := traceio.WriteMetrics(*metOut, telem); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *metOut)
-	}
+	cli.ExitIf(cli.WriteArtifacts(*trOut, rec, *metOut, telem), 1)
 }
 
 func show(name string, r ga.IslandResult) {
@@ -191,17 +127,14 @@ func show(name string, r ga.IslandResult) {
 	}
 }
 
-// checkRun rejects flag values no run can use, before anything runs.
-func checkRun(fnNo, procs int, gens int64, readTo time.Duration) error {
+// checkRun rejects values of nscc-warp's own flags no run can use,
+// before anything runs.
+func checkRun(procs int, gens int64) error {
 	switch {
-	case fnNo < 1 || fnNo > 8:
-		return fmt.Errorf("-func %d: want a Table 1 function, 1..8", fnNo)
 	case procs < 1:
 		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case gens < 1:
 		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
-	case readTo < 0:
-		return fmt.Errorf("-read-timeout %v: want at least 0 (0 waits forever)", readTo)
 	}
 	return nil
 }

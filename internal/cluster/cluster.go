@@ -160,23 +160,24 @@ func Build(s Spec) (*Cluster, error) {
 	}
 	eng := sim.NewEngine(s.Seed)
 	eng.SetTracer(s.Tracer)
-	var net netsim.Fabric
+	var fabric interface {
+		netsim.Fabric
+		SetSeries(*tseries.Set)
+	}
 	switch {
 	case s.Hier != nil:
-		net = netsim.NewHier(eng, *s.Hier)
+		fabric = netsim.NewHier(eng, *s.Hier)
 	case s.Switch != nil:
-		sw := netsim.NewSwitch(eng, *s.Switch)
-		sw.SetSeries(s.Series)
-		net = sw
+		fabric = netsim.NewSwitch(eng, *s.Switch)
 	default:
 		netCfg := netsim.DefaultConfig()
 		if s.Net != nil {
 			netCfg = *s.Net
 		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(s.Series)
-		net = bus
+		fabric = netsim.New(eng, netCfg)
 	}
+	fabric.SetSeries(s.Series)
+	var net netsim.Fabric = fabric
 	if s.Faults != nil {
 		net = faults.Wrap(net, s.Faults)
 	}

@@ -9,7 +9,6 @@ import (
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/metrics"
-	"nscc/internal/netsim"
 	"nscc/internal/runner"
 	"nscc/internal/sim"
 )
@@ -95,13 +94,9 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 			syncCfg := ga.IslandConfig{
 				Fn: fn, Par: par, P: p, Mode: core.Sync,
 				FixedGens: opts.SyncGens, Seed: seed, Calib: calib, LoaderBps: load,
-				Net:     opts.netOverride(),
 				Options: opts.cluster(),
 			}
-			if opts.UseSwitch {
-				sw := netsim.DefaultSwitchConfig()
-				syncCfg.Switch = &sw
-			}
+			syncCfg.Net, syncCfg.Switch = opts.fabric()
 			syncRes, err := ga.RunIsland(syncCfg)
 			if err != nil {
 				return refOut{}, err
@@ -156,13 +151,9 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 				Target:  refs[li*nTrials+trial].Target,
 				Seed:    seed, Calib: calib, LoaderBps: loads[li],
 				DynamicAge: dynamic,
-				Net:        opts.netOverride(),
 				Options:    opts.cluster(),
 			}
-			if opts.UseSwitch {
-				sw := netsim.DefaultSwitchConfig()
-				cfg.Switch = &sw
-			}
+			cfg.Net, cfg.Switch = opts.fabric()
 			r, err := ga.RunIsland(cfg)
 			if err != nil {
 				return cellOut{}, err

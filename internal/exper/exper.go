@@ -81,9 +81,10 @@ type Options struct {
 	Procs     []int   // processor counts for Figure 2
 	Seed      int64
 	Precision float64 // inference CI half-width target (paper: 0.01)
-	// UseSwitch runs the GA experiments on the SP2-style crossbar
-	// switch instead of the shared Ethernet (the extension experiment
-	// behind the paper's §4.1 expectation).
+	// UseSwitch runs the GA and graph cells, and the trace demo's GA,
+	// on the SP2-style crossbar switch instead of the shared Ethernet
+	// (the extension experiment behind the paper's §4.1 expectation).
+	// Bayes cells stay on the bus.
 	UseSwitch bool
 	// Workers is the sweep parallelism: every driver enumerates its
 	// cells up front and dispatches them on a runner pool of this many
@@ -185,6 +186,17 @@ func (o Options) netOverride() *netsim.Config {
 	return &nc
 }
 
+// fabric returns the network a GA or graph cell runs on: the crossbar
+// switch under UseSwitch, else the bus with netOverride's loss. Bayes
+// cells stay on the bus (see UseSwitch).
+func (o Options) fabric() (*netsim.Config, *netsim.SwitchConfig) {
+	if o.UseSwitch {
+		sw := netsim.DefaultSwitchConfig()
+		return nil, &sw
+	}
+	return o.netOverride(), nil
+}
+
 // Seed streams keep the drivers' cell spaces disjoint: every call site
 // derives seeds as runner.DeriveSeed(opts.Seed, stream, dims...), so a
 // GA cell can never alias a Bayes trial, an age-sweep trial, or a
@@ -283,13 +295,9 @@ func gaTrial(fn *functions.Function, p int, seed int64, opts Options, loadBps fl
 		Seed:      seed,
 		Calib:     calib,
 		LoaderBps: loadBps,
-		Net:       opts.netOverride(),
 		Options:   opts.cluster(),
 	}
-	if opts.UseSwitch {
-		sw := netsim.DefaultSwitchConfig()
-		base.Switch = &sw
-	}
+	base.Net, base.Switch = opts.fabric()
 
 	out := trialOut{
 		Serial: serial.Time,

@@ -7,7 +7,6 @@ import (
 
 	"nscc/internal/ckpt"
 	"nscc/internal/graph"
-	"nscc/internal/netsim"
 	"nscc/internal/runner"
 	"nscc/internal/sim"
 )
@@ -75,13 +74,9 @@ func GraphConfig(g *graph.Graph, algo graph.Algo, p int, v Variant, seed int64, 
 		MaxSupersteps: graphMaxSupersteps,
 		Seed:          seed,
 		Calib:         graph.DefaultCalibration(),
-		Net:           opts.netOverride(),
 		Options:       opts.cluster(),
 	}
-	if opts.UseSwitch {
-		sw := netsim.DefaultSwitchConfig()
-		cfg.Switch = &sw
-	}
+	cfg.Net, cfg.Switch = opts.fabric()
 	return cfg
 }
 

@@ -83,3 +83,40 @@ func TestTraceRun(t *testing.T) {
 		t.Fatalf("telemetry does not marshal: %v", err)
 	}
 }
+
+// TestTraceRunHonorsUseSwitch checks that the demo's GA runs on the
+// network the GA sweeps run on: under UseSwitch its sync reference and
+// traced run take the crossbar switch, so the GA telemetry differs from
+// the bus run's, while the Bayes run stays on the bus and keeps its
+// telemetry byte for byte.
+func TestTraceRunHonorsUseSwitch(t *testing.T) {
+	opts := Quick()
+	opts.SyncGens = 40
+	opts.Precision = 0.05
+	run := func(useSwitch bool) (ga, bayes []byte) {
+		t.Helper()
+		o := opts
+		o.UseSwitch = useSwitch
+		tel, err := TraceRun(&bytes.Buffer{}, o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ga, err = json.Marshal(tel.GA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bayes, err = json.Marshal(tel.Bayes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ga, bayes
+	}
+	busGA, busBayes := run(false)
+	swGA, swBayes := run(true)
+	if bytes.Equal(busGA, swGA) {
+		t.Error("UseSwitch left the demo's GA telemetry unchanged: its GA ran on the bus")
+	}
+	if !bytes.Equal(busBayes, swBayes) {
+		t.Error("UseSwitch changed the demo's Bayes telemetry: Bayes runs stay on the bus")
+	}
+}

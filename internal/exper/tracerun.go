@@ -47,9 +47,9 @@ func TraceRun(w io.Writer, opts Options, tr trace.Tracer) (*TraceTelemetry, erro
 		MaxGens:   int64(opts.CapFactor * float64(opts.SyncGens)),
 		Seed:      opts.Seed,
 		Calib:     calib,
-		Net:       opts.netOverride(),
 		Options:   opts.cluster(),
 	}
+	base.Net, base.Switch = opts.fabric()
 	syncCfg := base
 	syncCfg.Mode = core.Sync
 	syncRes, err := ga.RunIsland(syncCfg)

@@ -3,6 +3,7 @@ package ga
 import (
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"nscc/internal/ga/functions"
 	"nscc/internal/netsim"
 	"nscc/internal/sim"
+	"nscc/internal/tseries"
 )
 
 // quickCfg returns a small, fast island configuration for tests.
@@ -376,6 +378,71 @@ func TestAsyncToleratesMessageLoss(t *testing.T) {
 	}
 	if res.Blocked != 0 {
 		t.Fatal("async must not block, with or without loss")
+	}
+}
+
+// TestHierRecordsFabricSeries checks that the rack/spine fabric records
+// the bus's fabric series under the bus's names when a run sets Series:
+// net.busy_us sums to the fabric's busy time and net.drops to its lost
+// deliveries. Recording is strictly observational: with series on, the
+// result equals the result with series off, apart from
+// Telemetry.Series.
+func TestHierRecordsFabricSeries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode core.Mode
+		loss float64
+	}{
+		{"global_read", core.NonStrict, 0},
+		// Async runs finish without every message, so the bus can lose
+		// some and net.drops has samples.
+		{"async_lossy", core.Async, 0.2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(set *tseries.Set) IslandResult {
+				t.Helper()
+				cfg := quickCfg(tc.mode, 8)
+				h := netsim.DefaultHierConfig()
+				h.RackSize = 4
+				h.Bus.LossProb = tc.loss
+				cfg.Hier = &h
+				cfg.Series = set
+				res, err := RunIsland(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			off := run(nil)
+			on := run(tseries.NewSet(tseries.DefaultWindow))
+
+			sums := map[string]float64{}
+			for _, s := range on.Telemetry.Series {
+				sums[s.Name] = 0
+				for _, v := range s.Values {
+					sums[s.Name] += v
+				}
+			}
+			for _, name := range []string{"net.busy_us", "net.drops", "net.queue_depth"} {
+				if _, ok := sums[name]; !ok {
+					t.Errorf("no %s series among %d exported", name, len(on.Telemetry.Series))
+				}
+			}
+			net := on.Telemetry.Net
+			if busy := net.BusySecs * 1e6; math.Abs(sums["net.busy_us"]-busy) > 1e-6*busy || busy == 0 {
+				t.Errorf("net.busy_us sums to %v µs, fabric busy time is %v µs", sums["net.busy_us"], busy)
+			}
+			if sums["net.drops"] != float64(net.Dropped) || (tc.loss > 0) != (net.Dropped > 0) {
+				t.Errorf("net.drops sums to %v, fabric dropped %d", sums["net.drops"], net.Dropped)
+			}
+
+			tel := *on.Telemetry
+			tel.Series = nil
+			on.Telemetry = &tel
+			if !reflect.DeepEqual(on, off) {
+				t.Errorf("recording series changed the run:\non:  %+v\noff: %+v", on, off)
+			}
+		})
 	}
 }
 

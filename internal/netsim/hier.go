@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"nscc/internal/sim"
+	"nscc/internal/tseries"
 	"nscc/internal/xrand"
 )
 
@@ -87,6 +88,13 @@ type Hier struct {
 	bcast []int
 
 	rng lossRng
+
+	// Windowed series resolved by SetSeries (nil when off). busySeen is
+	// the BusyTime serBusy already holds.
+	serBusy  *tseries.Series
+	serDrops *tseries.Series
+	serQueue *tseries.Series
+	busySeen sim.Duration
 }
 
 // lossRng defers constructing the loss rng until the first draw, so the
@@ -162,6 +170,7 @@ func (f *hFrame) add(at sim.Time, dst int) {
 	h := f.h
 	if p := h.cfg.Bus.LossProb; p > 0 && h.rng.Float64() < p {
 		h.stats.Dropped++
+		h.serDrops.Add(at, 1)
 		return
 	}
 	if n := len(f.runs); n > 0 {
@@ -175,8 +184,13 @@ func (f *hFrame) add(at sim.Time, dst int) {
 
 // post queues the frame's deliveries: one event per distinct arrival
 // time, or none (and the frame back to the pool) when every
-// destination was lost.
+// destination was lost. Every Unicast and Multicast call ends here, so
+// it also records the call's series samples.
 func (h *Hier) post(f *hFrame) {
+	if h.serBusy != nil {
+		h.serBusy.Add(h.eng.Now(), float64(h.stats.BusyTime-h.busySeen)/1e3)
+		h.busySeen = h.stats.BusyTime
+	}
 	if len(f.runs) == 0 {
 		h.putFrame(f)
 		return
@@ -191,6 +205,7 @@ func (h *Hier) post(f *hFrame) {
 	if h.queued > h.stats.MaxQueueLen {
 		h.stats.MaxQueueLen = h.queued
 	}
+	h.serQueue.Add(h.eng.Now(), float64(h.queued))
 }
 
 // Run delivers every destination due at the earliest undelivered
@@ -221,6 +236,20 @@ func NewHier(eng *sim.Engine, cfg HierConfig) *Hier {
 		panic(err)
 	}
 	return &Hier{eng: eng, cfg: cfg, rng: lossRng{eng: eng}}
+}
+
+// SetSeries wires the fabric's windowed simulated-time series into
+// set, under the bus's names: counter "net.busy_us" (microseconds of
+// link occupancy a call reserves on the rack buses, uplinks and
+// downlinks, attributed to the window the call was offered in),
+// counter "net.drops" (lost deliveries, in the window each would have
+// arrived in), and gauge "net.queue_depth" (deliveries in flight,
+// sampled per call that delivers). Strictly observational; a nil set
+// is a no-op.
+func (h *Hier) SetSeries(set *tseries.Set) {
+	h.serBusy = set.Counter("net.busy_us")
+	h.serDrops = set.Counter("net.drops")
+	h.serQueue = set.Gauge("net.queue_depth")
 }
 
 // Engine returns the engine the fabric is attached to.
