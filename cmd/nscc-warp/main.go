@@ -115,12 +115,21 @@ func main() {
 	cli.ExitIf(cli.WriteArtifacts(*trOut, rec, *metOut, telem), 1)
 }
 
-func show(name string, r ga.IslandResult) {
-	spark := report.Sparkline(r.WarpWindows, 1, 3)
-	if len(spark) > 72 {
-		spark = spark[:72*3] // runes are 3 bytes; keep ~72 glyphs
+// maxWarpGlyphs is the widest warp sparkline show prints. A glyph is
+// one window, so a longer run shows its first maxWarpGlyphs windows.
+const maxWarpGlyphs = 72
+
+// warpLine renders a run's per-window warp as a sparkline of at most
+// maxWarpGlyphs glyphs.
+func warpLine(windows []float64) string {
+	if len(windows) > maxWarpGlyphs {
+		windows = windows[:maxWarpGlyphs]
 	}
-	fmt.Printf("%-11s mean=%.2f max=%.2f  %s\n", name, r.WarpMean, r.WarpMax, spark)
+	return report.Sparkline(windows, 1, 3)
+}
+
+func show(name string, r ga.IslandResult) {
+	fmt.Printf("%-11s mean=%.2f max=%.2f  %s\n", name, r.WarpMean, r.WarpMax, warpLine(r.WarpWindows))
 	if rt := r.Telemetry.Races; rt != nil {
 		fmt.Printf("%-11s   simrace: reads=%d synchronized=%d tolerated-stale=%d unbounded=%d\n",
 			"", rt.Reads, rt.Synchronized, rt.ToleratedStale, rt.Unbounded)

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -59,6 +60,34 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: ran before rejecting its flags:\n%s", args, stdout.String())
+		}
+	}
+}
+
+// TestReadmeExampleRuns runs README's nscc-warp example. Its runs span
+// 34, 11, 26 and 20 windows, so their lines are shorter than the cut
+// but longer than 72 bytes.
+func TestReadmeExampleRuns(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-procs", "16", "-load", "2e6")
+	cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-procs 16 -load 2e6: %v\nstderr:\n%s", err, stderr.String())
+	}
+	lines := regexp.MustCompile(`(?m)^\S.* mean=\S+ max=\S+  .*$`).FindAllString(stdout.String(), -1)
+	if len(lines) != 4 {
+		t.Fatalf("%d warp lines, want 4 (one per run):\n%s", len(lines), stdout.String())
+	}
+}
+
+// TestWarpLineKeepsWholeGlyphs checks the cut is by glyph: a long run
+// keeps maxWarpGlyphs of them and a shorter one keeps every window.
+func TestWarpLineKeepsWholeGlyphs(t *testing.T) {
+	for _, tc := range []struct{ windows, want int }{{100, 72}, {30, 30}} {
+		line := warpLine(make([]float64, tc.windows))
+		if !utf8.ValidString(line) || utf8.RuneCountInString(line) != tc.want {
+			t.Errorf("%d windows: line %q has %d glyphs, want %d", tc.windows, line, utf8.RuneCountInString(line), tc.want)
 		}
 	}
 }

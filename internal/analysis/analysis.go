@@ -151,16 +151,6 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the analyzer with the given name from All, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // RunAnalyzers applies every applicable analyzer to every loaded
 // package and returns the merged findings in position order. One
 // Program (call graph + function summaries) is shared by every pass.

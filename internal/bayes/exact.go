@@ -11,6 +11,7 @@ func Exact(bn *Network, q Query) float64 {
 			panic("bayes: network too large for exact enumeration")
 		}
 	}
+	l := newLUT(bn, Query{})
 	values := make([]int, bn.N())
 	var pEvidence, pBoth float64
 	var walk func(i int, prob float64)
@@ -24,7 +25,7 @@ func Exact(bn *Network, q Query) float64 {
 			}
 			return
 		}
-		dist := bn.Nodes[i].CPT[bn.comboIndex(i, values)]
+		dist := l.dist(i, l.comboIndex(i, values))
 		for s, p := range dist {
 			if p == 0 {
 				continue

@@ -14,10 +14,9 @@ import "nscc/internal/xrand"
 //   - the query evidence map becomes a per-node slice (-1 = unobserved),
 //     so evidence tests index instead of hashing.
 //
-// Every sampling method mirrors its Network/Query counterpart operation
-// for operation — same RNG draw sequence, same float accumulation order
-// — so results are bit-identical to the unflattened forms (the golden
-// sweep fingerprints in internal/exper pin this).
+// Every CPT lookup goes through it: the serial, parallel and
+// likelihood-weighting samplers, Defaults and Exact (the golden sweep
+// fingerprints in internal/exper pin its draw sequence).
 type lut struct {
 	states  []int
 	parents [][]int     // aliases Nodes[i].Parents (read-only)
@@ -61,7 +60,8 @@ func newLUT(bn *Network, q Query) *lut {
 	return l
 }
 
-// comboIndex mirrors Network.comboIndex on the flattened tables.
+// comboIndex computes the CPT row selected by the parents' states in
+// values (which must hold states for all indices < i).
 func (l *lut) comboIndex(i int, values []int) int {
 	combo := 0
 	for _, p := range l.parents[i] {
@@ -79,25 +79,30 @@ func (l *lut) dist(i, combo int) []float64 {
 	return l.cpt[i][off : off+st]
 }
 
-// sampleInto mirrors Network.SampleInto: identical draw sequence,
-// identical results.
+// sampleInto forward-samples every node into values (len >= N) using
+// rng, in topological order.
 func (l *lut) sampleInto(values []int, rng *xrand.Rand) {
 	for i := range l.cpt {
 		values[i] = drawFrom(l.dist(i, l.comboIndex(i, values)), rng.Float64())
 	}
 }
 
-// sampleNodeAt mirrors Network.SampleNodeAt (the deterministic
-// per-(node, iteration, parent-combination) replay stream).
+// sampleNodeAt draws node i's state given the parent states in values,
+// using the deterministic per-(node, iteration, parent-combination)
+// random stream required by rollback replay: re-sampling the same slot
+// with the same parent values reproduces the same state, while a
+// changed parent combination gives an independent draw. seed
+// distinguishes runs.
 func (l *lut) sampleNodeAt(i int, iter int64, values []int, seed int64) int {
 	combo := l.comboIndex(i, values)
 	u := hashUniform(seed, int64(i), iter, int64(combo))
 	return drawFrom(l.dist(i, combo), u)
 }
 
-// sampleWeighted mirrors Network.sampleWeighted: evidence nodes are
-// clamped, free nodes drawn, and the likelihood weight accumulated in
-// the same node order.
+// sampleWeighted draws one sample with the evidence nodes clamped,
+// returning the likelihood weight (the product of the evidence values'
+// conditional probabilities given their sampled parents, accumulated
+// in node order).
 func (l *lut) sampleWeighted(values []int, rng *xrand.Rand) float64 {
 	w := 1.0
 	for i := range l.cpt {
@@ -112,8 +117,8 @@ func (l *lut) sampleWeighted(values []int, rng *xrand.Rand) float64 {
 	return w
 }
 
-// matches mirrors Query.Matches (pure conjunction, so the fixed
-// iteration order cannot change the verdict).
+// matches is Query.Matches on the evidence slices (pure conjunction,
+// so the fixed iteration order cannot change the verdict).
 func (l *lut) matches(values []int) bool {
 	for k, n := range l.evNodes {
 		if values[n] != l.evStates[k] {

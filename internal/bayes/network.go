@@ -114,17 +114,6 @@ func (bn *Network) Validate() error {
 	return nil
 }
 
-// comboIndex computes the CPT row selected by the parents' states in
-// values (which must hold states for all indices < i).
-func (bn *Network) comboIndex(i int, values []int) int {
-	nd := &bn.Nodes[i]
-	combo := 0
-	for _, p := range nd.Parents {
-		combo = combo*bn.Nodes[p].States + values[p]
-	}
-	return combo
-}
-
 // drawFrom samples a state from dist using u in [0,1).
 func drawFrom(dist []float64, u float64) int {
 	acc := 0.0
@@ -135,27 +124,6 @@ func drawFrom(dist []float64, u float64) int {
 		}
 	}
 	return len(dist) - 1
-}
-
-// SampleInto forward-samples every node into values (len >= N) using
-// rng, in topological order.
-func (bn *Network) SampleInto(values []int, rng *xrand.Rand) {
-	for i := range bn.Nodes {
-		dist := bn.Nodes[i].CPT[bn.comboIndex(i, values)]
-		values[i] = drawFrom(dist, rng.Float64())
-	}
-}
-
-// SampleNodeAt draws node i's state given the parent states in values,
-// using the deterministic per-(node, iteration, parent-combination)
-// random stream required by rollback replay: re-sampling the same slot
-// with the same parent values reproduces the same state, while a
-// changed parent combination gives an independent draw. seed
-// distinguishes runs.
-func (bn *Network) SampleNodeAt(i int, iter int64, values []int, seed int64) int {
-	combo := bn.comboIndex(i, values)
-	u := hashUniform(seed, int64(i), iter, int64(combo))
-	return drawFrom(bn.Nodes[i].CPT[combo], u)
 }
 
 // hashUniform maps (seed, node, iter, combo) to a uniform in [0,1) with

@@ -57,26 +57,27 @@ func TestValidateCatchesBadNetworks(t *testing.T) {
 }
 
 func TestComboIndex(t *testing.T) {
-	bn := Figure1()
+	l := newLUT(Figure1(), Query{})
 	vals := make([]int, 5)
 	vals[1], vals[2] = 1, 0 // B=true, C=false
-	if got := bn.comboIndex(3, vals); got != 2 {
+	if got := l.comboIndex(3, vals); got != 2 {
 		t.Fatalf("combo(B=t,C=f) = %d, want 2", got)
 	}
 	vals[1], vals[2] = 1, 1
-	if got := bn.comboIndex(3, vals); got != 3 {
+	if got := l.comboIndex(3, vals); got != 3 {
 		t.Fatalf("combo(B=t,C=t) = %d, want 3", got)
 	}
 }
 
 func TestSampleMarginals(t *testing.T) {
 	bn := Figure1()
+	l := newLUT(bn, Query{})
 	rng := xrand.New(1)
 	values := make([]int, bn.N())
 	const n = 50000
 	countA := 0
 	for i := 0; i < n; i++ {
-		bn.SampleInto(values, rng)
+		l.sampleInto(values, rng)
 		countA += values[0]
 	}
 	pA := float64(countA) / n
@@ -86,11 +87,11 @@ func TestSampleMarginals(t *testing.T) {
 }
 
 func TestSampleNodeAtDeterministic(t *testing.T) {
-	bn := Figure1()
+	l := newLUT(Figure1(), Query{})
 	vals := make([]int, 5)
 	vals[1], vals[2] = 1, 1
-	a := bn.SampleNodeAt(3, 42, vals, 7)
-	b := bn.SampleNodeAt(3, 42, vals, 7)
+	a := l.sampleNodeAt(3, 42, vals, 7)
+	b := l.sampleNodeAt(3, 42, vals, 7)
 	if a != b {
 		t.Fatal("same (node, iter, parents, seed) gave different draws")
 	}
@@ -99,7 +100,7 @@ func TestSampleNodeAtDeterministic(t *testing.T) {
 	hits := 0
 	const n = 20000
 	for it := int64(0); it < n; it++ {
-		hits += bn.SampleNodeAt(3, it, vals, 7)
+		hits += l.sampleNodeAt(3, it, vals, 7)
 	}
 	p := float64(hits) / n
 	if math.Abs(p-0.80) > 0.01 {
@@ -108,12 +109,12 @@ func TestSampleNodeAtDeterministic(t *testing.T) {
 }
 
 func TestSampleNodeAtParentSensitivity(t *testing.T) {
-	bn := Figure1()
+	l := newLUT(Figure1(), Query{})
 	valsTT := []int{0, 1, 1, 0, 0}
 	valsFF := []int{0, 0, 0, 0, 0}
 	same := 0
 	for it := int64(0); it < 200; it++ {
-		if bn.SampleNodeAt(3, it, valsTT, 7) == bn.SampleNodeAt(3, it, valsFF, 7) {
+		if l.sampleNodeAt(3, it, valsTT, 7) == l.sampleNodeAt(3, it, valsFF, 7) {
 			same++
 		}
 	}
@@ -252,12 +253,13 @@ func TestRootMarginalProperty(t *testing.T) {
 	f := func(pRaw uint8, seed int64) bool {
 		p := 0.05 + 0.9*float64(pRaw)/255
 		bn := &Network{Nodes: []Node{{Name: "r", States: 2, CPT: [][]float64{{1 - p, p}}}}}
+		l := newLUT(bn, Query{})
 		rng := xrand.New(seed)
 		vals := make([]int, 1)
 		hits := 0
 		const n = 4000
 		for i := 0; i < n; i++ {
-			bn.SampleInto(vals, rng)
+			l.sampleInto(vals, rng)
 			hits += vals[0]
 		}
 		got := float64(hits) / n

@@ -67,20 +67,3 @@ func InferSerialLW(bn *Network, q Query, prec float64, seed int64, calib Calibra
 	}
 	return res
 }
-
-// sampleWeighted draws one sample with the evidence nodes clamped,
-// returning the likelihood weight (the product of the evidence values'
-// conditional probabilities given their sampled parents).
-func (bn *Network) sampleWeighted(values []int, evidence map[int]int, rng *xrand.Rand) float64 {
-	w := 1.0
-	for i := range bn.Nodes {
-		dist := bn.Nodes[i].CPT[bn.comboIndex(i, values)]
-		if ev, ok := evidence[i]; ok {
-			values[i] = ev
-			w *= dist[ev]
-		} else {
-			values[i] = drawFrom(dist, rng.Float64())
-		}
-	}
-	return w
-}

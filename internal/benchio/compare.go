@@ -16,14 +16,6 @@ type Delta struct {
 	Gated  bool    // counts toward the regression verdict
 }
 
-// Ratio returns After/Before (0 when the baseline is 0).
-func (d Delta) Ratio() float64 {
-	if d.Before == 0 {
-		return 0
-	}
-	return d.After / d.Before
-}
-
 // Change returns the fractional change, e.g. +0.12 for 12% worse on a
 // lower-is-better metric.
 func (d Delta) Change() float64 {

@@ -1,50 +1,27 @@
 package ckpt
 
-import (
-	"nscc/internal/trace"
-)
-
 // Memo adapts one sweep's journal to the runner pool's memoization
 // hook (runner.Memo, satisfied structurally so ckpt stays independent
 // of the pool): jobs are keyed by index, and the index→fingerprint
-// mapping is owned by the sweep driver via the key function. An
-// optional Tracer receives one instant per consulted cell
-// ("cache_hit" / "cache_miss") on the ckpt track.
+// mapping is owned by the sweep driver via the key function. The
+// store's Counters record each lookup's hit or miss.
 type Memo struct {
-	j      *Journal
-	key    func(int) Key
-	tracer trace.Tracer
+	j   *Journal
+	key func(int) Key
 }
 
 // Memo opens the named journal in the store and binds it to a job
 // index → cell fingerprint mapping.
-func (s *Store) Memo(name string, space Key, key func(int) Key, tr trace.Tracer) (*Memo, error) {
+func (s *Store) Memo(name string, space Key, key func(int) Key) (*Memo, error) {
 	j, err := s.Journal(name, space)
 	if err != nil {
 		return nil, err
 	}
-	return &Memo{j: j, key: key, tracer: tr}, nil
+	return &Memo{j: j, key: key}, nil
 }
 
 // Lookup consults the journal for job i's cached result.
-func (m *Memo) Lookup(i int) ([]byte, bool) {
-	data, ok := m.j.Get(m.key(i))
-	if m.tracer != nil {
-		name := "cache_miss"
-		if ok {
-			name = "cache_hit"
-		}
-		// Serialize emissions under the journal lock: pool workers call
-		// Lookup concurrently, and Recorder is not itself locked.
-		m.j.mu.Lock()
-		m.tracer.Emit(trace.Event{
-			Ph: trace.PhaseInstant, Pid: trace.PidCkpt, Tid: 0,
-			Cat: "ckpt", Name: name, K1: "job", V1: int64(i),
-		})
-		m.j.mu.Unlock()
-	}
-	return data, ok
-}
+func (m *Memo) Lookup(i int) ([]byte, bool) { return m.j.Get(m.key(i)) }
 
 // Store journals job i's freshly computed result.
 func (m *Memo) Store(i int, data []byte) error {

@@ -3,14 +3,11 @@ package ckpt
 import (
 	"bytes"
 	"testing"
-
-	"nscc/internal/trace"
 )
 
-func TestMemoLookupStoreAndTrace(t *testing.T) {
+func TestMemoLookupStore(t *testing.T) {
 	s := NewStore(t.TempDir(), false)
-	rec := trace.NewRecorder()
-	m, err := s.Memo("sweep", testSpace("memo"), testKey, rec)
+	m, err := s.Memo("sweep", testSpace("memo"), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,38 +23,6 @@ func TestMemoLookupStoreAndTrace(t *testing.T) {
 	}
 	if c := s.Counters(); c.Hits != 1 || c.Misses != 1 {
 		t.Fatalf("counters %+v", c)
-	}
-
-	// Each consulted cell leaves one instant on the ckpt trace track.
-	evs := rec.Events()
-	if len(evs) != 2 {
-		t.Fatalf("%d trace events, want 2", len(evs))
-	}
-	for i, wantName := range []string{"cache_miss", "cache_hit"} {
-		ev := evs[i]
-		if ev.Name != wantName || ev.Ph != trace.PhaseInstant || ev.Pid != trace.PidCkpt {
-			t.Fatalf("event %d = %+v, want %s instant on ckpt track", i, ev, wantName)
-		}
-		if ev.Cat != "ckpt" || ev.K1 != "job" || ev.V1 != 0 {
-			t.Fatalf("event %d payload = %+v", i, ev)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemoNilTracer(t *testing.T) {
-	s := NewStore(t.TempDir(), false)
-	m, err := s.Memo("sweep", testSpace("quiet"), testKey, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Store(3, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Lookup(3); !ok {
-		t.Fatal("miss after store")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -55,7 +55,10 @@ type Options struct {
 	// (core staleness/timeouts, pvm queue depth/retransmits, net busy
 	// time/drops, gauge "pvm.warp" copied from the warp series, and the
 	// workload's own series) into the given set and exports them in
-	// Telemetry.Series. Strictly observational.
+	// Telemetry.Series. Strictly observational. The net series come
+	// from the fabric under the fault wrap, so "net.drops" counts only
+	// the fabric's own loss: a plan's drops are in Telemetry.Net.Dropped
+	// and on the faults trace track, not in the series.
 	Series *tseries.Set
 }
 

@@ -685,12 +685,3 @@ func (n *Node) traceRead(start sim.Time, d sim.Duration, loc *Location, stale in
 			K1: "loc", V1: int64(loc.ID), K2: "stale", V2: stale})
 	}
 }
-
-// Have reports the iteration of the freshest buffered value of loc
-// (NoValue if none), without draining the message queue.
-func (n *Node) Have(loc *Location) int64 {
-	if u, ok := n.buf[loc.ID]; ok {
-		return u.Iter
-	}
-	return NoValue
-}

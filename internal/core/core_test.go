@@ -214,9 +214,6 @@ func TestWriterOwnBufferSeesOwnWrites(t *testing.T) {
 		if u.Value != "mine" || u.Iter != 7 {
 			t.Errorf("writer does not see own write: %+v", u)
 		}
-		if n.Have(loc) != 7 {
-			t.Errorf("Have = %d, want 7", n.Have(loc))
-		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -238,13 +235,6 @@ func TestWriteWrongOwnerPanics(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHaveNoValue(t *testing.T) {
-	n := &Node{buf: map[int]Update{}}
-	if n.Have(&Location{ID: 3}) != NoValue {
-		t.Fatal("Have on empty buffer should be NoValue")
 	}
 }
 

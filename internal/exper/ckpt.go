@@ -59,7 +59,7 @@ func (o Options) sweepMemo(sweep string, key func(int) ckpt.Key) (runner.Memo, e
 	if o.Ckpt == nil {
 		return nil, nil
 	}
-	m, err := o.Ckpt.Memo(sweep, o.sweepSpace(sweep), key, nil)
+	m, err := o.Ckpt.Memo(sweep, o.sweepSpace(sweep), key)
 	if err != nil {
 		return nil, err
 	}

@@ -143,12 +143,6 @@ func (d *DelaySpike) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Empty reports whether the plan schedules no faults at all.
-func (p *Plan) Empty() bool {
-	return p == nil || (len(p.Loss) == 0 && len(p.Delays) == 0 && len(p.Reorders) == 0 &&
-		len(p.Duplicates) == 0 && len(p.Crashes) == 0 && len(p.Partitions) == 0)
-}
-
 // Drops reports whether the plan can lose messages: a loss burst with
 // a non-zero probability, a crash window or a partition window. Only
 // the reliable transport resends what is lost; on the plain one a

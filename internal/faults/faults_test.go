@@ -153,9 +153,6 @@ func TestParsePlan(t *testing.T) {
 		if p.Delays[0].Src != 1 || p.Delays[0].Dst != 0 {
 			t.Fatalf("explicit delay src/dst not preserved: %+v", p.Delays[0])
 		}
-		if p.Empty() {
-			t.Fatal("plan with schedules reported Empty")
-		}
 	})
 	t.Run("unknown field rejected", func(t *testing.T) {
 		if _, err := ParsePlan([]byte(`{"loss": [{"from": 0, "to": 1, "porb": 0.3}]}`)); err == nil {
@@ -197,16 +194,6 @@ func TestLoadFile(t *testing.T) {
 	}
 }
 
-func TestPlanEmpty(t *testing.T) {
-	var nilPlan *Plan
-	if !nilPlan.Empty() || !(&Plan{Name: "n", Seed: 4}).Empty() {
-		t.Fatal("nil or schedule-free plan not Empty")
-	}
-	if (&Plan{Reorders: []ReorderWindow{{From: 0, To: 1}}}).Empty() {
-		t.Fatal("plan with a reorder window reported Empty")
-	}
-}
-
 func TestPlanDrops(t *testing.T) {
 	var nilPlan *Plan
 	keeps := []*Plan{
@@ -245,7 +232,7 @@ func TestRandomPlanAlwaysValidates(t *testing.T) {
 			if err := p.Validate(nodes); err != nil {
 				t.Fatalf("RandomPlan(%d, %d, 2.0) invalid: %v", seed, nodes, err)
 			}
-			if p.Empty() {
+			if len(p.Loss)+len(p.Delays)+len(p.Reorders)+len(p.Duplicates)+len(p.Crashes)+len(p.Partitions) == 0 {
 				t.Fatalf("RandomPlan(%d, %d, 2.0) scheduled nothing", seed, nodes)
 			}
 		}

@@ -95,9 +95,6 @@ func stime(secs float64) int64 { return int64(secs * 1e9) }
 // active reports whether t (virtual seconds) lies in [from,to).
 func active(t, from, to float64) bool { return t >= from && t < to }
 
-// Plan returns the wrapped plan.
-func (j *Injector) Plan() *Plan { return j.plan }
-
 // FaultStats returns the injector's own counters.
 func (j *Injector) FaultStats() Stats { return j.stats }
 

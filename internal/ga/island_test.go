@@ -5,13 +5,16 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"nscc/internal/core"
+	"nscc/internal/faults"
 	"nscc/internal/ga/functions"
 	"nscc/internal/netsim"
 	"nscc/internal/sim"
+	"nscc/internal/trace"
 	"nscc/internal/tseries"
 )
 
@@ -443,6 +446,54 @@ func TestHierRecordsFabricSeries(t *testing.T) {
 				t.Errorf("recording series changed the run:\non:  %+v\noff: %+v", on, off)
 			}
 		})
+	}
+}
+
+// TestNetDropsSeriesCountsFabricLossOnly pins what net.drops counts in
+// a run with both a fault plan and bus loss: the fabric's own lost
+// deliveries, one per "drop" instant on the net trace track. The plan's
+// drops, one per *_drop instant on the faults track, are in
+// Telemetry.Net.Dropped but not in the series, because the injector
+// records no series and the run attaches them to the inner fabric.
+func TestNetDropsSeriesCountsFabricLossOnly(t *testing.T) {
+	cfg := quickCfg(core.NonStrict, 4)
+	cfg.Seed = 41
+	bus := netsim.DefaultConfig()
+	bus.LossProb = 0.1
+	cfg.Net = &bus
+	cfg.Faults = &faults.Plan{Loss: []faults.LossBurst{
+		{From: 0, To: 2, Prob: 0.3, Src: faults.AnyNode, Dst: faults.AnyNode},
+	}}
+	cfg.Reliable = true
+	cfg.Series = tseries.NewSet(tseries.DefaultWindow)
+	rec := trace.NewRecorder()
+	cfg.Tracer = rec
+	res, err := RunIsland(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := 0.0
+	for _, s := range res.Telemetry.Series {
+		if s.Name == "net.drops" {
+			for _, v := range s.Values {
+				series += v
+			}
+		}
+	}
+	fabric := rec.CountBy(func(e *trace.Event) bool { return e.Pid == trace.PidNet && e.Name == "drop" })
+	plan := rec.CountBy(func(e *trace.Event) bool {
+		return e.Pid == trace.PidFaults && strings.HasSuffix(e.Name, "_drop")
+	})
+	if fabric == 0 || plan == 0 {
+		t.Fatalf("fabric dropped %d and the plan %d; want both to drop", fabric, plan)
+	}
+	t.Logf("fabric drops %d, plan drops %d, Telemetry.Net.Dropped %d", fabric, plan, res.Telemetry.Net.Dropped)
+	if series != float64(fabric) {
+		t.Errorf("net.drops sums to %v, the fabric dropped %d", series, fabric)
+	}
+	if rest := res.Telemetry.Net.Dropped - int64(series); rest != int64(plan) {
+		t.Errorf("Telemetry.Net.Dropped %d minus net.drops %v is %d, the plan dropped %d",
+			res.Telemetry.Net.Dropped, series, rest, plan)
 	}
 }
 

@@ -136,6 +136,17 @@ func (t *termination) converged(quiet int) bool {
 }
 
 // Config describes one partitioned graph-kernel run.
+//
+// A run converges to the global bound DefaultEps. A partition is clean
+// when its superstep residual is at most DefaultEps/P, so the summed
+// residual at convergence is at most DefaultEps — directly comparable
+// to the sequential oracle's global bound. The coordinator declares
+// convergence once every partition has sent enough consecutive clean
+// reports (on top of the seen-frontier condition — see ctrlMsg): 1 for
+// Sync, whose barrier makes residuals exact global state, and 4 for
+// Async and NonStrict, covering the dirty reports that can still be in
+// flight when the coordinator's picture looks quiet. The differential
+// oracle test is the empirical proof of these windows.
 type Config struct {
 	G    *Graph
 	Algo Algo
@@ -143,22 +154,8 @@ type Config struct {
 	Mode core.Mode
 	Age  int64 // Global_Read staleness bound (NonStrict mode), in supersteps
 
-	// Eps is the global convergence bound (DefaultEps when zero). A
-	// partition is clean when its superstep residual is at most Eps/P,
-	// so the summed residual at convergence is at most Eps — directly
-	// comparable to the sequential oracle's global bound.
-	Eps float64
 	// MaxSupersteps caps a run that fails to converge (required).
 	MaxSupersteps int64
-	// Quiet is how many consecutive clean reports the coordinator needs
-	// from every partition before declaring convergence (on top of the
-	// seen-frontier condition — see ctrlMsg). Zero selects the mode's
-	// default: 1 for Sync (the barrier makes residuals exact global
-	// state), 4 for Async and NonStrict, covering the dirty reports
-	// that can still be in flight when the coordinator's picture looks
-	// quiet. The differential oracle test is the empirical proof of
-	// these windows.
-	Quiet int
 
 	Seed     int64
 	Calib    Calibration
@@ -194,11 +191,8 @@ type Result struct {
 	cluster.Stats
 }
 
-// quietDefault returns the mode's consecutive-clean window.
-func (c Config) quietDefault() int {
-	if c.Quiet > 0 {
-		return c.Quiet
-	}
+// quietWindow returns the mode's consecutive-clean window.
+func (c Config) quietWindow() int {
 	if c.Mode == core.Sync {
 		return 1
 	}
@@ -339,12 +333,8 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("graph: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
 	g := cfg.G
-	eps := cfg.Eps
-	if eps <= 0 {
-		eps = DefaultEps
-	}
-	partEps := eps / float64(cfg.P)
-	quiet := cfg.quietDefault()
+	partEps := DefaultEps / float64(cfg.P)
+	quiet := cfg.quietWindow()
 	bounds, locs, sources := pl.bounds, pl.locs, pl.sources
 
 	cl, err := cluster.Build(cluster.Spec{

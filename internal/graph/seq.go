@@ -29,17 +29,6 @@ func (a Algo) String() string {
 	}
 }
 
-// ParseAlgo parses the String form.
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "pagerank":
-		return PageRank, nil
-	case "sssp":
-		return SSSP, nil
-	}
-	return 0, fmt.Errorf("graph: unknown algorithm %q (want pagerank or sssp)", s)
-}
-
 // Algos is the workload family, in sweep order.
 var Algos = []Algo{PageRank, SSSP}
 
@@ -57,10 +46,10 @@ const Damping = 0.85
 // against the same bound.
 const DiffEps = 1e-6
 
-// DefaultEps is the convergence threshold both runners default to:
-// a partition is "clean" when its per-superstep residual (L1 rank
-// delta for PageRank, relaxation count for SSSP) is at or below its
-// share of this bound.
+// DefaultEps is the convergence threshold of every partitioned run,
+// and of a sequential run given no positive bound: a partition is
+// "clean" when its per-superstep residual (L1 rank delta for PageRank,
+// relaxation count for SSSP) is at or below its share of this bound.
 const DefaultEps = 1e-9
 
 // initValues returns the kernel's iteration-0 state vector: uniform

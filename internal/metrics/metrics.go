@@ -1,13 +1,12 @@
 // Package metrics implements the paper's measurement machinery: the
 // warp network-load metric of Heddaya–Park–Sinha (measured above PVM for
-// all messages, §4.3), plus the run statistics the evaluation reports
-// (means over repeated trials, 90 % confidence intervals for the
-// inference programs).
+// all messages, §4.3), the 90 % confidence half-width the inference
+// programs stop on, log-scale histograms, and the telemetry blocks a
+// run exports.
 package metrics
 
 import (
 	"math"
-	"sort"
 
 	"nscc/internal/sim"
 )
@@ -106,27 +105,19 @@ func (w *WarpMeter) Windows() []float64 {
 	return out
 }
 
-// Accumulator is a Welford-style running mean/variance with min/max.
+// Accumulator is a running mean and maximum.
 type Accumulator struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	everygiven bool
+	n         int
+	mean, max float64
 }
 
 // Add folds one sample into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-	if !a.everygiven || x < a.min {
-		a.min = x
-	}
-	if !a.everygiven || x > a.max {
+	a.mean += (x - a.mean) / float64(a.n)
+	if a.n == 1 || x > a.max {
 		a.max = x
 	}
-	a.everygiven = true
 }
 
 // N returns the sample count.
@@ -135,35 +126,13 @@ func (a *Accumulator) N() int { return a.n }
 // Mean returns the sample mean (0 with no samples).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
-// Var returns the unbiased sample variance (0 with <2 samples).
-func (a *Accumulator) Var() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// Min and Max return the extremes (0 with no samples).
-func (a *Accumulator) Min() float64 { return a.min }
+// Max returns the largest sample (0 with no samples).
 func (a *Accumulator) Max() float64 { return a.max }
 
 // z90 is the two-sided 90 % normal quantile used by the paper's
 // inference stopping rule ("90% confidence intervals to a precision of
 // ±0.01").
 const z90 = 1.6449
-
-// CI90HalfWidth returns the half-width of the 90 % confidence interval
-// of the mean under a normal approximation. With fewer than 2 samples it
-// returns +Inf so stopping rules keep sampling.
-func (a *Accumulator) CI90HalfWidth() float64 {
-	if a.n < 2 {
-		return math.Inf(1)
-	}
-	return z90 * a.Std() / math.Sqrt(float64(a.n))
-}
 
 // ProportionCI90HalfWidth returns the 90 % half-width for an estimated
 // proportion p from n Bernoulli samples — the form logic sampling's
@@ -173,26 +142,4 @@ func ProportionCI90HalfWidth(p float64, n int) float64 {
 		return math.Inf(1)
 	}
 	return z90 * math.Sqrt(p*(1-p)/float64(n))
-}
-
-// Speedup returns serial/parallel, guarding against a zero denominator.
-func Speedup(serial, parallel sim.Duration) float64 {
-	if parallel <= 0 {
-		return 0
-	}
-	return serial.Seconds() / parallel.Seconds()
-}
-
-// Median returns the median of xs (0 for empty input). The input is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if len(c)%2 == 1 {
-		return c[len(c)/2]
-	}
-	return (c[len(c)/2-1] + c[len(c)/2]) / 2
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-
-	"nscc/internal/sim"
-)
+import "sort"
 
 // TaskTelemetry is one task's time and traffic accounting for a run:
 // the message-layer counters (messages and bytes in each direction, the
@@ -260,7 +256,3 @@ func (t *Telemetry) TotalBlockedSecs() float64 {
 	}
 	return s
 }
-
-// Secs converts a virtual duration to the float seconds the telemetry
-// exports.
-func Secs(d sim.Duration) float64 { return d.Seconds() }

@@ -63,7 +63,6 @@ type Hier struct {
 	eng      *sim.Engine
 	cfg      HierConfig
 	handlers []Handler
-	names    []string
 
 	busFreeAt  []sim.Time // per rack: the shared medium
 	upFreeAt   []sim.Time // per rack: rack → spine
@@ -83,9 +82,6 @@ type Hier struct {
 	// frames is the free list of pooled in-flight calls (see Network's
 	// frame type for the idiom).
 	frames []*hFrame
-
-	// bcast is Broadcast's reusable destination list.
-	bcast []int
 
 	rng lossRng
 
@@ -255,15 +251,11 @@ func (h *Hier) SetSeries(set *tseries.Set) {
 // Engine returns the engine the fabric is attached to.
 func (h *Hier) Engine() *sim.Engine { return h.eng }
 
-// Config returns the fabric configuration.
-func (h *Hier) Config() HierConfig { return h.cfg }
-
 // Attach registers a node and returns its id; rack link state grows as
 // node ids cross rack boundaries.
 func (h *Hier) Attach(name string, hd Handler) int {
 	id := len(h.handlers)
 	h.handlers = append(h.handlers, hd)
-	h.names = append(h.names, name)
 	for rack := id / h.cfg.RackSize; rack >= len(h.busFreeAt); {
 		h.busFreeAt = append(h.busFreeAt, 0)
 		h.upFreeAt = append(h.upFreeAt, 0)
@@ -276,9 +268,6 @@ func (h *Hier) Attach(name string, hd Handler) int {
 
 // Nodes reports the number of attached nodes.
 func (h *Hier) Nodes() int { return len(h.handlers) }
-
-// NodeName returns the name a node registered with.
-func (h *Hier) NodeName(id int) string { return h.names[id] }
 
 // RackOf returns the rack a node lives in.
 func (h *Hier) RackOf(id int) int { return id / h.cfg.RackSize }
@@ -406,29 +395,5 @@ func (h *Hier) Multicast(src int, dsts []int, size int, payload interface{}, onW
 	h.post(f)
 }
 
-// Broadcast multicasts payload from src to every other attached node:
-// one source-bus occupancy plus one forwarded copy per remote rack. The
-// destination list lives in a reusable buffer (Multicast does not
-// retain it past the call).
-func (h *Hier) Broadcast(src, size int, payload interface{}) {
-	dsts := h.bcast[:0]
-	for dst := range h.handlers {
-		if dst != src {
-			dsts = append(dsts, dst)
-		}
-	}
-	h.bcast = dsts
-	h.Multicast(src, dsts, size, payload, nil)
-}
-
 // Stats returns a snapshot of the fabric counters.
 func (h *Hier) Stats() Stats { return h.stats }
-
-// Utilization reports the fraction of elapsed virtual time the fabric's
-// links (all racks and uplinks summed) spent transmitting.
-func (h *Hier) Utilization() float64 {
-	if h.eng.Now() == 0 {
-		return 0
-	}
-	return h.stats.BusyTime.Seconds() / h.eng.Now().Seconds()
-}

@@ -371,7 +371,11 @@ func TestHierBroadcastQueuesOneEventPerArrivalTime(t *testing.T) {
 	h := NewHier(eng, DefaultHierConfig())
 	delivered := 0
 	attachN(h, 1000, func(int, interface{}, sim.Time) { delivered++ })
-	h.Broadcast(0, 1000, nil)
+	others := make([]int, 0, 999)
+	for dst := 1; dst < 1000; dst++ {
+		others = append(others, dst)
+	}
+	h.Multicast(0, others, 1000, nil, nil)
 	if got, racks := eng.Pending(), h.Racks(); racks != 32 || got > racks {
 		t.Fatalf("broadcast over %d racks left %d events pending, want at most one per rack", racks, got)
 	}

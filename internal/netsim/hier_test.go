@@ -226,7 +226,6 @@ func TestLoaderOnHier(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	l.Stop()
 	if l.Sent() == 0 || h.Stats().Delivered == 0 {
 		t.Fatalf("loader sent %d, delivered %d; want both nonzero", l.Sent(), h.Stats().Delivered)
 	}

@@ -12,13 +12,12 @@ type Loader struct {
 	rateBps float64
 	msgSize int
 	sent    int64
-	stop    bool
 }
 
 // StartLoader attaches a source and a sink node to the network and
 // begins injecting msgSize-byte messages at rateBps (payload bits per
-// second) with ±10 % jitter. A rate of 0 attaches the nodes but injects
-// nothing. Stop the loader with Stop.
+// second) with ±10 % jitter until the run ends. A rate of 0 attaches
+// the nodes but injects nothing.
 func StartLoader(net Fabric, rateBps float64, msgSize int) *Loader {
 	if msgSize <= 0 {
 		msgSize = 1024
@@ -34,7 +33,7 @@ func StartLoader(net Fabric, rateBps float64, msgSize int) *Loader {
 
 func (l *Loader) run(p *sim.Proc) {
 	interval := sim.DurationOf(float64(l.msgSize) * 8 / l.rateBps)
-	for !l.stop {
+	for {
 		l.net.Send(l.src, l.sink, l.msgSize, nil)
 		l.sent++
 		jitter := 0.9 + 0.2*p.Rng().Float64()
@@ -42,11 +41,5 @@ func (l *Loader) run(p *sim.Proc) {
 	}
 }
 
-// Stop ends traffic injection after the message currently scheduled.
-func (l *Loader) Stop() { l.stop = true }
-
 // Sent reports the number of messages injected so far.
 func (l *Loader) Sent() int64 { return l.sent }
-
-// Rate returns the configured offered rate in bits per second.
-func (l *Loader) Rate() float64 { return l.rateBps }

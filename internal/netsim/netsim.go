@@ -82,24 +82,16 @@ func (s Stats) Telemetry(elapsed sim.Duration) metrics.NetTelemetry {
 	}
 }
 
-// NodeStats counts one node's offered traffic (who floods the medium).
-type NodeStats struct {
-	Frames int64
-	Bytes  int64
-}
-
 // Network is a shared-bus interconnect attached to a simulation engine.
 type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	rng      *xrand.Rand
 	handlers []Handler
-	names    []string
 
 	busFreeAt sim.Time
 	queued    int
 	stats     Stats
-	perNode   []NodeStats
 
 	// Windowed utilization accounting, maintained only while the
 	// engine's tracer is set: busy time is attributed to the window
@@ -118,12 +110,6 @@ type Network struct {
 	// the pool holds about as many frames as the peak number in flight
 	// and the per-send path allocates nothing.
 	frames []*frame
-
-	// bcastBuf is Broadcast's reusable destination list. Multicast
-	// copies the slice into the frame before returning, so the buffer
-	// is free for the next call; a simulation step is single-threaded,
-	// so no two broadcasts overlap.
-	bcastBuf []int
 }
 
 // frame is a pooled in-flight transmission: the delivery callback the
@@ -235,24 +221,16 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Engine returns the engine the network is attached to.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Attach registers a node with the network and returns its id. The
 // handler is invoked (as an engine event) for every frame delivered to
 // the node.
 func (n *Network) Attach(name string, h Handler) int {
 	n.handlers = append(n.handlers, h)
-	n.names = append(n.names, name)
-	n.perNode = append(n.perNode, NodeStats{})
 	return len(n.handlers) - 1
 }
 
 // Nodes reports the number of attached nodes.
 func (n *Network) Nodes() int { return len(n.handlers) }
-
-// NodeName returns the name a node registered with.
-func (n *Network) NodeName(id int) string { return n.names[id] }
 
 // txTime returns the medium occupancy for size payload bytes.
 func (n *Network) txTime(size int) sim.Duration {
@@ -269,13 +247,6 @@ func (n *Network) Send(src, dst, size int, payload interface{}) {
 	n.Unicast(src, dst, size, payload, nil)
 }
 
-// SendFull is Send with an onWire callback fired when the frame finishes
-// transmission (leaves the sender's NIC). Senders that bound their
-// in-flight frames use it to implement outbox windows.
-func (n *Network) SendFull(src, dst, size int, payload interface{}, onWire func()) {
-	n.Unicast(src, dst, size, payload, onWire)
-}
-
 // admitFrame performs the shared-bus admission bookkeeping for one
 // frame — queuing behind the busy bus (with the CSMA/CD-style backoff
 // penalty), stats, tracing, and the onWire schedule — and returns the
@@ -287,8 +258,6 @@ func (n *Network) SendFull(src, dst, size int, payload interface{}, onWire func(
 func (n *Network) admitFrame(src, size int, onWire func()) sim.Time {
 	now := n.eng.Now()
 	n.stats.Frames++
-	n.perNode[src].Frames++
-	n.perNode[src].Bytes += int64(size + n.cfg.FrameOverhead)
 
 	start := now
 	if n.busFreeAt > start {
@@ -378,30 +347,5 @@ func (n *Network) Multicast(src int, dsts []int, size int, payload interface{}, 
 	n.eng.ScheduleRunner(deliverAt, f)
 }
 
-// Broadcast multicasts payload from src to every other attached node as
-// a single frame on the shared medium.
-func (n *Network) Broadcast(src, size int, payload interface{}) {
-	dsts := n.bcastBuf[:0]
-	for dst := range n.handlers {
-		if dst != src {
-			dsts = append(dsts, dst)
-		}
-	}
-	n.bcastBuf = dsts
-	n.Multicast(src, dsts, size, payload, nil)
-}
-
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats { return n.stats }
-
-// NodeTraffic returns the traffic node id has offered to the medium.
-func (n *Network) NodeTraffic(id int) NodeStats { return n.perNode[id] }
-
-// Utilization reports the fraction of elapsed virtual time the bus spent
-// transmitting. Meaningful once the clock has advanced.
-func (n *Network) Utilization() float64 {
-	if n.eng.Now() == 0 {
-		return 0
-	}
-	return n.stats.BusyTime.Seconds() / n.eng.Now().Seconds()
-}

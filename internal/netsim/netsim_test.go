@@ -102,13 +102,14 @@ func TestQueueDelayGrowsWithLoad(t *testing.T) {
 }
 
 func TestBroadcast(t *testing.T) {
+	// A multicast to every other node is one frame on the shared bus.
 	eng, net := newTestNet(1, plainConfig())
 	counts := make([]int, 4)
 	for i := 0; i < 4; i++ {
 		i := i
 		net.Attach("n", func(int, interface{}, sim.Time) { counts[i]++ })
 	}
-	net.Broadcast(0, 100, "b")
+	net.Multicast(0, []int{1, 2, 3}, 100, "b", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestUtilization(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	u := net.Utilization()
+	u := net.Stats().Telemetry(eng.Now().Sub(0)).Utilization
 	if u < 0.9 || u > 1.01 {
 		t.Fatalf("utilization %v, want ~1.0 at saturation", u)
 	}
@@ -222,12 +223,11 @@ func TestLoaderOfferedRate(t *testing.T) {
 	if err := eng.RunUntil(horizon); err != nil {
 		t.Fatal(err)
 	}
-	l.Stop()
 	// 2 Mbps / (1024*8 bits) ~ 244 msgs/s -> ~488 over 2 s.
 	if l.Sent() < 400 || l.Sent() > 580 {
 		t.Fatalf("loader sent %d messages in 2s at 2 Mbps, want ~488", l.Sent())
 	}
-	if u := net.Utilization(); u < 0.15 || u > 0.3 {
+	if u := net.Stats().Telemetry(eng.Now().Sub(0)).Utilization; u < 0.15 || u > 0.3 {
 		t.Fatalf("utilization %v under 2 Mbps loader, want ~0.22", u)
 	}
 }
@@ -288,27 +288,5 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPerNodeTraffic(t *testing.T) {
-	eng, net := newTestNet(1, plainConfig())
-	dst := net.Attach("dst", func(int, interface{}, sim.Time) {})
-	a := net.Attach("a", nil)
-	b := net.Attach("b", nil)
-	net.Send(a, dst, 100, nil)
-	net.Send(a, dst, 100, nil)
-	net.Send(b, dst, 500, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if net.NodeTraffic(a).Frames != 2 || net.NodeTraffic(b).Frames != 1 {
-		t.Fatalf("per-node frames: a=%d b=%d", net.NodeTraffic(a).Frames, net.NodeTraffic(b).Frames)
-	}
-	if net.NodeTraffic(b).Bytes != 600 { // 500 + 100 overhead
-		t.Fatalf("b bytes = %d", net.NodeTraffic(b).Bytes)
-	}
-	if net.NodeTraffic(dst).Frames != 0 {
-		t.Fatal("receiver charged for traffic it did not send")
 	}
 }

@@ -18,7 +18,8 @@ import (
 // SP2's high-speed switch" (§4.1) — the switch model lets that claim be
 // exercised.
 type Fabric interface {
-	// Attach registers a node and returns its id.
+	// Attach registers a node and returns its id. name labels the
+	// node for its caller; no fabric keeps it.
 	Attach(name string, h Handler) int
 	// Multicast delivers one logical message from src to every node in
 	// dsts; the onWire callback fires when the sender's link is free
@@ -74,7 +75,6 @@ type Switch struct {
 	eng      *sim.Engine
 	cfg      SwitchConfig
 	handlers []Handler
-	names    []string
 
 	egressFreeAt []sim.Time // per source node
 	stats        Stats
@@ -147,22 +147,15 @@ func NewSwitch(eng *sim.Engine, cfg SwitchConfig) *Switch {
 // Engine returns the engine the switch is attached to.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
 
-// Config returns the switch configuration.
-func (s *Switch) Config() SwitchConfig { return s.cfg }
-
 // Attach registers a node with the switch and returns its id.
 func (s *Switch) Attach(name string, h Handler) int {
 	s.handlers = append(s.handlers, h)
-	s.names = append(s.names, name)
 	s.egressFreeAt = append(s.egressFreeAt, 0)
 	return len(s.handlers) - 1
 }
 
 // Nodes reports the number of attached nodes.
 func (s *Switch) Nodes() int { return len(s.handlers) }
-
-// NodeName returns the name a node registered with.
-func (s *Switch) NodeName(id int) string { return s.names[id] }
 
 func (s *Switch) txTime(size int) sim.Duration {
 	bits := float64(size+s.cfg.FrameOverhead) * 8

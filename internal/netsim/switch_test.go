@@ -157,7 +157,6 @@ func TestLoaderOnSwitch(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	l.Stop()
 	// 8 Mbps / 8192 bits ~ 977 msgs/s.
 	if l.Sent() < 800 || l.Sent() > 1200 {
 		t.Fatalf("loader sent %d messages on the switch, want ~977", l.Sent())

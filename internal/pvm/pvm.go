@@ -214,11 +214,6 @@ func (m *Machine) noteQueue(delta int64) {
 	m.serQueue.Add(m.eng.Now(), float64(m.queuedTotal))
 }
 
-// Tracer returns the tracer of the machine's engine (nil when tracing
-// is off). The engine owns the run's tracer; this accessor is the
-// message layer's guarded hot-path handle to it.
-func (m *Machine) Tracer() trace.Tracer { return m.eng.Tracer() }
-
 // NewMachine creates a machine on the given engine and fabric.
 func NewMachine(eng *sim.Engine, net netsim.Fabric, cfg Config) *Machine {
 	if cfg.Reliable {
@@ -231,12 +226,6 @@ func NewMachine(eng *sim.Engine, net netsim.Fabric, cfg Config) *Machine {
 	}
 	return &Machine{eng: eng, net: net, cfg: cfg}
 }
-
-// Engine returns the underlying simulation engine.
-func (m *Machine) Engine() *sim.Engine { return m.eng }
-
-// Network returns the underlying fabric.
-func (m *Machine) Network() netsim.Fabric { return m.net }
 
 // Tasks reports the number of spawned tasks.
 func (m *Machine) Tasks() int { return len(m.tasks) }
@@ -278,37 +267,6 @@ type Task struct {
 	recvCPU   sim.Duration // receive-overhead CPU charged for unpacking
 
 	relst *relState // reliable-transport state (nil unless Config.Reliable)
-}
-
-// TaskStats is a snapshot of one task's message-layer accounting.
-// BytesSent counts each multicast frame's payload once (the shared
-// medium carries it once however many receivers there are); BytesRecv
-// and RecvCPU accrue as the application dequeues messages. The last
-// three counters are zero unless the machine runs with
-// Config.Reliable.
-type TaskStats struct {
-	Sent, Received       int64
-	BytesSent, BytesRecv int64
-	RecvCPU              sim.Duration
-	Stalls               int64
-	Retransmits          int64 // copies the reliable transport resent
-	DupsSuppressed       int64 // arrivals discarded as duplicates
-	RetxAbandoned        int64 // copies given up on after MaxRetries
-}
-
-// Stats returns a snapshot of the task's counters.
-func (t *Task) Stats() TaskStats {
-	s := TaskStats{
-		Sent: t.sent, Received: t.received,
-		BytesSent: t.bytesSent, BytesRecv: t.bytesRecv,
-		RecvCPU: t.recvCPU, Stalls: t.stalls,
-	}
-	if t.relst != nil {
-		s.Retransmits = t.relst.retransmits
-		s.DupsSuppressed = t.relst.dups
-		s.RetxAbandoned = t.relst.abandoned
-	}
-	return s
 }
 
 // TaskTelemetry returns the message-layer half of every task's
@@ -556,17 +514,6 @@ func (t *Task) NRecv(src, tag int) *Message {
 		t.charge(msg)
 	}
 	return msg
-}
-
-// Probe reports whether a message matching (src, tag) is queued, without
-// removing it.
-func (t *Task) Probe(src, tag int) bool {
-	for _, msg := range t.queue {
-		if match(msg, src, tag) {
-			return true
-		}
-	}
-	return false
 }
 
 // Pending reports the number of queued (undelivered-to-app) messages.

@@ -88,14 +88,17 @@ func TestSourceSpecificRecv(t *testing.T) {
 	}
 }
 
+// TestNRecvAndProbe checks that NRecv never blocks: it returns nil
+// before the message arrives, and afterwards takes the message a probe
+// of the queue (Pending) finds waiting.
 func TestNRecvAndProbe(t *testing.T) {
 	eng, m := newMachine(1)
 	var beforeArrival, afterArrival *Message
-	var probed bool
+	var queued int
 	m.Spawn("recv", func(t *Task) {
 		beforeArrival = t.NRecv(Any, Any)
 		t.Compute(20 * sim.Millisecond) // let the message arrive
-		probed = t.Probe(Any, 9)
+		queued = t.Pending()
 		afterArrival = t.NRecv(Any, 9)
 	})
 	m.Spawn("send", func(t *Task) { t.Send(0, 9, 64, 42) })
@@ -105,8 +108,8 @@ func TestNRecvAndProbe(t *testing.T) {
 	if beforeArrival != nil {
 		t.Fatal("NRecv returned a message before any arrived")
 	}
-	if !probed || afterArrival == nil || afterArrival.Data != 42 {
-		t.Fatalf("probe=%v msg=%+v", probed, afterArrival)
+	if queued != 1 || afterArrival == nil || afterArrival.Data != 42 {
+		t.Fatalf("queued=%d msg=%+v", queued, afterArrival)
 	}
 }
 

@@ -141,9 +141,7 @@ func TestReliableSuppressesDuplicates(t *testing.T) {
 	plan := &faults.Plan{Duplicates: []faults.DuplicateWindow{{From: 0, To: 100, Prob: 1}}}
 	eng, m := newReliableMachine(1, plan)
 	var got []int
-	var rt *Task
 	m.Spawn("recv", func(task *Task) {
-		rt = task
 		for i := 0; i < n; i++ {
 			got = append(got, task.Recv(1, 2).Data.(int))
 		}
@@ -162,7 +160,7 @@ func TestReliableSuppressesDuplicates(t *testing.T) {
 			t.Fatalf("duplicate leaked through: %v", got)
 		}
 	}
-	if rt.Stats().DupsSuppressed == 0 {
+	if m.TaskTelemetry()[0].DupsSuppressed == 0 {
 		t.Fatal("no duplicates suppressed under a prob-1 duplication window")
 	}
 }
@@ -247,12 +245,8 @@ func TestReliableRetransmitRecoversLoss(t *testing.T) {
 	}}
 	eng, m := newReliableMachine(1, plan)
 	var got *Message
-	var st *Task
 	m.Spawn("recv", func(task *Task) { got = task.Recv(1, 7) })
-	m.Spawn("send", func(task *Task) {
-		st = task
-		task.Send(0, 7, 256, "survivor")
-	})
+	m.Spawn("send", func(task *Task) { task.Send(0, 7, 256, "survivor") })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +256,7 @@ func TestReliableRetransmitRecoversLoss(t *testing.T) {
 	if got.ArrivedAt < sim.Time(50*sim.Millisecond) {
 		t.Fatalf("arrived at %v, inside the prob-1 loss window", got.ArrivedAt)
 	}
-	if st.Stats().Retransmits == 0 {
+	if m.TaskTelemetry()[1].Retransmits == 0 {
 		t.Fatal("recovery happened without a recorded retransmission")
 	}
 }
@@ -277,28 +271,25 @@ func TestReliableAbandonsAfterMaxRetries(t *testing.T) {
 	}}
 	eng, m := newReliableMachine(1, plan)
 	var got *Message
-	var st *Task
 	m.Spawn("recv", func(task *Task) {
 		// Far beyond the retransmission span (~164 virtual seconds with
 		// the default 20 ms base and 12 doublings).
 		got = task.RecvTimeout(1, 7, 300*sim.Second)
 	})
-	m.Spawn("send", func(task *Task) {
-		st = task
-		task.Send(0, 7, 256, "doomed")
-	})
+	m.Spawn("send", func(task *Task) { task.Send(0, 7, 256, "doomed") })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != nil {
 		t.Fatalf("message delivered through a permanent blackout: %+v", got)
 	}
-	if st.Stats().RetxAbandoned != 1 {
-		t.Fatalf("RetxAbandoned = %d, want 1", st.Stats().RetxAbandoned)
+	st := m.TaskTelemetry()[1]
+	if st.RetxAbandoned != 1 {
+		t.Fatalf("RetxAbandoned = %d, want 1", st.RetxAbandoned)
 	}
 	// NewMachine normalizes MaxRetries to 12 when Reliable is on.
-	if st.Stats().Retransmits != 12 {
-		t.Fatalf("Retransmits = %d, want the default MaxRetries of 12", st.Stats().Retransmits)
+	if st.Retransmits != 12 {
+		t.Fatalf("Retransmits = %d, want the default MaxRetries of 12", st.Retransmits)
 	}
 }
 

@@ -108,27 +108,26 @@ func TestTaskStatsCounters(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMachine(eng, net, cfg)
 
-	var recvStats TaskStats
 	m.Spawn("sender", func(task *Task) {
 		task.Send(1, 5, 200, "payload")
 	})
 	m.Spawn("receiver", func(task *Task) {
 		task.Recv(Any, 5)
-		recvStats = task.Stats()
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 
-	sender := m.tasks[0].Stats()
-	if sender.BytesSent != 200 || sender.Sent != 1 {
+	tel := m.TaskTelemetry()
+	sender, recv := tel[0], tel[1]
+	if sender.BytesSent != 200 || sender.MsgsSent != 1 {
 		t.Fatalf("sender stats: %+v", sender)
 	}
-	if recvStats.BytesRecv != 200 || recvStats.Received != 1 {
-		t.Fatalf("receiver stats: %+v", recvStats)
+	if recv.BytesRecv != 200 || recv.MsgsRecv != 1 {
+		t.Fatalf("receiver stats: %+v", recv)
 	}
 	wantCPU := cfg.RecvOverhead + 200*cfg.RecvPerByte
-	if recvStats.RecvCPU != wantCPU {
-		t.Fatalf("receiver charged %v of recv CPU, want %v", recvStats.RecvCPU, wantCPU)
+	if recv.RecvCPUSecs != wantCPU.Seconds() {
+		t.Fatalf("receiver charged %vs of recv CPU, want %v", recv.RecvCPUSecs, wantCPU)
 	}
 }

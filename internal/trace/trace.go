@@ -40,9 +40,6 @@ const (
 	// cross-process read that raced a concurrent write, named by its
 	// class (tolerated_stale or unbounded_race).
 	PidRace = 7
-	// PidCkpt is the checkpoint cache: one instant per sweep cell
-	// consulted against the journal (cache_hit or cache_miss).
-	PidCkpt = 8
 )
 
 // PidName returns the layer name a pid renders under.
@@ -62,8 +59,6 @@ func PidName(pid int) string {
 		return "faults"
 	case PidRace:
 		return "simrace"
-	case PidCkpt:
-		return "ckpt"
 	default:
 		return fmt.Sprintf("pid%d", pid)
 	}
@@ -110,22 +105,13 @@ type Tracer interface {
 // one process, runs at a time), so the Recorder needs no locking.
 type Recorder struct {
 	events []Event
-	// Filter, if set, drops events for which it returns false. Use it
-	// to bound trace volume (e.g. drop the engine's per-event firing
-	// records while keeping everything else).
-	Filter func(*Event) bool
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Emit appends one event (subject to the Filter).
-func (r *Recorder) Emit(ev Event) {
-	if r.Filter != nil && !r.Filter(&ev) {
-		return
-	}
-	r.events = append(r.events, ev)
-}
+// Emit appends one event.
+func (r *Recorder) Emit(ev Event) { r.events = append(r.events, ev) }
 
 // Events returns the recorded events in emission order. The slice is
 // the recorder's own backing store; do not mutate it.

@@ -29,16 +29,6 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
-func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder()
-	r.Filter = func(e *Event) bool { return e.Name != "event" }
-	r.Emit(Event{Name: "event", Ph: PhaseInstant})
-	r.Emit(Event{Name: "msg", Ph: PhaseSpan})
-	if r.Len() != 1 || r.Events()[0].Name != "msg" {
-		t.Fatalf("filter did not drop: %+v", r.Events())
-	}
-}
-
 // TestWriteChromeTraceValidJSON asserts the export is a well-formed
 // JSON array whose records carry the Chrome trace_event fields.
 func TestWriteChromeTraceValidJSON(t *testing.T) {

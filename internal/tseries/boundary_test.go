@@ -66,13 +66,13 @@ func TestMaxWindowsClamp(t *testing.T) {
 // allocating.
 func TestNegativeTimeWindowZero(t *testing.T) {
 	set := NewSet(0) // exercise the DefaultWindow fallback too
-	if set.Width() != DefaultWindow {
-		t.Fatalf("NewSet(0) width %v, want DefaultWindow", set.Width())
-	}
 	g := set.Gauge("neg")
 	g.Add(sim.Time(-5), 3)
 	g.Add(0, 5)
 	sum := g.Summary()
+	if sum.WindowSecs != DefaultWindow.Seconds() {
+		t.Fatalf("NewSet(0) window %vs, want DefaultWindow", sum.WindowSecs)
+	}
 	if len(sum.Counts) != 1 || sum.Counts[0] != 2 {
 		t.Fatalf("counts %v, want both samples in window 0", sum.Counts)
 	}
@@ -81,50 +81,14 @@ func TestNegativeTimeWindowZero(t *testing.T) {
 	}
 }
 
-// TestSeriesAccessors covers the nil-receiver accessors and Width.
+// TestSeriesAccessors covers the nil-receiver accessors and Name.
 func TestSeriesAccessors(t *testing.T) {
 	var nilSeries *Series
 	if nilSeries.Name() != "" || nilSeries.Windows() != 0 {
 		t.Error("nil series accessors not zero")
 	}
-	var nilSet *Set
-	if nilSet.Width() != 0 {
-		t.Error("nil set width not zero")
-	}
 	set := NewSet(sim.Millisecond)
 	if s := set.Counter("named"); s.Name() != "named" {
 		t.Errorf("Name() = %q", s.Name())
-	}
-}
-
-// TestMergeBoundaries exercises the merge branches the basic test
-// misses: nil receivers, empty-window skips, max propagation into an
-// empty target, and quantile histogram creation on the target side.
-func TestMergeBoundaries(t *testing.T) {
-	set := NewSet(sim.Millisecond)
-	a := set.Quantile("a")
-	b := set.Quantile("b")
-	a.Merge(nil) // no-op
-	var nilSeries *Series
-	nilSeries.Merge(a) // no-op
-
-	// b has data in window 2 only; windows 0-1 are empty and must be
-	// skipped without disturbing a.
-	b.Observe(sim.Time(2*sim.Millisecond), 7)
-	a.Merge(b)
-	sum := a.Summary()
-	if len(sum.Counts) != 3 || sum.Counts[2] != 1 {
-		t.Fatalf("counts %v after merge, want sample in window 2", sum.Counts)
-	}
-	if sum.Max[2] != 7 || sum.P90[2] != 7 {
-		t.Fatalf("merged quantile window: max %v p90 %v, want 7/7", sum.Max[2], sum.P90[2])
-	}
-
-	// Merging a longer series grows the target.
-	c := set.Quantile("c")
-	c.Observe(sim.Time(5*sim.Millisecond), 3)
-	a.Merge(c)
-	if a.Windows() != 6 {
-		t.Fatalf("merge did not grow target: %d windows, want 6", a.Windows())
 	}
 }

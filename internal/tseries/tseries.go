@@ -8,11 +8,9 @@
 //
 // Everything here is deterministic: samples are keyed by virtual time
 // only, window layout is fixed at construction, and exports sort by
-// series name. Series from different tasks or trials of the same run
-// merge window-by-window, exactly like metrics.Histogram merges
-// bucket-by-bucket. All methods are nil-receiver-safe so recording
-// sites pay one predicted branch when telemetry is off, mirroring the
-// nil-Tracer convention in internal/trace.
+// series name. All methods are nil-receiver-safe so recording sites pay
+// one predicted branch when telemetry is off, mirroring the nil-Tracer
+// convention in internal/trace.
 package tseries
 
 import (
@@ -141,37 +139,6 @@ func (s *Series) Windows() int {
 	return len(s.wins)
 }
 
-// Merge folds o's windows into s, window-by-window. Both series must
-// share width and kind (they do when both came from same-width Sets);
-// mismatched widths merge by window index, which is the best exact
-// interpretation available. No-op when either side is nil.
-func (s *Series) Merge(o *Series) {
-	if s == nil || o == nil {
-		return
-	}
-	for len(s.wins) < len(o.wins) {
-		s.wins = append(s.wins, window{})
-	}
-	for i := range o.wins {
-		ow := &o.wins[i]
-		if ow.n == 0 {
-			continue
-		}
-		w := &s.wins[i]
-		if w.n == 0 || ow.max > w.max {
-			w.max = ow.max
-		}
-		w.n += ow.n
-		w.sum += ow.sum
-		if ow.hist != nil {
-			if w.hist == nil {
-				w.hist = &metrics.Histogram{}
-			}
-			w.hist.Merge(ow.hist)
-		}
-	}
-}
-
 // Summary exports the series as the JSON-friendly metrics block.
 // Windows with no samples export value 0 (and count 0, so a consumer
 // can tell "no data" from "observed zero").
@@ -256,26 +223,6 @@ func (st *Set) Gauge(name string) *Series { return st.get(name, Gauge) }
 
 // Quantile returns the named quantile series, creating it if needed.
 func (st *Set) Quantile(name string) *Series { return st.get(name, Quantile) }
-
-// Width returns the set's window width (0 on a nil set).
-func (st *Set) Width() sim.Duration {
-	if st == nil {
-		return 0
-	}
-	return st.width
-}
-
-// Merge folds every series of o into st, creating series st lacks.
-// No-op when either set is nil.
-func (st *Set) Merge(o *Set) {
-	if st == nil || o == nil {
-		return
-	}
-	for _, name := range o.names() {
-		os := o.series[name]
-		st.get(name, os.kind).Merge(os)
-	}
-}
 
 // names returns the set's series names in sorted order.
 func (st *Set) names() []string {

@@ -75,27 +75,6 @@ func TestNegativeAndHugeTimesClamped(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewSet(sim.Second)
-	b := NewSet(sim.Second)
-	a.Counter("n").Add(0, 1)
-	b.Counter("n").Add(0, 2)
-	b.Counter("n").Add(sim.Time(sim.Second), 5)
-	b.Gauge("g").Add(0, 3)
-	a.Merge(b)
-	sums := a.Summaries()
-	if len(sums) != 2 {
-		t.Fatalf("got %d series, want 2", len(sums))
-	}
-	// Sorted by name: "g" then "n".
-	if sums[0].Name != "g" || sums[1].Name != "n" {
-		t.Fatalf("order = %s, %s", sums[0].Name, sums[1].Name)
-	}
-	if !reflect.DeepEqual(sums[1].Values, []float64{3, 5}) {
-		t.Fatalf("merged counter = %v, want [3 5]", sums[1].Values)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var set *Set
 	s := set.Counter("x")
@@ -104,14 +83,12 @@ func TestNilSafety(t *testing.T) {
 	}
 	s.Add(0, 1)
 	s.Observe(0, 1)
-	s.Merge(nil)
 	if s.Windows() != 0 || s.Name() != "" {
 		t.Fatalf("nil series should be inert")
 	}
 	if got := set.Summaries(); got != nil {
 		t.Fatalf("nil set summaries = %v, want nil", got)
 	}
-	set.Merge(NewSet(0))
 }
 
 func TestSummariesDeterministic(t *testing.T) {
