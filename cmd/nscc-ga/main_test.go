@@ -30,9 +30,10 @@ func TestMain(m *testing.M) {
 // -http cases need every check before the server starts, whose start
 // line would be a second; a negative -read-timeout or -load must be
 // rejected, not run as "wait forever" or as no load, and so must a
-// -load above the bus's 10 Mbit/s. A fault plan that drops messages
-// needs -reliable: without it the Sync run (the quality target's, in
-// the other modes) deadlocks on its barrier.
+// -load above the bus's 10 Mbit/s or below 1 bit/s, whose send
+// interval overflows the clock and never advances it. A fault plan
+// that drops messages needs -reliable: without it the Sync run (the
+// quality target's, in the other modes) deadlocks on its barrier.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	lossy := filepath.Join(t.TempDir(), "lossy.json")
@@ -42,7 +43,7 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
 		{"-age", "-5"}, {"-mode", "async", "-age", "-1"}, {"-hier", "-rack-size", "-4"},
-		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},
+		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"}, {"-load", "1e-7"},
 		{"-http", "127.0.0.1:0", "-mode", "bogus"},
 		{"-http", "127.0.0.1:0", "-topology", "bogus"},
 		{"-http", "127.0.0.1:0", "-faults", missing},

@@ -17,17 +17,13 @@ type Calibration struct {
 	PerNodeSample   sim.Duration // drawing one node's value in one sample
 	PerIterOverhead sim.Duration // loop/bookkeeping per sampling iteration
 
-	// Load skew: per-iteration lognormal-ish jitter plus correlated
-	// slow patches (a competing job slowing the node by SlowFactor for
-	// a geometric-length stretch of iterations, mean SlowLen, entered
-	// with probability SlowProb per iteration). Correlated patches are
-	// what let one processor genuinely stray ahead of a stalled peer —
-	// the regime where unbounded asynchrony pays long rollback replays
-	// and Global_Read's age bound earns its keep.
-	JitterStd  float64
-	SlowProb   float64
-	SlowFactor float64
-	SlowLen    float64
+	// Load skew, one step per sampling iteration; the serial and
+	// parallel runners all draw it through Skew.NewJitterer, so they
+	// see the same skew process. Long, rare patches are what let one
+	// processor genuinely stray ahead of a stalled peer: the regime
+	// where unbounded asynchrony pays long rollback replays and
+	// Global_Read's age bound earns its keep.
+	sim.Skew
 }
 
 // DefaultCalibration returns paper-scale constants.
@@ -35,10 +31,7 @@ func DefaultCalibration() Calibration {
 	return Calibration{
 		PerNodeSample:   25 * sim.Microsecond,
 		PerIterOverhead: 25 * sim.Microsecond,
-		JitterStd:       0.15,
-		SlowProb:        0.002,
-		SlowFactor:      2.5,
-		SlowLen:         200,
+		Skew:            sim.Skew{JitterStd: 0.15, SlowProb: 0.002, SlowFactor: 2.5, SlowLen: 200},
 	}
 }
 
@@ -46,37 +39,6 @@ func DefaultCalibration() Calibration {
 // values in one iteration.
 func (c Calibration) IterCost(nodes int) sim.Duration {
 	return sim.Duration(nodes)*c.PerNodeSample + c.PerIterOverhead
-}
-
-// Jitterer draws per-iteration skew factors with patch correlation; one
-// per simulated processor.
-type Jitterer struct {
-	c        Calibration
-	rng      *xrand.Rand
-	slowLeft int
-}
-
-// NewJitterer returns a skew source for one processor. The serial and
-// parallel runners all use it, so they see the same skew process.
-func (c Calibration) NewJitterer(rng *xrand.Rand) *Jitterer {
-	return &Jitterer{c: c, rng: rng}
-}
-
-// Next returns the multiplicative cost factor for the next iteration.
-func (j *Jitterer) Next() float64 {
-	f := 1 + math.Abs(j.rng.NormFloat64())*j.c.JitterStd
-	if j.slowLeft > 0 {
-		j.slowLeft--
-		f *= j.c.SlowFactor
-	} else if j.c.SlowProb > 0 && j.rng.Float64() < j.c.SlowProb {
-		if j.c.SlowLen > 1 {
-			for j.rng.Float64() > 1/j.c.SlowLen {
-				j.slowLeft++
-			}
-		}
-		f *= j.c.SlowFactor
-	}
-	return f
 }
 
 // SerialResult reports a sequential logic-sampling run.

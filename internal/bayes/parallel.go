@@ -284,7 +284,7 @@ type worker struct {
 	batch     int64
 	batchFrom int64
 	replayed  int64
-	jit       *Jitterer
+	jit       *sim.Jitterer
 
 	// Windowed series handles (nil when the run records none).
 	serIters     *tseries.Series

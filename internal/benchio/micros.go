@@ -25,7 +25,7 @@ type NamedMicro struct {
 func StandardMicros() []NamedMicro {
 	return []NamedMicro{
 		{Name: "sim.SleepLoop", Fn: microSleepLoop},
-		{Name: "sim.QueueHold100k", Fn: microQueueHoldCalendar},
+		{Name: "sim.QueueHold100k", Fn: microQueueHold},
 		{Name: "pvm.PingPong", Fn: microPingPong},
 		{Name: "pvm.Bcast1000", Fn: microBcast1000},
 		{Name: "ga.IslandShortRun", Fn: microIslandRun},
@@ -46,11 +46,11 @@ func microSleepLoop(b *testing.B) {
 	}
 }
 
-// microQueueHoldCalendar runs the hold model (steady-state pop-min +
-// reinsert) on the engine's calendar queue at the pending population a
+// microQueueHold runs the hold model (steady-state pop-min + reinsert)
+// on the engine's event queue at the pending population a
 // multi-thousand-node run sustains. sim.HoldBench drives the queue
 // bare, so each op is exactly one pop + one insert.
-func microQueueHoldCalendar(b *testing.B) {
+func microQueueHold(b *testing.B) {
 	b.ReportAllocs()
 	hb := sim.NewHoldBench(100000, 1)
 	b.ResetTimer()

@@ -83,6 +83,7 @@ func TestCheckRules(t *testing.T) {
 		{"negative workers", Flags{Workers: -1}, false, "-workers"},
 		{"unknown mode", single("bogus"), false, "-mode"},
 		{"load above the bus", Flags{Load: 2e7}, false, "-load"},
+		{"load below 1 bit/s", Flags{Load: 1e-7}, false, "-load"},
 		{"load within the switch", Flags{Load: 2e7, Switch: true}, false, ""},
 		{"missing plan", Flags{Faults: filepath.Join(dir, "missing.json")}, false, "-faults"},
 		{"plan that only delays", Flags{Faults: delay}, true, ""},

@@ -78,7 +78,8 @@ type Spec struct {
 	PVM *pvm.Config
 	// LoaderBps, if positive, runs the background network loader at
 	// this offered bit rate on two extra fabric nodes (§5.2). It may not
-	// exceed the rate of the link the loader sends on, nor 1 Gbit/s.
+	// be below 1 bit/s, nor exceed the rate of the link the loader sends
+	// on, nor 1 Gbit/s.
 	LoaderBps float64
 	Options
 }
@@ -90,10 +91,12 @@ const maxLoaderBps = 1e9
 
 // Validate reports the first setting of s no cluster can run: a fabric
 // config that fails its own Validate, a negative read timeout, or a
-// loader rate outside [0, 1 Gbit/s] or above the rate of its link. The
-// loader is one host on the fabric, so it cannot offer more than its
-// link carries: a rack bus on the rack/spine fabric, its switch link,
-// or the bus.
+// loader rate other than 0 outside [1 bit/s, 1 Gbit/s] or above the
+// rate of its link. The loader is one host on the fabric, so it cannot
+// offer more than its link carries: a rack bus on the rack/spine
+// fabric, its switch link, or the bus. Below 1 bit/s, the floor of
+// every link rate, the loader's send interval overflows the engine's
+// clock and it sends at one virtual instant forever.
 func (s Spec) Validate() error {
 	var err error
 	link := netsim.DefaultConfig().BandwidthBps
@@ -108,8 +111,8 @@ func (s Spec) Validate() error {
 	switch {
 	case err != nil:
 		return err
-	case !(s.LoaderBps >= 0 && s.LoaderBps <= math.Min(link, maxLoaderBps)):
-		return fmt.Errorf("cluster: loader rate %v bit/s is outside [0, %g], its link's rate capped at 1 Gbit/s",
+	case s.LoaderBps != 0 && !(s.LoaderBps >= 1 && s.LoaderBps <= math.Min(link, maxLoaderBps)):
+		return fmt.Errorf("cluster: loader rate %v bit/s is neither 0 nor in [1, %g], its link's rate capped at 1 Gbit/s",
 			s.LoaderBps, math.Min(link, maxLoaderBps))
 	case s.ReadTimeout < 0:
 		return fmt.Errorf("cluster: read timeout %v is negative", s.ReadTimeout)

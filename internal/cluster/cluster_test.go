@@ -76,6 +76,7 @@ func FuzzBuild(f *testing.F) {
 		func(s *seed) { s.fabric, s.rackSize, s.uplinkBps = 2, 0, 1e8 },
 		func(s *seed) { s.fabric, s.rackSize, s.uplinkBps = 2, 4, 1e-300 },
 		func(s *seed) { s.fabric, s.rackSize, s.uplinkBps, s.spine = 2, 4, 1e8, math.MaxInt64 },
+		func(s *seed) { s.loadBps = 1e-300 },
 	} {
 		s := bus
 		edit(&s)

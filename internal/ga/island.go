@@ -232,7 +232,7 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 				node.Register(locs[j])
 			}
 			deme := newDeme(cfg.Fn, cfg.Par, task.Proc().Rng())
-			jit := NewJitterer(cfg.Calib, task.Proc().Rng())
+			jit := cfg.Calib.NewJitterer(task.Proc().Rng())
 			age := cfg.Age
 			var lastBlocked int64
 			// Migration scratch, reused every round: the incoming pool

@@ -251,12 +251,14 @@ func TestCalibrationCosts(t *testing.T) {
 
 func TestJitterDistribution(t *testing.T) {
 	c := DefaultCalibration()
-	jit := NewJitterer(c, testDeme(t, functions.F1, 1).rng)
+	jit := c.NewJitterer(testDeme(t, functions.F1, 1).rng)
 	minF, maxF := 100.0, 0.0
 	patchGens := 0
 	for i := 0; i < 3000; i++ {
+		// Outside a patch f reaches SlowFactor only past 10 standard
+		// deviations of jitter.
 		f := jit.Next()
-		if jit.InSlowPatch() {
+		if f >= c.SlowFactor {
 			patchGens++
 		}
 		if f < minF {

@@ -26,7 +26,7 @@ func RunSerial(fn *functions.Function, par Params, totalPop int, gens int64, see
 	par.N = totalPop
 	rng := xrand.New(seed)
 	d := newDeme(fn, par, rng)
-	jit := NewJitterer(calib, rng)
+	jit := calib.NewJitterer(rng)
 
 	var elapsed sim.Duration
 	for g := int64(0); g < gens; g++ {

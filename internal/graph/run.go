@@ -401,7 +401,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 			// it is with residual 0 and frontier 0, so the call is
 			// skipped.
 			changed := true
-			jit := newJitterer(cfg.Calib, task.Proc().Rng())
+			jit := cfg.Calib.NewJitterer(task.Proc().Rng())
 			stepCost := cfg.Calib.StepCost(hi-lo, int(g.InOff[hi]-g.InOff[lo])).Seconds()
 			done := false
 			var own ctrlMsg // partition 0's own report, folded in place
@@ -520,7 +520,7 @@ func (pl *Plan) Run(cfg Config) (Result, error) {
 						payload = nil
 					}
 				}
-				task.Compute(sim.DurationOf(stepCost * jit.next()))
+				task.Compute(sim.DurationOf(stepCost * jit.Next()))
 
 				if p == 0 {
 					own.Iter, own.Residual, own.Frontier, own.Seen = iter, residual, frontier, seen

@@ -109,3 +109,45 @@ func BenchmarkHandoffRing(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEventQueueHold runs the hold model (steady-state pop-min +
+// reinsert at a later time) on the event queue at fixed pending
+// populations. The 10⁵ case is the sim.QueueHold100k micro.
+func BenchmarkEventQueueHold(b *testing.B) {
+	for _, pending := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			b.ReportAllocs()
+			hb := NewHoldBench(pending, 1)
+			b.ResetTimer()
+			hb.Ops(b.N)
+		})
+	}
+}
+
+// BenchmarkDistinctSleepers runs n processes that each sleep their own
+// distinct duration in 1.000–1.999 µs, over and over; one op is one
+// sleep, that is one event popped and one process resumed. The n
+// pending wakes span a microsecond and overtake each other all the
+// time, so nearly every insert lands deep inside the queue's order.
+func BenchmarkDistinctSleepers(b *testing.B) {
+	for _, n := range []int{16, 1000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			eng := NewEngine(1)
+			steps := 0
+			for i := 0; i < n; i++ {
+				d := Microsecond + Duration(i)*Microsecond/Duration(n)
+				eng.Spawn("sleeper", func(p *Proc) {
+					for steps < b.N {
+						steps++
+						p.Sleep(d)
+					}
+				})
+			}
+			b.ResetTimer()
+			if err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

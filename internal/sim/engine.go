@@ -17,7 +17,7 @@ import (
 type Engine struct {
 	now   Time
 	seq   uint64
-	q     calQueue
+	q     eventQueue
 	free  []*event // recycled event objects (see event's doc comment)
 	seed  int64
 	procs []*Proc
@@ -60,12 +60,10 @@ func (e *Engine) Stop() { e.stopReq = true }
 // NewEngine returns an engine whose clock starts at zero. All randomness
 // used by processes derives from seed, so equal seeds give equal runs.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{
+	return &Engine{
 		seed: seed,
 		free: make([]*event, 0, 128),
 	}
-	e.q.init()
-	return e
 }
 
 // Now returns the current virtual time.
@@ -114,7 +112,7 @@ func (e *Engine) push(at Time) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.eng, ev.inq = at, e.seq, e, true
+	ev.at, ev.seq, ev.eng = at, e.seq, e
 	e.seq++
 	e.q.insert(ev)
 	return ev
@@ -220,7 +218,6 @@ func (e *Engine) next(self *Proc) (due *Proc) {
 			break
 		}
 		ev := e.q.pop()
-		ev.inq = false
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}

@@ -21,12 +21,12 @@ type event struct {
 	// the same trick proc plays for process resumptions.
 	runner Runner
 	// eng is the owning engine, set once when the event object is first
-	// allocated; Cancel reaches the calendar queue through it.
+	// allocated; Cancel reaches the event queue through it.
 	eng *Engine
-	// inq is true while the event sits in the calendar queue. Pop and
-	// Cancel clear it, so a cancel can tell a pending event from one
-	// that already fired and must not be touched.
-	inq bool
+	// idx is the event's index in the event queue, or -1 once it has
+	// left it. Pop and Cancel set -1, so a cancel can tell a pending
+	// event from one that already fired and must not be touched.
+	idx int
 }
 
 // Runner is a schedulable callback object. Storing a pointer in the
@@ -54,10 +54,9 @@ type EventHandle struct {
 // queue grow with the cancel rate instead of the pending population.
 func (h EventHandle) Cancel() {
 	ev := h.ev
-	if ev == nil || ev.seq != h.seq || !ev.inq {
+	if ev == nil || ev.seq != h.seq || ev.idx < 0 {
 		return
 	}
-	ev.inq = false
 	ev.eng.q.remove(ev)
 	ev.eng.recycle(ev)
 }

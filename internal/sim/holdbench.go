@@ -3,13 +3,12 @@ package sim
 import "math/rand"
 
 // This file exports the hold-model queue exerciser that backs the
-// sim.QueueHold100k entry in BENCH_*.json snapshots. The calendar queue
-// is an internal engine detail, so internal/benchio cannot drive it
-// directly, and routing it through the full engine would charge the
-// queue for the engine loop around it. The exerciser performs exactly
-// one pop-min + one reinsert per op and nothing else, mirroring the
-// calendar half of BenchmarkEventQueueHold in queue_bench_test.go,
-// which also measures the pre-calendar binary heap on the same model.
+// sim.QueueHold100k entry in BENCH_*.json snapshots and
+// BenchmarkEventQueueHold. The event queue is an internal engine
+// detail, so internal/benchio cannot drive it directly, and routing it
+// through the full engine would charge the queue for the engine loop
+// around it. The exerciser performs exactly one pop-min + one reinsert
+// per op and nothing else.
 
 // benchGap draws the classic hold-model inter-event gap: mostly dense
 // traffic with a heavy tail of far-out timers, mirroring what a large
@@ -21,20 +20,19 @@ func benchGap(rng *rand.Rand) Time {
 	return Time(rng.Int63n(int64(100 * Microsecond))) // frame/wake scale
 }
 
-// HoldBench drives the engine's calendar queue under the hold model
+// HoldBench drives the engine's event queue under the hold model
 // (steady-state pop-min + reinsert at a later time) at a fixed pending
 // population.
 type HoldBench struct {
-	q   calQueue
+	q   eventQueue
 	rng *rand.Rand
 	seq uint64
 }
 
-// NewHoldBench preloads a calendar queue with `pending` events whose
+// NewHoldBench preloads an event queue with `pending` events whose
 // firing times follow the hold-model gap distribution.
 func NewHoldBench(pending int, seed int64) *HoldBench {
 	hb := &HoldBench{rng: rand.New(rand.NewSource(seed))}
-	hb.q.init()
 	for i := 0; i < pending; i++ {
 		hb.q.insert(&event{at: benchGap(hb.rng), seq: hb.seq})
 		hb.seq++
