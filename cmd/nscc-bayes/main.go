@@ -33,7 +33,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cli.ExitIf(checkRun(*procs, *maxIt, *algo), 2)
+	cli.ExitIf(checkRun(*procs, *maxIt, *prec, *batch, *algo), 2)
 	// Only the -mode run runs: async runs and timed reads go on without
 	// a lost message.
 	cli.ExitIf(f.Check(false), 2)
@@ -112,12 +112,18 @@ func main() {
 
 // checkRun rejects values of nscc-bayes's own flags no run can use,
 // before anything runs.
-func checkRun(procs int, maxIters int64, algo string) error {
+func checkRun(procs int, maxIters int64, prec float64, batch int64, algo string) error {
 	switch {
 	case procs < 1:
 		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case maxIters < 1:
 		return fmt.Errorf("-maxiters %d: want at least 1 iteration", maxIters)
+	case !(prec > 0):
+		// NaN or at most 0: no run ever gets that precise, so each would
+		// only stop at -maxiters.
+		return fmt.Errorf("-prec %v: want a half-width above 0", prec)
+	case batch < 0:
+		return fmt.Errorf("-batch %d: want 0 (the mode's default) or more iterations", batch)
 	case algo != "ls" && algo != "lw":
 		return fmt.Errorf("-algo %q: want ls or lw", algo)
 	}

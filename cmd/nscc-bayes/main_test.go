@@ -27,8 +27,10 @@ func TestMain(m *testing.M) {
 // TestBadRunFlagsExitTwo checks that a flag value no run can use is one
 // line on stderr and exit status 2, before the serial reference runs or
 // prints: a negative -age (not a parallel run that deadlocks waiting for
-// an iteration no writer reaches), a -procs or -maxiters below 1, an
-// unknown -mode or -algo, an unreadable -faults file, a negative
+// an iteration no writer reaches), a -procs or -maxiters below 1, a
+// -prec that is NaN or not above 0 (not a run to the iteration cap), a
+// negative -batch (not a run at the mode's default), an unknown -mode
+// or -algo, an unreadable -faults file, a negative
 // -read-timeout or -load (not a run that waits forever or runs
 // unloaded), and a -load above the bus's 10 Mbit/s. An unknown -algo prints nothing even when checked late, so
 // its case also asks for the live status page, whose start line on
@@ -45,6 +47,8 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-age", "-5"}, {"-mode", "sync", "-age", "-1"},
 		{"-procs", "0"}, {"-procs", "-2", "-mode", "async"},
 		{"-maxiters", "0"}, {"-maxiters", "-7"},
+		{"-prec", "NaN", "-maxiters", "500"}, {"-prec", "0"}, {"-prec", "-1"},
+		{"-batch", "-3", "-mode", "async"},
 		{"-mode", "bogus"}, {"-algo", "bogus", "-http", "127.0.0.1:0"},
 		{"-faults", "no-such-plan.json"},
 		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"},

@@ -25,7 +25,7 @@ func Exact(bn *Network, q Query) float64 {
 			}
 			return
 		}
-		dist := l.dist(i, l.comboIndex(i, values))
+		dist := l.dist(i, l.combo(i, values))
 		for s, p := range dist {
 			if p == 0 {
 				continue

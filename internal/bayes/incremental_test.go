@@ -44,10 +44,9 @@ func TestIncrementalCountMatchesRecount(t *testing.T) {
 		row[2] = int8(rng.Intn(2))
 	}
 	appendIter := func() {
-		row := w.newLogRow()
-		randRow(row)
-		w.log = append(w.log, row)
-		it := int64(len(w.log)) - 1
+		randRow(w.newLogRow())
+		w.logLen++
+		it := w.logLen - 1
 		for q := 1; q < w.cfg.P; q++ {
 			// Leave occasional gaps so the watermark lags the log.
 			if rng.Float64() < 0.9 {
@@ -73,11 +72,11 @@ func TestIncrementalCountMatchesRecount(t *testing.T) {
 				w.setEvBit(q, w.evKnown[q], rng.Float64() < 0.7)
 			}
 		case 2: // local repair: rewrite a logged row in place
-			if n := int64(len(w.log)); n > 0 {
+			if n := w.logLen; n > 0 {
 				d := rng.Int63n(n)
-				w.rowScratch = append(w.rowScratch[:0], w.log[d]...)
+				w.rowScratch = append(w.rowScratch[:0], w.row(d)...)
 				old := w.rowScratch
-				randRow(w.log[d])
+				randRow(w.row(d))
 				if d < w.cntWM {
 					w.recountRepair(d, old)
 				}
@@ -106,10 +105,10 @@ func TestFinalWatermarkMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	last := int64(0)
 	for i := 0; i < 500; i++ {
-		row := w.newLogRow()
-		w.log = append(w.log, row)
+		w.newLogRow()
+		w.logLen++
 		for q := 1; q < w.cfg.P; q++ {
-			it := rng.Int63n(int64(len(w.log)))
+			it := rng.Int63n(w.logLen)
 			w.setEvBit(q, it, true)
 		}
 		wm := w.finalWatermark()

@@ -114,31 +114,6 @@ func (bn *Network) Validate() error {
 	return nil
 }
 
-// drawFrom samples a state from dist using u in [0,1).
-func drawFrom(dist []float64, u float64) int {
-	acc := 0.0
-	for s, p := range dist {
-		acc += p
-		if u < acc {
-			return s
-		}
-	}
-	return len(dist) - 1
-}
-
-// hashUniform maps (seed, node, iter, combo) to a uniform in [0,1) with
-// a SplitMix64-style mix.
-func hashUniform(seed, node, iter, combo int64) float64 {
-	z := uint64(seed)
-	for _, v := range [...]uint64{uint64(node), uint64(iter), uint64(combo)} {
-		z += (v + 0x9E3779B97F4A7C15)
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-	}
-	return float64(z>>11) / float64(uint64(1)<<53)
-}
-
 // Defaults returns each node's default value for the asynchronous
 // gambling scheme: the most probable state of the node's marginal
 // distribution, estimated by nSamples forward samples (§3.2 picks

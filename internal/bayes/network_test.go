@@ -60,11 +60,11 @@ func TestComboIndex(t *testing.T) {
 	l := newLUT(Figure1(), Query{})
 	vals := make([]int, 5)
 	vals[1], vals[2] = 1, 0 // B=true, C=false
-	if got := l.comboIndex(3, vals); got != 2 {
+	if got := l.combo(3, vals); got != 2 {
 		t.Fatalf("combo(B=t,C=f) = %d, want 2", got)
 	}
 	vals[1], vals[2] = 1, 1
-	if got := l.comboIndex(3, vals); got != 3 {
+	if got := l.combo(3, vals); got != 3 {
 		t.Fatalf("combo(B=t,C=t) = %d, want 3", got)
 	}
 }
@@ -90,8 +90,8 @@ func TestSampleNodeAtDeterministic(t *testing.T) {
 	l := newLUT(Figure1(), Query{})
 	vals := make([]int, 5)
 	vals[1], vals[2] = 1, 1
-	a := l.sampleNodeAt(3, 42, vals, 7)
-	b := l.sampleNodeAt(3, 42, vals, 7)
+	a := l.drawAt(3, 42, vals, 7)
+	b := l.drawAt(3, 42, vals, 7)
 	if a != b {
 		t.Fatal("same (node, iter, parents, seed) gave different draws")
 	}
@@ -100,7 +100,7 @@ func TestSampleNodeAtDeterministic(t *testing.T) {
 	hits := 0
 	const n = 20000
 	for it := int64(0); it < n; it++ {
-		hits += l.sampleNodeAt(3, it, vals, 7)
+		hits += l.drawAt(3, it, vals, 7)
 	}
 	p := float64(hits) / n
 	if math.Abs(p-0.80) > 0.01 {
@@ -114,7 +114,7 @@ func TestSampleNodeAtParentSensitivity(t *testing.T) {
 	valsFF := []int{0, 0, 0, 0, 0}
 	same := 0
 	for it := int64(0); it < 200; it++ {
-		if l.sampleNodeAt(3, it, valsTT, 7) == l.sampleNodeAt(3, it, valsFF, 7) {
+		if l.drawAt(3, it, valsTT, 7) == l.drawAt(3, it, valsFF, 7) {
 			same++
 		}
 	}

@@ -35,32 +35,6 @@ const (
 // ever blocks on its locations again.
 const sentinelIter int64 = 1 << 60
 
-// ifaceBundle is one partition's interface message.
-//
-// In the asynchronous and Global_Read modes it carries the values the
-// sender's interface nodes took over a *batch* of consecutive
-// iterations (FirstIter .. FirstIter+len(Values)-1) plus the sender's
-// evidence-match bit for each — batching several iterations into one
-// message is the coalescing that asynchronous memory affords (§1, §2.1).
-// With Anti set it is a single-iteration antimessage retracting the
-// previously sent values of Nodes for the stamped iteration (§3.2).
-//
-// In the synchronous mode it carries one phase's interface values for
-// one iteration (Phase >= 0), and the location stamp encodes
-// (iteration, phase) so receivers can block for exactly the data the
-// topological wave requires.
-type ifaceBundle struct {
-	Part      int
-	Anti      bool
-	Phase     int // -1 for async/GR bundles
-	Nodes     []int
-	FirstIter int64
-	Values    [][]int8 // one row per covered iteration
-	EvOK      []bool   // one entry per covered iteration
-}
-
-func bundleBytes(nodes, rows int) int { return 16 + rows*(6*nodes+1) }
-
 // ParallelConfig describes one parallel logic-sampling run.
 type ParallelConfig struct {
 	Net       *Network
@@ -262,23 +236,29 @@ type worker struct {
 	store *rollback.Store
 
 	defaults []int
-	owned    []int // node ids owned by this partition (topological order)
-	pos      []int // node id -> index in owned; -1 for foreign nodes
-	evNodes  []int // evidence nodes owned by this partition
+	owned    []int  // node ids owned by this partition (topological order)
+	pos      []int  // node id -> index in owned; -1 for foreign nodes
+	evNodes  []int  // evidence nodes owned by this partition
+	steps    []step // owned nodes' compiled draws, in owned order (the plan's)
 
 	targets []int // partitions we send bundles to
 	sources []int // partitions we receive bundles from
+	others  []int // every partition but this one (the sync verdict's readers)
 	// tgtPhase[ti][ph]: the interface nodes sent to targets[ti] in sync
-	// phase ph (precomputed so syncIteration builds no per-phase lists).
-	tgtPhase [][][]int
+	// phase ph, and phaseSteps[ph] the indices into steps of the
+	// phase-ph nodes (precomputed so syncIteration builds no
+	// per-phase lists).
+	tgtPhase   [][][]int
+	phaseSteps [][]int
 
-	scratch []int
-	log     [][]int8
-	// logArena backs the log rows in logChunk-row slabs so the steady
-	// sampling loop allocates one slab per chunk instead of one slice
-	// per iteration. Rows are full-slice expressions into the arena and
-	// are repaired in place by rollbacks like any other row.
-	logArena   []int8
+	bundles bundlePool // this partition's recycled interface bundles
+
+	// The sample log: row t (see row) holds iteration t's owned values
+	// in owned order, and logLen rows have been sampled. Rows live in
+	// slabs of logChunk rows, so the log grows by one slab per chunk
+	// and no row ever moves; rollbacks repair rows in place.
+	logSlabs   [][]int8
+	logLen     int64
 	rowScratch []int8 // pre-repair copy buffer for handleRollbacks
 
 	batch     int64
@@ -306,18 +286,23 @@ type worker struct {
 	cntHits int64
 }
 
-// logChunk is how many sample rows share one log-arena slab.
+// logChunk is how many sample rows share one log slab.
 const logChunk = 256
 
-// newLogRow returns a zeroed sample row carved from the log arena.
-func (w *worker) newLogRow() []int8 {
+// row returns iteration t's sample row.
+func (w *worker) row(t int64) []int8 {
 	n := len(w.owned)
-	if len(w.logArena)+n > cap(w.logArena) {
-		w.logArena = make([]int8, 0, logChunk*n)
+	off := int(t%logChunk) * n
+	return w.logSlabs[t/logChunk][off : off+n : off+n]
+}
+
+// newLogRow returns the zeroed row of iteration logLen, the next to be
+// sampled; it joins the log when the caller increments logLen.
+func (w *worker) newLogRow() []int8 {
+	if w.logLen/logChunk == int64(len(w.logSlabs)) {
+		w.logSlabs = append(w.logSlabs, make([]int8, logChunk*len(w.owned)))
 	}
-	off := len(w.logArena)
-	w.logArena = w.logArena[:off+n]
-	return w.logArena[off : off+n : off+n]
+	return w.row(w.logLen)
 }
 
 // Plan is the set-up that every run of one network, query, processor
@@ -337,6 +322,49 @@ type Plan struct {
 	topo     *topology
 	lut      *lut
 	defaults []int
+	steps    [][]step // per partition: its nodes' compiled draws
+}
+
+// step is one owned node's compiled draw in its partition's sample row:
+// the node's running-sum rows, the (seed, node) round of its hash, and
+// where each parent's state comes from.
+type step struct {
+	node   int
+	states int
+	key    uint64    // nodeKey(seed, node)
+	cum    []float64 // the node's running-sum rows (aliases the plan's lut)
+	slots  []slot    // one per parent, in Parents order
+}
+
+// slot is where a step reads one parent's state: the sample row at
+// position at for a parent its partition owns, or the rollback ledger
+// for the remote node ^at (at < 0). stride is the parent's row-index
+// weight.
+type slot struct {
+	at     int
+	stride int
+}
+
+// compileSteps lays out each partition's steps, its nodes in
+// topological order (which is also their order in its sample rows).
+func compileSteps(l *lut, parts []int, p int, seed int64) [][]step {
+	steps := make([][]step, p)
+	pos := make([]int, len(parts))
+	for u, q := range parts {
+		pos[u] = len(steps[q])
+		slots := make([]slot, len(l.parents[u]))
+		for k, pa := range l.parents[u] {
+			slots[k] = slot{at: ^pa, stride: l.strides[u][k]}
+			if parts[pa] == q {
+				slots[k].at = pos[pa]
+			}
+		}
+		steps[q] = append(steps[q], step{
+			node: u, states: l.states[u], key: nodeKey(seed, u),
+			cum: l.cum[u], slots: slots,
+		})
+	}
+	return steps
 }
 
 // NewPlan partitions net into p parts for runs of query q at seed and
@@ -348,13 +376,17 @@ func NewPlan(net *Network, q Query, p int, seed int64) (*Plan, error) {
 		return nil, errors.New("bayes: NewPlan needs a network")
 	case p < 1:
 		return nil, fmt.Errorf("bayes: NewPlan needs at least 1 processor, have %d", p)
+	case net.MaxStates() > math.MaxInt8:
+		// Sample rows, interface bundles and the rollback ledger hold a
+		// state in an int8.
+		return nil, fmt.Errorf("bayes: NewPlan takes nodes of at most %d states, have %d", math.MaxInt8, net.MaxStates())
 	}
 	q.Evidence = maps.Clone(q.Evidence)
+	topo, l := buildTopology(net, q, p, seed), newLUT(net, q)
 	return &Plan{
-		net: net, query: q, p: p, seed: seed,
-		topo:     buildTopology(net, q, p, seed),
-		lut:      newLUT(net, q),
+		net: net, query: q, p: p, seed: seed, topo: topo, lut: l,
 		defaults: net.Defaults(2000, seed^0x5eed),
+		steps:    compileSteps(l, topo.parts, p, seed),
 	}, nil
 }
 
@@ -376,21 +408,34 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 // gives. cfg's Net, Query, P and Seed must be the plan's; a mismatch,
 // like any other impossible config, comes back as an error.
 func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
+	res, _, err := pl.run(cfg)
+	return res, err
+}
+
+// run is Run, also returning the partitions' workers as the run left
+// them.
+func (pl *Plan) run(cfg ParallelConfig) (ParallelResult, []*worker, error) {
 	bn := cfg.Net
 	switch {
 	case bn != pl.net:
-		return ParallelResult{}, errors.New("bayes: Run config names another network than its plan")
+		return ParallelResult{}, nil, errors.New("bayes: Run config names another network than its plan")
 	case cfg.P != pl.p:
-		return ParallelResult{}, fmt.Errorf("bayes: Run config has P=%d, its plan %d", cfg.P, pl.p)
+		return ParallelResult{}, nil, fmt.Errorf("bayes: Run config has P=%d, its plan %d", cfg.P, pl.p)
 	case cfg.Seed != pl.seed:
-		return ParallelResult{}, fmt.Errorf("bayes: Run config has seed %d, its plan %d", cfg.Seed, pl.seed)
+		return ParallelResult{}, nil, fmt.Errorf("bayes: Run config has seed %d, its plan %d", cfg.Seed, pl.seed)
 	case cfg.Query.Node != pl.query.Node || cfg.Query.State != pl.query.State ||
 		!maps.Equal(cfg.Query.Evidence, pl.query.Evidence):
-		return ParallelResult{}, errors.New("bayes: Run config asks another query than its plan")
+		return ParallelResult{}, nil, errors.New("bayes: Run config asks another query than its plan")
 	case cfg.MaxIters <= 0:
-		return ParallelResult{}, fmt.Errorf("bayes: Run needs MaxIters > 0, have %d", cfg.MaxIters)
+		return ParallelResult{}, nil, fmt.Errorf("bayes: Run needs MaxIters > 0, have %d", cfg.MaxIters)
+	case !(cfg.Precision > 0):
+		// NaN or at most 0: no confidence interval is ever that narrow,
+		// so the run could only stop at MaxIters.
+		return ParallelResult{}, nil, fmt.Errorf("bayes: Run needs Precision > 0, have %v", cfg.Precision)
+	case cfg.Batch < 0:
+		return ParallelResult{}, nil, fmt.Errorf("bayes: Run needs Batch >= 0 (0 picks the mode's default), have %d", cfg.Batch)
 	case cfg.Mode == core.NonStrict && cfg.Age < 0:
-		return ParallelResult{}, fmt.Errorf("bayes: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
+		return ParallelResult{}, nil, fmt.Errorf("bayes: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
 
 	cl, err := cluster.Build(cluster.Spec{
@@ -398,7 +443,7 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 		PVM: cfg.PVM, LoaderBps: cfg.LoaderBps, Options: cfg.Options,
 	})
 	if err != nil {
-		return ParallelResult{}, err
+		return ParallelResult{}, nil, err
 	}
 
 	topo, flat, defaults := pl.topo, pl.lut, pl.defaults
@@ -436,7 +481,7 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 			store:    rollback.NewStore(),
 			defaults: defaults,
 			pos:      make([]int, bn.N()),
-			scratch:  make([]int, bn.N()),
+			steps:    pl.steps[p],
 			coord:    p == topo.coordinator,
 
 			serIters:     cfg.Series.Counter("bayes.iters"),
@@ -458,6 +503,9 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 			if _, ok := topo.bundleLocs[src][p]; ok {
 				w.sources = append(w.sources, src)
 			}
+			if src != p {
+				w.others = append(w.others, src)
+			}
 		}
 		//nscc:maporder -- sortInts below launders the iteration order
 		for dst := range topo.bundleLocs[p] {
@@ -474,6 +522,11 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 					byPhase[ph] = append(byPhase[ph], u)
 				}
 				w.tgtPhase[ti] = byPhase
+			}
+			w.phaseSteps = make([][]int, topo.numPhases)
+			for k, st := range w.steps {
+				ph := topo.phases[st.node]
+				w.phaseSteps[ph] = append(w.phaseSteps[ph], k)
 			}
 		}
 		if w.coord {
@@ -508,10 +561,10 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 
 	res.Stats, err = cl.Run(cfg.Mode, cfg.Age)
 	if err != nil {
-		return res, err
+		return res, workers, err
 	}
 	cw := workers[topo.coordinator]
-	res.Iters = int64(len(cw.log))
+	res.Iters = cw.logLen
 	res.ReachedPrecision = cw.stopped
 	hits, acc := cw.countUpTo(cw.finalWatermark())
 	res.Accepted = acc
@@ -519,7 +572,7 @@ func (pl *Plan) Run(cfg ParallelConfig) (ParallelResult, error) {
 		res.Prob = float64(hits) / float64(acc)
 		res.HalfWidth = metrics.ProportionCI90HalfWidth(res.Prob, int(acc))
 	}
-	return res, nil
+	return res, workers, nil
 }
 
 func sortInts(xs []int) {
@@ -536,6 +589,9 @@ func (w *worker) observe(locID int, u core.Update) {
 	b, ok := u.Value.(*ifaceBundle)
 	if !ok || b == nil {
 		return // progress beacon or exit sentinel
+	}
+	if poisonReleased && b.refs <= 0 {
+		panic("bayes: a partition observed an interface bundle after its release")
 	}
 	if b.Anti {
 		for _, n := range b.Nodes {
@@ -582,7 +638,7 @@ func (w *worker) setEvBit(part int, iter int64, ok bool) {
 			return
 		}
 	}
-	hit := int(w.log[iter][w.pos[w.cfg.Query.Node]]) == w.cfg.Query.State
+	hit := int(w.row(iter)[w.pos[w.cfg.Query.Node]]) == w.cfg.Query.State
 	if ob == 1 {
 		w.cntAcc--
 		if hit {
@@ -629,8 +685,7 @@ func (w *worker) run(onExit func()) {
 			}
 			w.handleRollbacks()
 			iterStart := w.task.Now()
-			sample := w.sampleIter(t)
-			w.log = append(w.log, sample)
+			w.sampleIter(t)
 			w.serIters.Add(w.task.Now(), 1)
 			w.task.Compute(sim.DurationOf(
 				cfg.Calib.IterCost(len(w.owned)).Seconds() * w.jit.Next()))
@@ -690,47 +745,32 @@ func (w *worker) syncIteration(t int64) {
 				w.node.GlobalRead(topo.bundleLocs[src][w.p], topo.syncStamp(t, ph-1), 0)
 			}
 		}
-		nodes := 0
-		for _, u := range w.owned {
-			if topo.phases[u] != ph {
-				continue
-			}
-			nodes++
-			for _, pa := range w.lut.parents[u] {
-				if topo.parts[pa] == w.p {
-					w.scratch[pa] = int(out[w.pos[pa]])
-				} else {
-					v, _ := w.store.Consume(pa, t, w.defaults[pa])
-					w.scratch[pa] = v
-				}
-			}
-			v := w.lut.sampleNodeAt(u, t, w.scratch, w.cfg.Seed)
-			w.scratch[u] = v
-			out[w.pos[u]] = int8(v)
+		ks := w.phaseSteps[ph]
+		for _, k := range ks {
+			out[k] = w.draw(&w.steps[k], t, out)
 		}
-		if nodes > 0 {
+		if len(ks) > 0 {
 			w.task.Compute(sim.DurationOf(
-				w.cfg.Calib.IterCost(nodes).Seconds() * w.jit.Next()))
+				w.cfg.Calib.IterCost(len(ks)).Seconds() * w.jit.Next()))
 		}
 		// Publish this phase's interface values (plus, on the final
 		// phase, the evidence bit) to every target. Every pair
 		// exchanges every phase so the phase stamps stay in lockstep.
+		last := ph == topo.numPhases-1
 		for ti, dst := range w.targets {
 			phNodes := w.tgtPhase[ti][ph]
-			b := &ifaceBundle{Part: w.p, Phase: ph, FirstIter: t, Nodes: phNodes}
-			row := make([]int8, len(phNodes))
+			b := w.bundles.get(w.p, ph, phNodes, t, 1, last)
 			for k, u := range phNodes {
-				row[k] = out[w.pos[u]]
+				b.Values[0][k] = out[w.pos[u]]
 			}
-			b.Values = [][]int8{row}
-			if ph == topo.numPhases-1 {
-				b.EvOK = []bool{w.evidenceOKFor(out)}
+			if last {
+				b.EvOK[0] = w.evidenceOKFor(out)
 			}
 			w.node.WriteSized(topo.bundleLocs[w.p][dst], topo.syncStamp(t, ph),
 				bundleBytes(len(b.Nodes), 1), b)
 		}
 	}
-	w.log = append(w.log, out)
+	w.logLen++
 	w.serIters.Add(w.task.Now(), 1)
 }
 
@@ -758,13 +798,7 @@ func (w *worker) syncBarrier(t int64) bool {
 			stop = true
 			w.stopped = true
 		}
-		others := make([]int, 0, w.cfg.P-1)
-		for q := 0; q < w.cfg.P; q++ {
-			if q != w.p {
-				others = append(others, q)
-			}
-		}
-		w.task.Multicast(others, verdictTag, verdictMsgSize, stop, nil)
+		w.task.Multicast(w.others, verdictTag, verdictMsgSize, stop, nil)
 		return stop
 	}
 	w.task.Send(coordPart, arriveTag, arriveMsgSize, nil)
@@ -776,7 +810,7 @@ func (w *worker) syncBarrier(t int64) bool {
 // writes, so no blocked peer waits forever, then reports exit.
 func (w *worker) finish(onExit func()) {
 	if w.cfg.Mode != core.Sync {
-		w.flushBatch(int64(len(w.log)) - 1)
+		w.flushBatch(w.logLen - 1)
 	}
 	for _, dst := range w.targets {
 		w.node.Write(w.topo.bundleLocs[w.p][dst], sentinelIter, nil)
@@ -786,33 +820,40 @@ func (w *worker) finish(onExit func()) {
 }
 
 // sampleIter draws this partition's nodes for iteration t in the
-// asynchronous modes. With general partitions the peers mutually need
-// each other's current-iteration interface values, so those are almost
-// always gambles on the defaults, repaired by rollback when the actuals
-// arrive (§3.2).
-func (w *worker) sampleIter(t int64) []int8 {
-	out := w.newLogRow()
-	w.fillSample(t, out)
-	return out
+// asynchronous modes into a new log row. With general partitions the
+// peers mutually need each other's current-iteration interface values,
+// so those are almost always gambles on the defaults, repaired by
+// rollback when the actuals arrive (§3.2).
+func (w *worker) sampleIter(t int64) {
+	w.fillSample(t, w.newLogRow())
+	w.logLen++
 }
 
 // fillSample computes owned values for iteration t into out; used both
 // for fresh samples and rollback replays.
 func (w *worker) fillSample(t int64, out []int8) {
-	parts, pos, scratch := w.topo.parts, w.pos, w.scratch
-	for _, u := range w.owned {
-		for _, pa := range w.lut.parents[u] {
-			if parts[pa] == w.p {
-				scratch[pa] = int(out[pos[pa]])
-			} else {
-				v, _ := w.store.Consume(pa, t, w.defaults[pa])
-				scratch[pa] = v
-			}
-		}
-		v := w.lut.sampleNodeAt(u, t, scratch, w.cfg.Seed)
-		scratch[u] = v
-		out[pos[u]] = int8(v)
+	for k := range w.steps {
+		out[k] = w.draw(&w.steps[k], t, out)
 	}
+}
+
+// draw returns st's node's state in iteration t, reading its local
+// parents from out and consuming its remote ones from the ledger, each
+// in Parents order. The draw is replayable: the same iteration and
+// parent states give the same state.
+func (w *worker) draw(st *step, t int64, out []int8) int8 {
+	combo := 0
+	for _, sl := range st.slots {
+		var v int
+		if sl.at >= 0 {
+			v = int(out[sl.at])
+		} else {
+			n := ^sl.at
+			v, _ = w.store.Consume(n, t, w.defaults[n])
+		}
+		combo += v * sl.stride
+	}
+	return int8(drawRow(st.cum, st.states, combo, uniformAt(st.key, t, combo)))
 }
 
 // flushBatch publishes iterations [batchFrom, upTo] to every target and
@@ -834,31 +875,22 @@ func (w *worker) flushBatch(upTo int64) {
 // iterations [from, to], from the sample log.
 func (w *worker) makeBundle(dst int, from, to int64) *ifaceBundle {
 	nodes := w.topo.iface[w.p][dst]
-	rows := int(to - from + 1)
-	b := &ifaceBundle{
-		Part: w.p, Phase: -1, Nodes: nodes, FirstIter: from,
-		Values: make([][]int8, 0, rows),
-		EvOK:   make([]bool, 0, rows),
-	}
-	// One slab backs every row of the bundle: rows are written once
-	// here and only read by receivers, so sharing a backing array is
-	// safe and cuts the per-iteration row allocations.
-	slab := make([]int8, rows*len(nodes))
-	for t := from; t <= to; t++ {
-		row := slab[:len(nodes):len(nodes)]
-		slab = slab[len(nodes):]
+	b := w.bundles.get(w.p, -1, nodes, from, int(to-from+1), true)
+	for r, row := range b.Values {
+		t := from + int64(r)
 		for i, u := range nodes {
-			row[i] = w.log[t][w.pos[u]]
+			row[i] = w.row(t)[w.pos[u]]
 		}
-		b.Values = append(b.Values, row)
-		b.EvOK = append(b.EvOK, w.ownEvidenceOK(t))
+		b.EvOK[r] = w.ownEvidenceOK(t)
 	}
 	return b
 }
 
 // makeAnti assembles a single-iteration antimessage for dst.
 func (w *worker) makeAnti(dst int) *ifaceBundle {
-	return &ifaceBundle{Part: w.p, Anti: true, Phase: -1, Nodes: w.topo.iface[w.p][dst]}
+	b := w.bundles.get(w.p, -1, w.topo.iface[w.p][dst], 0, 0, false)
+	b.Anti = true
+	return b
 }
 
 // handleRollbacks repairs every dirtied iteration (oldest first). The
@@ -882,10 +914,10 @@ func (w *worker) handleRollbacks() {
 		// be cheaper, but "costly rollbacks" — §3.2 — is precisely the
 		// behaviour of the standard technique the paper cites.)
 		for _, d := range dirty {
-			if d >= int64(len(w.log)) {
+			if d >= w.logLen {
 				continue
 			}
-			if span := int64(len(w.log)) - d; span > 0 {
+			if span := w.logLen - d; span > 0 {
 				w.replayed += span
 				w.serRollbacks.Add(w.task.Now(), 1)
 				if tr := w.task.Tracer(); tr != nil {
@@ -898,16 +930,16 @@ func (w *worker) handleRollbacks() {
 			}
 		}
 		for _, d := range dirty {
-			if d >= int64(len(w.log)) {
+			if d >= w.logLen {
 				// A value for an iteration not yet computed arrived
 				// early; nothing to repair.
 				w.store.BeginRollback(d)
 				continue
 			}
-			w.rowScratch = append(w.rowScratch[:0], w.log[d]...)
+			w.rowScratch = append(w.rowScratch[:0], w.row(d)...)
 			old := w.rowScratch
 			w.store.BeginRollback(d)
-			w.fillSample(d, w.log[d])
+			w.fillSample(d, w.row(d))
 			if w.coord && d < w.cntWM {
 				w.recountRepair(d, old)
 			}
@@ -921,13 +953,13 @@ func (w *worker) handleRollbacks() {
 			for _, dst := range w.targets {
 				changed := false
 				for _, u := range w.topo.iface[w.p][dst] {
-					if w.log[d][w.pos[u]] != old[w.pos[u]] {
+					if w.row(d)[w.pos[u]] != old[w.pos[u]] {
 						changed = true
 						break
 					}
 				}
 				if dst == w.topo.coordinator && !changed {
-					changed = w.evidenceChanged(old, w.log[d])
+					changed = w.evidenceChanged(old, w.row(d))
 				}
 				if changed {
 					sz := bundleBytes(len(w.topo.iface[w.p][dst]), 1)
@@ -956,7 +988,7 @@ func (w *worker) evidenceChanged(old, repaired []int8) bool {
 // ownEvidenceOK reports whether this partition's evidence nodes matched
 // in iteration t.
 func (w *worker) ownEvidenceOK(t int64) bool {
-	return w.evidenceOKFor(w.log[t])
+	return w.evidenceOKFor(w.row(t))
 }
 
 // finalWatermark is the highest iteration for which the coordinator has
@@ -965,7 +997,7 @@ func (w *worker) ownEvidenceOK(t int64) bool {
 // known prefix only grows and the cached evKnown positions let the scan
 // resume where it last stopped instead of rescanning from zero.
 func (w *worker) finalWatermark() int64 {
-	wm := int64(len(w.log))
+	wm := w.logLen
 	for q := 0; q < w.cfg.P; q++ {
 		if q == w.p {
 			continue
@@ -995,7 +1027,7 @@ func (w *worker) contribAt(t int64) (acc, hit bool) {
 			return false, false
 		}
 	}
-	return true, int(w.log[t][w.pos[w.cfg.Query.Node]]) == w.cfg.Query.State
+	return true, int(w.row(t)[w.pos[w.cfg.Query.Node]]) == w.cfg.Query.State
 }
 
 // advanceCount folds iterations [cntWM, wm) into the incremental
@@ -1030,7 +1062,7 @@ func (w *worker) recountRepair(d int64, old []int8) {
 	qn := w.pos[w.cfg.Query.Node]
 	st := w.cfg.Query.State
 	accB := w.evidenceOKFor(old)
-	accA := w.evidenceOKFor(w.log[d])
+	accA := w.evidenceOKFor(w.row(d))
 	if accB {
 		w.cntAcc--
 		if int(old[qn]) == st {
@@ -1039,7 +1071,7 @@ func (w *worker) recountRepair(d int64, old []int8) {
 	}
 	if accA {
 		w.cntAcc++
-		if int(w.log[d][qn]) == st {
+		if int(w.row(d)[qn]) == st {
 			w.cntHits++
 		}
 	}
@@ -1064,7 +1096,7 @@ func (w *worker) countUpTo(wm int64) (hits, accepted int64) {
 			continue
 		}
 		accepted++
-		if int(w.log[t][w.pos[qn]]) == w.cfg.Query.State {
+		if int(w.row(t)[w.pos[qn]]) == w.cfg.Query.State {
 			hits++
 		}
 	}

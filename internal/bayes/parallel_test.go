@@ -256,6 +256,13 @@ func TestRunParallelConfigErrors(t *testing.T) {
 	negIters.MaxIters = -5
 	negAge := parCfg(core.NonStrict, 2)
 	negAge.Age = -5
+	prec := func(p float64) ParallelConfig {
+		cfg := parCfg(core.Async, 2)
+		cfg.Precision = p
+		return cfg
+	}
+	negBatch := parCfg(core.NonStrict, 2)
+	negBatch.Batch = -3
 	// Fabric and cluster numbers no run can simulate: each is an error
 	// from cluster.Build, not a panic inside the engine or a value
 	// silently read as 0.
@@ -279,6 +286,10 @@ func TestRunParallelConfigErrors(t *testing.T) {
 		"zero MaxIters":         noIters,
 		"negative MaxIters":     negIters,
 		"GR, negative Age":      negAge,
+		"NaN Precision":         prec(math.NaN()),
+		"zero Precision":        prec(0),
+		"negative Precision":    prec(-1),
+		"negative Batch":        negBatch,
 		"NaN bus bandwidth":     bus(func(c *netsim.Config) { c.BandwidthBps = math.NaN() }),
 		"zero bus bandwidth":    bus(func(c *netsim.Config) { c.BandwidthBps = 0 }),
 		"negative loss":         bus(func(c *netsim.Config) { c.LossProb = -0.1 }),

@@ -97,7 +97,8 @@ func TestPlanRunMatchesFresh(t *testing.T) {
 // TestPlanRunRejectsMismatch checks that a config naming another
 // network, query, processor count or seed than its plan is an error,
 // not a run on the wrong partition, and that NewPlan rejects a missing
-// network and fewer than one processor.
+// network, fewer than one processor and a node of more states than an
+// int8 holds.
 func TestPlanRunRejectsMismatch(t *testing.T) {
 	bn := Table2Networks()[0]
 	q := DefaultQuery(bn)
@@ -173,6 +174,12 @@ func TestPlanRunRejectsMismatch(t *testing.T) {
 	}
 	if _, err := NewPlan(nil, q, 2, 5); err == nil {
 		t.Error("NewPlan, nil network: no error")
+	}
+	// Sample rows, bundles and the ledger hold a state in an int8.
+	wide := &Network{Name: "wide", Nodes: []Node{{Name: "w", States: 128, CPT: [][]float64{make([]float64, 128)}}}}
+	wide.Nodes[0].CPT[0][0] = 1
+	if _, err := NewPlan(wide, Query{}, 1, 5); err == nil {
+		t.Error("NewPlan, a node of 128 states: no error")
 	}
 }
 

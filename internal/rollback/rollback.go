@@ -13,14 +13,28 @@
 // the hot path is slice indexing rather than map hashing.
 package rollback
 
-import "slices"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // cell is one (iteration, remote node) slot: the received actual and
-// the consumed value, each valid only under its presence bit.
+// the consumed value, each valid only under its presence bit. A state
+// is a node's value index, so an int8 holds it and a cell is 3 bytes.
 type cell struct {
-	actual int
-	used   int
+	actual int8
+	used   int8
 	flags  uint8
+}
+
+// cellState returns state as a cell holds it. A state outside int8's
+// range panics: the ledger never truncates one.
+func cellState(state int) int8 {
+	if state < math.MinInt8 || state > math.MaxInt8 {
+		panic(fmt.Sprintf("rollback: state %d outside [%d, %d]", state, math.MinInt8, math.MaxInt8))
+	}
+	return int8(state)
 }
 
 const (
@@ -65,7 +79,9 @@ type Stats struct {
 
 // Store is one processor's remote-value and gamble ledger.
 //
-// Node ids must be ≥ 0; iterations may be any int64. A node gets a
+// Node ids must be ≥ 0; iterations may be any int64. A state, given
+// to PutActual or as Consume's default, must fit an int8: the Store
+// panics on any other rather than truncate it. A node gets a
 // column the first time it is seen, through col (indexed by node id),
 // and an iteration gets a row the first time a value is stored for it.
 // Rows live in blocks and are numbered in the order they were made.
@@ -180,12 +196,13 @@ func (s *Store) markDirty(rw *row) {
 // (default gamble or since-retracted actual), the iteration is marked
 // dirty and true is returned.
 func (s *Store) PutActual(node int, iter int64, state int) bool {
+	v := cellState(state)
 	c := s.columnFor(node)
 	rw := s.rowFor(iter)
 	cl := &rw.cells[c]
-	cl.actual = state
+	cl.actual = v
 	cl.flags |= hasActual
-	if cl.flags&hasUsed != 0 && cl.used != state {
+	if cl.flags&hasUsed != 0 && cl.used != v {
 		s.stats.Conflicts++
 		s.markDirty(rw)
 		return true
@@ -220,18 +237,19 @@ func (s *Store) Retract(node int, iter int64) bool {
 // (a gamble). The consumed value is recorded so later arrivals can be
 // checked against it.
 func (s *Store) Consume(node int, iter int64, def int) (state int, gambled bool) {
+	v := cellState(def)
 	c := s.columnFor(node)
 	cl := &s.rowFor(iter).cells[c]
 	if cl.flags&hasActual != 0 {
-		state = cl.actual
+		v = cl.actual
 		s.stats.Actuals++
 	} else {
-		state, gambled = def, true
+		gambled = true
 		s.stats.Gambles++
 	}
-	cl.used = state
+	cl.used = v
 	cl.flags |= hasUsed
-	return state, gambled
+	return int(v), gambled
 }
 
 // Dirty returns the dirtied iterations in increasing order (rollbacks

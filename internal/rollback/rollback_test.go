@@ -1,7 +1,9 @@
 package rollback
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +229,38 @@ func TestStoreAgainstOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatesOutsideInt8Panic checks that a cell keeps every state an
+// int8 holds and that a state outside that range panics with a message
+// instead of being stored truncated.
+func TestStatesOutsideInt8Panic(t *testing.T) {
+	s := NewStore()
+	for _, st := range []int{math.MinInt8, -1, 0, math.MaxInt8} {
+		s.PutActual(1, int64(st), st)
+		if v, g := s.Consume(1, int64(st), 0); v != st || g {
+			t.Errorf("actual %d: Consume = (%d, %v)", st, v, g)
+		}
+		if v, g := s.Consume(2, int64(st), st); v != st || !g {
+			t.Errorf("default %d: Consume = (%d, %v)", st, v, g)
+		}
+	}
+	for name, call := range map[string]func(){
+		"PutActual 128":         func() { s.PutActual(1, 0, math.MaxInt8+1) },
+		"PutActual -129":        func() { s.PutActual(1, 0, math.MinInt8-1) },
+		"Consume default 256":   func() { s.Consume(3, 0, 256) },
+		"Consume default -1000": func() { s.Consume(3, 0, -1000) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: no panic", name)
+				} else if msg, ok := r.(string); !ok || !strings.Contains(msg, "outside") {
+					t.Errorf("%s: panicked with %v", name, r)
+				}
+			}()
+			call()
+		}()
 	}
 }
