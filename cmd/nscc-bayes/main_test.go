@@ -37,10 +37,16 @@ func TestMain(m *testing.M) {
 // stderr shows whether the flag was checked before anything started.
 // A fault plan that drops messages needs -reliable in sync mode and in
 // global_read mode without -read-timeout: either run deadlocks waiting
-// for a lost message.
+// for a lost message. A plan that duplicates messages needs -reliable
+// in sync mode, whose barrier can read a copy of an old verdict.
 func TestBadRunFlagsExitTwo(t *testing.T) {
-	lossy := filepath.Join(t.TempDir(), "lossy.json")
+	dir := t.TempDir()
+	lossy := filepath.Join(dir, "lossy.json")
 	if err := os.WriteFile(lossy, []byte(`{"loss":[{"from":0,"to":2,"prob":0.3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dup := filepath.Join(dir, "dup.json")
+	if err := os.WriteFile(dup, []byte(`{"duplicates":[{"from":0,"to":100,"prob":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{
@@ -55,6 +61,7 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-read-timeout", "-5ms", "-http", "127.0.0.1:0"},
 		{"-mode", "sync", "-faults", lossy, "-http", "127.0.0.1:0"},
 		{"-mode", "global_read", "-faults", lossy},
+		{"-mode", "sync", "-net", "A", "-procs", "2", "-seed", "5", "-prec", "0.03", "-faults", dup},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

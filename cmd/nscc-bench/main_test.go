@@ -121,11 +121,17 @@ func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // therefore one stderr line naming -reliable and exit 2, before -http
 // starts or anything runs, whenever the run includes a Sync cell:
 // Figures 2-4, the age sweep, -exp all and the -trace-out demo. The
-// scale sweep has none and runs.
+// scale sweep has none and runs. A plan that duplicates frames needs
+// -reliable for the same runs: the plain transport delivers both
+// copies, and a Sync barrier can read a stale copy.
 func TestLossyRunsNeedReliable(t *testing.T) {
 	dir := t.TempDir()
 	lossy := filepath.Join(dir, "lossy.json")
 	if err := os.WriteFile(lossy, []byte(`{"loss":[{"from":0,"to":2,"prob":0.3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dup := filepath.Join(dir, "dup.json")
+	if err := os.WriteFile(dup, []byte(`{"duplicates":[{"from":0,"to":100,"prob":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fig2 := []string{"-exp", "fig2", "-funcs", "1", "-procs", "2", "-trials", "1", "-gens", "20"}
@@ -133,6 +139,7 @@ func TestLossyRunsNeedReliable(t *testing.T) {
 		append(fig2, "-loss", "0.3"),
 		append(fig2, "-faults", lossy),
 		{"-exp", "fig3", "-trials", "1", "-loss", "0.05", "-read-timeout", "50ms"},
+		{"-exp", "fig3", "-trials", "1", "-faults", dup},
 		{"-exp", "fig4", "-loss", "0.1"},
 		{"-exp", "agesweep", "-faults", lossy},
 		{"-loss", "0.1"},

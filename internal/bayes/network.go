@@ -75,7 +75,8 @@ func (bn *Network) MaxStates() int {
 	return m
 }
 
-// Validate checks topological parent order and CPT shapes/stochasticity.
+// Validate checks topological parent order and CPT shapes/stochasticity:
+// every probability is a number of at least 0, and every row sums to 1.
 func (bn *Network) Validate() error {
 	for i := range bn.Nodes {
 		nd := &bn.Nodes[i]
@@ -99,14 +100,16 @@ func (bn *Network) Validate() error {
 			if len(row) != nd.States {
 				return fmt.Errorf("bayes: node %d CPT row %d has %d entries, want %d", i, c, len(row), nd.States)
 			}
+			// Both tests are written to fail for NaN, which compares
+			// false with everything.
 			sum := 0.0
 			for _, p := range row {
-				if p < 0 {
-					return fmt.Errorf("bayes: node %d CPT row %d has negative probability", i, c)
+				if !(p >= 0) {
+					return fmt.Errorf("bayes: node %d CPT row %d has probability %v", i, c, p)
 				}
 				sum += p
 			}
-			if sum < 1-1e-9 || sum > 1+1e-9 {
+			if !(sum >= 1-1e-9 && sum <= 1+1e-9) {
 				return fmt.Errorf("bayes: node %d CPT row %d sums to %v", i, c, sum)
 			}
 		}

@@ -45,6 +45,9 @@ func TestValidateCatchesBadNetworks(t *testing.T) {
 		{"negative probability", &Network{Nodes: []Node{
 			{Name: "x", States: 2, CPT: [][]float64{{1.5, -0.5}}},
 		}}},
+		{"NaN probabilities", &Network{Nodes: []Node{
+			{Name: "x", States: 2, CPT: [][]float64{{math.NaN(), math.NaN()}}},
+		}}},
 		{"one state", &Network{Nodes: []Node{
 			{Name: "x", States: 1, CPT: [][]float64{{1}}},
 		}}},

@@ -381,6 +381,9 @@ func NewPlan(net *Network, q Query, p int, seed int64) (*Plan, error) {
 		// state in an int8.
 		return nil, fmt.Errorf("bayes: NewPlan takes nodes of at most %d states, have %d", math.MaxInt8, net.MaxStates())
 	}
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
 	q.Evidence = maps.Clone(q.Evidence)
 	topo, l := buildTopology(net, q, p, seed), newLUT(net, q)
 	return &Plan{

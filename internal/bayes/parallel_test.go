@@ -279,6 +279,8 @@ func TestRunParallelConfigErrors(t *testing.T) {
 	negLoad.LoaderBps = -1
 	negTimeout := parCfg(core.NonStrict, 2)
 	negTimeout.ReadTimeout = -5 * sim.Millisecond
+	nanCPT := parCfg(core.Async, 2)
+	nanCPT.Net.Nodes[0].CPT[0] = []float64{math.NaN(), math.NaN()}
 	for name, cfg := range map[string]ParallelConfig{
 		"nil network":           noNet,
 		"zero processors":       noProcs,
@@ -297,6 +299,7 @@ func TestRunParallelConfigErrors(t *testing.T) {
 		"zero switch bandwidth": zeroSwitch,
 		"negative loader rate":  negLoad,
 		"negative read timeout": negTimeout,
+		"NaN CPT row":           nanCPT,
 	} {
 		func() {
 			defer func() {

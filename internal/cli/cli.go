@@ -182,25 +182,34 @@ func parseMode(name string) core.Mode {
 	return -1
 }
 
-// dropRule refuses a run that would wait forever. The plain transport
-// never resends a lost message, so a Sync barrier, or a Global_Read
-// with no timeout, waits for it forever. When the fabric can lose
-// frames (a plan that drops messages, or bus -loss), a command whose
-// selected runs have a Sync cell, or whose -mode run waits on every
-// message, needs -reliable.
+// dropRule refuses a run that would wait forever or read a stale
+// verdict. The plain transport never resends a lost message, so a Sync
+// barrier, or a Global_Read with no timeout, waits for it forever.
+// When the fabric can lose frames (a plan that drops messages, or bus
+// -loss), a command whose selected runs have a Sync cell, or whose
+// -mode run waits on every message, needs -reliable. The plain
+// transport also delivers a duplicated frame twice, and a Sync
+// barrier can take the copy of an old message for the current one, so
+// a run with a Sync cell under a plan that duplicates frames needs
+// -reliable too.
 func (f *Flags) dropRule(sync bool) error {
-	cause := "-faults: the plan drops messages"
+	plan, single := f.Cluster.Faults, f.has&Mode != 0
+	sync = sync || single && f.Mode == core.Sync
+	var cause string
 	switch {
 	case f.Reliable:
 		return nil
-	case !f.Cluster.Faults.Drops() && f.Loss > 0:
+	case plan.Drops():
+		cause = "-faults: the plan drops messages"
+	case f.Loss > 0:
 		cause = fmt.Sprintf("-loss %v: the bus loses frames", f.Loss)
-	case !f.Cluster.Faults.Drops():
+	case sync && plan.Repeats():
+		return errors.New("-faults: the plan duplicates messages, and the sync run's barrier can read a stale copy unless -reliable discards it")
+	default:
 		return nil
 	}
-	single := f.has&Mode != 0
 	switch {
-	case sync || single && f.Mode == core.Sync:
+	case sync:
 		return fmt.Errorf("%s, and the sync run waits forever for a lost one unless -reliable resends it", cause)
 	case single && f.Mode == core.NonStrict && f.ReadTimeout == 0:
 		return fmt.Errorf("%s, and the global_read run waits forever for a lost one unless -reliable resends it or -read-timeout bounds the wait", cause)

@@ -29,7 +29,12 @@ type Options struct {
 	// schedules to the run. Nil leaves the fabric untouched (the fault
 	// layer is strictly opt-in). The Sync barriers and exit protocols
 	// rely on per-pair in-order delivery; under reordering plans run
-	// Reliable, which restores it.
+	// Reliable, which restores it. A Sync barrier also needs every
+	// message once: under a plan that drops messages (Plan.Drops) it
+	// waits forever for a lost one, and under one that duplicates them
+	// (Plan.Repeats) it can read a stale copy, so the commands refuse
+	// either plan for a run with a Sync cell unless it is Reliable,
+	// which resends what is lost and discards copies.
 	Faults *faults.Plan
 	// Reliable runs the message layer with sequence-numbered
 	// ack/retransmit delivery (pvm.Config.Reliable). It composes with

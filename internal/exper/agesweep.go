@@ -67,8 +67,6 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 		loads = []float64{0, 2e6}
 	}
 	res := AgeSweepResult{Fn: fn, P: p}
-	par := ga.DeJongParams()
-	calib := ga.DefaultCalibration()
 
 	// Stage 1: references. One job per (load, trial); each returns the
 	// serial baseline time and the synchronous run's final average (the
@@ -82,7 +80,7 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 	refs, err := runSweep(opts, "agesweep-refs", nLoads*nTrials,
 		func(i int) ckpt.Key {
 			load, trial := loads[i/nTrials], i%nTrials
-			return ageRefKey(fn, p, load, trial, ageSweepSeed(opts, trial))
+			return gaCellKey("agesweep-refs", fn, p, load, trial, ageSweepSeed(opts, trial))
 		},
 		func(i int) string {
 			return fmt.Sprintf("agesweep ref load=%.1fMbps trial=%d", loads[i/nTrials]/1e6, i%nTrials)
@@ -90,13 +88,9 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 		func(i int) (refOut, error) {
 			load, trial := loads[i/nTrials], i%nTrials
 			seed := ageSweepSeed(opts, trial)
-			serial := ga.RunSerial(fn, par, par.N*p, opts.SyncGens, seed, calib)
-			syncCfg := ga.IslandConfig{
-				Fn: fn, Par: par, P: p, Mode: core.Sync,
-				FixedGens: opts.SyncGens, Seed: seed, Calib: calib, LoaderBps: load,
-				Options: opts.cluster(),
-			}
-			syncCfg.Net, syncCfg.Switch = opts.fabric()
+			syncCfg := opts.gaConfig(fn, p, seed, load)
+			syncCfg.Mode = core.Sync
+			serial := ga.RunSerial(fn, syncCfg.Par, syncCfg.Par.N*p, opts.SyncGens, seed, syncCfg.Calib)
 			syncRes, err := ga.RunIsland(syncCfg)
 			if err != nil {
 				return refOut{}, err
@@ -143,17 +137,9 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 		func(i int) (cellOut, error) {
 			li, ai, trial := i/(nAges*nTrials), (i/nTrials)%nAges, i%nTrials
 			age, dynamic := cellAge(ai)
-			seed := ageSweepSeed(opts, trial)
-			cfg := ga.IslandConfig{
-				Fn: fn, Par: par, P: p, Mode: core.NonStrict, Age: age,
-				FixedGens: opts.SyncGens, MinGens: opts.SyncGens,
-				MaxGens: int64(opts.CapFactor * float64(opts.SyncGens)),
-				Target:  refs[li*nTrials+trial].Target,
-				Seed:    seed, Calib: calib, LoaderBps: loads[li],
-				DynamicAge: dynamic,
-				Options:    opts.cluster(),
-			}
-			cfg.Net, cfg.Switch = opts.fabric()
+			cfg := opts.gaConfig(fn, p, ageSweepSeed(opts, trial), loads[li])
+			cfg.Mode, cfg.Age, cfg.DynamicAge = core.NonStrict, age, dynamic
+			cfg.Target = refs[li*nTrials+trial].Target
 			r, err := ga.RunIsland(cfg)
 			if err != nil {
 				return cellOut{}, err

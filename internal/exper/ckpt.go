@@ -9,13 +9,13 @@ import (
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/graph"
-	"nscc/internal/runner"
 )
 
 // ckptSchema versions the cached cell payloads. Bump it whenever a
-// journaled struct (trialOut, bayesTrialOut, ageRefOut, ageCellOut,
-// Table2Row) or the semantics of a cell change, so stale journals
-// invalidate instead of replaying wrong bytes.
+// journaled struct (trialOut, bayesTrialOut, AgeSweep's refOut and
+// cellOut, graphTrialOut, scaleTrialOut, Table2Row) or the semantics
+// of a cell change, so stale journals invalidate instead of replaying
+// wrong bytes.
 const ckptSchema = 2
 
 // sweepSpace fingerprints everything outside a cell's own coordinates
@@ -49,42 +49,6 @@ func (o Options) sweepSpace(sweep string) ckpt.Key {
 	return fp.Sum()
 }
 
-// sweepMemo opens the named sweep's journal in the configured store
-// and binds the job index → cell fingerprint mapping. It returns a
-// typed nil interface when no store is configured, which runner.MapMemo
-// treats as plain Map. With a Progress sink configured, the memo is
-// wrapped so cache hits report CellDone (a hit never reaches the cell
-// function, where computed cells report).
-func (o Options) sweepMemo(sweep string, key func(int) ckpt.Key) (runner.Memo, error) {
-	if o.Ckpt == nil {
-		return nil, nil
-	}
-	m, err := o.Ckpt.Memo(sweep, o.sweepSpace(sweep), key)
-	if err != nil {
-		return nil, err
-	}
-	if o.Progress != nil {
-		return progressMemo{Memo: m, sink: o.Progress, sweep: sweep}, nil
-	}
-	return m, nil
-}
-
-// progressMemo reports replayed cells to the progress sink. Lookup may
-// run concurrently on pool workers; the sink owns its synchronization.
-type progressMemo struct {
-	runner.Memo
-	sink  ProgressSink
-	sweep string
-}
-
-func (m progressMemo) Lookup(i int) ([]byte, bool) {
-	data, ok := m.Memo.Lookup(i)
-	if ok {
-		m.sink.CellDone(m.sweep)
-	}
-	return data, ok
-}
-
 // cellFingerprint starts a cell key in the given sweep's coordinate
 // space.
 func cellFingerprint(sweep string) *ckpt.Fingerprint {
@@ -109,19 +73,6 @@ func gaCellKey(sweep string, fn *functions.Function, p int, load float64, trial 
 func bayesCellKey(sweep string, bn *bayes.Network, trial int, seed int64) ckpt.Key {
 	fp := cellFingerprint(sweep)
 	fp.Str("net", bn.Name)
-	fp.I64("trial", int64(trial))
-	fp.I64("seed", seed)
-	return fp.Sum()
-}
-
-// ageRefKey fingerprints one age-sweep reference cell: the (load,
-// trial) serial baseline + synchronous target run for fn on p
-// processors.
-func ageRefKey(fn *functions.Function, p int, load float64, trial int, seed int64) ckpt.Key {
-	fp := cellFingerprint("agesweep-refs")
-	fp.I64("fn", int64(fn.No))
-	fp.I64("p", int64(p))
-	fp.F64("load", load)
 	fp.I64("trial", int64(trial))
 	fp.I64("seed", seed)
 	return fp.Sum()

@@ -97,7 +97,7 @@ func WriteBayesRowsCSV(w io.Writer, res Figure3Result) error {
 		if r.Net != nil {
 			name = r.Net.Name
 		}
-		for _, v := range bayesVariants() {
+		for _, v := range Variants() {
 			rec := []string{
 				name,
 				v.String(),

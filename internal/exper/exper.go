@@ -11,9 +11,11 @@
 package exper
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
+	"nscc/internal/bayes"
 	"nscc/internal/ckpt"
 	"nscc/internal/cluster"
 	"nscc/internal/core"
@@ -142,31 +144,63 @@ type ProgressSink interface {
 
 // runSweep runs the named sweep's n cells on the worker pool and
 // returns their outputs in cell order. key fingerprints cell i in the
-// sweep's checkpoint journal, and label names it in errors. The
-// progress sink sees the sweep start, every cell done once — a computed
-// cell here, a replayed one through sweepMemo's wrapper — and the sweep
-// end.
+// sweep's checkpoint journal, and label names it in errors. With a
+// checkpoint store, every cell's output is the decoded JSON of its
+// journal record: a hit replays the record without running the cell,
+// and a miss runs it and journals its encoding first, so a replayed
+// cell is bit-identical to a fresh one (JSON round-trips every float64
+// exactly, so both equal an uncached run). The progress sink sees the
+// sweep start, every cell done once, computed or replayed, and the
+// sweep end.
 func runSweep[T any](o Options, sweep string, n int, key func(int) ckpt.Key, label func(int) string, cell func(int) (T, error)) ([]T, error) {
-	memo, err := o.sweepMemo(sweep, key)
-	if err != nil {
-		return nil, err
-	}
-	fn := cell
-	if o.Progress != nil {
-		o.Progress.SweepStart(sweep, n)
-		fn = func(i int) (T, error) {
-			v, err := cell(i)
-			if err == nil {
-				o.Progress.CellDone(sweep)
-			}
-			return v, err
+	var j *ckpt.Journal
+	if o.Ckpt != nil {
+		var err error
+		if j, err = o.Ckpt.Journal(sweep, o.sweepSpace(sweep)); err != nil {
+			return nil, err
 		}
 	}
-	outs, err := runner.MapMemo(n, o.Workers, label, memo, fn)
+	if o.Progress != nil {
+		o.Progress.SweepStart(sweep, n)
+	}
+	outs, err := runner.Map(n, o.Workers, label, func(i int) (T, error) {
+		v, err := journaledCell(j, key, i, cell)
+		if err == nil && o.Progress != nil {
+			o.Progress.CellDone(sweep)
+		}
+		return v, err
+	})
 	if err == nil && o.Progress != nil {
 		o.Progress.SweepDone(sweep)
 	}
 	return outs, err
+}
+
+// journaledCell returns cell i's output: computed when j is nil, else
+// decoded from its journal record, written from the computed output
+// on a miss. A failed journal write fails the cell: a cache that
+// cannot journal must not pretend the sweep is resumable.
+func journaledCell[T any](j *ckpt.Journal, key func(int) ckpt.Key, i int, cell func(int) (T, error)) (T, error) {
+	if j == nil {
+		return cell(i)
+	}
+	var v T
+	k := key(i)
+	data, ok := j.Get(k)
+	if !ok {
+		out, err := cell(i)
+		if err != nil {
+			return v, err
+		}
+		if data, err = json.Marshal(out); err != nil {
+			return v, err
+		}
+		if err := j.Put(k, data); err != nil {
+			return v, err
+		}
+	}
+	err := json.Unmarshal(data, &v)
+	return v, err
 }
 
 // cluster returns the fault and observation settings every cell's
@@ -195,6 +229,41 @@ func (o Options) fabric() (*netsim.Config, *netsim.SwitchConfig) {
 		return nil, &sw
 	}
 	return o.netOverride(), nil
+}
+
+// gaConfig returns the island GA config every GA cell starts from: fn
+// on p processors under loadBps of background traffic, the profile's
+// generation budget, and the cell's fabric and cluster settings. The
+// caller sets the mode, age and quality target.
+func (o Options) gaConfig(fn *functions.Function, p int, seed int64, loadBps float64) ga.IslandConfig {
+	cfg := ga.IslandConfig{
+		Fn: fn, Par: ga.DeJongParams(), P: p,
+		FixedGens: o.SyncGens,
+		MinGens:   o.SyncGens,
+		MaxGens:   int64(o.CapFactor * float64(o.SyncGens)),
+		Seed:      seed,
+		Calib:     ga.DefaultCalibration(),
+		LoaderBps: loadBps,
+		Options:   o.cluster(),
+	}
+	cfg.Net, cfg.Switch = o.fabric()
+	return cfg
+}
+
+// bayesConfig returns the parallel logic-sampling config of variant v
+// on bn for query q: Figure 3's processor count, the profile's
+// precision and iteration cap, and the cell's bus and cluster settings.
+func (o Options) bayesConfig(bn *bayes.Network, q bayes.Query, v Variant, seed int64) bayes.ParallelConfig {
+	return bayes.ParallelConfig{
+		Net: bn, Query: q, P: bayesProcs,
+		Mode: v.Mode, Age: v.Age,
+		Precision: o.Precision,
+		MaxIters:  bayesMaxIters(o),
+		Seed:      seed,
+		Calib:     bayes.DefaultCalibration(),
+		NetCfg:    o.netOverride(),
+		Options:   o.cluster(),
+	}
 }
 
 // Seed streams keep the drivers' cell spaces disjoint: every call site
@@ -265,12 +334,6 @@ type GARow struct {
 	Warp map[Variant]float64
 }
 
-// gaTrial runs the full variant protocol for one (function, P, seed),
-// returning the serial baseline time, each variant's completion time,
-// and whether each variant found the optimum. The paper's average
-// metric needs raw times ("the ratio of the sum of the execution times
-// for the serial program for all the benchmarks to that for the
-// parallel programs"), so times rather than ratios are returned.
 // trialOut is one gaTrial's raw measurements. Its fields are exported
 // (and Variant is a text-marshaling map key) because trialOut is the
 // payload the checkpoint journal caches as JSON.
@@ -282,23 +345,15 @@ type trialOut struct {
 	Warp   map[Variant]float64      `json:"warp"`
 }
 
+// gaTrial runs the full variant protocol for one (function, P, seed),
+// returning the serial baseline time, each variant's completion time,
+// and whether each variant found the optimum. The paper's average
+// metric needs raw times ("the ratio of the sum of the execution times
+// for the serial program for all the benchmarks to that for the
+// parallel programs"), so times rather than ratios are returned.
 func gaTrial(fn *functions.Function, p int, seed int64, opts Options, loadBps float64) (trialOut, error) {
-	par := ga.DeJongParams()
-	calib := ga.DefaultCalibration()
-	serial := ga.RunSerial(fn, par, par.N*p, opts.SyncGens, seed, calib)
-
-	base := ga.IslandConfig{
-		Fn: fn, Par: par, P: p,
-		FixedGens: opts.SyncGens,
-		MinGens:   opts.SyncGens,
-		MaxGens:   int64(opts.CapFactor * float64(opts.SyncGens)),
-		Seed:      seed,
-		Calib:     calib,
-		LoaderBps: loadBps,
-		Options:   opts.cluster(),
-	}
-	base.Net, base.Switch = opts.fabric()
-
+	base := opts.gaConfig(fn, p, seed, loadBps)
+	serial := ga.RunSerial(fn, base.Par, base.Par.N*p, opts.SyncGens, seed, base.Calib)
 	out := trialOut{
 		Serial: serial.Time,
 		Times:  make(map[Variant]sim.Duration),
@@ -306,45 +361,25 @@ func gaTrial(fn *functions.Function, p int, seed int64, opts Options, loadBps fl
 		Missed: make(map[Variant]bool),
 		Warp:   make(map[Variant]float64),
 	}
-	record := func(v Variant, r ga.IslandResult) {
+	// The asynchronous and controlled versions run until a
+	// subpopulation's average fitness converges at least as far as the
+	// synchronous program's final average (§5.1.1), so the synchronous
+	// run, first in Variants, sets the target of the rest.
+	var target float64
+	for _, v := range Variants() {
+		cfg := base
+		cfg.Mode, cfg.Age, cfg.Target = v.Mode, v.Age, target
+		r, err := ga.RunIsland(cfg)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", v, err)
+		}
+		if v.Mode == core.Sync {
+			target = r.Avg
+		}
 		out.Times[v] = r.Completion
 		out.Found[v] = r.OptimumFound
 		out.Missed[v] = !r.ReachedTarget
 		out.Warp[v] = r.WarpMean
-	}
-
-	syncCfg := base
-	syncCfg.Mode = core.Sync
-	syncRes, err := ga.RunIsland(syncCfg)
-	if err != nil {
-		return out, fmt.Errorf("sync: %w", err)
-	}
-	record(Variant{Mode: core.Sync}, syncRes)
-
-	// The asynchronous and controlled versions run until a
-	// subpopulation's average fitness converges at least as far as the
-	// synchronous program's final average (§5.1.1).
-	target := syncRes.Avg
-
-	asyncCfg := base
-	asyncCfg.Mode = core.Async
-	asyncCfg.Target = target
-	asyncRes, err := ga.RunIsland(asyncCfg)
-	if err != nil {
-		return out, fmt.Errorf("async: %w", err)
-	}
-	record(Variant{Mode: core.Async}, asyncRes)
-
-	for _, age := range Ages {
-		cfg := base
-		cfg.Mode = core.NonStrict
-		cfg.Age = age
-		cfg.Target = target
-		res, err := ga.RunIsland(cfg)
-		if err != nil {
-			return out, fmt.Errorf("gr(%d): %w", age, err)
-		}
-		record(Variant{Mode: core.NonStrict, Age: age}, res)
 	}
 	return out, nil
 }
@@ -414,37 +449,34 @@ func (a *gaSums) row(fn *functions.Function, p int, loadBps float64) GARow {
 			row.Warp[v] = w / float64(a.trials)
 		}
 	}
-	row.BestComp = 1.0 // the serial program itself
-	for _, v := range []Variant{{Mode: core.Sync}, {Mode: core.Async}} {
-		if s := row.Speedup[v]; s > row.BestComp {
-			row.BestComp = s
-		}
-	}
-	for _, age := range Ages {
-		if s := row.Speedup[Variant{Mode: core.NonStrict, Age: age}]; s > row.BestGR {
-			row.BestGR = s
-		}
-	}
-	row.Improve = row.BestGR / row.BestComp
+	row.BestGR, row.BestComp, row.Improve = best(row.Speedup)
 	return row
+}
+
+// best derives a row's headline comparison from its speedups: the best
+// Global_Read speedup, the best competitor (the serial program's 1.0,
+// sync or async), and the improvement, their ratio.
+func best(speedup map[Variant]float64) (bestGR, bestComp, improve float64) {
+	bestComp = 1.0 // the serial program itself
+	for _, v := range Variants() {
+		switch s := speedup[v]; {
+		case v.Mode == core.NonStrict && s > bestGR:
+			bestGR = s
+		case v.Mode != core.NonStrict && s > bestComp:
+			bestComp = s
+		}
+	}
+	return bestGR, bestComp, bestGR / bestComp
 }
 
 // GACell runs opts.Trials seeded trials of one (function, P, load)
 // cell on the worker pool and derives the comparison metrics.
 func GACell(fn *functions.Function, p int, opts Options, loadBps float64) (GARow, error) {
-	outs, err := runner.Map(opts.Trials, opts.Workers,
-		func(t int) string { return fmt.Sprintf("F%d P=%d trial=%d", fn.No, p, t) },
-		func(t int) (trialOut, error) {
-			return gaTrial(fn, p, gaCellSeed(opts, t, fn, p), opts, loadBps)
-		})
+	rows, _, err := gaGrid(opts, "gacell", []gaPoint{{p: p, load: loadBps}}, []*functions.Function{fn})
 	if err != nil {
 		return GARow{}, err
 	}
-	acc := newGASums()
-	for _, out := range outs {
-		acc.add(out)
-	}
-	return acc.row(fn, p, loadBps), nil
+	return rows[0], nil
 }
 
 // printGARows renders rows in the paper's bar-chart layout as a text

@@ -205,6 +205,31 @@ func TestFigure4SmallRun(t *testing.T) {
 	}
 }
 
+// TestFigure4WithoutF1 runs Figure 4 on a bed without function 1: like
+// Figure 2, it has no best-case rows then, in its report or its CSV,
+// instead of one all-zero row per load.
+func TestFigure4WithoutF1(t *testing.T) {
+	var buf bytes.Buffer
+	res, err := Figure4(&buf, tinyOpts(), []*functions.Function{functions.F5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.BestCase) != 0 || len(res.Average) != len(Figure4Loads) {
+		t.Fatalf("%d best-case and %d average rows, want 0 and %d", len(res.BestCase), len(res.Average), len(Figure4Loads))
+	}
+	report := buf.String()
+	if best := report[:strings.Index(report, "Figure 4b")]; strings.Count(best, "\n") != 2 {
+		t.Errorf("best-case table is not just its caption and header:\n%s", best)
+	}
+	var csv bytes.Buffer
+	if err := WriteGARowsCSV(&csv, append(append([]GARow{}, res.BestCase...), res.Average...)); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(csv.String(), "average,0,") {
+		t.Errorf("CSV has rows for zero processors:\n%s", csv.String())
+	}
+}
+
 func TestFigure3SmallRun(t *testing.T) {
 	var buf bytes.Buffer
 	opts := tinyOpts()
@@ -216,7 +241,7 @@ func TestFigure3SmallRun(t *testing.T) {
 		t.Fatalf("%d networks", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		for _, v := range bayesVariants() {
+		for _, v := range Variants() {
 			if r.Speedup[v] <= 0 {
 				t.Fatalf("%s: zero speedup for %v", r.Net.Name, v)
 			}

@@ -12,35 +12,64 @@ import (
 	"nscc/internal/sim"
 )
 
-// gaCellRef names one (P or load, function, trial) cell of a GA sweep.
-// Drivers enumerate their full cell space up front, dispatch every cell
-// on the worker pool, and then aggregate the collected trialOuts in
-// enumeration order — the same order the old nested loops used — so
-// results are independent of the worker count.
-type gaCellRef struct {
-	fn    *functions.Function
-	p     int
-	load  float64
-	trial int
+// gaPoint is one (P, load) point of a GA sweep's grid.
+type gaPoint struct {
+	p    int
+	load float64
 }
 
-// runGACells executes one trial per cell on the pool, returning the
-// outputs in cell order. ctx names the calling figure in errors and
-// the sweep's checkpoint journal, where every cell result is cached.
-func runGACells(ctx string, cells []gaCellRef, opts Options) ([]trialOut, error) {
-	return runSweep(opts, ctx, len(cells),
+// gaGrid runs opts.Trials seeded trials of every function at every
+// point: one pooled cell per (point, function, trial), enumerated in
+// that order, cached in the named sweep's checkpoint journal. It folds
+// the trials into one row per (point, function), in the same order,
+// and one row per point averaged over the functions. Aggregation runs
+// in enumeration order, so the rows are the same at any worker count.
+func gaGrid(opts Options, sweep string, points []gaPoint, fns []*functions.Function) (rows, avg []GARow, err error) {
+	nFns, nTrials := len(fns), opts.Trials
+	coords := func(i int) (gaPoint, *functions.Function, int) {
+		return points[i/(nFns*nTrials)], fns[i/nTrials%nFns], i % nTrials
+	}
+	outs, err := runSweep(opts, sweep, len(points)*nFns*nTrials,
 		func(i int) ckpt.Key {
-			c := cells[i]
-			return gaCellKey(ctx, c.fn, c.p, c.load, c.trial, gaCellSeed(opts, c.trial, c.fn, c.p))
+			pt, fn, trial := coords(i)
+			return gaCellKey(sweep, fn, pt.p, pt.load, trial, gaCellSeed(opts, trial, fn, pt.p))
 		},
 		func(i int) string {
-			c := cells[i]
-			return fmt.Sprintf("%s F%d P=%d load=%.1fMbps trial=%d", ctx, c.fn.No, c.p, c.load/1e6, c.trial)
+			pt, fn, trial := coords(i)
+			return fmt.Sprintf("%s F%d P=%d load=%.1fMbps trial=%d", sweep, fn.No, pt.p, pt.load/1e6, trial)
 		},
 		func(i int) (trialOut, error) {
-			c := cells[i]
-			return gaTrial(c.fn, c.p, gaCellSeed(opts, c.trial, c.fn, c.p), opts, c.load)
+			pt, fn, trial := coords(i)
+			return gaTrial(fn, pt.p, gaCellSeed(opts, trial, fn, pt.p), opts, pt.load)
 		})
+	if err != nil {
+		return nil, nil, err
+	}
+	for pi, pt := range points {
+		all := newGASums()
+		for fi, fn := range fns {
+			acc := newGASums()
+			for _, out := range outs[(pi*nFns+fi)*nTrials:][:nTrials] {
+				acc.add(out)
+				all.add(out)
+			}
+			rows = append(rows, acc.row(fn, pt.p, pt.load))
+		}
+		avg = append(avg, all.row(nil, pt.p, pt.load))
+	}
+	return rows, avg, nil
+}
+
+// bestCase returns the paper's best-case rows, function 1's, of a GA
+// grid; there are none when F1 is not in the sweep.
+func bestCase(rows []GARow) []GARow {
+	var f1 []GARow
+	for _, r := range rows {
+		if r.Fn.No == 1 {
+			f1 = append(f1, r)
+		}
+	}
+	return f1
 }
 
 // Figure2Result holds the GA speedups on the unloaded network (Figure
@@ -60,38 +89,15 @@ func Figure2(w io.Writer, opts Options, fns []*functions.Function) (Figure2Resul
 	if fns == nil {
 		fns = functions.All()
 	}
-	var res Figure2Result
-	var cells []gaCellRef
-	for _, p := range opts.Procs {
-		for _, fn := range fns {
-			for trial := 0; trial < opts.Trials; trial++ {
-				cells = append(cells, gaCellRef{fn: fn, p: p, trial: trial})
-			}
-		}
+	points := make([]gaPoint, len(opts.Procs))
+	for i, p := range opts.Procs {
+		points[i] = gaPoint{p: p}
 	}
-	outs, err := runGACells("figure2", cells, opts)
+	rows, avg, err := gaGrid(opts, "figure2", points, fns)
 	if err != nil {
-		return res, err
+		return Figure2Result{}, err
 	}
-	idx := 0
-	for _, p := range opts.Procs {
-		agg := newGASums()
-		for _, fn := range fns {
-			cellAcc := newGASums()
-			for trial := 0; trial < opts.Trials; trial++ {
-				out := outs[idx]
-				idx++
-				cellAcc.add(out)
-				agg.add(out)
-			}
-			row := cellAcc.row(fn, p, 0)
-			res.PerFunc = append(res.PerFunc, row)
-			if fn.No == 1 {
-				res.BestCase = append(res.BestCase, row)
-			}
-		}
-		res.Average = append(res.Average, agg.row(nil, p, 0))
-	}
+	res := Figure2Result{BestCase: bestCase(rows), Average: avg, PerFunc: rows}
 	if w != nil {
 		printGARows(w, "Figure 2a: GA speedups, unloaded network, best case (function 1)", res.BestCase)
 		printGARows(w, "Figure 2b: GA speedups, unloaded network, average over the test bed", res.Average)
@@ -116,39 +122,15 @@ func Figure4(w io.Writer, opts Options, fns []*functions.Function) (Figure4Resul
 	if fns == nil {
 		fns = functions.All()
 	}
-	const p = 4 // the paper was restricted to a 4-node configuration
-	var res Figure4Result
-	var cells []gaCellRef
-	for _, load := range Figure4Loads {
-		for _, fn := range fns {
-			for trial := 0; trial < opts.Trials; trial++ {
-				cells = append(cells, gaCellRef{fn: fn, p: p, load: load, trial: trial})
-			}
-		}
+	points := make([]gaPoint, len(Figure4Loads))
+	for i, load := range Figure4Loads {
+		points[i] = gaPoint{p: 4, load: load} // the paper was restricted to a 4-node configuration
 	}
-	outs, err := runGACells("figure4", cells, opts)
+	rows, avg, err := gaGrid(opts, "figure4", points, fns)
 	if err != nil {
-		return res, err
+		return Figure4Result{}, err
 	}
-	idx := 0
-	for _, load := range Figure4Loads {
-		agg := newGASums()
-		var best GARow
-		for _, fn := range fns {
-			cellAcc := newGASums()
-			for trial := 0; trial < opts.Trials; trial++ {
-				out := outs[idx]
-				idx++
-				cellAcc.add(out)
-				agg.add(out)
-			}
-			if fn.No == 1 {
-				best = cellAcc.row(fn, p, load)
-			}
-		}
-		res.BestCase = append(res.BestCase, best)
-		res.Average = append(res.Average, agg.row(nil, p, load))
-	}
+	res := Figure4Result{BestCase: bestCase(rows), Average: avg}
 	if w != nil {
 		printGALoadRows(w, "Figure 4a: GA speedups on the loaded network, best case (function 1)", res.BestCase)
 		printGALoadRows(w, "Figure 4b: GA speedups on the loaded network, average", res.Average)
@@ -191,17 +173,19 @@ type Figure3Result struct {
 	Average BayesRow
 }
 
-// bayesAges is the Global_Read sweep for the inference benchmarks. The
-// useful staleness range for logic sampling is iterations of pipeline
-// lag, so the GA's sweep applies directly.
-var bayesAges = Ages
+// bayesProcs is Figure 3's processor count: the paper's belief-network
+// runs use a 2-node configuration.
+const bayesProcs = 2
 
 // Figure3 reproduces Figure 3: speedups of the parallel logic-sampling
 // implementations on a 2-node configuration for each Table 2 network,
 // plus the average (ratio of summed serial times to summed parallel
-// times).
+// times). The variants are the GA's: the useful staleness range for
+// logic sampling is iterations of pipeline lag, so the GA's age sweep
+// applies directly.
 func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 	nets := bayes.Table2Networks()
+	vs := Variants()
 	var res Figure3Result
 
 	// One job per (network, trial): the serial reference plus every
@@ -214,57 +198,35 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 		Rollbacks map[Variant]int64        `json:"rollbacks"`
 		Iters     map[Variant]int64        `json:"iters"`
 	}
-	type bayesCellRef struct {
-		net   *bayes.Network
-		trial int
-	}
-	var cells []bayesCellRef
-	for _, bn := range nets {
-		for trial := 0; trial < opts.Trials; trial++ {
-			cells = append(cells, bayesCellRef{net: bn, trial: trial})
-		}
-	}
-	outs, err := runSweep(opts, "figure3", len(cells),
+	nTrials := opts.Trials
+	// The trial seed is shared across networks (not a collision: each
+	// network is a distinct paired experiment on the stream).
+	trialSeed := func(trial int) int64 { return runner.DeriveSeed(opts.Seed, seedStreamBayes, int64(trial)) }
+	outs, err := runSweep(opts, "figure3", len(nets)*nTrials,
 		func(i int) ckpt.Key {
-			c := cells[i]
-			return bayesCellKey("figure3", c.net, c.trial,
-				runner.DeriveSeed(opts.Seed, seedStreamBayes, int64(c.trial)))
+			return bayesCellKey("figure3", nets[i/nTrials], i%nTrials, trialSeed(i%nTrials))
 		},
 		func(i int) string {
-			return fmt.Sprintf("figure3 %s trial=%d", cells[i].net.Name, cells[i].trial)
+			return fmt.Sprintf("figure3 %s trial=%d", nets[i/nTrials].Name, i%nTrials)
 		},
 		func(i int) (bayesTrialOut, error) {
-			bn, trial := cells[i].net, cells[i].trial
-			// The trial seed is shared across networks (not a collision:
-			// each network is a distinct paired experiment on the stream).
-			seed := runner.DeriveSeed(opts.Seed, seedStreamBayes, int64(trial))
+			bn, seed := nets[i/nTrials], trialSeed(i%nTrials)
 			q := bayes.DefaultQuery(bn)
-			calib := bayes.DefaultCalibration()
 			out := bayesTrialOut{
 				Par:       map[Variant]sim.Duration{},
 				Rollbacks: map[Variant]int64{},
 				Iters:     map[Variant]int64{},
 			}
-			serial := bayes.InferSerial(bn, q, opts.Precision, seed, calib, bayesMaxIters(opts))
+			serial := bayes.InferSerial(bn, q, opts.Precision, seed, bayes.DefaultCalibration(), bayesMaxIters(opts))
 			out.Serial = serial.Time
 			// Every variant runs on one partition and one set of
 			// defaults, built once for the job.
-			plan, err := bayes.NewPlan(bn, q, 2, seed)
+			plan, err := bayes.NewPlan(bn, q, bayesProcs, seed)
 			if err != nil {
 				return out, err
 			}
-			for _, v := range bayesVariants() {
-				cfg := bayes.ParallelConfig{
-					Net: bn, Query: q, P: 2,
-					Mode: v.Mode, Age: v.Age,
-					Precision: opts.Precision,
-					MaxIters:  bayesMaxIters(opts),
-					Seed:      seed,
-					Calib:     calib,
-					NetCfg:    opts.netOverride(),
-					Options:   opts.cluster(),
-				}
-				pr, err := plan.Run(cfg)
+			for _, v := range vs {
+				pr, err := plan.Run(opts.bayesConfig(bn, q, v, seed))
 				if err != nil {
 					return out, fmt.Errorf("%s: %w", v, err)
 				}
@@ -278,56 +240,42 @@ func Figure3(w io.Writer, opts Options) (Figure3Result, error) {
 		return res, err
 	}
 
+	newRow := func(bn *bayes.Network) BayesRow {
+		return BayesRow{Net: bn, Speedup: map[Variant]float64{}, Rollbacks: map[Variant]float64{}, Iters: map[Variant]float64{}}
+	}
 	totSerial := sim.Duration(0)
 	totPar := map[Variant]sim.Duration{}
-	avgAcc := BayesRow{Speedup: map[Variant]float64{}, Rollbacks: map[Variant]float64{}, Iters: map[Variant]float64{}}
-	idx := 0
-	for _, bn := range nets {
-		row := BayesRow{
-			Net:       bn,
-			Speedup:   map[Variant]float64{},
-			Rollbacks: map[Variant]float64{},
-			Iters:     map[Variant]float64{},
-		}
+	for ni, bn := range nets {
+		row := newRow(bn)
 		serialSum := sim.Duration(0)
 		parSum := map[Variant]sim.Duration{}
-		for trial := 0; trial < opts.Trials; trial++ {
-			out := outs[idx]
-			idx++
+		for _, out := range outs[ni*nTrials:][:nTrials] {
 			serialSum += out.Serial
 			totSerial += out.Serial
-			for _, v := range bayesVariants() {
+			for _, v := range vs {
 				parSum[v] += out.Par[v]
 				totPar[v] += out.Par[v]
-				row.Rollbacks[v] += float64(out.Rollbacks[v]) / float64(opts.Trials)
-				row.Iters[v] += float64(out.Iters[v]) / float64(opts.Trials)
+				row.Rollbacks[v] += float64(out.Rollbacks[v]) / float64(nTrials)
+				row.Iters[v] += float64(out.Iters[v]) / float64(nTrials)
 			}
 		}
-		for _, v := range bayesVariants() {
+		for _, v := range vs {
 			row.Speedup[v] = ratio(serialSum, parSum[v])
 		}
-		finishBayesRow(&row)
+		row.BestGR, row.BestComp, row.Improve = best(row.Speedup)
 		res.Rows = append(res.Rows, row)
 	}
 
-	for _, v := range bayesVariants() {
-		avgAcc.Speedup[v] = ratio(totSerial, totPar[v])
+	res.Average = newRow(nil)
+	for _, v := range vs {
+		res.Average.Speedup[v] = ratio(totSerial, totPar[v])
 	}
-	finishBayesRow(&avgAcc)
-	res.Average = avgAcc
+	res.Average.BestGR, res.Average.BestComp, res.Average.Improve = best(res.Average.Speedup)
 
 	if w != nil {
 		printBayesRows(w, "Figure 3: belief-network speedups, 2 processors, unloaded network", res)
 	}
 	return res, nil
-}
-
-func bayesVariants() []Variant {
-	vs := []Variant{{Mode: core.Sync}, {Mode: core.Async}}
-	for _, a := range bayesAges {
-		vs = append(vs, Variant{Mode: core.NonStrict, Age: a})
-	}
-	return vs
 }
 
 func bayesMaxIters(opts Options) int64 {
@@ -344,38 +292,20 @@ func bayesMaxIters(opts Options) int64 {
 	return int64(float64(base) * opts.CapFactor / 4)
 }
 
-func finishBayesRow(row *BayesRow) {
-	row.BestComp = 1.0
-	for _, v := range []Variant{{Mode: core.Sync}, {Mode: core.Async}} {
-		if s := row.Speedup[v]; s > row.BestComp {
-			row.BestComp = s
-		}
-	}
-	for _, a := range bayesAges {
-		if s := row.Speedup[Variant{Mode: core.NonStrict, Age: a}]; s > row.BestGR {
-			row.BestGR = s
-		}
-	}
-	row.Improve = row.BestGR / row.BestComp
-}
-
 func printBayesRows(w io.Writer, caption string, res Figure3Result) {
 	fmt.Fprintf(w, "%s\n", caption)
 	fmt.Fprintf(w, "%-12s", "network")
-	for _, v := range bayesVariants() {
+	for _, v := range Variants() {
 		fmt.Fprintf(w, " %8s", v)
 	}
 	fmt.Fprintf(w, " %8s %8s %9s\n", "best-gr", "best-cmp", "improve")
-	rows := append([]BayesRow{}, res.Rows...)
-	rows = append(rows, res.Average)
-	for i, r := range rows {
+	for _, r := range append(append([]BayesRow{}, res.Rows...), res.Average) {
 		name := "average"
 		if r.Net != nil {
 			name = r.Net.Name
 		}
-		_ = i
 		fmt.Fprintf(w, "%-12s", name)
-		for _, v := range bayesVariants() {
+		for _, v := range Variants() {
 			fmt.Fprintf(w, " %8.2f", r.Speedup[v])
 		}
 		fmt.Fprintf(w, " %8.2f %8.2f %+8.0f%%\n", r.BestGR, r.BestComp, (r.Improve-1)*100)

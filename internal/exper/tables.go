@@ -73,8 +73,8 @@ type Table2Row struct {
 	Nodes     int            `json:"nodes"`
 	EdgesPer  float64        `json:"edges_per"`
 	Values    int            `json:"values"`
-	EdgeCut   int            `json:"edge_cut"`   // KL bisection cut (the paper's METIS column)
-	PipeCut   int            `json:"pipe_cut"`   // cut of the topological split the parallel engine uses
+	EdgeCut   int            `json:"edge_cut"`   // KL bisection cut (the paper's METIS column), the partitioner the parallel engine uses
+	PipeCut   int            `json:"pipe_cut"`   // cut of a topological prefix split, for comparison only
 	Serial    sim.Duration   `json:"serial"`     // uniprocessor inference time to the precision target
 	SerialRef float64        `json:"serial_ref"` // the paper's reported seconds, for side-by-side
 }

@@ -37,19 +37,7 @@ const traceAge = 10
 func TraceRun(w io.Writer, opts Options, tr trace.Tracer) (*TraceTelemetry, error) {
 	fn := functions.F1
 	p := 4
-	par := ga.DeJongParams()
-	calib := ga.DefaultCalibration()
-
-	base := ga.IslandConfig{
-		Fn: fn, Par: par, P: p,
-		FixedGens: opts.SyncGens,
-		MinGens:   opts.SyncGens,
-		MaxGens:   int64(opts.CapFactor * float64(opts.SyncGens)),
-		Seed:      opts.Seed,
-		Calib:     calib,
-		Options:   opts.cluster(),
-	}
-	base.Net, base.Switch = opts.fabric()
+	base := opts.gaConfig(fn, p, opts.Seed, 0)
 	syncCfg := base
 	syncCfg.Mode = core.Sync
 	syncRes, err := ga.RunIsland(syncCfg)
@@ -69,16 +57,7 @@ func TraceRun(w io.Writer, opts Options, tr trace.Tracer) (*TraceTelemetry, erro
 	}
 
 	bn := bayes.Table2Networks()[0]
-	bcfg := bayes.ParallelConfig{
-		Net: bn, Query: bayes.DefaultQuery(bn), P: 2,
-		Mode: core.NonStrict, Age: traceAge,
-		Precision: opts.Precision,
-		MaxIters:  bayesMaxIters(opts),
-		Seed:      opts.Seed,
-		Calib:     bayes.DefaultCalibration(),
-		NetCfg:    opts.netOverride(),
-		Options:   opts.cluster(),
-	}
+	bcfg := opts.bayesConfig(bn, bayes.DefaultQuery(bn), Variant{Mode: core.NonStrict, Age: traceAge}, opts.Seed)
 	bcfg.Series = tseries.NewSet(tseries.DefaultWindow)
 	bres, err := bayes.RunParallel(bcfg)
 	if err != nil {
@@ -89,11 +68,5 @@ func TraceRun(w io.Writer, opts Options, tr trace.Tracer) (*TraceTelemetry, erro
 		fn.No, p, traceAge, grRes.Completion.Seconds(), syncRes.Completion.Seconds(), grRes.Blocked)
 	fmt.Fprintf(w, "trace demo: bayes %s P=2 gr(%d): completion %.3fs, rollbacks %d\n",
 		bn.Name, traceAge, bres.Completion.Seconds(), bres.Rollbacks)
-	if opts.Ckpt != nil {
-		// Surface the process-wide checkpoint-cache accounting in the
-		// metrics artifact alongside the demo run's own telemetry.
-		c := opts.Ckpt.Counters()
-		grRes.Telemetry.Cache = &c
-	}
 	return &TraceTelemetry{GA: grRes.Telemetry, Bayes: bres.Telemetry}, nil
 }

@@ -159,6 +159,22 @@ func (p *Plan) Drops() bool {
 	return len(p.Crashes) > 0 || len(p.Partitions) > 0
 }
 
+// Repeats reports whether the plan can deliver a frame twice: a
+// duplicate window with a non-zero probability. Only the reliable
+// transport discards the copy by its sequence number; on the plain one
+// a Sync barrier can take the copy of an old message for the current one.
+func (p *Plan) Repeats() bool {
+	if p == nil {
+		return false
+	}
+	for _, d := range p.Duplicates {
+		if d.Prob > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func checkWindow(kind string, i int, from, to float64) error {
 	if from < 0 {
 		return fmt.Errorf("faults: %s[%d]: negative start time %g", kind, i, from)

@@ -222,6 +222,26 @@ func TestPlanDrops(t *testing.T) {
 	}
 }
 
+func TestPlanRepeats(t *testing.T) {
+	var nilPlan *Plan
+	for i, c := range []struct {
+		p    *Plan
+		want bool
+	}{
+		{nilPlan, false},
+		{&Plan{Duplicates: []DuplicateWindow{{From: 0, To: 1, Prob: 0}}}, false},
+		{&Plan{
+			Loss:     []LossBurst{{From: 0, To: 1, Prob: 0.5}},
+			Reorders: []ReorderWindow{{From: 0, To: 1, Prob: 0.5, MaxDelay: 0.01}},
+		}, false},
+		{&Plan{Duplicates: []DuplicateWindow{{From: 0, To: 1, Prob: 0}, {From: 1, To: 2, Prob: 0.2}}}, true},
+	} {
+		if got := c.p.Repeats(); got != c.want {
+			t.Errorf("plan %d: Repeats reported %v, want %v", i, got, c.want)
+		}
+	}
+}
+
 // TestRandomPlanAlwaysValidates is the generator's contract: whatever
 // the seed, the plan it emits passes full validation against the node
 // count it was generated for.

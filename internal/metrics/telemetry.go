@@ -220,10 +220,6 @@ type Telemetry struct {
 	// registered DSM location); empty unless race checking was on.
 	RaceLocations []LocationRace `json:"race_locations,omitempty"`
 
-	// Cache is the checkpoint cache's hit/miss accounting; nil unless
-	// the run was executed with a cache directory configured.
-	Cache *CacheTelemetry `json:"cache,omitempty"`
-
 	// Series carries the windowed simulated-time series recorded during
 	// the run (internal/tseries summaries, sorted by name); empty unless
 	// the run was configured with a series set.
