@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
+	"nscc/internal/faults"
 	"nscc/internal/netsim"
 	"nscc/internal/sim"
 )
@@ -464,5 +466,37 @@ func TestParallelLongRunPrunesLedger(t *testing.T) {
 	want := Exact(Figure1(), Query{Node: 3, State: 1, Evidence: map[int]int{0: 1}})
 	if math.Abs(res.Prob-want) > 0.1 {
 		t.Fatalf("pruned run estimate %v far from exact %v", res.Prob, want)
+	}
+}
+
+// TestSyncRefusesDuplicatingPlan checks a library call of a Sync run
+// on the plain transport under a plan that duplicates every frame:
+// with network A at P = 2, seed 5 and precision 0.03, such a run once
+// read stale verdicts and gambled 14,985 times. It now returns
+// cluster.ErrSyncRepeats, as the commands refuse the run; on the
+// reliable transport the same run gambles never, and a Global_Read run
+// on the plain transport runs.
+func TestSyncRefusesDuplicatingPlan(t *testing.T) {
+	bn := Table2Networks()[0]
+	cfg := ParallelConfig{
+		Net: bn, Query: DefaultQuery(bn), P: 2, Mode: core.Sync,
+		Precision: 0.03, MaxIters: 4000, Seed: 5, Calib: DefaultCalibration(),
+	}
+	cfg.Faults = &faults.Plan{Name: "every frame twice",
+		Duplicates: []faults.DuplicateWindow{{From: 0, To: 100, Prob: 1}}}
+	if _, err := RunParallel(cfg); !errors.Is(err, cluster.ErrSyncRepeats) {
+		t.Fatalf("sync run on the plain transport: error %v, want %v", err, cluster.ErrSyncRepeats)
+	}
+	cfg.Reliable = true
+	res, err := RunParallel(cfg)
+	if err != nil {
+		t.Fatalf("sync run on the reliable transport: %v", err)
+	}
+	if res.Gambles != 0 {
+		t.Fatalf("sync run on the reliable transport gambled %d times, want 0", res.Gambles)
+	}
+	cfg.Mode, cfg.Age, cfg.Reliable = core.NonStrict, 10, false
+	if _, err := RunParallel(cfg); err != nil {
+		t.Fatalf("global_read run on the plain transport: %v", err)
 	}
 }

@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -32,9 +33,10 @@ type Options struct {
 	// Reliable, which restores it. A Sync barrier also needs every
 	// message once: under a plan that drops messages (Plan.Drops) it
 	// waits forever for a lost one, and under one that duplicates them
-	// (Plan.Repeats) it can read a stale copy, so the commands refuse
-	// either plan for a run with a Sync cell unless it is Reliable,
-	// which resends what is lost and discards copies.
+	// (Plan.Repeats) it can read a stale copy. Reliable resends what is
+	// lost and discards copies; without it Run refuses a Sync run under
+	// a duplicating plan (ErrSyncRepeats), and the commands refuse
+	// either plan for a run with a Sync cell before anything starts.
 	Faults *faults.Plan
 	// Reliable runs the message layer with sequence-numbered
 	// ack/retransmit delivery (pvm.Config.Reliable). It composes with
@@ -135,6 +137,9 @@ type Cluster struct {
 	warp    *metrics.WarpMeter
 	races   *simrace.Checker
 	opts    Options
+	// reliable is whether the machine runs the reliable transport,
+	// which Options.Reliable or a PVM override may turn on.
+	reliable bool
 
 	stats     Stats
 	coreStats []core.Stats // per task id, filled at exit
@@ -208,7 +213,7 @@ func Build(s Spec) (*Cluster, error) {
 	if s.LoaderBps > 0 {
 		netsim.StartLoader(net, s.LoaderBps, 1024)
 	}
-	c := &Cluster{eng: eng, net: net, machine: machine, warp: warp, opts: s.Options}
+	c := &Cluster{eng: eng, net: net, machine: machine, warp: warp, opts: s.Options, reliable: pvmCfg.Reliable}
 	if s.RaceCheck {
 		c.races = simrace.New(eng)
 		c.races.Attach(machine)
@@ -254,12 +259,21 @@ func (c *Cluster) Exit(node *core.Node) {
 	}
 }
 
+// ErrSyncRepeats is Run's refusal of a Sync run on the plain transport
+// under a fault plan that duplicates frames: the run's barrier could
+// take the copy of an old message for the current one.
+var ErrSyncRepeats = errors.New("cluster: the fault plan duplicates messages, and a sync run's barrier can read a stale copy unless the transport is reliable")
+
 // Run runs the spawned tasks to their exits and returns the run's Stats,
 // whose telemetry names the variant by mode and age. It closes the
 // engine. On an engine error the Stats hold what the exits so far
-// recorded.
+// recorded. A Sync run on the plain transport under a plan that
+// duplicates frames returns ErrSyncRepeats and runs nothing.
 func (c *Cluster) Run(mode core.Mode, age int64) (Stats, error) {
 	defer c.eng.Close()
+	if mode == core.Sync && !c.reliable && c.opts.Faults.Repeats() {
+		return c.stats, ErrSyncRepeats
+	}
 	c.coreStats = make([]core.Stats, c.machine.Tasks())
 	if err := c.eng.Run(); err != nil {
 		return c.stats, err

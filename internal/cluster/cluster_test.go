@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"nscc/internal/core"
+	"nscc/internal/faults"
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
@@ -117,5 +119,34 @@ func TestBuildRejectsLoaderAboveLink(t *testing.T) {
 	sw := netsim.DefaultSwitchConfig()
 	if err := exchange(t, Spec{Switch: &sw, LoaderBps: 2 * maxLoaderBps}); err == nil {
 		t.Error("loader above 1 Gbit/s: no error")
+	}
+}
+
+// TestRunRefusesSyncUnderRepeatsUnlessReliable checks Run's refusal of
+// a Sync run under a plan that duplicates frames on the plain
+// transport, and that the reliable transport lifts it whether
+// Options.Reliable or a PVM override turns it on.
+func TestRunRefusesSyncUnderRepeatsUnlessReliable(t *testing.T) {
+	dup := &faults.Plan{Duplicates: []faults.DuplicateWindow{{From: 0, To: 1, Prob: 0.5}}}
+	reliable := pvm.DefaultConfig()
+	reliable.Reliable = true
+	for _, c := range []struct {
+		name string
+		spec Spec
+		mode core.Mode
+		want error
+	}{
+		{"plain sync", Spec{Options: Options{Faults: dup}}, core.Sync, ErrSyncRepeats},
+		{"plain global_read", Spec{Options: Options{Faults: dup}}, core.NonStrict, nil},
+		{"reliable option", Spec{Options: Options{Faults: dup, Reliable: true}}, core.Sync, nil},
+		{"reliable PVM override", Spec{PVM: &reliable, Options: Options{Faults: dup}}, core.Sync, nil},
+	} {
+		cl, err := Build(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := cl.Run(c.mode, 0); !errors.Is(err, c.want) {
+			t.Errorf("%s: Run returned %v, want %v", c.name, err, c.want)
+		}
 	}
 }

@@ -283,7 +283,7 @@ func TestBlockReleaseRule(t *testing.T) {
 // duplicate update releases its own, and a fresher update releases the
 // value it replaces.
 func TestApplyReleasesDroppedAndReplaced(t *testing.T) {
-	n := &Node{buf: map[int]Update{}}
+	n := &Node{}
 	a, b, c := &countBlock{name: "a"}, &countBlock{name: "b"}, &countBlock{name: "c"}
 	deliver := func(blk *countBlock, iter int64) {
 		blk.Retain(1) // the undelivered update's reference
@@ -296,8 +296,8 @@ func TestApplyReleasesDroppedAndReplaced(t *testing.T) {
 		t.Fatalf("after a stale and a duplicate update: a holds %d, b %d; want 1 and 0", a.refs, b.refs)
 	}
 	deliver(c, 6)
-	if a.refs != 0 || c.refs != 1 || n.buf[1].Value != c {
-		t.Fatalf("after a fresher update: a holds %d, c %d, buffer %v; want 0, 1 and c", a.refs, c.refs, n.buf[1].Value)
+	if a.refs != 0 || c.refs != 1 || buffered(n, 1).Value != c {
+		t.Fatalf("after a fresher update: a holds %d, c %d, buffer %v; want 0, 1 and c", a.refs, c.refs, buffered(n, 1).Value)
 	}
 	for _, blk := range []*countBlock{a, b, c} {
 		if blk.negative {

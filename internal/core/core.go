@@ -39,6 +39,7 @@ package core
 import (
 	"fmt"
 
+	"nscc/internal/intmap"
 	"nscc/internal/metrics"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
@@ -286,8 +287,8 @@ type outboxEntry struct {
 // buffer of freshest updates plus the write path to this task's readers.
 type Node struct {
 	task *pvm.Task
-	locs map[int]*Location
-	buf  map[int]Update
+	locs intmap.Map[*Location] // by location id
+	buf  intmap.Map[Update]    // by location id
 	opts Options
 
 	inFlight int
@@ -299,8 +300,8 @@ type Node struct {
 	// through updateMsg.release. wireDone is the preallocated
 	// in-flight-decrement callback (one closure per node instead of one
 	// per write). It is set only under a Window, the one reader of
-	// inFlight: pvm wraps any callback it is handed in a fresh closure
-	// per send, so without a Window a write hands it none.
+	// inFlight, so without a Window a write hands pvm no callback and
+	// its frame costs the engine no wire-done event.
 	wireDone func()
 	updFree  []*updateMsg
 
@@ -315,8 +316,6 @@ type Node struct {
 func NewNode(task *pvm.Task, opts Options) *Node {
 	n := &Node{
 		task: task,
-		locs: make(map[int]*Location),
-		buf:  make(map[int]Update),
 		opts: opts,
 
 		serStale:    opts.Series.Quantile("core.staleness"),
@@ -392,10 +391,10 @@ func (n *Node) Staleness() *metrics.Histogram { return &n.stale }
 // Register declares a location to the node. Registering the same id
 // twice with a different location panics.
 func (n *Node) Register(loc *Location) {
-	if prev, ok := n.locs[loc.ID]; ok && prev != loc {
+	if prev, ok := n.locs.Get(int64(loc.ID)); ok && prev != loc {
 		panic(fmt.Sprintf("core: location %d registered twice", loc.ID))
 	}
-	n.locs[loc.ID] = loc
+	n.locs.Put(int64(loc.ID), loc)
 	if lo, ok := n.opts.Races.(LocationObserver); ok {
 		lo.ObserveLocation(loc.ID, loc.Name)
 	}
@@ -423,8 +422,10 @@ func (n *Node) WriteSized(loc *Location, iter int64, size int, value interface{}
 	// takes its reference before the one it replaces lets go, so a
 	// republished value never reaches zero in between.
 	retain(value, 1)
-	release(n.buf[loc.ID].Value)
-	n.buf[loc.ID] = Update{Value: value, Iter: iter, WrittenAt: n.task.Now()}
+	own, _ := n.buf.Upsert(int64(loc.ID))
+	old := own.Value
+	*own = Update{Value: value, Iter: iter, WrittenAt: n.task.Now()}
+	release(old)
 
 	if n.opts.Window > 0 && n.inFlight >= n.opts.Window {
 		retain(value, 1) // the outbox entry's
@@ -503,10 +504,11 @@ func (n *Node) apply(u *updateMsg) {
 			Pid: trace.PidCore, Tid: n.task.ID(), Cat: "core", Name: "update",
 			K1: "loc", V1: int64(u.Loc), K2: "iter", V2: u.Iter})
 	}
-	cur, ok := n.buf[u.Loc]
+	cur, ok := n.buf.Upsert(int64(u.Loc))
 	if !ok || u.Iter > cur.Iter {
-		n.buf[u.Loc] = Update{Value: u.Value, Iter: u.Iter, WrittenAt: u.WAt}
-		release(cur.Value)
+		old := cur.Value
+		*cur = Update{Value: u.Value, Iter: u.Iter, WrittenAt: u.WAt}
+		release(old)
 	} else {
 		release(u.Value)
 	}
@@ -521,11 +523,11 @@ func (n *Node) serveRequests() {
 			return
 		}
 		req := m.Data.(*reqMsg)
-		loc, ok := n.locs[req.Loc]
+		loc, ok := n.locs.Get(int64(req.Loc))
 		if !ok || loc.Writer != n.task.ID() {
 			continue
 		}
-		if cur, ok := n.buf[req.Loc]; ok {
+		if cur, ok := n.buf.Get(int64(req.Loc)); ok {
 			msg := n.newUpdateMsg(1)
 			msg.Loc, msg.Iter, msg.Value, msg.WAt = loc.ID, cur.Iter, cur.Value, cur.WrittenAt
 			retain(cur.Value, 1)
@@ -550,7 +552,7 @@ func (n *Node) Read(loc *Location) (Update, bool) {
 	n.Flush()
 	n.drain()
 	n.stats.Reads++
-	u, ok := n.buf[loc.ID]
+	u, ok := n.buf.Get(int64(loc.ID))
 	if n.opts.Races != nil {
 		n.opts.Races.ObserveRead(ReadInfo{Task: n.task.ID(), Loc: loc.ID,
 			GotIter: u.Iter, HasValue: ok})
@@ -573,7 +575,7 @@ func (n *Node) GlobalRead(loc *Location, curIter, age int64) Update {
 	n.stats.GlobalReads++
 	minIter := curIter - age
 
-	u, ok := n.buf[loc.ID]
+	u, ok := n.buf.Get(int64(loc.ID))
 	if ok && u.Iter >= minIter {
 		n.traceRead(n.task.Now(), 0, loc, n.recordStaleness(curIter, u.Iter))
 		n.observeGlobalRead(loc, u.Iter, curIter, age, false, true)
@@ -609,7 +611,7 @@ func (n *Node) GlobalRead(loc *Location, curIter, age int64) Update {
 		um := m.Data.(*updateMsg)
 		n.apply(um)
 		um.release()
-		if u, ok := n.buf[loc.ID]; ok && u.Iter >= minIter {
+		if u, ok := n.buf.Get(int64(loc.ID)); ok && u.Iter >= minIter {
 			end := n.task.Now()
 			n.stats.BlockedTime += end.Sub(start)
 			n.serBlocked.Add(end, float64(end.Sub(start))/1e3)
@@ -649,7 +651,7 @@ func (n *Node) degradeRead(loc *Location, start sim.Time, curIter, age int64) Up
 			K1: "loc", V1: int64(loc.ID)})
 	}
 	n.traceRead(start, end.Sub(start), loc, -1)
-	if u, ok := n.buf[loc.ID]; ok {
+	if u, ok := n.buf.Get(int64(loc.ID)); ok {
 		n.observeGlobalRead(loc, u.Iter, curIter, age, true, true)
 		return u
 	}

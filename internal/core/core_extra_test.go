@@ -126,7 +126,7 @@ func TestMsgBarrierMessageCount(t *testing.T) {
 
 func TestObserverSeesStaleUpdates(t *testing.T) {
 	// The observer must see even updates the buffer rejects as stale.
-	n := &Node{buf: map[int]Update{}, opts: Options{}}
+	n := &Node{}
 	var seen []int64
 	n.opts.Observer = func(locID int, u Update) { seen = append(seen, u.Iter) }
 	n.apply(&updateMsg{Loc: 1, Iter: 5, Value: "a"})
@@ -134,7 +134,7 @@ func TestObserverSeesStaleUpdates(t *testing.T) {
 	if len(seen) != 2 || seen[1] != 3 {
 		t.Fatalf("observer missed the stale update: %v", seen)
 	}
-	if n.buf[1].Iter != 5 {
+	if buffered(n, 1).Iter != 5 {
 		t.Fatal("stale update overwrote the buffer")
 	}
 }

@@ -52,16 +52,23 @@ func TestWritePropagatesToReader(t *testing.T) {
 	}
 }
 
+// buffered returns the update node n's buffer holds for location id
+// (the zero Update if none).
+func buffered(n *Node, id int) Update {
+	u, _ := n.buf.Get(int64(id))
+	return u
+}
+
 func TestStaleUpdatesDropped(t *testing.T) {
-	n := &Node{buf: map[int]Update{}}
+	n := &Node{}
 	n.apply(&updateMsg{Loc: 1, Iter: 5, Value: "new"})
 	n.apply(&updateMsg{Loc: 1, Iter: 3, Value: "old"})
 	n.apply(&updateMsg{Loc: 1, Iter: 5, Value: "dup"})
-	if u := n.buf[1]; u.Value != "new" || u.Iter != 5 {
+	if u := buffered(n, 1); u.Value != "new" || u.Iter != 5 {
 		t.Fatalf("buffer regressed: %+v", u)
 	}
 	n.apply(&updateMsg{Loc: 1, Iter: 6, Value: "newer"})
-	if u := n.buf[1]; u.Value != "newer" {
+	if u := buffered(n, 1); u.Value != "newer" {
 		t.Fatalf("fresh update rejected: %+v", u)
 	}
 }

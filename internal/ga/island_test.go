@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/ga/functions"
@@ -563,5 +564,29 @@ func TestRunIslandConfigErrors(t *testing.T) {
 				t.Errorf("%s: ran until %v instead of rejecting the config", name, err)
 			}
 		}()
+	}
+}
+
+// TestSyncRefusesDuplicatingPlan checks a library call of a Sync run
+// on the plain transport under a plan that duplicates frames: it
+// returns cluster.ErrSyncRepeats, as the commands refuse the run, while
+// the same run on the reliable transport, and a Global_Read run on the
+// plain one, run.
+func TestSyncRefusesDuplicatingPlan(t *testing.T) {
+	dup := &faults.Plan{Name: "every frame twice",
+		Duplicates: []faults.DuplicateWindow{{From: 0, To: 100, Prob: 1}}}
+	cfg := quickCfg(core.Sync, 4)
+	cfg.Faults = dup
+	if _, err := RunIsland(cfg); !errors.Is(err, cluster.ErrSyncRepeats) {
+		t.Fatalf("sync run on the plain transport: error %v, want %v", err, cluster.ErrSyncRepeats)
+	}
+	cfg.Reliable = true
+	if _, err := RunIsland(cfg); err != nil {
+		t.Fatalf("sync run on the reliable transport: %v", err)
+	}
+	cfg = quickCfg(core.NonStrict, 4)
+	cfg.Faults = dup
+	if _, err := RunIsland(cfg); err != nil {
+		t.Fatalf("global_read run on the plain transport: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"nscc/internal/cluster"
 	"nscc/internal/core"
+	"nscc/internal/faults"
 	"nscc/internal/netsim"
 	"nscc/internal/sim"
 	"nscc/internal/trace"
@@ -276,5 +277,32 @@ func TestTerminationFoldIgnoresStaleReports(t *testing.T) {
 	c.fold(report(6, 2, 6)) // a duplicate superstep carrying other values
 	if got := state(); got != want {
 		t.Fatalf("stale reports changed the fold: got %s, want %s", got, want)
+	}
+}
+
+// TestSyncRefusesDuplicatingPlan checks a library call of a Sync run
+// on the plain transport under a plan that duplicates frames: it
+// returns cluster.ErrSyncRepeats, as the commands refuse the run, while
+// the same run on the reliable transport, and a Global_Read run on the
+// plain one, run.
+func TestSyncRefusesDuplicatingPlan(t *testing.T) {
+	g, err := ParseTopoSpec("ring:24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := &faults.Plan{Name: "every frame twice",
+		Duplicates: []faults.DuplicateWindow{{From: 0, To: 100, Prob: 1}}}
+	cfg := Config{G: g, Algo: PageRank, P: 3, Mode: core.Sync, MaxSupersteps: 400,
+		Seed: 9, Calib: DefaultCalibration(), Options: cluster.Options{Faults: dup}}
+	if _, err := Run(cfg); !errors.Is(err, cluster.ErrSyncRepeats) {
+		t.Fatalf("sync run on the plain transport: error %v, want %v", err, cluster.ErrSyncRepeats)
+	}
+	cfg.Reliable = true
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("sync run on the reliable transport: %v", err)
+	}
+	cfg.Mode, cfg.Age, cfg.Reliable = core.NonStrict, 5, false
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("global_read run on the plain transport: %v", err)
 	}
 }

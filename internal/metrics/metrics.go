@@ -8,6 +8,7 @@ package metrics
 import (
 	"math"
 
+	"nscc/internal/intmap"
 	"nscc/internal/sim"
 )
 
@@ -23,7 +24,7 @@ import (
 // stable network hovers at 1 in every window; a flooding sender drives
 // later windows' warp upward. One pairing feeds both views.
 type WarpMeter struct {
-	last   map[[2]int][2]sim.Time // (dst,src) -> (sentAt, arrivedAt) of previous message
+	last   intmap.Map[[2]sim.Time] // streamKey(dst, src) → (sentAt, arrivedAt) of the previous message
 	acc    Accumulator
 	window sim.Duration  // window width; 0 keeps no windows
 	accs   []Accumulator // accs[i] holds the samples arriving in window i
@@ -36,8 +37,12 @@ func NewWarpMeter(window sim.Duration) *WarpMeter {
 	if window < 0 {
 		panic("metrics: warp window must not be negative")
 	}
-	return &WarpMeter{last: make(map[[2]int][2]sim.Time), window: window}
+	return &WarpMeter{window: window}
 }
+
+// streamKey packs a (receiver, sender) pair of task ids, each below
+// 2^32, into one table key.
+func streamKey(dst, src int) int64 { return int64(dst)<<32 | int64(uint32(src)) }
 
 // Observe records one message arrival. Call it for every message (e.g.
 // from pvm.Machine.ArrivalHook). It pairs the arrival with the previous
@@ -53,9 +58,9 @@ func (w *WarpMeter) Observe(dst, src int, sentAt, arrivedAt sim.Time) {
 		}
 		win = &w.accs[idx]
 	}
-	key := [2]int{dst, src}
-	prev, ok := w.last[key]
-	w.last[key] = [2]sim.Time{sentAt, arrivedAt}
+	last, ok := w.last.Upsert(streamKey(dst, src))
+	prev := *last
+	*last = [2]sim.Time{sentAt, arrivedAt}
 	if !ok {
 		return
 	}

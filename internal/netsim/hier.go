@@ -51,22 +51,25 @@ func DefaultHierConfig() HierConfig {
 // uplink, each downlink — is modeled as a FIFO queue by reservation:
 // the link's freeAt clock is advanced at send time, so a frame's whole
 // store-and-forward itinerary is priced when it is offered. Each Unicast
-// or Multicast call then schedules one engine event per distinct
-// arrival time among its destinations, delivering every destination
-// due at that time. A cluster-wide broadcast therefore queues at most
-// one event per rack, not one per node, and the event population stays
-// O(messages), not O(messages × hops) or O(messages × receivers),
-// which is what makes million-message runs tractable. The call's frame
-// holds its destinations as runs (see hFrame), so a broadcast's frame
-// is about one run per rack, too.
+// or Multicast call then books one delivery per distinct arrival time
+// among its destinations, delivering every destination due at that
+// time. Every arrival time is a rack bus's reservation plus the
+// propagation delay, and a rack bus's reservations only grow, so each
+// time is booked on the lane of the rack whose reservation produced it:
+// a broadcast books at most one delivery per rack, not one per node,
+// and the engine's queue holds one entry per rack with deliveries in
+// flight, whatever the message count. The call's frame holds its
+// destinations as runs (see hFrame), so a broadcast's frame is about
+// one run per rack, too.
 type Hier struct {
 	eng      *sim.Engine
 	cfg      HierConfig
 	handlers []Handler
 
-	busFreeAt  []sim.Time // per rack: the shared medium
-	upFreeAt   []sim.Time // per rack: rack → spine
-	downFreeAt []sim.Time // per rack: spine → rack
+	busFreeAt  []sim.Time  // per rack: the shared medium
+	upFreeAt   []sim.Time  // per rack: rack → spine
+	downFreeAt []sim.Time  // per rack: spine → rack
+	lanes      []*sim.Lane // per rack: deliveries off the rack's bus
 
 	queued int
 	stats  Stats
@@ -117,11 +120,11 @@ var _ Fabric = (*Hier)(nil)
 // than one entry per node. The runs are ordered by arrival time and,
 // among equal times, by position in the list. Because a run's members
 // are adjacent in the list and share their time, that is exactly the
-// destinations' own stable order by time. The frame is scheduled once
-// per distinct arrival time. A call queues its events back to back and
-// the engine fires equal-time events in queueing order, so every
-// delivery happens exactly where a separate event per destination,
-// queued in list order, would have put it.
+// destinations' own stable order by time. The frame is booked once per
+// distinct arrival time. A call makes its bookings back to back and the
+// engine fires equal-time bookings in booking order, so every delivery
+// happens exactly where a separate event per destination, queued in
+// list order, would have put it.
 type hFrame struct {
 	h       *Hier
 	src     int
@@ -178,10 +181,12 @@ func (f *hFrame) add(at sim.Time, dst int) {
 	f.runs = append(f.runs, hRun{at, int32(dst), int32(dst) + 1})
 }
 
-// post queues the frame's deliveries: one event per distinct arrival
-// time, or none (and the frame back to the pool) when every
-// destination was lost. Every Unicast and Multicast call ends here, so
-// it also records the call's series samples.
+// post books the frame's deliveries: one per distinct arrival time, or
+// none (and the frame back to the pool) when every destination was
+// lost. A time is booked on the lane of its first run's rack: that
+// node's time, and so the whole group's, is that rack's reservation in
+// this call. Every Unicast and Multicast call ends here, so it also
+// records the call's series samples.
 func (h *Hier) post(f *hFrame) {
 	if h.serBusy != nil {
 		h.serBusy.Add(h.eng.Now(), float64(h.stats.BusyTime-h.busySeen)/1e3)
@@ -195,7 +200,7 @@ func (h *Hier) post(f *hFrame) {
 	for i, r := range f.runs {
 		h.queued += int(r.hi - r.lo)
 		if i == 0 || r.at != f.runs[i-1].at {
-			h.eng.ScheduleRunner(r.at, f)
+			h.lanes[h.RackOf(int(r.lo))].Book(r.at, f)
 		}
 	}
 	if h.queued > h.stats.MaxQueueLen {
@@ -260,6 +265,7 @@ func (h *Hier) Attach(name string, hd Handler) int {
 		h.busFreeAt = append(h.busFreeAt, 0)
 		h.upFreeAt = append(h.upFreeAt, 0)
 		h.downFreeAt = append(h.downFreeAt, 0)
+		h.lanes = append(h.lanes, h.eng.NewLane())
 		h.rackAt = append(h.rackAt, 0)
 		h.rackStamp = append(h.rackStamp, 0)
 	}

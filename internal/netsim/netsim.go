@@ -93,6 +93,10 @@ type Network struct {
 	queued    int
 	stats     Stats
 
+	// lane books every delivery: the bus lands frames in the order it
+	// sends them, so the engine's queue holds only the earliest.
+	lane *sim.Lane
+
 	// Windowed utilization accounting, maintained only while the
 	// engine's tracer is set: busy time is attributed to the window
 	// containing each frame's transmission start, and a "util_pct"
@@ -106,18 +110,17 @@ type Network struct {
 	serQueue *tseries.Series
 
 	// frames is the free list of pooled delivery callbacks. Every
-	// transmission schedules exactly one delivery, so in steady state
+	// transmission books exactly one delivery, so in steady state
 	// the pool holds about as many frames as the peak number in flight
 	// and the per-send path allocates nothing.
 	frames []*frame
 }
 
 // frame is a pooled in-flight transmission: the delivery callback the
-// bus schedules for a frame's arrival. Pooling it (together with the
-// engine's ScheduleRunner) removes the per-send closure allocation from
-// the network hot path. A multicast frame copies its destination list
-// into the frame's own reusable buffer, so callers may recycle theirs
-// as soon as Multicast returns.
+// bus books on its lane for a frame's arrival. Pooling it removes the
+// per-send closure allocation from the network hot path. A multicast
+// frame copies its destination list into the frame's own reusable
+// buffer, so callers may recycle theirs as soon as Multicast returns.
 type frame struct {
 	n       *Network
 	src     int
@@ -215,7 +218,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Network{eng: eng, cfg: cfg, rng: eng.NewRng(1 << 20)}
+	return &Network{eng: eng, cfg: cfg, rng: eng.NewRng(1 << 20), lane: eng.NewLane()}
 }
 
 // Engine returns the engine the network is attached to.
@@ -315,7 +318,7 @@ func (n *Network) Unicast(src, dst, size int, payload interface{}, onWire func()
 	f.dst = dst
 	deliverAt := n.admitFrame(src, size, onWire)
 	f.lost = n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb
-	n.eng.ScheduleRunner(deliverAt, f)
+	n.lane.Book(deliverAt, f)
 }
 
 // Multicast transmits one frame that every node in dsts receives — the
@@ -344,7 +347,7 @@ func (n *Network) Multicast(src int, dsts []int, size int, payload interface{}, 
 			f.losts = append(f.losts, n.rng.Float64() < n.cfg.LossProb)
 		}
 	}
-	n.eng.ScheduleRunner(deliverAt, f)
+	n.lane.Book(deliverAt, f)
 }
 
 // Stats returns a snapshot of the network counters.

@@ -76,7 +76,8 @@ type Switch struct {
 	cfg      SwitchConfig
 	handlers []Handler
 
-	egressFreeAt []sim.Time // per source node
+	egressFreeAt []sim.Time  // per source node
+	lanes        []*sim.Lane // per source node: its egress link's deliveries
 	stats        Stats
 
 	// Windowed series resolved by SetSeries (nil when off).
@@ -90,9 +91,10 @@ type Switch struct {
 }
 
 // swFrame is a pooled in-flight switch transfer: the delivery callback
-// scheduled for one destination's arrival. See Network's frame type —
-// same trick, per-destination because the crossbar has no shared
-// medium.
+// booked for one destination's arrival on the sender's egress lane. A
+// link lands its transfers in the order it sends them, so the lane's
+// times only grow. See Network's frame type — same trick,
+// per-destination because the crossbar has no shared medium.
 type swFrame struct {
 	s       *Switch
 	src     int
@@ -151,6 +153,7 @@ func (s *Switch) Engine() *sim.Engine { return s.eng }
 func (s *Switch) Attach(name string, h Handler) int {
 	s.handlers = append(s.handlers, h)
 	s.egressFreeAt = append(s.egressFreeAt, 0)
+	s.lanes = append(s.lanes, s.eng.NewLane())
 	return len(s.handlers) - 1
 }
 
@@ -195,7 +198,7 @@ func (s *Switch) Unicast(src, dst, size int, payload interface{}, onWire func())
 	s.serBusy.Add(start, float64(tx)/1e3)
 	s.serBacklog.Add(now, float64(start.Sub(now))/1e3)
 	end := start.Add(tx)
-	s.eng.ScheduleRunner(end.Add(s.cfg.Latency), s.getFrame(src, dst, payload, now))
+	s.lanes[src].Book(end.Add(s.cfg.Latency), s.getFrame(src, dst, payload, now))
 	s.egressFreeAt[src] = end
 	if onWire != nil {
 		s.eng.Schedule(end, onWire)
@@ -239,7 +242,7 @@ func (s *Switch) Multicast(src int, dsts []int, size int, payload interface{}, o
 		s.stats.QueueDelay += start.Sub(now)
 		s.serBusy.Add(start, float64(tx)/1e3)
 		end := start.Add(tx)
-		s.eng.ScheduleRunner(end.Add(s.cfg.Latency), s.getFrame(src, dst, payload, now))
+		s.lanes[src].Book(end.Add(s.cfg.Latency), s.getFrame(src, dst, payload, now))
 		start = end
 	}
 	s.egressFreeAt[src] = start

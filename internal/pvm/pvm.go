@@ -241,7 +241,7 @@ type Task struct {
 	queue []*Message
 	wl    sim.WaitList
 
-	inflight int          // frames sent but not yet clear of the bus
+	inflight int          // frames sent but not yet clear of the bus (counted under a SendWindow)
 	sendWL   sim.WaitList // senders blocked on the send window
 
 	// lastRecv is the pooled message handed to the application by the
@@ -250,7 +250,7 @@ type Task struct {
 	lastRecv *Message
 
 	// wireDone is the preallocated window-release callback for sends
-	// with no caller onWire — the dominant case, which would otherwise
+	// under a SendWindow with no caller onWire, which would otherwise
 	// allocate a closure per send.
 	wireDone func()
 
@@ -296,9 +296,11 @@ func (m *Machine) Spawn(name string, fn func(*Task)) *Task {
 	// The queue is pre-sized for the common few-messages-in-flight case
 	// so steady-state enqueue/dequeue does not grow the backing array.
 	t := &Task{m: m, id: len(m.tasks), queue: make([]*Message, 0, 16)}
-	t.wireDone = func() {
-		t.inflight--
-		t.sendWL.WakeOne()
+	if m.cfg.SendWindow > 0 {
+		t.wireDone = func() {
+			t.inflight--
+			t.sendWL.WakeOne()
+		}
 	}
 	m.tasks = append(m.tasks, t)
 	if m.cfg.Reliable {
@@ -388,7 +390,12 @@ func (t *Task) Bcast(tag int, size int, data interface{}) {
 // the sender (Multicast passes 0, so a nil list of its caller stays
 // empty). The sender first pays its overhead and waits out its send
 // window; from then on it cannot yield, so the machine's scratch is
-// this send's alone until it returns.
+// this send's alone until it returns. The fabric gets a wire callback
+// only when something waits for the frame to clear the wire: the send
+// window, which counts the frame in flight, or the caller's onWire,
+// handed on as it is unless the window needs wrapping it too. An
+// unwindowed frame without onWire therefore costs the engine one
+// event, its delivery.
 func (t *Task) send(dsts []int, ntasks int, tag int, size int, data interface{}, onWire func()) {
 	m := t.m
 	t.proc.Sleep(m.cfg.SendOverhead)
@@ -407,7 +414,6 @@ func (t *Task) send(dsts []int, ntasks int, tag int, size int, data interface{},
 		}
 		m.dstBuf = dsts
 	}
-	t.inflight++
 	msg := m.getMsg()
 	if !m.cfg.Reliable {
 		// One share per delivery. A reliable-mode original stays with
@@ -419,12 +425,16 @@ func (t *Task) send(dsts []int, ntasks int, tag int, size int, data interface{},
 	t.bytesSent += int64(size)
 	m.serBytes.Add(msg.SentAt, float64(size))
 	t.traceSend(msg)
-	wireDone := t.wireDone
-	if onWire != nil {
-		wireDone = func() {
-			t.inflight--
-			t.sendWL.WakeOne()
-			onWire()
+	wireDone := onWire
+	if m.cfg.SendWindow > 0 {
+		t.inflight++
+		wireDone = t.wireDone
+		if onWire != nil {
+			wireDone = func() {
+				t.inflight--
+				t.sendWL.WakeOne()
+				onWire()
+			}
 		}
 	}
 	var payload interface{} = msg

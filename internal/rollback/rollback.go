@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"nscc/internal/intmap"
 )
 
 // cell is one (iteration, remote node) slot: the received actual and
@@ -95,8 +97,8 @@ type Store struct {
 	width  int     // columns handed out
 	stride int     // cells per row, ≥ width
 	blocks []*block
-	nrows  int32           // rows ever made
-	index  map[int64]int32 // live iteration → row
+	nrows  int32             // rows ever made
+	index  intmap.Map[int32] // live iteration → row
 	free   []int32
 	last   *row    // row of the latest lookup, or nil
 	dirty  []int64 // dirty iterations, increasing
@@ -106,7 +108,7 @@ type Store struct {
 
 // NewStore returns an empty ledger.
 func NewStore() *Store {
-	return &Store{index: make(map[int64]int32)}
+	return &Store{}
 }
 
 // Stats returns a snapshot of the counters.
@@ -146,7 +148,7 @@ func (s *Store) find(iter int64) *row {
 	if s.last != nil && s.last.iter == iter {
 		return s.last
 	}
-	r, ok := s.index[iter]
+	r, ok := s.index.Get(iter)
 	if !ok {
 		return nil
 	}
@@ -176,7 +178,7 @@ func (s *Store) rowFor(iter int64) *row {
 	rw := &s.blocks[r/blockRows][r%blockRows]
 	clear(rw.cells)
 	rw.iter, rw.live, rw.dirty = iter, true, false
-	s.index[iter] = r
+	s.index.Put(iter, r)
 	s.last = rw
 	return rw
 }
@@ -291,7 +293,7 @@ func (s *Store) Prune(iter int64) {
 			rw := &b[i]
 			if rw.live && rw.iter < iter && !rw.dirty {
 				rw.live = false
-				delete(s.index, rw.iter)
+				s.index.Delete(rw.iter)
 				s.free = append(s.free, int32(bi*blockRows+i))
 				if s.last == rw {
 					s.last = nil

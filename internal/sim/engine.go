@@ -18,6 +18,7 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	q     eventQueue
+	laned int      // lane bookings waiting behind their lane's queued head
 	free  []*event // recycled event objects (see event's doc comment)
 	seed  int64
 	procs []*Proc
@@ -88,16 +89,6 @@ func (e *Engine) scheduleStep(at Time, p *Proc) {
 	e.push(at).proc = p
 }
 
-// ScheduleRunner registers r.Run() to fire at absolute time at. It is
-// Schedule for reusable callback objects: the interface value is stored
-// in the pooled event, so a caller recycling its runners schedules with
-// zero allocations.
-func (e *Engine) ScheduleRunner(at Time, r Runner) EventHandle {
-	ev := e.push(at)
-	ev.runner = r
-	return EventHandle{ev, ev.seq}
-}
-
 // push takes an event object from the free list (or allocates one),
 // stamps it, and queues it. fn/proc are left for the caller to fill.
 func (e *Engine) push(at Time) *event {
@@ -118,10 +109,11 @@ func (e *Engine) push(at Time) *event {
 	return ev
 }
 
-// Pending reports the number of events currently queued. Canceled
-// events are reclaimed eagerly, so this is the genuinely pending
-// population, not an upper bound.
-func (e *Engine) Pending() int { return e.q.len() }
+// Pending reports the number of events currently queued, every
+// outstanding lane booking included. Canceled events are reclaimed
+// eagerly, so this is the genuinely pending population, not an upper
+// bound.
+func (e *Engine) Pending() int { return e.q.len() + e.laned }
 
 // recycle returns a fired or skipped event to the free list. The
 // object's seq stays behind until the next push re-stamps it, which is
@@ -129,7 +121,6 @@ func (e *Engine) Pending() int { return e.q.len() }
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.proc = nil
-	ev.runner = nil
 	e.free = append(e.free, ev)
 }
 
@@ -226,20 +217,18 @@ func (e *Engine) next(self *Proc) (due *Proc) {
 			e.tracer.Emit(trace.Event{TS: int64(e.now), Ph: trace.PhaseInstant,
 				Pid: trace.PidSim, Cat: "sim", Name: "event", K1: "seq", V1: int64(ev.seq)})
 		}
+		if l := ev.lane; l != nil {
+			l.next().Run()
+			continue
+		}
 		// Detach the payload and recycle before firing: the callback may
 		// schedule (and thereby reuse) freely.
-		fn, p, r := ev.fn, ev.proc, ev.runner
+		fn, p := ev.fn, ev.proc
 		e.recycle(ev)
-		switch {
-		case p != nil:
-			if p.done {
-				continue
-			}
-			return p
-		case r != nil:
-			r.Run()
-		default:
+		if p == nil {
 			fn()
+		} else if !p.done {
+			return p
 		}
 	}
 	return nil

@@ -6,8 +6,8 @@ package sim
 //
 // Fired and canceled events are recycled through the engine's free
 // list: Schedule/scheduleStep is the hottest allocation site in the
-// simulator (every Sleep, wake and network frame goes through it), so
-// the steady state runs allocation-free. A process resumption is
+// simulator (every Sleep and wake goes through it; network frames go
+// through lanes), so the steady state runs allocation-free. A process resumption is
 // stored as the proc pointer itself rather than a `func() { step(p) }`
 // closure, which removes the second per-wakeup allocation.
 type event struct {
@@ -15,11 +15,10 @@ type event struct {
 	seq  uint64
 	fn   func()
 	proc *Proc // when non-nil, fire by stepping this process (fn is nil)
-	// runner, when non-nil, fires by calling Run() (fn and proc are
-	// nil). Callers with a reusable callback object schedule it through
-	// ScheduleRunner and skip the closure allocation fn would need —
-	// the same trick proc plays for process resumptions.
-	runner Runner
+	// lane, when non-nil, marks the queue entry of a Lane's earliest
+	// booking: firing it runs that booking and queues the next. The
+	// entry belongs to the lane and never enters the free list.
+	lane *Lane
 	// eng is the owning engine, set once when the event object is first
 	// allocated; Cancel reaches the event queue through it.
 	eng *Engine
@@ -29,10 +28,10 @@ type event struct {
 	idx int
 }
 
-// Runner is a schedulable callback object. Storing a pointer in the
-// event's Runner field allocates nothing, so pooled callback objects
-// (e.g. the network's frame deliveries) make the hot path
-// allocation-free where a fresh closure per schedule could not.
+// Runner is a callback object a Lane books. Storing a pointer in a
+// booking allocates nothing, so pooled callback objects (the network's
+// frame deliveries) make the hot path allocation-free where a fresh
+// closure per booking could not.
 type Runner interface{ Run() }
 
 // EventHandle allows a scheduled event to be canceled before it fires.

@@ -40,10 +40,10 @@ func runRecover(e *Engine) (v interface{}) {
 }
 
 // TestCallbackPanicOnProcessGoroutine panics in a Schedule callback and
-// in a Runner while a parked process drives the loop on its own stack.
-// Run must re-raise each callback's own value on the caller's goroutine
-// (recovering it here proves that), leave the engine runnable with the
-// process parked and resumable, and reset its running flag.
+// in a lane's Runner while a parked process drives the loop on its own
+// stack. Run must re-raise each callback's own value on the caller's
+// goroutine (recovering it here proves that), leave the engine runnable
+// with the process parked and resumable, and reset its running flag.
 func TestCallbackPanicOnProcessGoroutine(t *testing.T) {
 	type boom struct{ kind string }
 	for _, kind := range []string{"schedule", "runner"} {
@@ -64,7 +64,7 @@ func TestCallbackPanicOnProcessGoroutine(t *testing.T) {
 			if kind == "schedule" {
 				e.Schedule(5, fire)
 			} else {
-				e.ScheduleRunner(5, runnerFunc(fire))
+				e.NewLane().Book(5, runnerFunc(fire))
 			}
 			if got := runRecover(e); got != want {
 				t.Fatalf("Run panicked with %v, want the callback's own value %v", got, want)

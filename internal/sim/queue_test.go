@@ -32,15 +32,16 @@ func (m *refModel) removeAt(i int) *event {
 	return ev
 }
 
-// checkQueue fails the test unless q holds model's events: the same
-// count and minimum, every item's key equal to its event's, every event
-// at the index it records, and no item below its parent.
-func checkQueue(t *testing.T, op int, q *eventQueue, model refModel) {
+// checkQueue fails the test unless q, with laned lane bookings waiting
+// behind their lanes' queued heads, holds model's events: the same
+// count and minimum key, every item's key equal to its event's, every
+// event at the index it records, and no item below its parent.
+func checkQueue(t *testing.T, op int, q *eventQueue, laned int, model refModel) {
 	t.Helper()
-	if q.len() != len(model) {
-		t.Fatalf("op %d: len %d want %d", op, q.len(), len(model))
+	if q.len()+laned != len(model) {
+		t.Fatalf("op %d: len %d + %d laned, want %d", op, q.len(), laned, len(model))
 	}
-	if len(model) > 0 && q.peek() != model[0] {
+	if len(model) > 0 && (q.peek().at != model[0].at || q.peek().seq != model[0].seq) {
 		t.Fatalf("op %d: peek (at=%d seq=%d) want (at=%d seq=%d)",
 			op, q.peek().at, q.peek().seq, model[0].at, model[0].seq)
 	}
@@ -115,7 +116,7 @@ func TestQueueMatchesReference(t *testing.T) {
 			t.Fatalf("op %d: len %d want %d", op, q.len(), len(model))
 		}
 	}
-	checkQueue(t, -1, &q, model)
+	checkQueue(t, -1, &q, 0, model)
 	for len(model) > 0 {
 		popMatches(t, -1, &q, &model)
 	}
@@ -124,43 +125,91 @@ func TestQueueMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzQueueMatchesReference decodes a sequence of inserts, pops and
-// cancels from its input, two bytes an operation, and checks the event
-// queue against the reference model after each. An insert lands arg
-// nanoseconds, scaled by a power of two up to 2^15, after the last
-// popped time, so small inputs produce equal-time runs as well as
-// spread-out ones.
+// booked is a lane booking's stand-in in the reference model: its at
+// and seq are the booking's key, and its lane field names the lane.
+// Firing the booking hands it back, so the test can tell which booking
+// the lane ran.
+type booked struct{ ev *event }
+
+func (booked) Run() {}
+
+// FuzzQueueMatchesReference decodes a sequence of schedules, lane
+// bookings, pops and cancels from its input, two bytes an operation,
+// and checks the engine's queue and lanes against the reference model
+// after each. A schedule lands arg nanoseconds, scaled by a power of
+// two up to 2^15, after the last popped time, so small inputs produce
+// equal-time runs as well as spread-out ones. A booking goes on one of
+// three lanes, arg nanoseconds after the later of that time and the
+// lane's last booking, so each lane's times never decrease. A pop
+// takes the queue's minimum and, for a lane's entry, the lane's
+// earliest booking; both must be the model's minimum. A cancel removes
+// a scheduled event (a lane booking cannot be canceled, so picking one
+// is a no-op).
 func FuzzQueueMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2, 0, 1, 3, 3, 0, 2, 0})
 	f.Add([]byte{0xf0, 9, 0x10, 200, 0, 1, 0, 1, 3, 1, 2, 0, 2, 0, 2, 0})
 	f.Add([]byte{0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 3, 2, 3, 0, 2, 0, 2, 0})
+	f.Add([]byte{4, 0, 4, 0, 0, 0, 0x14, 3, 4, 0, 2, 0, 0x24, 1, 2, 0, 2, 0, 4, 0, 7, 1})
+	f.Add([]byte{0x24, 5, 0x14, 0, 4, 5, 0, 5, 0x20, 5, 2, 0, 3, 3, 2, 0, 0x24, 0, 2, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var q eventQueue
+		e := NewEngine(1)
+		lanes := []*Lane{e.NewLane(), e.NewLane(), e.NewLane()}
+		last := make([]Time, len(lanes))
 		var model refModel
-		seq := uint64(0)
-		now := Time(0)
+		pop := func(op int) {
+			t.Helper()
+			want := model.pop()
+			got := e.q.pop()
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("op %d: pop got (at=%d seq=%d) want (at=%d seq=%d)",
+					op, got.at, got.seq, want.at, want.seq)
+			}
+			e.now = got.at
+			if l := got.lane; l != nil {
+				if b := l.next().(booked); b.ev != want {
+					t.Fatalf("op %d: lane ran booking (at=%d seq=%d) want (at=%d seq=%d)",
+						op, b.ev.at, b.ev.seq, want.at, want.seq)
+				}
+			} else if got != want || got.idx != -1 {
+				t.Fatalf("op %d: popped event %p (index %d), want %p", op, got, got.idx, want)
+			}
+		}
 		for op := 0; len(data) >= 2; op++ {
 			code, arg := data[0], data[1]
 			data = data[2:]
 			switch {
-			case code%4 < 2 || len(model) == 0:
-				ev := &event{at: now + Time(arg)<<(code>>4), seq: seq}
-				seq++
-				q.insert(ev)
+			case code%8 < 2 || len(model) == 0 && code%8 < 4:
+				ev := e.push(e.now + Time(arg)<<(code>>4))
 				model.insert(ev)
-			case code%4 == 2:
-				now = popMatches(t, op, &q, &model).at
-			default:
-				ev := model.removeAt(int(arg) % len(model))
-				q.remove(ev)
-				if ev.idx != -1 {
-					t.Fatalf("op %d: removed event keeps index %d", op, ev.idx)
+			case code%8 < 4:
+				pop(op)
+			case code%8 < 6:
+				k := int(code>>4) % len(lanes)
+				at := max(e.now, last[k]) + Time(arg)
+				last[k] = at
+				ref := &event{at: at, seq: e.seq, lane: lanes[k]}
+				lanes[k].Book(at, booked{ref})
+				model.insert(ref)
+			case len(model) > 0:
+				i := int(arg) % len(model)
+				if ev := model[i]; ev.lane == nil {
+					model.removeAt(i)
+					e.q.remove(ev)
+					if ev.idx != -1 {
+						t.Fatalf("op %d: removed event keeps index %d", op, ev.idx)
+					}
 				}
 			}
-			checkQueue(t, op, &q, model)
+			checkQueue(t, op, &e.q, e.laned, model)
+			if e.Pending() != len(model) {
+				t.Fatalf("op %d: Pending %d, want %d", op, e.Pending(), len(model))
+			}
 		}
 		for len(model) > 0 {
-			popMatches(t, -1, &q, &model)
+			pop(-1)
+		}
+		if e.q.len() != 0 || e.laned != 0 {
+			t.Fatalf("drained model left %d queued and %d laned", e.q.len(), e.laned)
 		}
 	})
 }
