@@ -33,7 +33,8 @@ func TestMain(m *testing.M) {
 // -load above the bus's 10 Mbit/s or below 1 bit/s, whose send
 // interval overflows the clock and never advances it. A fault plan
 // that drops messages needs -reliable: without it the Sync run (the
-// quality target's, in the other modes) deadlocks on its barrier.
+// quality target's, in the other modes) deadlocks on its barrier. And
+// -hier with -switch names two fabrics for one run.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	lossy := filepath.Join(t.TempDir(), "lossy.json")
@@ -43,6 +44,7 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-func", "0"}, {"-func", "9"}, {"-procs", "0"}, {"-procs", "-3"}, {"-gens", "0"},
 		{"-age", "-5"}, {"-mode", "async", "-age", "-1"}, {"-hier", "-rack-size", "-4"},
+		{"-http", "127.0.0.1:0", "-procs", "4", "-gens", "20", "-hier", "-switch"},
 		{"-read-timeout", "-5ms"}, {"-load", "-1"}, {"-load", "2e7"}, {"-load", "1e-7"},
 		{"-http", "127.0.0.1:0", "-mode", "bogus"},
 		{"-http", "127.0.0.1:0", "-topology", "bogus"},

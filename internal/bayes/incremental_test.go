@@ -29,6 +29,33 @@ func incWorker(t *testing.T) *worker {
 	return w
 }
 
+// countUpTo tallies accepted samples and query hits over iterations
+// [0, wm) from scratch: the reference the incremental counters are
+// held to.
+func (w *worker) countUpTo(wm int64) (hits, accepted int64) {
+	qn := w.cfg.Query.Node
+	for t := int64(0); t < wm; t++ {
+		if !w.ownEvidenceOK(t) {
+			continue
+		}
+		ok := true
+		for q := 0; q < w.cfg.P; q++ {
+			if q != w.p && w.evBits[q][t] != 1 {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		accepted++
+		if int(w.row(t)[w.pos[qn]]) == w.cfg.Query.State {
+			hits++
+		}
+	}
+	return hits, accepted
+}
+
 // TestIncrementalCountMatchesRecount drives a randomized sequence of
 // the three mutations the counters must survive — new iterations,
 // evidence-bit rewrites below the counted watermark (peer rollback

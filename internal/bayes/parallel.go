@@ -21,13 +21,9 @@ import (
 
 // Message tags and sizes of the parallel sampler's own protocol.
 const (
-	doneTag    = 9000
-	arriveTag  = 9100 // sync barrier arrival
-	verdictTag = 9101 // sync barrier release carrying the continue/stop verdict
+	doneTag = 9000
 
 	doneMsgSize     = 8
-	arriveMsgSize   = 16
-	verdictMsgSize  = 16
 	progressMsgSize = 24
 )
 
@@ -243,7 +239,9 @@ type worker struct {
 
 	targets []int // partitions we send bundles to
 	sources []int // partitions we receive bundles from
-	others  []int // every partition but this one (the sync verdict's readers)
+	// barrier is the synchronous variant's barrier, whose release
+	// carries the coordinator's stop verdict.
+	barrier *core.MsgBarrier
 	// tgtPhase[ti][ph]: the interface nodes sent to targets[ti] in sync
 	// phase ph, and phaseSteps[ph] the indices into steps of the
 	// phase-ph nodes (precomputed so syncIteration builds no
@@ -459,6 +457,15 @@ func (pl *Plan) run(cfg ParallelConfig) (ParallelResult, []*worker, error) {
 
 	res := ParallelResult{EdgeCut: topo.cut, HalfWidth: math.Inf(1)}
 	workers := make([]*worker, cfg.P)
+	// The coordinator coordinates the barrier, and its release reaches
+	// the other partitions in ascending order.
+	members := []int{topo.coordinator}
+	for q := 0; q < cfg.P; q++ {
+		if q != topo.coordinator {
+			members = append(members, q)
+		}
+	}
+	barrier := core.NewMsgBarrier(members)
 
 	for p := 0; p < cfg.P; p++ {
 		p := p
@@ -485,6 +492,7 @@ func (pl *Plan) run(cfg ParallelConfig) (ParallelResult, []*worker, error) {
 			defaults: defaults,
 			pos:      make([]int, bn.N()),
 			steps:    pl.steps[p],
+			barrier:  barrier,
 			coord:    p == topo.coordinator,
 
 			serIters:     cfg.Series.Counter("bayes.iters"),
@@ -505,9 +513,6 @@ func (pl *Plan) run(cfg ParallelConfig) (ParallelResult, []*worker, error) {
 		for src := 0; src < cfg.P; src++ {
 			if _, ok := topo.bundleLocs[src][p]; ok {
 				w.sources = append(w.sources, src)
-			}
-			if src != p {
-				w.others = append(w.others, src)
 			}
 		}
 		//nscc:maporder -- sortInts below launders the iteration order
@@ -569,11 +574,11 @@ func (pl *Plan) run(cfg ParallelConfig) (ParallelResult, []*worker, error) {
 	cw := workers[topo.coordinator]
 	res.Iters = cw.logLen
 	res.ReachedPrecision = cw.stopped
-	hits, acc := cw.countUpTo(cw.finalWatermark())
-	res.Accepted = acc
-	if acc > 0 {
-		res.Prob = float64(hits) / float64(acc)
-		res.HalfWidth = metrics.ProportionCI90HalfWidth(res.Prob, int(acc))
+	cw.advanceCount(cw.finalWatermark())
+	res.Accepted = cw.cntAcc
+	if cw.cntAcc > 0 {
+		res.Prob = float64(cw.cntHits) / float64(cw.cntAcc)
+		res.HalfWidth = metrics.ProportionCI90HalfWidth(res.Prob, int(cw.cntAcc))
 	}
 	return res, workers, nil
 }
@@ -712,9 +717,14 @@ func (w *worker) run(onExit func()) {
 			}
 		}
 
-		// Stopping rule.
+		// Stopping rule. In the synchronous variant the coordinator
+		// decides before it collects the barrier's arrivals, so its
+		// verdict must not depend on them: preciseEnough reads only
+		// state that its own DSM calls change.
 		if cfg.Mode == core.Sync && cfg.P > 1 {
-			if stop := w.syncBarrier(t); stop {
+			stop := w.coord && (t+1)%checkEvery == 0 && w.preciseEnough()
+			if w.barrier.Decide(w.task, stop) {
+				w.stopped = stop
 				w.finish(onExit)
 				return
 			}
@@ -786,27 +796,6 @@ func (w *worker) evidenceOKFor(sample []int8) bool {
 		}
 	}
 	return true
-}
-
-// syncBarrier runs the combined barrier + verdict exchange of the
-// synchronous variant. Returns true to stop.
-func (w *worker) syncBarrier(t int64) bool {
-	coordPart := w.topo.coordinator
-	if w.p == coordPart {
-		for i := 0; i < w.cfg.P-1; i++ {
-			w.task.Recv(pvm.Any, arriveTag)
-		}
-		stop := false
-		if (t+1)%checkEvery == 0 && w.preciseEnough() {
-			stop = true
-			w.stopped = true
-		}
-		w.task.Multicast(w.others, verdictTag, verdictMsgSize, stop, nil)
-		return stop
-	}
-	w.task.Send(coordPart, arriveTag, arriveMsgSize, nil)
-	m := w.task.Recv(coordPart, verdictTag)
-	return m.Data.(bool)
 }
 
 // finish publishes exit sentinels on every location this partition
@@ -1035,7 +1024,8 @@ func (w *worker) contribAt(t int64) (acc, hit bool) {
 
 // advanceCount folds iterations [cntWM, wm) into the incremental
 // counters. Together with the setEvBit/recountRepair adjustments this
-// keeps (cntHits, cntAcc) equal to countUpTo(cntWM) at all times.
+// keeps (cntHits, cntAcc) equal to a full recount of [0, cntWM) at all
+// times, so a run's final tally is read from them.
 //
 //nscc:commutative
 func (w *worker) advanceCount(wm int64) {
@@ -1078,32 +1068,6 @@ func (w *worker) recountRepair(d int64, old []int8) {
 			w.cntHits++
 		}
 	}
-}
-
-// countUpTo tallies accepted samples and query hits over iterations
-// [0, wm).
-func (w *worker) countUpTo(wm int64) (hits, accepted int64) {
-	qn := w.cfg.Query.Node
-	for t := int64(0); t < wm; t++ {
-		if !w.ownEvidenceOK(t) {
-			continue
-		}
-		ok := true
-		for q := 0; q < w.cfg.P; q++ {
-			if q != w.p && w.evBits[q][t] != 1 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		accepted++
-		if int(w.row(t)[w.pos[qn]]) == w.cfg.Query.State {
-			hits++
-		}
-	}
-	return hits, accepted
 }
 
 // preciseEnough evaluates the paper's stopping rule (90% CI half-width

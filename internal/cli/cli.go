@@ -131,6 +131,8 @@ func (f *Flags) Check(sync bool) error {
 		return fmt.Errorf("-loss %v: want a probability in [0,1]", f.Loss)
 	case f.Switch && f.Loss > 0:
 		return fmt.Errorf("-loss %v with -switch: the switch has no loss model, so -loss applies only to the bus", f.Loss)
+	case f.Switch && f.Hier != nil:
+		return errors.New("-hier with -switch: a run has one fabric, so pick the rack/spine fabric or the switch")
 	case f.Resume && f.CacheDir == "":
 		return errors.New("-resume requires -cache-dir")
 	case f.SimRaceOut != "" && !f.SimRace:

@@ -63,6 +63,7 @@ func TestCheckRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := func(mode string) Flags { return Flags{has: Mode | Load | Switch, ModeName: mode} }
+	hier := netsim.DefaultHierConfig()
 	for _, tc := range []struct {
 		name string
 		f    Flags
@@ -74,6 +75,7 @@ func TestCheckRules(t *testing.T) {
 		{"loss above 1", Flags{Loss: 1.5}, false, "-loss"},
 		{"negative loss", Flags{Loss: -0.1}, false, "-loss"},
 		{"loss on the switch", Flags{Loss: 0.1, Switch: true, Reliable: true}, false, "-switch"},
+		{"hier and the switch", Flags{Switch: true, Hier: &hier}, false, "-hier with -switch"},
 		{"resume without cache", Flags{Resume: true}, false, "-resume requires -cache-dir"},
 		{"race report without checker", Flags{SimRaceOut: "r.json"}, false, "-simrace-out requires -simrace"},
 		{"function 0", Flags{has: Func}, false, "-func 0"},
@@ -111,9 +113,8 @@ func TestCheckRules(t *testing.T) {
 // TestCheckFillsRun checks what Check derives for a run: the parsed
 // mode, the fabric and the cluster options, and Exper's sweep options.
 func TestCheckFillsRun(t *testing.T) {
-	hier := netsim.DefaultHierConfig()
 	f := Flags{has: Mode | Switch | Load | Sweep, ModeName: "async", Switch: true, Load: 1e6,
-		Reliable: true, ReadTimeout: 50 * time.Millisecond, SimRace: true, Trials: 3, Workers: 2, Hier: &hier}
+		Reliable: true, ReadTimeout: 50 * time.Millisecond, SimRace: true, Trials: 3, Workers: 2}
 	if err := f.Check(true); err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +122,18 @@ func TestCheckFillsRun(t *testing.T) {
 	switch {
 	case f.Mode != core.Async:
 		t.Errorf("mode %v, want async", f.Mode)
-	case spec.Switch == nil || spec.Hier != &hier || spec.LoaderBps != 1e6:
-		t.Errorf("fabric %+v, want the switch, the given rack/spine config and a 1 Mbit/s loader", spec)
+	case spec.Switch == nil || spec.Hier != nil || spec.LoaderBps != 1e6:
+		t.Errorf("fabric %+v, want the switch and a 1 Mbit/s loader", spec)
 	case !spec.Reliable || spec.ReadTimeout != 50*sim.Millisecond || !spec.RaceCheck || spec.Faults != nil:
 		t.Errorf("cluster options %+v", spec.Options)
+	}
+	hier := netsim.DefaultHierConfig()
+	h := Flags{has: Mode | Switch | Load, ModeName: "async", Load: 1e6, Hier: &hier}
+	if err := h.Check(true); err != nil {
+		t.Fatal(err)
+	}
+	if spec := h.Cluster; spec.Switch != nil || spec.Hier != &hier || spec.LoaderBps != 1e6 {
+		t.Errorf("fabric %+v, want the given rack/spine config and a 1 Mbit/s loader", spec)
 	}
 
 	opts := exper.Quick()

@@ -73,13 +73,13 @@ type Options struct {
 // layer, and its Options.
 type Spec struct {
 	Seed int64
-	// Net overrides the bus model (nil = netsim.DefaultConfig()).
+	// Net overrides the bus model (nil = netsim.DefaultConfig()). At
+	// most one of Net, Switch and Hier may be set.
 	Net *netsim.Config
 	// Switch, if set, runs on the SP2-style crossbar switch instead of
 	// the bus.
 	Switch *netsim.SwitchConfig
-	// Hier, if set, runs on the rack/spine fabric. It takes precedence
-	// over Switch.
+	// Hier, if set, runs on the rack/spine fabric.
 	Hier *netsim.HierConfig
 	// PVM overrides the messaging overheads (nil = pvm.DefaultConfig()).
 	PVM *pvm.Config
@@ -96,15 +96,25 @@ type Spec struct {
 // 1 ns resolution and a run's events are nearly all loader frames.
 const maxLoaderBps = 1e9
 
-// Validate reports the first setting of s no cluster can run: a fabric
-// config that fails its own Validate, a negative read timeout, or a
-// loader rate other than 0 outside [1 bit/s, 1 Gbit/s] or above the
-// rate of its link. The loader is one host on the fabric, so it cannot
-// offer more than its link carries: a rack bus on the rack/spine
-// fabric, its switch link, or the bus. Below 1 bit/s, the floor of
-// every link rate, the loader's send interval overflows the engine's
-// clock and it sends at one virtual instant forever.
+// Validate reports the first setting of s no cluster can run: more
+// than one fabric, a fabric config that fails its own Validate, a
+// negative read timeout, or a loader rate other than 0 outside
+// [1 bit/s, 1 Gbit/s] or above the rate of its link. The loader is one
+// host on the fabric, so it cannot offer more than its link carries: a
+// rack bus on the rack/spine fabric, its switch link, or the bus. Below
+// 1 bit/s, the floor of every link rate, the loader's send interval
+// overflows the engine's clock and it sends at one virtual instant
+// forever.
 func (s Spec) Validate() error {
+	fabrics := 0
+	for _, set := range [...]bool{s.Net != nil, s.Switch != nil, s.Hier != nil} {
+		if set {
+			fabrics++
+		}
+	}
+	if fabrics > 1 {
+		return errors.New("cluster: more than one of Net, Switch and Hier is set, and a cluster runs on one fabric")
+	}
 	var err error
 	link := netsim.DefaultConfig().BandwidthBps
 	switch {
@@ -211,7 +221,7 @@ func Build(s Spec) (*Cluster, error) {
 		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
 	}
 	if s.LoaderBps > 0 {
-		netsim.StartLoader(net, s.LoaderBps, 1024)
+		netsim.StartLoader(net, s.LoaderBps)
 	}
 	c := &Cluster{eng: eng, net: net, machine: machine, warp: warp, opts: s.Options, reliable: pvmCfg.Reliable}
 	if s.RaceCheck {

@@ -122,6 +122,30 @@ func TestBuildRejectsLoaderAboveLink(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTwoFabrics checks that a Spec naming more than one
+// fabric is an error, whichever two (or three) it names, while each one
+// alone is valid.
+func TestValidateRejectsTwoFabrics(t *testing.T) {
+	bus, sw, h := netsim.DefaultConfig(), netsim.DefaultSwitchConfig(), netsim.DefaultHierConfig()
+	for _, c := range []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"bus", Spec{Net: &bus}, true},
+		{"switch", Spec{Switch: &sw}, true},
+		{"hier", Spec{Hier: &h}, true},
+		{"bus and switch", Spec{Net: &bus, Switch: &sw}, false},
+		{"bus and hier", Spec{Net: &bus, Hier: &h}, false},
+		{"switch and hier", Spec{Switch: &sw, Hier: &h}, false},
+		{"all three", Spec{Net: &bus, Switch: &sw, Hier: &h}, false},
+	} {
+		if err := c.spec.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
 // TestRunRefusesSyncUnderRepeatsUnlessReliable checks Run's refusal of
 // a Sync run under a plan that duplicates frames on the plain
 // transport, and that the reliable transport lifts it whether

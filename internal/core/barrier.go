@@ -31,18 +31,25 @@ func NewMsgBarrier(members []int) *MsgBarrier {
 }
 
 // Wait blocks t until every member has called Wait for this episode.
-func (b *MsgBarrier) Wait(t *pvm.Task) {
+func (b *MsgBarrier) Wait(t *pvm.Task) { b.Decide(t, false) }
+
+// Decide is Wait whose release carries a verdict: the coordinator
+// (members[0]) passes its verdict, every member returns it, and the
+// other members' verdicts are ignored. So a run whose coordinator
+// decides when to stop stops every member in the same episode. The
+// coordinator's verdict is read before it collects the arrivals.
+func (b *MsgBarrier) Decide(t *pvm.Task, verdict bool) bool {
 	if len(b.members) == 1 {
-		return
+		return verdict
 	}
 	coord := b.members[0]
 	if t.ID() == coord {
 		for i := 0; i < len(b.members)-1; i++ {
 			t.Recv(pvm.Any, barrierArriveTag)
 		}
-		t.Multicast(b.members[1:], barrierReleaseTag, barrierMsgSize, nil, nil)
-		return
+		t.Multicast(b.members[1:], barrierReleaseTag, barrierMsgSize, verdict, nil)
+		return verdict
 	}
 	t.Send(coord, barrierArriveTag, barrierMsgSize, nil)
-	t.Recv(coord, barrierReleaseTag)
+	return t.Recv(coord, barrierReleaseTag).Data.(bool)
 }

@@ -404,6 +404,44 @@ func TestMsgBarrierReusableRounds(t *testing.T) {
 	}
 }
 
+// TestMsgBarrierDecide checks that every member of a Decide episode
+// returns the coordinator's verdict, whatever it passed itself, and
+// that a coordinator listed after other members still coordinates.
+func TestMsgBarrierDecide(t *testing.T) {
+	eng, m := newMachine(3)
+	const p, rounds = 4, 4
+	b := NewMsgBarrier([]int{2, 0, 1, 3})
+	got := make([][]bool, p)
+	for i := 0; i < p; i++ {
+		i := i
+		m.Spawn("w", func(task *pvm.Task) {
+			for r := 0; r < rounds; r++ {
+				task.Compute(sim.Duration(task.Proc().Rng().Intn(5)+1) * sim.Millisecond)
+				// The coordinator (task 2) says yes in odd rounds; the
+				// others always say the opposite of it.
+				verdict := r%2 == 1
+				if i != 2 {
+					verdict = !verdict
+				}
+				got[i] = append(got[i], b.Decide(task, verdict))
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, vs := range got {
+		for r, v := range vs {
+			if v != (r%2 == 1) {
+				t.Fatalf("member %d returned %v in round %d, want the coordinator's %v", i, v, r, r%2 == 1)
+			}
+		}
+		if len(vs) != rounds {
+			t.Fatalf("member %d completed %d rounds, want %d", i, len(vs), rounds)
+		}
+	}
+}
+
 func TestGlobalReadNegativeMinIterNonBlocking(t *testing.T) {
 	eng, m := newMachine(1)
 	loc := &Location{ID: 1, Name: "x", Writer: 1, Readers: []int{0}, Size: 64}

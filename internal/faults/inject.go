@@ -135,11 +135,6 @@ func (j *Injector) Unicast(src, dst, size int, payload interface{}, onWire func(
 	j.inner.Unicast(src, dst, size, payload, onWire)
 }
 
-// Send delegates to the wrapped fabric.
-func (j *Injector) Send(src, dst, size int, payload interface{}) {
-	j.inner.Send(src, dst, size, payload)
-}
-
 // crashed reports whether node is inside a crash window at time t.
 func (j *Injector) crashed(node int, t float64) bool {
 	for _, c := range j.plan.Crashes {

@@ -47,7 +47,7 @@ func TestEmptyPlanIsNoOp(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			i := i
 			eng.Schedule(sim.Time(i)*sim.Time(sim.Millisecond), func() {
-				fab.Send(src, dst, 400, i)
+				fab.Unicast(src, dst, 400, i, nil)
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -75,7 +75,7 @@ func TestLossBurstDropsFrames(t *testing.T) {
 	plan := &Plan{Loss: []LossBurst{{From: 0, To: 10, Prob: 1, Src: AnyNode, Dst: AnyNode}}}
 	eng, inj, src, dst := harness(1, plan, &got)
 	for i := 0; i < 5; i++ {
-		inj.Send(src, dst, 200, i)
+		inj.Unicast(src, dst, 200, i, nil)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestLossBurstLinkSelector(t *testing.T) {
 		{From: 0, To: 10, Prob: 1, Src: 0, Dst: 1}, // other direction: no match
 	}}
 	eng, inj, src, dst := harness(1, plan, &got)
-	inj.Send(src, dst, 200, "through")
+	inj.Unicast(src, dst, 200, "through", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,9 @@ func TestCrashWindowDropsThenRecovers(t *testing.T) {
 	// Receiver (node 0 in attach order) crashed during [0, 5ms).
 	plan := &Plan{Crashes: []CrashWindow{{Node: 0, From: 0, To: 0.005}}}
 	eng, inj, src, dst := harness(1, plan, &got)
-	inj.Send(src, dst, 200, "during") // delivered inside the window: dies
+	inj.Unicast(src, dst, 200, "during", nil) // delivered inside the window: dies
 	eng.Schedule(sim.Time(20*sim.Millisecond), func() {
-		inj.Send(src, dst, 200, "after") // node restarted: delivered
+		inj.Unicast(src, dst, 200, "after", nil) // node restarted: delivered
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -136,9 +136,9 @@ func TestPartitionDropsAcrossGroups(t *testing.T) {
 		{From: 0, To: 0.005, GroupA: []int{0}, GroupB: []int{1}},
 	}}
 	eng, inj, src, dst := harness(1, plan, &got)
-	inj.Send(src, dst, 200, "cut")
+	inj.Unicast(src, dst, 200, "cut", nil)
 	eng.Schedule(sim.Time(20*sim.Millisecond), func() {
-		inj.Send(src, dst, 200, "healed")
+		inj.Unicast(src, dst, 200, "healed", nil)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestDelaySpikeAddsLatency(t *testing.T) {
 	baseline := func() sim.Time {
 		var got []rcvd
 		eng, inj, src, dst := harness(1, nil, &got)
-		inj.Send(src, dst, 200, "x")
+		inj.Unicast(src, dst, 200, "x", nil)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestDelaySpikeAddsLatency(t *testing.T) {
 	var got []rcvd
 	plan := &Plan{Delays: []DelaySpike{{From: 0, To: 10, Delay: 0.005, Src: AnyNode, Dst: AnyNode}}}
 	eng, inj, src, dst := harness(1, plan, &got)
-	inj.Send(src, dst, 200, "x")
+	inj.Unicast(src, dst, 200, "x", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDuplicateWindowDeliversTwice(t *testing.T) {
 	var got []rcvd
 	plan := &Plan{Duplicates: []DuplicateWindow{{From: 0, To: 10, Prob: 1}}}
 	eng, inj, src, dst := harness(1, plan, &got)
-	inj.Send(src, dst, 200, "twin")
+	inj.Unicast(src, dst, 200, "twin", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			i := i
 			eng.Schedule(sim.Time(i)*sim.Time(sim.Millisecond), func() {
-				inj.Send(src, dst, 300, i)
+				inj.Unicast(src, dst, 300, i, nil)
 			})
 		}
 		if err := eng.Run(); err != nil {

@@ -129,8 +129,8 @@ type IslandConfig struct {
 	// Hier, if set, runs on the hierarchical rack/spine fabric —
 	// per-rack shared buses behind store-and-forward uplinks — the
 	// interconnect a 1000+-island run needs (a single shared bus
-	// saturates at a few tens of chattering islands). Takes precedence
-	// over Switch.
+	// saturates at a few tens of chattering islands). At most one of
+	// Net, Switch and Hier may be set.
 	Hier *netsim.HierConfig
 	// LoaderBps, if positive, runs the background network loader at
 	// this offered bit rate on two extra nodes (§5.2).

@@ -50,17 +50,17 @@ func DefaultHierConfig() HierConfig {
 // Hier is the hierarchical fabric. Every link — each rack bus, each
 // uplink, each downlink — is modeled as a FIFO queue by reservation:
 // the link's freeAt clock is advanced at send time, so a frame's whole
-// store-and-forward itinerary is priced when it is offered. Each Unicast
-// or Multicast call then books one delivery per distinct arrival time
-// among its destinations, delivering every destination due at that
-// time. Every arrival time is a rack bus's reservation plus the
-// propagation delay, and a rack bus's reservations only grow, so each
-// time is booked on the lane of the rack whose reservation produced it:
-// a broadcast books at most one delivery per rack, not one per node,
-// and the engine's queue holds one entry per rack with deliveries in
-// flight, whatever the message count. The call's frame holds its
-// destinations as runs (see hFrame), so a broadcast's frame is about
-// one run per rack, too.
+// store-and-forward itinerary is priced when it is offered. Each
+// Multicast call (Unicast is one to a single node) then books one
+// delivery per distinct arrival time among its destinations,
+// delivering every destination due at that time. Every arrival time is
+// a rack bus's reservation plus the propagation delay, and a rack bus's
+// reservations only grow, so each time is booked on the lane of the
+// rack whose reservation produced it: a broadcast books at most one
+// delivery per rack, not one per node, and the engine's queue holds one
+// entry per rack with deliveries in flight, whatever the message count.
+// The call's frame holds its destinations as runs (see hFrame), so a
+// broadcast's frame is about one run per rack, too.
 type Hier struct {
 	eng      *sim.Engine
 	cfg      HierConfig
@@ -85,6 +85,8 @@ type Hier struct {
 	// frames is the free list of pooled in-flight calls (see Network's
 	// frame type for the idiom).
 	frames []*hFrame
+
+	dst1 [1]int // Unicast's destination list
 
 	rng lossRng
 
@@ -113,11 +115,11 @@ func (l *lossRng) Float64() float64 {
 
 var _ Fabric = (*Hier)(nil)
 
-// hFrame is one pooled Unicast or Multicast call in flight. Its
-// surviving destinations are stored as runs: a run is consecutive node
-// ids, adjacent in the call's destination list, that share one arrival
-// time, so a cluster-wide broadcast is about one run per rack rather
-// than one entry per node. The runs are ordered by arrival time and,
+// hFrame is one pooled Multicast call in flight. Its surviving
+// destinations are stored as runs: a run is consecutive node ids,
+// adjacent in the call's destination list, that share one arrival time,
+// so a cluster-wide broadcast is about one run per rack rather than one
+// entry per node. The runs are ordered by arrival time and,
 // among equal times, by position in the list. Because a run's members
 // are adjacent in the list and share their time, that is exactly the
 // destinations' own stable order by time. The frame is booked once per
@@ -185,8 +187,8 @@ func (f *hFrame) add(at sim.Time, dst int) {
 // none (and the frame back to the pool) when every destination was
 // lost. A time is booked on the lane of its first run's rack: that
 // node's time, and so the whole group's, is that rack's reservation in
-// this call. Every Unicast and Multicast call ends here, so it also
-// records the call's series samples.
+// this call. Every call ends here, so it also records the call's
+// series samples.
 func (h *Hier) post(f *hFrame) {
 	if h.serBusy != nil {
 		h.serBusy.Add(h.eng.Now(), float64(h.stats.BusyTime-h.busySeen)/1e3)
@@ -329,47 +331,24 @@ func (h *Hier) remoteDeliverAt(endBus sim.Time, srcRack, dstRack, size int) sim.
 	return busEnd.Add(h.cfg.Bus.PropDelay)
 }
 
-// Send transmits payload from src to dst.
-func (h *Hier) Send(src, dst, size int, payload interface{}) {
-	h.Unicast(src, dst, size, payload, nil)
-}
-
-// Unicast transmits payload to one destination. Same-rack traffic costs
-// one bus occupancy plus propagation, exactly like the flat Network;
-// cross-rack traffic additionally queues on the source uplink, crosses
-// the spine, queues on the destination downlink, and finally occupies
-// the destination rack's bus.
+// Unicast is Multicast to the one node dst.
 func (h *Hier) Unicast(src, dst, size int, payload interface{}, onWire func()) {
-	if src < 0 || src >= len(h.handlers) {
-		panic(fmt.Sprintf("netsim: send from unknown node %d", src))
-	}
-	if dst < 0 || dst >= len(h.handlers) {
-		panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
-	}
-	f := h.getFrame(src, payload, h.eng.Now())
-	endBus := h.srcAdmit(src, size, onWire)
-	rs, rd := h.RackOf(src), h.RackOf(dst)
-	at := endBus.Add(h.cfg.Bus.PropDelay)
-	if rs != rd {
-		at = h.remoteDeliverAt(endBus, rs, rd, size)
-	}
-	f.add(at, dst)
-	h.post(f)
+	h.dst1[0] = dst
+	h.Multicast(src, h.dst1[:], size, payload, onWire)
 }
 
 // Multicast delivers one logical message to every node in dsts. The
 // source rack's bus carries the frame once, reaching all same-rack
-// destinations as a broadcast medium would; each *distinct* destination
-// rack then receives exactly one forwarded copy (uplink + spine +
-// downlink + that rack's bus), shared by all of its destinations — so a
-// cluster-wide broadcast costs O(racks) wire crossings, not O(nodes).
+// destinations as a broadcast medium would, at one bus occupancy plus
+// propagation, exactly like the flat Network. Each *distinct*
+// destination rack then receives exactly one forwarded copy, shared by
+// all of its destinations: it queues on the source uplink, crosses the
+// spine, queues on the destination downlink, and finally occupies the
+// destination rack's bus. So a cluster-wide broadcast costs O(racks)
+// wire crossings, not O(nodes).
 func (h *Hier) Multicast(src int, dsts []int, size int, payload interface{}, onWire func()) {
-	if len(dsts) == 1 {
-		h.Unicast(src, dsts[0], size, payload, onWire)
-		return
-	}
 	if src < 0 || src >= len(h.handlers) {
-		panic(fmt.Sprintf("netsim: multicast from unknown node %d", src))
+		panic(fmt.Sprintf("netsim: send from unknown node %d", src))
 	}
 	for _, dst := range dsts {
 		if dst < 0 || dst >= len(h.handlers) {

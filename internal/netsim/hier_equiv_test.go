@@ -485,7 +485,7 @@ func TestHierFramesRecycle(t *testing.T) {
 	eng, h := newTestHier(1)
 	attachN(h, 12, func(int, interface{}, sim.Time) {})
 	h.Multicast(0, []int{11, 1, 5, 2, 9}, 1000, "x", nil)
-	h.Send(4, 0, 1000, "y")
+	h.Unicast(4, 0, 1000, "y", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestHierSameRackIsOneBusOccupancy(t *testing.T) {
 	var at sim.Time
 	attachN(h, 1, func(int, interface{}, sim.Time) { at = eng.Now() })
 	attachN(h, 1, nil)
-	h.Send(1, 0, 1000, "x") // same rack: 1 ms bus, nothing else
+	h.Unicast(1, 0, 1000, "x", nil) // same rack: 1 ms bus, nothing else
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestHierCrossRackStoreAndForward(t *testing.T) {
 	var at sim.Time
 	attachN(h, 4, nil) // rack 0
 	h.Attach("d", func(int, interface{}, sim.Time) { at = eng.Now() })
-	h.Send(0, 4, 1000, "x")
+	h.Unicast(0, 4, 1000, "x", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestHierRacksIsolateLocalTraffic(t *testing.T) {
 	var times []sim.Time
 	hd := func(int, interface{}, sim.Time) { times = append(times, eng.Now()) }
 	attachN(h, 8, hd) // racks 0 and 1
-	h.Send(1, 0, 1000, nil)
-	h.Send(5, 4, 1000, nil)
+	h.Unicast(1, 0, 1000, nil, nil)
+	h.Unicast(5, 4, 1000, nil, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestHierUplinkQueues(t *testing.T) {
 	var times []sim.Time
 	attachN(h, 4, nil) // rack 0
 	attachN(h, 4, func(int, interface{}, sim.Time) { times = append(times, eng.Now()) })
-	h.Send(0, 4, 1000, nil)
-	h.Send(1, 5, 1000, nil)
+	h.Unicast(0, 4, 1000, nil, nil)
+	h.Unicast(1, 5, 1000, nil, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestHierLossDrops(t *testing.T) {
 	delivered := 0
 	attachN(h, 8, func(int, interface{}, sim.Time) { delivered++ })
 	for i := 0; i < 200; i++ {
-		h.Send(0, 5, 100, nil)
+		h.Unicast(0, 5, 100, nil, nil)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestHierBadNodesPanic(t *testing.T) {
 	_, h := newTestHier(1)
 	src := h.Attach("src", nil)
 	for _, f := range []func(){
-		func() { h.Send(src, 9, 10, nil) },
+		func() { h.Unicast(src, 9, 10, nil, nil) },
 		func() { h.Multicast(9, []int{src, src}, 10, nil, nil) },
 		func() { h.Multicast(src, []int{src, 9}, 10, nil, nil) },
 	} {
@@ -200,7 +200,7 @@ func TestHierBeatsFlatBusForRackLocalLoad(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			for i := 0; i < n; i++ {
 				peer := (i/4)*4 + (i+1)%4 // same-rack neighbor
-				f.Send(i, peer, 1000, nil)
+				f.Unicast(i, peer, 1000, nil, nil)
 			}
 		}
 		if err := eng.Run(); err != nil {
@@ -222,7 +222,7 @@ func TestHierBeatsFlatBusForRackLocalLoad(t *testing.T) {
 func TestLoaderOnHier(t *testing.T) {
 	eng := sim.NewEngine(2)
 	h := NewHier(eng, DefaultHierConfig())
-	l := StartLoader(h, 8e6, 1024)
+	l := StartLoader(h, 8e6)
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}

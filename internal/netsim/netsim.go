@@ -7,6 +7,12 @@
 // and in which the Global_Read primitive's receiver-side throttling pays
 // off, so the bus model is the load-bearing substrate of every
 // experiment in the repository.
+//
+// Every fabric (the bus, the crossbar switch and the rack/spine
+// hierarchy) has one transmission routine, Multicast. On a shared
+// Ethernet a point-to-point datagram and a broadcast are the same
+// event, one occupancy of the medium, so Unicast is Multicast to one
+// node and costs, draws and records exactly what that call does.
 package netsim
 
 import (
@@ -114,27 +120,27 @@ type Network struct {
 	// the pool holds about as many frames as the peak number in flight
 	// and the per-send path allocates nothing.
 	frames []*frame
+
+	dst1 [1]int // Unicast's destination list
 }
 
 // frame is a pooled in-flight transmission: the delivery callback the
 // bus books on its lane for a frame's arrival. Pooling it removes the
-// per-send closure allocation from the network hot path. A multicast
-// frame copies its destination list into the frame's own reusable
-// buffer, so callers may recycle theirs as soon as Multicast returns.
+// per-send closure allocation from the network hot path. A frame
+// copies its destination list into its own reusable buffer, so callers
+// may recycle theirs as soon as Multicast returns.
 type frame struct {
 	n       *Network
 	src     int
-	dst     int // unicast destination; -1 for multicast
 	size    int
 	payload interface{}
 	sentAt  sim.Time
-	lost    bool   // unicast loss verdict
-	dsts    []int  // multicast destinations (reusable buffer)
+	dsts    []int  // destinations (reusable buffer)
 	losts   []bool // per-destination loss verdicts; empty = none lost
 }
 
 // getFrame takes a frame from the pool (or allocates one) and stamps
-// the fields common to both transmission paths.
+// its source, size, payload and send time.
 func (n *Network) getFrame(src, size int, payload interface{}) *frame {
 	var f *frame
 	if ln := len(n.frames); ln > 0 {
@@ -154,26 +160,15 @@ func (n *Network) getFrame(src, size int, payload interface{}) *frame {
 func (f *frame) Run() {
 	n := f.n
 	n.queued--
-	if f.dst >= 0 {
-		if f.lost {
+	for i, dst := range f.dsts {
+		if len(f.losts) > 0 && f.losts[i] {
 			n.stats.Dropped++
 			n.serDrops.Add(n.eng.Now(), 1)
-			n.traceDrop(f.src, f.dst, f.size)
-		} else {
-			n.stats.Delivered++
-			n.handlers[f.dst](f.src, f.payload, f.sentAt)
+			n.traceDrop(f.src, dst, f.size)
+			continue
 		}
-	} else {
-		for i, dst := range f.dsts {
-			if len(f.losts) > 0 && f.losts[i] {
-				n.stats.Dropped++
-				n.serDrops.Add(n.eng.Now(), 1)
-				n.traceDrop(f.src, dst, f.size)
-				continue
-			}
-			n.stats.Delivered++
-			n.handlers[dst](f.src, f.payload, f.sentAt)
-		}
+		n.stats.Delivered++
+		n.handlers[dst](f.src, f.payload, f.sentAt)
 	}
 	f.payload = nil
 	n.frames = append(n.frames, f)
@@ -241,15 +236,6 @@ func (n *Network) txTime(size int) sim.Duration {
 	return sim.DurationOf(bits / n.cfg.BandwidthBps)
 }
 
-// Send transmits payload from src to dst. It never blocks the caller:
-// the frame queues for the shared bus, occupies it for its transmission
-// time, and is delivered PropDelay later via the destination's handler.
-// Frames from one source to one destination are delivered in FIFO order
-// (the single bus serializes everything).
-func (n *Network) Send(src, dst, size int, payload interface{}) {
-	n.Unicast(src, dst, size, payload, nil)
-}
-
 // admitFrame performs the shared-bus admission bookkeeping for one
 // frame — queuing behind the busy bus (with the CSMA/CD-style backoff
 // penalty), stats, tracing, and the onWire schedule — and returns the
@@ -304,41 +290,30 @@ func (n *Network) traceDrop(src, dst, size int) {
 	}
 }
 
-// Unicast is the single-destination transmission path. It is what Send
-// and the message layer's point-to-point traffic use: semantically a
-// one-element Multicast, but without the destination-slice and
-// loss-slice allocations of the general path — point-to-point sends
-// dominate the pipelined inference workloads, so this is a DES hot
-// path.
+// Unicast is Multicast to the one node dst.
 func (n *Network) Unicast(src, dst, size int, payload interface{}, onWire func()) {
-	if dst < 0 || dst >= len(n.handlers) {
-		panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
-	}
-	f := n.getFrame(src, size, payload)
-	f.dst = dst
-	deliverAt := n.admitFrame(src, size, onWire)
-	f.lost = n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb
-	n.lane.Book(deliverAt, f)
+	n.dst1[0] = dst
+	n.Multicast(src, n.dst1[:], size, payload, onWire)
 }
 
 // Multicast transmits one frame that every node in dsts receives — the
 // shared-medium property of Ethernet that PVM's pvm_mcast exploits: a
 // broadcast datagram occupies the bus once regardless of the receiver
-// count. The island GA's best-N/2 broadcast (§4.2.1) depends on this
-// for its scaling. Loss (if configured) is drawn independently per
-// receiver.
+// count, and a point-to-point datagram is the same event with one
+// receiver. The island GA's best-N/2 broadcast (§4.2.1) depends on this
+// for its scaling. It never blocks the caller: the frame queues for
+// the shared bus, occupies it for its transmission time, and is
+// delivered PropDelay later via each destination's handler, so frames
+// from one source to one destination arrive in FIFO order (the single
+// bus serializes everything). Loss (if configured) is drawn
+// independently per receiver.
 func (n *Network) Multicast(src int, dsts []int, size int, payload interface{}, onWire func()) {
-	if len(dsts) == 1 {
-		n.Unicast(src, dsts[0], size, payload, onWire)
-		return
-	}
 	for _, dst := range dsts {
 		if dst < 0 || dst >= len(n.handlers) {
 			panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
 		}
 	}
 	f := n.getFrame(src, size, payload)
-	f.dst = -1
 	f.dsts = append(f.dsts[:0], dsts...)
 	deliverAt := n.admitFrame(src, size, onWire)
 	f.losts = f.losts[:0]

@@ -40,7 +40,7 @@ func TestSingleFrameTiming(t *testing.T) {
 	dst := net.Attach("dst", collector(eng, &got))
 	src := net.Attach("src", nil)
 
-	net.Send(src, dst, 900, "hello")
+	net.Unicast(src, dst, 900, "hello", nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestBusSerializesFrames(t *testing.T) {
 
 	// Two frames offered at t=0 must be delivered one transmission
 	// apart, not simultaneously.
-	net.Send(src, dst, 900, 1)
-	net.Send(src, dst, 900, 2)
+	net.Unicast(src, dst, 900, 1, nil)
+	net.Unicast(src, dst, 900, 2, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestQueueDelayGrowsWithLoad(t *testing.T) {
 		dst := net.Attach("dst", func(int, interface{}, sim.Time) {})
 		src := net.Attach("src", nil)
 		for i := 0; i < frames; i++ {
-			net.Send(src, dst, 1400, nil)
+			net.Unicast(src, dst, 1400, nil, nil)
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestLossInjection(t *testing.T) {
 	const n = 400
 	eng.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			net.Send(src, dst, 100, nil)
+			net.Unicast(src, dst, 100, nil, nil)
 			p.Sleep(sim.Millisecond)
 		}
 	})
@@ -182,8 +182,8 @@ func TestUtilization(t *testing.T) {
 	// Saturate: offer frames back-to-back for a while.
 	eng.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
-			net.Send(src, dst, 1150, nil) // 1 ms tx each
-			p.Sleep(sim.Millisecond)      // exactly at capacity
+			net.Unicast(src, dst, 1150, nil, nil) // 1 ms tx each
+			p.Sleep(sim.Millisecond)              // exactly at capacity
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -204,7 +204,7 @@ func TestContentionBackoffAddsDelay(t *testing.T) {
 		dst := net.Attach("dst", func(int, interface{}, sim.Time) { last = eng.Now() })
 		src := net.Attach("src", nil)
 		for i := 0; i < 30; i++ {
-			net.Send(src, dst, 1000, nil)
+			net.Unicast(src, dst, 1000, nil, nil)
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestContentionBackoffAddsDelay(t *testing.T) {
 
 func TestLoaderOfferedRate(t *testing.T) {
 	eng, net := newTestNet(5, plainConfig())
-	l := StartLoader(net, 2e6, 1024) // 2 Mbps
+	l := StartLoader(net, 2e6) // 2 Mbps
 	horizon := sim.Time(2 * sim.Second)
 	if err := eng.RunUntil(horizon); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestLoaderOfferedRate(t *testing.T) {
 
 func TestLoaderZeroRateInert(t *testing.T) {
 	eng, net := newTestNet(5, plainConfig())
-	l := StartLoader(net, 0, 1024)
+	l := StartLoader(net, 0)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSendToUnknownNodePanics(t *testing.T) {
 			t.Error("send to unknown node did not panic")
 		}
 	}()
-	net.Send(src, 99, 10, nil)
+	net.Unicast(src, 99, 10, nil, nil)
 }
 
 // Property: conservation — every offered frame is either delivered or
@@ -270,7 +270,7 @@ func TestConservationProperty(t *testing.T) {
 		})
 		src := net.Attach("src", nil)
 		for i := 0; i < n; i++ {
-			net.Send(src, dst, 200, i)
+			net.Unicast(src, dst, 200, i, nil)
 		}
 		if err := eng.Run(); err != nil {
 			return false

@@ -9,8 +9,10 @@ import (
 )
 
 // Fabric is the interconnect abstraction: the shared-Ethernet bus
-// (New) and the SP2-style crossbar switch (NewSwitch) both implement
-// it, so the message layer and the experiments can swap interconnects.
+// (New), the SP2-style crossbar switch (NewSwitch) and the rack/spine
+// hierarchy (NewHier) implement it, so the message layer and the
+// experiments can swap interconnects. Each sends through one routine,
+// Multicast; Unicast is Multicast to one node.
 // The paper ran on the Ethernet because its applications' communication
 // demands made the latency-rich network the interesting case, expecting
 // that "applications with higher communication requirements will see
@@ -22,17 +24,13 @@ type Fabric interface {
 	// node for its caller; no fabric keeps it.
 	Attach(name string, h Handler) int
 	// Multicast delivers one logical message from src to every node in
-	// dsts; the onWire callback fires when the sender's link is free
-	// again. How many physical transfers that takes is the fabric's
-	// business (one bus occupancy on Ethernet; one unicast per
+	// dsts; the onWire callback, if not nil, fires when the sender's
+	// link is free again. How many physical transfers that takes is the
+	// fabric's business (one bus occupancy on Ethernet; one transfer per
 	// destination on a switch).
 	Multicast(src int, dsts []int, size int, payload interface{}, onWire func())
-	// Unicast is single-destination Multicast without the general
-	// path's slice allocations — the hot path for point-to-point
-	// traffic.
+	// Unicast is Multicast to the one node dst.
 	Unicast(src, dst, size int, payload interface{}, onWire func())
-	// Send is Unicast without the onWire callback.
-	Send(src, dst, size int, payload interface{})
 	// Nodes reports the number of attached nodes.
 	Nodes() int
 	// Stats returns a snapshot of the fabric counters.
@@ -88,6 +86,8 @@ type Switch struct {
 	// in-flight transfer; a multicast uses one per destination since
 	// the switch sends one copy per receiver).
 	frames []*swFrame
+
+	dst1 [1]int // Unicast's destination list
 }
 
 // swFrame is a pooled in-flight switch transfer: the delivery callback
@@ -165,44 +165,10 @@ func (s *Switch) txTime(size int) sim.Duration {
 	return sim.DurationOf(bits / s.cfg.LinkBandwidthBps)
 }
 
-// Send transmits payload from src to dst over src's egress link.
-func (s *Switch) Send(src, dst, size int, payload interface{}) {
-	s.Unicast(src, dst, size, payload, nil)
-}
-
-// Unicast transmits payload to one destination without the
-// destination-slice allocation of the general Multicast path.
+// Unicast is Multicast to the one node dst.
 func (s *Switch) Unicast(src, dst, size int, payload interface{}, onWire func()) {
-	if src < 0 || src >= len(s.handlers) {
-		panic(fmt.Sprintf("netsim: multicast from unknown node %d", src))
-	}
-	if dst < 0 || dst >= len(s.handlers) {
-		panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
-	}
-	now := s.eng.Now()
-	start := now
-	if s.egressFreeAt[src] > start {
-		start = s.egressFreeAt[src]
-	}
-	if tr := s.eng.Tracer(); tr != nil {
-		tr.Emit(trace.Event{TS: int64(now), Ph: trace.PhaseCounter,
-			Pid: trace.PidNet, Tid: src, Cat: "net", Name: "egress",
-			K1: "backlog_us", V1: int64(start.Sub(now)) / 1000,
-			K2: "fanout", V2: 1})
-	}
-	tx := s.txTime(size)
-	s.stats.Frames++
-	s.stats.Bytes += int64(size + s.cfg.FrameOverhead)
-	s.stats.BusyTime += tx
-	s.stats.QueueDelay += start.Sub(now)
-	s.serBusy.Add(start, float64(tx)/1e3)
-	s.serBacklog.Add(now, float64(start.Sub(now))/1e3)
-	end := start.Add(tx)
-	s.lanes[src].Book(end.Add(s.cfg.Latency), s.getFrame(src, dst, payload, now))
-	s.egressFreeAt[src] = end
-	if onWire != nil {
-		s.eng.Schedule(end, onWire)
-	}
+	s.dst1[0] = dst
+	s.Multicast(src, s.dst1[:], size, payload, onWire)
 }
 
 // Multicast sends one copy per destination: a switch has no broadcast
@@ -210,12 +176,13 @@ func (s *Switch) Unicast(src, dst, size int, payload interface{}, onWire func())
 // receiver — the structural difference from the Ethernet that makes
 // all-to-all exchanges scale differently on the two fabrics.
 func (s *Switch) Multicast(src int, dsts []int, size int, payload interface{}, onWire func()) {
-	if len(dsts) == 1 {
-		s.Unicast(src, dsts[0], size, payload, onWire)
-		return
-	}
 	if src < 0 || src >= len(s.handlers) {
-		panic(fmt.Sprintf("netsim: multicast from unknown node %d", src))
+		panic(fmt.Sprintf("netsim: send from unknown node %d", src))
+	}
+	for _, dst := range dsts {
+		if dst < 0 || dst >= len(s.handlers) {
+			panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
+		}
 	}
 	now := s.eng.Now()
 	start := now
@@ -232,9 +199,6 @@ func (s *Switch) Multicast(src int, dsts []int, size int, payload interface{}, o
 	}
 	s.serBacklog.Add(now, float64(start.Sub(now))/1e3)
 	for _, dst := range dsts {
-		if dst < 0 || dst >= len(s.handlers) {
-			panic(fmt.Sprintf("netsim: send to unknown node %d", dst))
-		}
 		tx := s.txTime(size)
 		s.stats.Frames++
 		s.stats.Bytes += int64(size + s.cfg.FrameOverhead)

@@ -17,7 +17,7 @@ func TestSwitchSingleTransfer(t *testing.T) {
 	var at sim.Time
 	dst := sw.Attach("dst", func(int, interface{}, sim.Time) { at = eng.Now() })
 	src := sw.Attach("src", nil)
-	sw.Send(src, dst, 1000, "x") // 8000 bits / 8 Mbps = 1 ms + 100 us
+	sw.Unicast(src, dst, 1000, "x", nil) // 8000 bits / 8 Mbps = 1 ms + 100 us
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestSwitchParallelPairs(t *testing.T) {
 	d2 := sw.Attach("d2", h)
 	s1 := sw.Attach("s1", nil)
 	s2 := sw.Attach("s2", nil)
-	sw.Send(s1, d1, 1000, nil)
-	sw.Send(s2, d2, 1000, nil)
+	sw.Unicast(s1, d1, 1000, nil, nil)
+	sw.Unicast(s2, d2, 1000, nil, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestSwitchEgressSerializes(t *testing.T) {
 	sw.Attach("d1", h)
 	sw.Attach("d2", h)
 	src := sw.Attach("src", nil)
-	sw.Send(src, 0, 1000, nil)
-	sw.Send(src, 1, 1000, nil)
+	sw.Unicast(src, 0, 1000, nil, nil)
+	sw.Unicast(src, 1, 1000, nil, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSwitchBadNodesPanic(t *testing.T) {
 	_, sw := newTestSwitch(1)
 	src := sw.Attach("src", nil)
 	for _, f := range []func(){
-		func() { sw.Send(src, 9, 10, nil) },
+		func() { sw.Unicast(src, 9, 10, nil, nil) },
 		func() { sw.Multicast(9, []int{src}, 10, nil, nil) },
 	} {
 		func() {
@@ -153,7 +153,7 @@ func TestSwitchMuchFasterThanBusForAllToAll(t *testing.T) {
 func TestLoaderOnSwitch(t *testing.T) {
 	eng := sim.NewEngine(2)
 	sw := NewSwitch(eng, DefaultSwitchConfig())
-	l := StartLoader(sw, 8e6, 1024)
+	l := StartLoader(sw, 8e6)
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}

@@ -90,15 +90,6 @@ type Config struct {
 	// could lose, reorder and duplicate, and the paper's applications
 	// are built to tolerate exactly that.
 	Reliable bool
-	// RetransmitTimeout is the reliable mode's initial ack deadline;
-	// each retry doubles it. Zero selects a default calibrated to the
-	// Ethernet's latency scale (20 ms).
-	RetransmitTimeout sim.Duration
-	// MaxRetries bounds retransmissions per (message, destination);
-	// after that the transport abandons the copy and counts it. Zero
-	// selects the default (12, spanning ~80 virtual seconds of
-	// backoff — far beyond any injected fault window).
-	MaxRetries int
 	// Pooling is ignored: every machine pools its messages (see
 	// Machine). The field stays only so that code which still sets it
 	// compiles.
@@ -161,10 +152,10 @@ type Machine struct {
 
 	// dstBuf and nodeBuf are the send path's scratch: a broadcast's
 	// task-id destination list and the task-id→node-id translation of
-	// every multi-destination send. One pair serves every task. A send
-	// fills them only after its last yield, and nothing it calls from
-	// there on (hooks, the reliable bookkeeping, the fabric) can start
-	// another send or keeps either slice past the call.
+	// every send. One pair serves every task. A send fills them only
+	// after its last yield, and nothing it calls from there on (hooks,
+	// the reliable bookkeeping, the fabric) can start another send or
+	// keeps either slice past the call.
 	dstBuf, nodeBuf []int
 }
 
@@ -216,14 +207,6 @@ func (m *Machine) noteQueue(delta int64) {
 
 // NewMachine creates a machine on the given engine and fabric.
 func NewMachine(eng *sim.Engine, net netsim.Fabric, cfg Config) *Machine {
-	if cfg.Reliable {
-		if cfg.RetransmitTimeout <= 0 {
-			cfg.RetransmitTimeout = 20 * sim.Millisecond
-		}
-		if cfg.MaxRetries <= 0 {
-			cfg.MaxRetries = 12
-		}
-	}
 	return &Machine{eng: eng, net: net, cfg: cfg}
 }
 
@@ -344,27 +327,22 @@ func (t *Task) Now() sim.Time { return t.m.eng.Now() }
 // Compute charges d of CPU time to the task (advances its local clock).
 func (t *Task) Compute(d sim.Duration) { t.proc.Sleep(d) }
 
-// Send transmits data of the given payload size to task dst with tag.
-// The sender is charged the configured software overhead; transmission
-// and queuing happen asynchronously on the shared bus.
+// Send transmits data of the given payload size to task dst with tag:
+// it is Multicast to the one task dst. The sender is charged the
+// configured software overhead; transmission and queuing happen
+// asynchronously on the fabric.
 func (t *Task) Send(dst, tag int, size int, data interface{}) {
-	t.SendWithCallback(dst, tag, size, data, nil)
-}
-
-// SendWithCallback is Send with an onWire callback fired when the frame
-// finishes transmission on the shared medium; DSM nodes use it to bound
-// their in-flight updates.
-func (t *Task) SendWithCallback(dst, tag int, size int, data interface{}, onWire func()) {
 	t.dst1[0] = dst
-	t.Multicast(t.dst1[:], tag, size, data, onWire)
+	t.Multicast(t.dst1[:], tag, size, data, nil)
 }
 
 // Multicast delivers one frame to every task in dsts — PVM's pvm_mcast
 // over a shared Ethernet: the datagram occupies the medium once however
 // many receivers there are. The sender is charged one send overhead and
 // blocks while its send window is full (transport backpressure). dsts
-// is read after those yields, and not kept past the call. A single
-// destination takes the fabric's Unicast path.
+// is read after those yields, and not kept past the call. onWire, if
+// not nil, fires when the frame finishes transmission; DSM nodes use it
+// to bound their in-flight updates.
 func (t *Task) Multicast(dsts []int, tag int, size int, data interface{}, onWire func()) {
 	for _, dst := range dsts {
 		if dst < 0 || dst >= len(t.m.tasks) {
@@ -443,16 +421,12 @@ func (t *Task) send(dsts []int, ntasks int, tag int, size int, data interface{},
 		env = t.wrapReliable(dsts, msg)
 		payload = env
 	}
-	if len(dsts) == 1 {
-		m.net.Unicast(t.node, m.tasks[dsts[0]].node, size, payload, wireDone)
-	} else {
-		nodes := m.nodeBuf[:0]
-		for _, dst := range dsts {
-			nodes = append(nodes, m.tasks[dst].node)
-		}
-		m.nodeBuf = nodes
-		m.net.Multicast(t.node, nodes, size, payload, wireDone)
+	nodes := m.nodeBuf[:0]
+	for _, dst := range dsts {
+		nodes = append(nodes, m.tasks[dst].node)
 	}
+	m.nodeBuf = nodes
+	m.net.Multicast(t.node, nodes, size, payload, wireDone)
 	if env != nil {
 		t.armRetransmit(dsts, env)
 	}

@@ -24,6 +24,16 @@ import (
 // seq number plus minimal framing).
 const ackSize = 16
 
+// retransmitTimeout is the initial ack deadline, calibrated to the
+// Ethernet's latency scale; each retry doubles it. maxRetries bounds
+// retransmissions per (message, destination): 12 doublings span about
+// 80 virtual seconds of backoff, far beyond any injected fault window.
+// After that the transport abandons the copy and counts it.
+const (
+	retransmitTimeout = 20 * sim.Millisecond
+	maxRetries        = 12
+)
+
 // envelope wraps one application message with its per-destination
 // sequence numbers. A multicast stays one frame on the shared medium:
 // every receiver finds its own (src,dst)-stream sequence number under
@@ -97,12 +107,12 @@ func (t *Task) wrapReliable(dsts []int, msg *Message) *envelope {
 
 // armRetransmit registers the per-destination retransmission timers
 // for an envelope just offered to the fabric. The first timer fires
-// RetransmitTimeout after the send; each retry doubles the backoff.
+// retransmitTimeout after the send; each retry doubles the backoff.
 func (t *Task) armRetransmit(dsts []int, env *envelope) {
 	r := t.rel()
 	for _, dst := range dsts {
 		p := &pendingTx{env: env, dst: dst, seq: env.seqs[dst],
-			backoff: t.m.cfg.RetransmitTimeout}
+			backoff: retransmitTimeout}
 		r.pending[pendKey{p.dst, p.seq}] = p
 		p.timer = t.m.eng.Schedule(t.m.eng.Now().Add(p.backoff),
 			func() { t.retransmit(p) })
@@ -113,14 +123,14 @@ func (t *Task) armRetransmit(dsts []int, env *envelope) {
 // the envelope is re-offered to the fabric as a unicast (no task CPU
 // charge and no send-window interaction — the model is the transport
 // daemon retrying, not the application resending) and the timer is
-// re-armed with doubled backoff, up to MaxRetries attempts.
+// re-armed with doubled backoff, up to maxRetries attempts.
 func (t *Task) retransmit(p *pendingTx) {
 	r := t.rel()
 	k := pendKey{p.dst, p.seq}
 	if _, ok := r.pending[k]; !ok {
 		return // acked between timer fire and this call
 	}
-	if p.tries >= t.m.cfg.MaxRetries {
+	if p.tries >= maxRetries {
 		r.abandoned++
 		delete(r.pending, k)
 		t.traceRel("retx_abandon", p.dst, p.seq)
@@ -168,7 +178,7 @@ func (t *Task) handleEnvelope(env *envelope) {
 	src := env.msg.Src
 	// Ack unconditionally — for a duplicate, the previous ack may have
 	// been the frame the network lost.
-	t.m.net.Send(t.node, t.m.tasks[src].node, ackSize, &ackFrame{from: t.id, seq: seq})
+	t.m.net.Unicast(t.node, t.m.tasks[src].node, ackSize, &ackFrame{from: t.id, seq: seq}, nil)
 	r := t.rel()
 	if seq < r.rxNext[src] {
 		r.dups++

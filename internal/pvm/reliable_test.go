@@ -262,7 +262,7 @@ func TestReliableRetransmitRecoversLoss(t *testing.T) {
 }
 
 // TestReliableAbandonsAfterMaxRetries covers the give-up path: under a
-// permanent blackout the sender must stop retrying after MaxRetries
+// permanent blackout the sender must stop retrying after maxRetries
 // (so the engine drains rather than ticking forever) and count the
 // abandonment.
 func TestReliableAbandonsAfterMaxRetries(t *testing.T) {
@@ -287,9 +287,9 @@ func TestReliableAbandonsAfterMaxRetries(t *testing.T) {
 	if st.RetxAbandoned != 1 {
 		t.Fatalf("RetxAbandoned = %d, want 1", st.RetxAbandoned)
 	}
-	// NewMachine normalizes MaxRetries to 12 when Reliable is on.
+	// The transport retransmits a copy at most 12 times (maxRetries).
 	if st.Retransmits != 12 {
-		t.Fatalf("Retransmits = %d, want the default MaxRetries of 12", st.Retransmits)
+		t.Fatalf("Retransmits = %d, want maxRetries, 12", st.Retransmits)
 	}
 }
 

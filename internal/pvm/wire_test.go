@@ -69,7 +69,7 @@ func TestOnWireFiresWhenFrameClearsWire(t *testing.T) {
 			}
 		}
 		m.Spawn("send", func(task *Task) {
-			task.SendWithCallback(0, 1, 64, nil, func() { wired = eng.Now() })
+			task.Multicast([]int{0}, 1, 64, nil, func() { wired = eng.Now() })
 			task.Send(0, 1, 64, nil)
 			second = task.Now()
 		})

@@ -12,6 +12,10 @@
 # -workload W, which may repeat, keeps only the named workloads' parts,
 # so a change that touches one workload diffs only its parts.
 #
+# scripts/testdata/part-digests-tiny-2000.txt holds the output of
+# `-tiny 2000`, and CI diffs a fresh run against it. A change that moves
+# a part's bytes on purpose commits the new output there.
+#
 # Each part runs as a benchmark sweep child at GOMAXPROCS=1. The binary
 # is built as benchmark/run.sh builds it, with every cache under
 # .bench_build/.
