@@ -37,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cli.ExitIf(checkRun(*procs, *gens, *rackSize), 2)
+	cli.ExitIf(checkRun(*procs, *gens, *interval, *window, *rackSize, *hierFabric), 2)
 	if *hierFabric {
 		h := netsim.DefaultHierConfig()
 		if *rackSize > 0 {
@@ -50,6 +50,9 @@ func main() {
 	// Every run includes a Sync one (the quality target's, for the
 	// other modes).
 	cli.ExitIf(f.Check(true), 2)
+	if *dynAge && f.Mode != core.NonStrict {
+		cli.ExitIf(fmt.Errorf("-dynage with -mode %s: only a global_read run has an age to adapt", f.ModeName), 2)
+	}
 	cli.ExitIf(f.Start(), 2)
 	defer f.Close()
 
@@ -120,16 +123,22 @@ func main() {
 	cli.ExitIf(cli.WriteArtifacts(*trOut, rec, *metOut, res.Telemetry), 1)
 }
 
-// checkRun rejects values of nscc-ga's own flags no run can use, before
-// anything runs.
-func checkRun(procs int, gens int64, rackSize int) error {
+// checkRun rejects values of nscc-ga's own flags no run can use, and
+// a -rack-size the run would ignore, before anything runs.
+func checkRun(procs int, gens, interval int64, window, rackSize int, hier bool) error {
 	switch {
 	case procs < 1:
 		return fmt.Errorf("-procs %d: want at least 1 processor", procs)
 	case gens < 1:
 		return fmt.Errorf("-gens %d: want at least 1 generation", gens)
+	case interval < 1:
+		return fmt.Errorf("-interval %d: want at least 1 generation between migrations", interval)
+	case window < 0:
+		return fmt.Errorf("-window %d: want at least 0 (0 = unlimited)", window)
 	case rackSize < 0:
 		return fmt.Errorf("-rack-size %d: want at least 1 node per rack, or 0 for the default", rackSize)
+	case rackSize > 0 && !hier:
+		return fmt.Errorf("-rack-size %d without -hier: only the rack/spine fabric has racks", rackSize)
 	}
 	return nil
 }

@@ -34,7 +34,10 @@ func TestMain(m *testing.M) {
 // interval overflows the clock and never advances it. A fault plan
 // that drops messages needs -reliable: without it the Sync run (the
 // quality target's, in the other modes) deadlocks on its barrier. And
-// -hier with -switch names two fabrics for one run.
+// -hier with -switch names two fabrics for one run. A value the run
+// would otherwise clamp or drop is refused too: an -interval below 1,
+// a negative -window, -rack-size without -hier, and -dynage outside
+// global_read mode.
 func TestBadRunFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	lossy := filepath.Join(t.TempDir(), "lossy.json")
@@ -52,6 +55,10 @@ func TestBadRunFlagsExitTwo(t *testing.T) {
 		{"-http", "127.0.0.1:0", "-read-timeout", "-5ms"},
 		{"-http", "127.0.0.1:0", "-faults", lossy},
 		{"-mode", "async", "-faults", lossy, "-read-timeout", "50ms"},
+		{"-interval", "0"}, {"-interval", "-3"}, {"-window", "-1"}, {"-rack-size", "4"},
+		{"-dynage", "-mode", "sync"}, {"-dynage", "-mode", "async"},
+		{"-http", "127.0.0.1:0", "-interval", "0"},
+		{"-http", "127.0.0.1:0", "-dynage", "-mode", "async"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "NSCC_RUN_MAIN=1")

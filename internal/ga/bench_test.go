@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"fmt"
 	"testing"
 
 	"nscc/internal/ga/functions"
@@ -16,6 +17,65 @@ func BenchmarkMutate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.mutate(ind)
+	}
+}
+
+// benchSink keeps the benchmarked draws live.
+var benchSink int
+
+// BenchmarkRoulette is one selection draw from an F1 deme's scaled
+// weights after ten evaluated generations, at the island deme's N = 50
+// and the 16-island serial baseline's 800: through the guide table
+// NextGeneration spins, and through the binary search it replaced,
+// which remains its fallback and test oracle.
+func BenchmarkRoulette(b *testing.B) {
+	for _, n := range []int{50, 800} {
+		par := DeJongParams()
+		par.N = n
+		d := newDeme(functions.F1, par, xrand.New(1))
+		for g := 0; g < 10; g++ {
+			d.EvaluateAll()
+			d.NextGeneration()
+		}
+		d.EvaluateAll()
+		cum := d.scaledCum()
+		w := newRoulette(n)
+		w.build(cum)
+		if w.scale == 0 {
+			b.Fatalf("N=%d: the guide table is unused (total %v)", n, w.total)
+		}
+		b.Run(fmt.Sprintf("N=%d/guide", n), func(b *testing.B) {
+			rng := xrand.New(2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += w.spin(rng)
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/search", n), func(b *testing.B) {
+			rng := xrand.New(2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += rouletteIndex(cum, w.total, rng)
+			}
+		})
+	}
+}
+
+// BenchmarkNextGeneration is one generation's selection, crossover and
+// mutation of an N = 50 deme on F1 (30 bits) and F4 (240 bits). The
+// deme is evaluated once before timing; later generations select on the
+// fitness their members inherited, which costs what a fresh one does.
+func BenchmarkNextGeneration(b *testing.B) {
+	for _, fn := range []*functions.Function{functions.F1, functions.F4} {
+		b.Run(fmt.Sprintf("F%d", fn.No), func(b *testing.B) {
+			d := newDeme(fn, DeJongParams(), xrand.New(1))
+			d.EvaluateAll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.NextGeneration()
+			}
+		})
 	}
 }
 

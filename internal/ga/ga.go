@@ -80,6 +80,7 @@ type Deme struct {
 	scratch Individual // discarded second child of an odd last pair
 
 	ws    []float64 // selection-weight prefix sums, reused per generation
+	wheel roulette  // the guide table over ws, rebuilt per generation
 	idx   []int     // index-sort scratch, reused per call
 	key   []float64 // sort keys of idx, reused per call
 	xbuf  []float64 // objective decode scratch, reused per evaluation
@@ -116,6 +117,7 @@ func newDeme(fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
 	}
 	d.worstW = make([]float64, w)
 	d.ws = make([]float64, par.N)
+	d.wheel = newRoulette(par.N)
 	d.idx = make([]int, par.N)
 	d.key = make([]float64, par.N)
 	d.xbuf = make([]float64, fn.Vars)
@@ -249,15 +251,24 @@ func (d *Deme) scaledCum() []float64 {
 
 // rouletteIndex draws one population index proportionally to the
 // weights whose prefix sums are cum (uniform if all weights are zero).
-// It consumes exactly one RNG draw, like the linear subtractive scan it
-// replaced: the selected index is the first whose prefix sum reaches
-// the draw point, found by sort.SearchFloat64s's binary search written
-// inline (same midpoints, same predicate).
+// It consumes exactly one RNG draw: the selected index is the first
+// whose prefix sum reaches the draw point, found by searchCum's binary
+// search. NextGeneration spins a roulette guide table instead, which
+// finds the same index from the same draw; this function serves the
+// totals the table cannot take (see roulette.build) and is the table's
+// test oracle.
 func rouletteIndex(cum []float64, total float64, rng *xrand.Rand) int {
 	if total <= 0 {
 		return rng.Intn(len(cum))
 	}
-	r := rng.Float64() * total
+	return searchCum(cum, rng.Float64()*total)
+}
+
+// searchCum returns the first index whose prefix sum reaches r, or the
+// last index if none does (r NaN or past the total). It is
+// sort.SearchFloat64s's binary search written inline: same midpoints,
+// same predicate.
+func searchCum(cum []float64, r float64) int {
 	i, j := 0, len(cum)
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -273,19 +284,107 @@ func rouletteIndex(cum []float64, total float64, rng *xrand.Rand) int {
 	return len(cum) - 1
 }
 
+// roulette is a guide table over a roulette's prefix sums (Chen and
+// Asau's indexed search, 1974): m = len(cum) buckets, bucket j holding
+// the threshold j·total/m and the first index whose prefix sum reaches
+// it. A draw point r starts at bucket ⌊r·m/total⌋, steps down while
+// that bucket's threshold exceeds r (rounding can overshoot by one),
+// and scans forward from the bucket's index for the first prefix sum
+// that reaches r. Every index before the bucket's has a prefix sum
+// below its threshold, so below r, and the prefix sums do not decrease,
+// so the scan stops at exactly the index rouletteIndex's binary search
+// finds: after about two comparisons, where the search takes log2(m)
+// branches that the hardware cannot predict.
+type roulette struct {
+	cum     []float64 // prefix sums of the weights, nondecreasing
+	total   float64   // cum's last element
+	scale   float64   // m/total; 0 sends every draw to rouletteIndex
+	buckets []bucket
+}
+
+// bucket is one entry of a roulette's guide table.
+type bucket struct {
+	thr   float64 // j·total/m for bucket j
+	first int32   // the first index whose prefix sum reaches thr
+}
+
+// newRoulette allocates a table for up to n weights.
+func newRoulette(n int) roulette {
+	return roulette{buckets: make([]bucket, n)}
+}
+
+// build fills the table over cum, prefix sums accumulated from
+// non-negative weights as scaledCum accumulates them (so they never
+// decrease, and a NaN weight makes the total NaN). A total that is not
+// positive and finite, or whose m/total overflows, leaves the table
+// unused: each draw then goes to rouletteIndex, which also keeps the
+// uniform draw of an all-zero wheel.
+func (w *roulette) build(cum []float64) {
+	w.cum = cum
+	w.total, w.scale = 0, 0
+	m := len(cum)
+	if m == 0 {
+		return
+	}
+	w.total = cum[m-1]
+	scale := float64(m) / w.total
+	if !(w.total > 0) || math.IsInf(w.total, 1) || math.IsInf(scale, 1) {
+		return
+	}
+	w.scale = scale
+	step := w.total / float64(m)
+	i := 0
+	for j := range w.buckets[:m] {
+		t := float64(j) * step
+		for i < m && !(cum[i] >= t) {
+			i++
+		}
+		w.buckets[j] = bucket{thr: t, first: int32(i)}
+	}
+}
+
+// spin draws one index as rouletteIndex(cum, total, rng) would, from the
+// same single draw.
+func (w *roulette) spin(rng *xrand.Rand) int {
+	if w.scale == 0 {
+		return rouletteIndex(w.cum, w.total, rng)
+	}
+	return w.find(rng.Float64() * w.total)
+}
+
+// find returns searchCum(cum, r) for a draw point r in [0, total] of a
+// built table.
+func (w *roulette) find(r float64) int {
+	cum := w.cum
+	j := int(r * w.scale)
+	if j >= len(cum) {
+		j = len(cum) - 1
+	}
+	for w.buckets[j].thr > r { // bucket 0's is 0, and r is not negative
+		j--
+	}
+	i := int(w.buckets[j].first)
+	for i < len(cum) && !(cum[i] >= r) {
+		i++
+	}
+	if i < len(cum) {
+		return i
+	}
+	return len(cum) - 1
+}
+
 // NextGeneration applies roulette selection (on scaled fitness),
 // single-point crossover with probability C, per-bit mutation with
 // probability M, and elitism, replacing the population. G<1 keeps a
 // (1-G) fraction of the old population untouched. The new generation
 // is built in the deme's second buffer and the buffers swap, so the
-// steady-state loop is allocation-free; the RNG draw sequence is
-// identical to the old clone-per-child implementation.
+// steady-state loop is allocation-free. Selection builds the roulette's
+// guide table once and spins it twice per pair; the RNG draw sequence
+// is identical to the old clone-per-child implementation's, whose
+// spins were binary searches.
 func (d *Deme) NextGeneration() {
-	cum := d.scaledCum()
-	total := 0.0
-	if len(cum) > 0 {
-		total = cum[len(cum)-1]
-	}
+	w := &d.wheel
+	w.build(d.scaledCum())
 
 	n := len(d.pop)
 	replace := n
@@ -313,8 +412,8 @@ func (d *Deme) NextGeneration() {
 		if filled+1 < n {
 			c2 = &next[filled+1]
 		}
-		*c1 = d.pop[rouletteIndex(cum, total, d.rng)]
-		*c2 = d.pop[rouletteIndex(cum, total, d.rng)]
+		*c1 = d.pop[w.spin(d.rng)]
+		*c2 = d.pop[w.spin(d.rng)]
 		if d.rng.Float64() < d.Par.C {
 			d.crossover(c1, c2)
 		}

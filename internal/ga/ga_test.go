@@ -1,6 +1,9 @@
 package ga
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -453,4 +456,159 @@ func TestGrayDemeConverges(t *testing.T) {
 	if best := d.Best().Fit; best > 1.0 {
 		t.Fatalf("gray-coded F1 after 100 generations still at %v", best)
 	}
+}
+
+// cumOf accumulates weights into prefix sums as scaledCum does: a
+// negative weight counts as 0, and a NaN one makes every later sum NaN.
+func cumOf(weights []float64) []float64 {
+	cum := make([]float64, len(weights))
+	sum := 0.0
+	for i, w := range weights {
+		if w < 0 {
+			w = 0
+		}
+		sum += w
+		cum[i] = sum
+	}
+	return cum
+}
+
+// guideMatchesSearch spins a guide table over weights and rouletteIndex
+// on twin streams, draws times, and fails at the first index or later
+// draw that differs. For a table in use it also holds find to the
+// binary search at every point where their answers could part: each
+// prefix sum and bucket threshold and the floats beside them, 0 and the
+// total. It reports whether the table was in use.
+func guideMatchesSearch(t *testing.T, name string, weights []float64, seed int64, draws int) bool {
+	t.Helper()
+	cum := cumOf(weights)
+	w := newRoulette(len(cum))
+	w.build(cum)
+	total := cum[len(cum)-1]
+	a, b := xrand.New(seed), xrand.New(seed)
+	for k := 0; k < draws; k++ {
+		if gi, si := w.spin(a), rouletteIndex(cum, total, b); gi != si {
+			t.Fatalf("%s: draw %d: guide picked %d, search %d (total %v)", name, k, gi, si, total)
+		}
+	}
+	if x, y := a.Int63(), b.Int63(); x != y {
+		t.Fatalf("%s: the streams parted after %d draws: %d, search %d", name, draws, x, y)
+	}
+	if w.scale == 0 {
+		return false
+	}
+	vals := []float64{0, total}
+	for i, v := range cum {
+		vals = append(vals, v, w.buckets[i].thr)
+	}
+	for _, v := range vals {
+		for _, r := range []float64{v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1))} {
+			if !(r >= 0 && r <= total) {
+				continue
+			}
+			if gi, si := w.find(r), searchCum(cum, r); gi != si {
+				t.Fatalf("%s: point %v: guide found %d, search %d (total %v)", name, r, gi, si, total)
+			}
+		}
+	}
+	return true
+}
+
+// TestRouletteGuideMatchesSearch holds the guide table to the binary
+// search it replaced, draw for draw, over weight vectors at N = 1, 2, 3,
+// the island deme's 50, 64 and the serial baseline's 800: zero weights,
+// a single nonzero weight, equal weights, random weights with runs of
+// zeros, a few giants among tiny weights, a tiny total, one whose
+// bucket width total/N is subnormal, a near-overflow one, and the
+// totals the table leaves to the search (zero, +Inf, NaN, and a
+// subnormal one whose N/total overflows).
+func TestRouletteGuideMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fill := func(n int, f func(i int) float64) []float64 {
+		ws := make([]float64, n)
+		for i := range ws {
+			ws[i] = f(i)
+		}
+		return ws
+	}
+	// at is a weight vector of zeros but for v at index k.
+	at := func(n, k int, v float64) []float64 {
+		ws := make([]float64, n)
+		ws[k] = v
+		return ws
+	}
+	for _, n := range []int{1, 2, 3, 50, 64, 800} {
+		ones := fill(n, func(int) float64 { return 1 })
+		cases := []struct {
+			name    string
+			weights []float64
+			guided  bool // the table serves this total
+		}{
+			{"zero", fill(n, func(int) float64 { return 0 }), false},
+			{"negative", fill(n, func(int) float64 { return -1 }), false},
+			{"single-first", at(n, 0, 1), true},
+			{"single-middle", at(n, n/2, 3), true},
+			{"single-last", at(n, n-1, 0.1), true},
+			{"equal", ones, true},
+			{"equal-thirds", fill(n, func(int) float64 { return 1.0 / 3 }), true},
+			{"random", fill(n, func(int) float64 { return rng.Float64() }), true},
+			{"random-zero-runs", fill(n, func(i int) float64 {
+				if i/4%3 == 1 {
+					return 0
+				}
+				return rng.ExpFloat64()
+			}), true},
+			{"giants", fill(n, func(i int) float64 {
+				if i%17 == 5 {
+					return 1e12 * rng.Float64()
+				}
+				return 1e-9 * rng.Float64()
+			}), true},
+			{"tiny-normal", fill(n, func(int) float64 { return 1e-300 * (1 + rng.Float64()) }), true},
+			{"subnormal-buckets", fill(n, func(int) float64 { return 0x1p-1023 * (1 + rng.Float64()) }), true},
+			{"subnormal", fill(n, func(i int) float64 { return math.SmallestNonzeroFloat64 * float64(1+i%3) }), false},
+			{"near-overflow", fill(n, func(int) float64 { return math.MaxFloat64 / float64(2*n) * (1 + rng.Float64()) }), true},
+			{"overflowing-sum", fill(n, func(int) float64 { return math.MaxFloat64 / 1.5 }), n == 1},
+			{"inf", append(ones[:n-1:n-1], math.Inf(1)), false},
+			{"nan", append(append(ones[:n/2:n/2], math.NaN()), ones[n/2+1:]...), false},
+		}
+		for ci, c := range cases {
+			name := fmt.Sprintf("N=%d/%s", n, c.name)
+			if guided := guideMatchesSearch(t, name, c.weights, int64(100*n+ci), 4000); guided != c.guided {
+				t.Errorf("%s: guide table in use %v, want %v", name, guided, c.guided)
+			}
+		}
+	}
+}
+
+// FuzzRouletteGuide builds weights from bytes and holds the guide table
+// to the binary search on twin streams. An even first byte reads each
+// later byte as a small weight scaled by 2^e, with e picked by the
+// second byte from subnormal to overflowing magnitudes; an odd one
+// reads the rest as raw float64 bits, NaN and the infinities included.
+func FuzzRouletteGuide(f *testing.F) {
+	f.Add(int64(1), []byte{0, 128, 1, 2, 3, 0, 0, 9})
+	f.Add(int64(2), []byte{0, 0, 255, 255, 1})
+	f.Add(int64(3), []byte{0, 255, 7, 7, 7, 7})
+	f.Add(int64(4), []byte{1, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		var weights []float64
+		if data[0]&1 == 0 {
+			e := int(data[1])*9 - 1100
+			for _, b := range data[2:] {
+				weights = append(weights, math.Ldexp(float64(b), e))
+			}
+		} else {
+			for rest := data[1:]; len(rest) >= 8; rest = rest[8:] {
+				weights = append(weights, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
+			}
+		}
+		if len(weights) == 0 || len(weights) > 1024 {
+			return
+		}
+		guideMatchesSearch(t, fmt.Sprintf("%v", weights), weights, seed, 64)
+	})
 }

@@ -78,10 +78,10 @@ type IslandConfig struct {
 	// Topology selects the migration pattern (default Broadcast, the
 	// paper's setting).
 	Topology Topology
-	// Interval migrates every Interval generations (default 1, the
-	// paper's setting). With Global_Read, ages are still measured in
-	// generations, so an age below Interval-1 blocks until the next
-	// migration round.
+	// Interval migrates every Interval generations (0 means the default
+	// of 1, the paper's setting; a negative one is an error). With
+	// Global_Read, ages are still measured in generations, so an age
+	// below Interval-1 blocks until the next migration round.
 	Interval int64
 
 	// FixedGens is the generation count for Sync mode (the paper runs
@@ -160,8 +160,9 @@ type IslandResult struct {
 // cluster and reports the result. The run is deterministic in cfg.Seed.
 // An impossible configuration (no function, no processors, a deme of
 // fewer than 2, no generation budget for the mode, a negative
-// Global_Read age, which no read could ever satisfy, or a cluster
-// setting cluster.Build rejects) is an error.
+// migration interval, a negative Global_Read age, which no read could
+// ever satisfy, or a cluster setting cluster.Build rejects) is an
+// error.
 func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	switch {
 	case cfg.Fn == nil:
@@ -174,6 +175,8 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		return IslandResult{}, fmt.Errorf("ga: Sync mode needs FixedGens > 0, have %d", cfg.FixedGens)
 	case cfg.Mode != core.Sync && cfg.MaxGens <= 0:
 		return IslandResult{}, fmt.Errorf("ga: %s mode needs MaxGens > 0, have %d", cfg.Mode, cfg.MaxGens)
+	case cfg.Interval < 0:
+		return IslandResult{}, fmt.Errorf("ga: RunIsland needs Interval >= 0 (0 migrates every generation), have %d", cfg.Interval)
 	case cfg.Mode == core.NonStrict && cfg.Age < 0:
 		return IslandResult{}, fmt.Errorf("ga: %s mode needs Age >= 0, have %d", cfg.Mode, cfg.Age)
 	}
@@ -194,7 +197,7 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	serFit := cfg.Series.Gauge("ga.avg_fitness")
 
 	interval := cfg.Interval
-	if interval < 1 {
+	if interval == 0 {
 		interval = 1
 	}
 	k := cfg.Par.N / 2

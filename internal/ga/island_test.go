@@ -516,6 +516,8 @@ func TestRunIslandConfigErrors(t *testing.T) {
 	negMax.MaxGens = -3
 	negAge := quickCfg(core.NonStrict, 2)
 	negAge.Age = -5
+	negInterval := quickCfg(core.Async, 2)
+	negInterval.Interval = -3
 	// Fabric and cluster numbers no run can simulate: each is an error
 	// from cluster.Build, not a panic inside the engine or a value
 	// silently read as 0.
@@ -543,6 +545,7 @@ func TestRunIslandConfigErrors(t *testing.T) {
 		"async, zero MaxGens":   noMax,
 		"GR, negative MaxGens":  negMax,
 		"GR, negative Age":      negAge,
+		"negative Interval":     negInterval,
 		"NaN bus bandwidth":     bus(func(c *netsim.Config) { c.BandwidthBps = math.NaN() }),
 		"zero bus bandwidth":    bus(func(c *netsim.Config) { c.BandwidthBps = 0 }),
 		"negative loss":         bus(func(c *netsim.Config) { c.LossProb = -0.1 }),
