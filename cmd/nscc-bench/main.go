@@ -16,7 +16,8 @@
 // Sweep cells fan out over a worker pool (-workers, default GOMAXPROCS);
 // results are byte-identical at any worker count. -bench-out writes a
 // BENCH_*.json snapshot with per-sweep wall-clock throughput and the
-// standard DES microbenchmarks.
+// standard DES microbenchmarks. -nodes and -topologies shape the scale
+// sweep alone, so they are refused without -exp scale.
 //
 // -cache-dir journals every completed sweep cell into crash-safe,
 // content-addressed per-sweep journals under DIR. A run killed at any
@@ -100,6 +101,10 @@ func main() {
 		bad("-exp micro requires -bench-out (its only output is the snapshot)")
 	case *gens < 0:
 		bad("-gens %d: want at least 0 (0 keeps the profile's budget)", *gens)
+	case *exp != "scale" && *nodesF != "":
+		bad("-nodes: only the scale sweep takes island counts (-exp scale)")
+	case *exp != "scale" && *toposF != "":
+		bad("-topologies: only the scale sweep takes dissemination topologies (-exp scale)")
 	}
 	// The demo and every experiment with a Sync cell: Figures 2-4 and
 	// the age sweep's references.

@@ -34,7 +34,12 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-loss", "2"}, {"-loss", "-0.1"},
-		{"-procs", "x"}, {"-funcs", "9"}, {"-nodes", "0"}, {"-topologies", "bogus"},
+		{"-procs", "x"}, {"-funcs", "9"},
+		{"-exp", "scale", "-nodes", "0"}, {"-exp", "scale", "-topologies", "bogus"},
+		// Only the scale sweep reads -nodes and -topologies; -exp all
+		// runs a fixed scale row under -bench-out.
+		{"-exp", "table2", "-nodes", "5"},
+		{"-bench-out", filepath.Join(t.TempDir(), "bench.json"), "-topologies", "gossip-ring"},
 		{"-exp", "bogus"}, {"-exp", "micro"}, {"-profile", "bogus"},
 		{"-faults", missing},
 		{"-read-timeout", "-5ms"},

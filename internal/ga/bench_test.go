@@ -85,16 +85,19 @@ func BenchmarkNextGeneration(b *testing.B) {
 func BenchmarkPoolTopK(b *testing.B) {
 	const sources, k = 15, 25
 	rng := xrand.New(1)
-	pool := make([]Individual, sources*k)
-	for i := range pool {
-		// Blocks arrive fittest first, each from a deme converging on
-		// the same optimum, so the pool holds runs and near-ties.
-		pool[i].Fit = float64(i%k)*0.01 + rng.Float64()*0.001
+	blocks := make([][]Individual, sources)
+	for s := range blocks {
+		blocks[s] = make([]Individual, k)
+		for i := range blocks[s] {
+			// Blocks arrive fittest first, each from a deme converging
+			// on the same optimum, so the pool holds runs and near-ties.
+			blocks[s][i].Fit = float64(i)*0.01 + rng.Float64()*0.001
+		}
 	}
 	var ps poolSorter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.bestK(pool, k)
+		ps.bestK(blocks, k)
 	}
 }

@@ -17,6 +17,7 @@ package ga
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"nscc/internal/ga/functions"
 	"nscc/internal/xrand"
@@ -51,9 +52,14 @@ type Individual struct {
 // Deme is one subpopulation evolving under a Params setting. All
 // randomness comes from the supplied rng, so demes are deterministic.
 //
-// The deme is double-buffered: NextGeneration builds the new
-// generation in next and swaps the buffers, so the steady-state
-// generation loop allocates nothing.
+// A deme holds only what lasts from one call to the next: its
+// population, its best-so-far, its scaling window, its generator and
+// its counters. Everything a call builds and drops, the next generation
+// included, lives in a demeScratch, which demes of one function and
+// Params may share: no method keeps anything there past its return, and
+// no method yields to the simulation engine, which runs one process at a
+// time. RunIsland gives one scratch to all of its islands; NewDeme and
+// the serial runner give each deme its own.
 type Deme struct {
 	Fn  *functions.Function
 	Par Params
@@ -64,9 +70,8 @@ type Deme struct {
 	// would hold.
 	mutThr int64
 
-	pop  []Individual
-	next []Individual // write buffer for NextGeneration
-	gen  int64
+	pop []Individual
+	gen int64
 
 	// worstW is a ring of the worst raw objective of the last W
 	// generations (preallocated; worstN entries are live, worstI is the
@@ -77,16 +82,41 @@ type Deme struct {
 
 	best    Individual
 	bestSet bool
-	scratch Individual // discarded second child of an odd last pair
 
-	ws    []float64 // selection-weight prefix sums, reused per generation
-	wheel roulette  // the guide table over ws, rebuilt per generation
-	idx   []int     // index-sort scratch, reused per call
-	key   []float64 // sort keys of idx, reused per call
-	xbuf  []float64 // objective decode scratch, reused per evaluation
-	flips []int     // mutation's flip positions, reused per child
+	sc *demeScratch
 
 	evals int64 // total objective evaluations computed (cache misses)
+}
+
+// demeScratch is the working storage of deme calls, sized for one
+// function and Params. A call fills what it reads before reading it, so
+// any deme of that function and Params can use it next.
+type demeScratch struct {
+	next  []Individual // NextGeneration's build buffer
+	spare Individual   // discarded second child of an odd last pair
+	ws    []float64    // selection-weight prefix sums
+	wheel roulette     // the guide table over ws
+	idx   []int        // index-sort permutation
+	key   []float64    // sort keys of idx
+	xbuf  []float64    // objective decode buffer
+	flips []int        // mutation's flip positions
+}
+
+// newDemeScratch allocates the scratch of demes of par.N individuals on
+// fn.
+func newDemeScratch(fn *functions.Function, par Params) *demeScratch {
+	if par.N < 2 {
+		panic("ga: population must have at least 2 individuals")
+	}
+	return &demeScratch{
+		next:  make([]Individual, par.N),
+		ws:    make([]float64, par.N),
+		wheel: newRoulette(par.N),
+		idx:   make([]int, par.N),
+		key:   make([]float64, par.N),
+		xbuf:  make([]float64, fn.Vars),
+		flips: make([]int, 0, fn.TotalBits()),
+	}
 }
 
 // NewDeme creates a deme of Par.N random individuals. The deme draws
@@ -95,17 +125,20 @@ func NewDeme(fn *functions.Function, par Params, rng *rand.Rand) *Deme {
 	return newDeme(fn, par, xrand.New(rng.Int63()))
 }
 
-// newDeme creates a deme drawing from rng. The island and serial
-// runners share rng with the node's jitterer, so the two interleave on
-// one stream.
+// newDeme creates a deme drawing from rng, with a scratch of its own.
+// The serial runner shares rng with its jitterer, so the two interleave
+// on one stream.
 func newDeme(fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
-	if par.N < 2 {
-		panic("ga: population must have at least 2 individuals")
-	}
-	d := &Deme{Fn: fn, Par: par, rng: rng, mutThr: xrand.Threshold(par.M)}
+	return newDemeOn(newDemeScratch(fn, par), fn, par, rng)
+}
+
+// newDemeOn creates a deme drawing from rng that works in sc, which
+// newDemeScratch made for fn and par. The island runner shares rng with
+// the node's jitterer, and sc with every island of the run.
+func newDemeOn(sc *demeScratch, fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
+	d := &Deme{Fn: fn, Par: par, rng: rng, mutThr: xrand.Threshold(par.M), sc: sc}
 	bits := fn.TotalBits()
 	d.pop = make([]Individual, par.N)
-	d.next = make([]Individual, par.N)
 	for i := range d.pop {
 		for b := 0; b < bits; b++ {
 			d.pop[i].Bits.SetBit(b, uint(rng.Intn(2)))
@@ -116,12 +149,6 @@ func newDeme(fn *functions.Function, par Params, rng *xrand.Rand) *Deme {
 		w = 1
 	}
 	d.worstW = make([]float64, w)
-	d.ws = make([]float64, par.N)
-	d.wheel = newRoulette(par.N)
-	d.idx = make([]int, par.N)
-	d.key = make([]float64, par.N)
-	d.xbuf = make([]float64, fn.Vars)
-	d.flips = make([]int, 0, bits)
 	return d
 }
 
@@ -144,7 +171,7 @@ func (d *Deme) EvaluateAll() int {
 	n := 0
 	for i := range d.pop {
 		if !d.pop[i].Valid {
-			d.pop[i].Fit = d.Fn.EvalBitsInto(d.xbuf, &d.pop[i].Bits, d.Par.Gray, d.rng)
+			d.pop[i].Fit = d.Fn.EvalBitsInto(d.sc.xbuf, &d.pop[i].Bits, d.Par.Gray, d.rng)
 			d.pop[i].Valid = true
 			n++
 		}
@@ -226,7 +253,7 @@ func (d *Deme) AvgFit() float64 {
 // scaledCum converts the minimization objective into selection-weight
 // prefix sums using DeJong's scaling-window rule: weight = baseline -
 // f, where baseline is the worst raw objective seen in the last W
-// generations. The returned slice (the deme's reused scratch) holds
+// generations. The returned slice (the scratch's prefix sums) holds
 // running left-to-right sums, accumulated in the same order the old
 // per-weight total was, so the grand total is bit-identical.
 func (d *Deme) scaledCum() []float64 {
@@ -236,7 +263,7 @@ func (d *Deme) scaledCum() []float64 {
 			baseline = w
 		}
 	}
-	cum := d.ws[:len(d.pop)]
+	cum := d.sc.ws[:len(d.pop)]
 	sum := 0.0
 	for i := range d.pop {
 		w := baseline - d.pop[i].Fit
@@ -377,13 +404,14 @@ func (w *roulette) find(r float64) int {
 // single-point crossover with probability C, per-bit mutation with
 // probability M, and elitism, replacing the population. G<1 keeps a
 // (1-G) fraction of the old population untouched. The new generation
-// is built in the deme's second buffer and the buffers swap, so the
-// steady-state loop is allocation-free. Selection builds the roulette's
+// is built in the scratch's buffer and copied over the population, so
+// the steady-state loop is allocation-free. Selection builds the roulette's
 // guide table once and spins it twice per pair; the RNG draw sequence
 // is identical to the old clone-per-child implementation's, whose
 // spins were binary searches.
 func (d *Deme) NextGeneration() {
-	w := &d.wheel
+	sc := d.sc
+	w := &sc.wheel
 	w.build(d.scaledCum())
 
 	n := len(d.pop)
@@ -394,7 +422,7 @@ func (d *Deme) NextGeneration() {
 			replace = 2
 		}
 	}
-	next := d.next
+	next := sc.next
 	filled := 0
 	// Survivors (generation gap < 1): keep the best of the old
 	// population beyond the replaced fraction.
@@ -408,7 +436,7 @@ func (d *Deme) NextGeneration() {
 
 	for filled < n {
 		c1 := &next[filled]
-		c2 := &d.scratch // discarded when the pair overflows the population
+		c2 := &sc.spare // discarded when the pair overflows the population
 		if filled+1 < n {
 			c2 = &next[filled+1]
 		}
@@ -426,14 +454,14 @@ func (d *Deme) NextGeneration() {
 		// The best-so-far individual replaces a random slot unchanged.
 		next[d.rng.Intn(n)] = d.best
 	}
-	d.pop, d.next = next, d.pop
+	copy(d.pop, next)
 	d.gen++
 }
 
-// sortedByFitness fills the deme's index scratch with population
+// sortedByFitness fills the scratch's index permutation with population
 // indices ordered fittest first; only the first head are sorted.
 func (d *Deme) sortedByFitness(head int) []int {
-	idx, key := d.idx[:len(d.pop)], d.key[:len(d.pop)]
+	idx, key := d.sc.idx[:len(d.pop)], d.sc.key[:len(d.pop)]
 	for i := range idx {
 		idx[i] = i
 		key[i] = d.pop[i].Fit
@@ -463,11 +491,12 @@ func (d *Deme) crossover(a, b *Individual) {
 // included; xrand steps the generator for them in blocks that cannot
 // wrap its register and reports the bits to flip.
 func (d *Deme) mutate(ind *Individual) {
-	d.flips = d.rng.FlipBelow(d.flips[:0], d.Fn.TotalBits(), d.mutThr)
-	for _, i := range d.flips {
+	flips := d.rng.FlipBelow(d.sc.flips[:0], d.Fn.TotalBits(), d.mutThr)
+	d.sc.flips = flips
+	for _, i := range flips {
 		ind.Bits.Flip(i)
 	}
-	if len(d.flips) > 0 {
+	if len(flips) > 0 {
 		ind.Valid = false
 	}
 }
@@ -475,7 +504,9 @@ func (d *Deme) mutate(ind *Individual) {
 // BestK returns copies of the k fittest current individuals, fittest
 // first. Individuals must be evaluated (call after EvaluateAll). The
 // copies are one fresh allocation because callers hand them to the
-// message layer, where receivers retain them indefinitely.
+// message layer, where receivers retain them indefinitely, and islands
+// read each block where it arrives, without copying it: so nothing may
+// ever write a returned block, or recycle it for another write.
 func (d *Deme) BestK(k int) []Individual {
 	if k > len(d.pop) {
 		k = len(d.pop)
@@ -510,7 +541,7 @@ func (d *Deme) ReplaceWorst(migrants []Individual) {
 	// descending comparator (x > y iff -x < -y; ±0 stay equal and NaN
 	// unordered), so the sort makes the same decisions. Only the first
 	// len(migrants) slots are overwritten, so only they are sorted.
-	idx, key := d.idx[:len(d.pop)], d.key[:len(d.pop)]
+	idx, key := d.sc.idx[:len(d.pop)], d.sc.key[:len(d.pop)]
 	for i := range idx {
 		idx[i] = i
 		key[i] = -d.pop[i].Fit
@@ -527,42 +558,56 @@ func (d *Deme) ReplaceWorst(migrants []Individual) {
 // returned individuals are copies; pool is never reordered.
 func bestOfPool(pool []Individual, k int) []Individual {
 	var ps poolSorter
-	return ps.bestK(pool, k)
+	return ps.bestK([][]Individual{pool}, k)
 }
 
-// poolSorter holds the reusable scratch of repeated top-k selections
-// over migrant pools: the index permutation the sort actually moves,
-// its gathered Fit keys, and the top-k individuals handed to
-// ReplaceWorst. Sorting indices by a flat key slice instead of
-// Individuals keeps each comparison to two loads. The selected order is identical:
-// the sort's decisions depend only on the comparisons' verdicts, which
-// are the same Fit comparisons either way.
+// poolSorter selects the fittest migrants of a pool that arrives as
+// blocks, one per source read, without concatenating them. It gathers
+// the blocks' Fit keys, block after block, into one key array, sorts an
+// index permutation over them, and copies out only the top k
+// individuals, each from its block. Sorting indices by a flat key slice
+// instead of Individuals keeps each comparison to two loads. The
+// selected order is that of a sort of the concatenated pool: the sort's
+// decisions depend only on the comparisons' verdicts, which are the
+// same Fit comparisons either way.
 type poolSorter struct {
-	idx []int
-	key []float64
-	top []Individual
+	idx   []int        // the permutation the sort moves: concatenation indices
+	key   []float64    // the gathered Fit keys, by concatenation index
+	start []int        // start[b] is block b's first concatenation index
+	top   []Individual // the selection handed to ReplaceWorst
 }
 
-// bestK returns the k fittest individuals of pool, fittest first. The
-// returned slice is the sorter's scratch, valid until the next call;
-// pool itself is never reordered.
-func (ps *poolSorter) bestK(pool []Individual, k int) []Individual {
-	if cap(ps.idx) < len(pool) {
-		ps.idx = make([]int, len(pool))
-		ps.key = make([]float64, len(pool))
+// bestK returns the k fittest individuals of the blocks' concatenation,
+// fittest first. The returned slice is the sorter's scratch, valid until
+// the next call; the blocks are only read.
+func (ps *poolSorter) bestK(blocks [][]Individual, k int) []Individual {
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
 	}
-	if k > len(pool) {
-		k = len(pool)
+	if cap(ps.idx) < n {
+		ps.idx = make([]int, n)
+		ps.key = make([]float64, n)
 	}
-	idx, key := ps.idx[:len(pool)], ps.key[:len(pool)]
-	for i := range pool {
-		idx[i] = i
-		key[i] = pool[i].Fit
+	idx, key, start := ps.idx[:n], ps.key[:n], ps.start[:0]
+	i := 0
+	for _, b := range blocks {
+		start = append(start, i)
+		for j := range b {
+			idx[i] = i
+			key[i] = b[j].Fit
+			i++
+		}
 	}
+	ps.start = start
+	k = min(k, n)
 	sortIdx(idx, key, k)
 	top := ps.top[:0]
 	for _, i := range idx[:k] {
-		top = append(top, pool[i])
+		// The last block starting at or before i holds it: an empty
+		// block starts where the next one does.
+		b := sort.SearchInts(start, i+1) - 1
+		top = append(top, blocks[b][i-start[b]])
 	}
 	ps.top = top
 	return top

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -356,6 +357,60 @@ func TestBestOfPool(t *testing.T) {
 	if pool[0].Fit != 3 {
 		t.Fatal("bestOfPool mutated input order")
 	}
+}
+
+// FuzzPoolViewsMatchFlat holds the migrant sorter, which reads a pool in
+// the blocks it arrived in, to a sort of the concatenated pool. data
+// decodes to Fit keys two bytes a key (fuzzKey: ties, ±0, NaN and ±Inf
+// are common), each individual marked with its pool position; cuts
+// gives the block lengths, 0 to 7, and the rest of the pool is the last
+// block; k runs from 0 to two past the pool's size. The top k must
+// equal, individual for individual and bit for bit, the first k of
+// slices.SortFunc over the concatenation with the pinned comparator. One
+// sorter takes the blocks, the one-block pool bestOfPool passes, and the
+// blocks again.
+func FuzzPoolViewsMatchFlat(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 3, 1, 34, 0, 2, 0, 33, 0, 32, 0, 35, 0, 36, 0, 1, 0}, []byte{2, 0, 3, 0, 0, 1}, 4)
+	f.Add(make([]byte, 120), []byte{7, 7, 0, 7, 7}, 25)
+	f.Add([]byte("migrants arrive fittest first, from sources converging on one optimum"), []byte{5, 5, 5, 5}, 70)
+	f.Add([]byte{}, []byte{0, 0}, 1)
+	f.Fuzz(func(t *testing.T, data, cuts []byte, k int) {
+		n := len(data) / 2
+		flat := make([]Individual, n)
+		key := make([]float64, n)
+		for i := range flat {
+			key[i] = fuzzKey(data[2*i], data[2*i+1])
+			flat[i] = Individual{Fit: key[i], Valid: i%3 != 0}
+			flat[i].Bits[0] = uint64(i)
+		}
+		var blocks [][]Individual
+		rest := flat
+		for _, c := range cuts {
+			l := min(int(c%8), len(rest))
+			blocks = append(blocks, slices.Clone(rest[:l]))
+			rest = rest[l:]
+		}
+		blocks = append(blocks, slices.Clone(rest))
+		k = int(uint(k) % uint(n+3))
+
+		order := identity(n)
+		slices.SortFunc(order, ascending(key))
+		want := order[:min(k, n)]
+		var ps poolSorter
+		for pass, pool := range [][][]Individual{blocks, {flat}, blocks} {
+			got := ps.bestK(pool, k)
+			if len(got) != len(want) {
+				t.Fatalf("pass %d, %d blocks: k=%d of %d gave %d individuals", pass, len(pool), k, n, len(got))
+			}
+			for j, i := range want {
+				g, w := got[j], flat[i]
+				if g.Bits != w.Bits || math.Float64bits(g.Fit) != math.Float64bits(w.Fit) || g.Valid != w.Valid {
+					t.Fatalf("pass %d, %d blocks: rank %d is pool position %d (fit %v), want %d (fit %v)",
+						pass, len(pool), j, g.Bits[0], g.Fit, i, w.Fit)
+				}
+			}
+		}
+	})
 }
 
 func TestDemeDeterminism(t *testing.T) {

@@ -2,7 +2,7 @@ package ga
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nscc/internal/graph"
 )
@@ -85,24 +85,19 @@ func gossipNeighbors(t Topology, p int, seed int64) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]map[int]bool, p)
-	for i := range sets {
-		sets[i] = make(map[int]bool)
-	}
+	// Each edge puts either end in the other's set; a set is then sorted
+	// and its repeats dropped (an edge listed both ways, or twice).
+	nbrs := make([][]int, p)
 	for v := 0; v < p; v++ {
 		for e := g.InOff[v]; e < g.InOff[v+1]; e++ {
 			u := int(g.InSrc[e])
-			sets[u][v] = true
-			sets[v][u] = true
+			nbrs[u] = append(nbrs[u], v)
+			nbrs[v] = append(nbrs[v], u)
 		}
 	}
-	nbrs := make([][]int, p)
-	for i, set := range sets {
-		for j := range set { //nscc:maporder -- sort.Ints below launders the iteration order
-
-			nbrs[i] = append(nbrs[i], j)
-		}
-		sort.Ints(nbrs[i])
+	for i, set := range nbrs {
+		slices.Sort(set)
+		nbrs[i] = slices.Compact(set)
 	}
 	return nbrs, nil
 }

@@ -163,6 +163,12 @@ type IslandResult struct {
 // migration interval, a negative Global_Read age, which no read could
 // ever satisfy, or a cluster setting cluster.Build rejects) is an
 // error.
+//
+// The run's islands share one deme scratch and one migrant sorter, and
+// each reads its sources' migrant blocks where they arrive. Both rest on
+// two invariants: no deme method, and no step between an island's last
+// migrant read and its ReplaceWorst, yields to the engine; and nothing
+// writes or recycles a block after BestK returns it.
 func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	switch {
 	case cfg.Fn == nil:
@@ -215,6 +221,13 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	}
 	barrier := core.NewMsgBarrier(members)
 
+	// One deme scratch and one migrant sorter serve every island, which
+	// uses them only where it cannot yield (see above). They live in
+	// this call, never at package level, so concurrent runs do not
+	// share them.
+	sc := newDemeScratch(cfg.Fn, cfg.Par)
+	var poolSort poolSorter
+
 	res := IslandResult{
 		Gens:          make([]int64, cfg.P),
 		Best:          math.Inf(1),
@@ -234,14 +247,15 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 			for _, j := range sources[i] {
 				node.Register(locs[j])
 			}
-			deme := newDeme(cfg.Fn, cfg.Par, task.Proc().Rng())
+			deme := newDemeOn(sc, cfg.Fn, cfg.Par, task.Proc().Rng())
 			jit := cfg.Calib.NewJitterer(task.Proc().Rng())
 			age := cfg.Age
 			var lastBlocked int64
-			// Migration scratch, reused every round: the incoming pool
-			// and the sort buffers of its top-k selection.
-			pool := make([]Individual, 0, k*len(sources[i])+k)
-			var poolSort poolSorter
+			// The migrant blocks one round's reads return, read where
+			// they arrive: a block is kept across the round's later
+			// reads, which may yield, and that is safe only because
+			// nothing writes or recycles a block BestK returned.
+			blocks := make([][]Individual, 0, len(sources[i]))
 
 			finish := func() {
 				res.Gens[i] = deme.Gen()
@@ -287,7 +301,6 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 				// blocks of my topological sources.
 				if gen%interval == 0 {
 					node.Write(locs[i], gen, deme.BestK(k))
-					pool = pool[:0]
 					for _, j := range sources[i] {
 						switch cfg.Mode {
 						case core.Sync:
@@ -296,24 +309,28 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 							// zero Update whose Value is nil.
 							u := node.GlobalRead(locs[j], gen, 0)
 							if vs, ok := u.Value.([]Individual); ok {
-								pool = append(pool, vs...)
+								blocks = append(blocks, vs)
 							}
 						case core.Async:
 							//nscc:tolerates-stale loc=migrants -- stale migrants only delay selection pressure (§4.2.1); ReplaceWorst is order-free
 							if u, ok := node.Read(locs[j]); ok {
 								if vs, ok := u.Value.([]Individual); ok {
-									pool = append(pool, vs...)
+									blocks = append(blocks, vs)
 								}
 							}
 						case core.NonStrict:
 							//nscc:tolerates-stale loc=migrants -- the Global_Read age bound is the tolerance contract; simrace classifies the residue
 							u := node.GlobalRead(locs[j], gen, age)
 							if vs, ok := u.Value.([]Individual); ok {
-								pool = append(pool, vs...)
+								blocks = append(blocks, vs)
 							}
 						}
 					}
-					deme.ReplaceWorst(poolSort.bestK(pool, k))
+					deme.ReplaceWorst(poolSort.bestK(blocks, k))
+					// Drop the views, so that a block the node's buffer
+					// has since replaced is not kept alive here.
+					clear(blocks)
+					blocks = blocks[:0]
 				}
 
 				if cfg.DynamicAge && cfg.Mode == core.NonStrict {

@@ -240,6 +240,38 @@ func TestMigrantBlockBytes(t *testing.T) {
 	}
 }
 
+// TestIslandBytesPerIsland bounds what one more island costs a run: the
+// bytes RunIsland allocates at P = 64 minus those at P = 32, per extra
+// island, on the scale sweep's overlay and fabric (gossip-random on the
+// default rack/spine), Sync, 2 generations. The deme scratch and the
+// migrant sorter are one per run, and migrant blocks are read where
+// they arrive; a private copy of them per island (about 16 KB) would
+// break the 20 KB bound.
+func TestIslandBytesPerIsland(t *testing.T) {
+	allocated := func(p int) uint64 {
+		h := netsim.DefaultHierConfig()
+		cfg := IslandConfig{
+			Fn: functions.F1, Par: DeJongParams(), P: p,
+			Mode: core.Sync, FixedGens: 2, Topology: GossipRandom,
+			Seed: 3, Calib: DefaultCalibration(), Hier: &h,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunIsland(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(64) // a process's first run also pays one-time runtime costs (about 30 KB)
+	small, large := allocated(32), allocated(64)
+	per := (int64(large) - int64(small)) / 32
+	t.Logf("P=32 %d B, P=64 %d B: %d B per island", small, large, per)
+	if per > 20_000 {
+		t.Fatalf("each island adds %d bytes to a run, want at most 20000", per)
+	}
+}
+
 func TestCalibrationCosts(t *testing.T) {
 	c := DefaultCalibration()
 	if c.EvalCost(functions.F4) <= c.EvalCost(functions.F2) {

@@ -393,14 +393,15 @@ func sameIndividual(p *Individual, r *refIndividual) bool {
 }
 
 // twin is a packed deme and its byte reference, started from twin
-// generators of one seed.
+// generators of one seed. The packed deme works in sc; the reference
+// keeps buffers of its own.
 type twin struct {
 	d *Deme
 	r *refDeme
 }
 
-func newTwin(fn *functions.Function, par Params, seed int64) twin {
-	return twin{newDeme(fn, par, xrand.New(seed)), newRefDeme(fn, par, xrand.New(seed))}
+func newTwin(sc *demeScratch, fn *functions.Function, par Params, seed int64) twin {
+	return twin{newDemeOn(sc, fn, par, xrand.New(seed)), newRefDeme(fn, par, xrand.New(seed))}
 }
 
 // check compares the two demes' whole state and their generators' next
@@ -438,11 +439,14 @@ func (tw twin) check(t testing.TB, at string) {
 }
 
 // refRun is one differential scenario: a deme under Par on Fn, run for
-// Gens generations. Each generation after the first, when K > 0, it
-// takes migrants the island runner's way: its own and two donor demes'
-// best K (a pool of up to 3N, which may exceed N) through the pool
-// sorter's top K, and then the whole pool at once, so ReplaceWorst
-// also sorts an over-full pool itself.
+// Gens generations beside two donor demes. The three packed demes share
+// one scratch and take their generations in turn, as a run's islands
+// do. Each generation after the first, when K > 0, the main deme takes
+// migrants the island runner's way: the pool sorter's top K over the
+// three demes' BestK(K) blocks, read in place (a pool of up to 3N,
+// which may exceed N; the reference sorts the concatenated pool), and
+// then that whole pool at once, so ReplaceWorst also sorts an over-full
+// pool itself.
 type refRun struct {
 	Fn   *functions.Function
 	Par  Params
@@ -453,8 +457,9 @@ type refRun struct {
 
 func (rr refRun) run(t testing.TB) {
 	t.Helper()
-	main := newTwin(rr.Fn, rr.Par, rr.Seed)
-	donors := []twin{newTwin(rr.Fn, rr.Par, rr.Seed+1), newTwin(rr.Fn, rr.Par, rr.Seed+2)}
+	sc := newDemeScratch(rr.Fn, rr.Par)
+	main := newTwin(sc, rr.Fn, rr.Par, rr.Seed)
+	donors := []twin{newTwin(sc, rr.Fn, rr.Par, rr.Seed+1), newTwin(sc, rr.Fn, rr.Par, rr.Seed+2)}
 	all := append([]twin{main}, donors...)
 	var ps poolSorter
 	var rps refPoolSorter
@@ -469,13 +474,16 @@ func (rr refRun) run(t testing.TB) {
 			t.Fatalf("gen %d: Best differs from the reference's", g)
 		}
 		if rr.K > 0 && g > 0 {
+			var blocks [][]Individual
 			var pool []Individual
 			var rpool []refIndividual
 			for _, tw := range all {
-				pool = append(pool, tw.d.BestK(rr.K)...)
+				b := tw.d.BestK(rr.K)
+				blocks = append(blocks, b)
+				pool = append(pool, b...)
 				rpool = append(rpool, tw.r.BestK(rr.K)...)
 			}
-			main.d.ReplaceWorst(ps.bestK(pool, rr.K))
+			main.d.ReplaceWorst(ps.bestK(blocks, rr.K))
 			main.r.ReplaceWorst(rps.bestK(rpool, rr.K))
 			main.check(t, fmt.Sprintf("gen %d top-k migrants", g))
 			main.d.ReplaceWorst(pool)

@@ -208,11 +208,28 @@ func identity(n int) []int {
 	return idx
 }
 
+// fuzzKey decodes a sort key from two fuzzed bytes: the first picks one
+// of 32 small values (so ties are common), +0, -0, NaN or ±Inf; the
+// second perturbs the small values so that near-ties occur too.
+func fuzzKey(b, perturb byte) float64 {
+	switch b % 40 {
+	case 32:
+		return 0
+	case 33:
+		return math.Copysign(0, -1)
+	case 34:
+		return math.NaN()
+	case 35:
+		return math.Inf(1)
+	case 36:
+		return math.Inf(-1)
+	}
+	return float64(b%32) + float64(perturb%4)/1024
+}
+
 // FuzzSortIdxHead sorts keys decoded from arbitrary bytes, two bytes a
-// key, to an arbitrary head: the prefix must equal the full sort's. A
-// key's first byte picks one of 32 small values (so ties are common),
-// +0, -0, NaN or ±Inf; the second byte perturbs the small values so
-// that near-ties occur too.
+// key (fuzzKey), to an arbitrary head: the prefix must equal the full
+// sort's.
 func FuzzSortIdxHead(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0}, 1)
 	f.Add([]byte{0, 0, 33, 0, 34, 0, 35, 0, 1, 0, 2, 0}, 3)
@@ -222,20 +239,7 @@ func FuzzSortIdxHead(f *testing.F) {
 		n := len(data) / 2
 		key := make([]float64, n)
 		for i := range key {
-			switch b := data[2*i]; b % 40 {
-			case 32:
-				key[i] = 0
-			case 33:
-				key[i] = math.Copysign(0, -1)
-			case 34:
-				key[i] = math.NaN()
-			case 35:
-				key[i] = math.Inf(1)
-			case 36:
-				key[i] = math.Inf(-1)
-			default:
-				key[i] = float64(b%32) + float64(data[2*i+1]%4)/1024
-			}
+			key[i] = fuzzKey(data[2*i], data[2*i+1])
 		}
 		if n > 0 {
 			head = int(uint(head) % uint(n+1))
